@@ -24,6 +24,7 @@ from .core import (
     PairKey,
     degree_max_min,
     degree_min_max,
+    degrees_close,
     tolerance,
 )
 from .errors import ConstraintViolation, JoinOverlap, LabelClash, NotComplete, NotStrong
@@ -134,64 +135,39 @@ def join(g1: PFGraph, g2: PFGraph) -> PFGraph:
     return PFGraph(joined.vertices, edges)
 
 
-def _bound_minus(bound: float, value: float) -> float:
+def _bound_minus(bound: float, value: float, eps: float) -> float:
     """bound - value for complement degrees, clamped to exact zero near zero."""
-    if value <= tolerance():
+    if value <= eps:
         return bound
     result = bound - value
-    if result < -tolerance():
+    if result < -eps:
         raise ConstraintViolation(
             f"edge degree {value!r} exceeds its bound {bound!r}; "
             "complement of an invalid graph"
         )
-    if abs(result) <= tolerance():
+    if abs(result) <= eps:
         return 0.0
     return result
 
 
 def complement(g: PFGraph) -> PFGraph:
     """General complement over all vertex pairs; an involution on valid graphs."""
-    edges: dict[PairKey, PFDegree] = {}
-    for key in g.pairs():
-        bound = g.pair_bound(key.lo, key.hi)
-        degree = g.edges.get(key)
-        if degree is None:
-            edges[key] = bound
-        else:
-            edges[key] = PFDegree(
-                _bound_minus(bound.mu, degree.mu), _bound_minus(bound.nu, degree.nu)
-            )
+    eps = tolerance()
+    edges = {
+        key: PFDegree(
+            _bound_minus(bound.mu, degree.mu, eps), _bound_minus(bound.nu, degree.nu, eps)
+        )
+        for key, degree, bound in g.pair_rows()
+    }
     return PFGraph(g.vertices, edges)
-
-
-def _is_strong(g: PFGraph) -> bool:
-    eps = tolerance()
-    for key, degree in g.edges.items():
-        bound = g.pair_bound(key.lo, key.hi)
-        if abs(degree.mu - bound.mu) > eps or abs(degree.nu - bound.nu) > eps:
-            return False
-    return True
-
-
-def _is_complete(g: PFGraph) -> bool:
-    eps = tolerance()
-    for key in g.pairs():
-        bound = g.pair_bound(key.lo, key.hi)
-        degree = g.edge_degree(key.lo, key.hi)
-        if abs(degree.mu - bound.mu) > eps or abs(degree.nu - bound.nu) > eps:
-            return False
-    return True
 
 
 def _zero_or_bound_complement(g: PFGraph) -> PFGraph:
     eps = tolerance()
-    edges: dict[PairKey, PFDegree] = {}
-    for key in g.pairs():
-        bound = g.pair_bound(key.lo, key.hi)
-        degree = g.edge_degree(key.lo, key.hi)
-        mu = 0.0 if degree.mu > eps else bound.mu
-        nu = 0.0 if degree.nu > eps else bound.nu
-        edges[key] = PFDegree(mu, nu)
+    edges = {
+        key: PFDegree(0.0 if degree.mu > eps else bound.mu, 0.0 if degree.nu > eps else bound.nu)
+        for key, degree, bound in g.pair_rows()
+    }
     return PFGraph(g.vertices, edges)
 
 
@@ -200,13 +176,20 @@ def strong_complement(g: PFGraph, force: bool = False) -> PFGraph:
 
     Requires the input to be strong unless ``force`` is set.
     """
-    if not force and not _is_strong(g):
+    eps = tolerance()
+    if not force and not all(
+        degrees_close(degree, g.pair_bound(key.lo, key.hi), eps)
+        for key, degree in g.edges.items()
+    ):
         raise NotStrong("input graph is not strong; pass force=True to override")
     return _zero_or_bound_complement(g)
 
 
 def complete_complement(g: PFGraph, force: bool = False) -> PFGraph:
     """Complement for complete graphs; for a genuinely complete input it is edgeless."""
-    if not force and not _is_complete(g):
+    eps = tolerance()
+    if not force and not all(
+        degrees_close(degree, bound, eps) for _, degree, bound in g.pair_rows()
+    ):
         raise NotComplete("input graph is not complete; pass force=True to override")
     return _zero_or_bound_complement(g)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .algebra import complement, complete_complement, strong_complement
-from .core import PFDegree, PFGraph, PairKey, tolerance
+from .core import PFDegree, PFGraph, tolerance
 from .morphism import MorphismKind, MorphismReport, find_morphism
 
 
@@ -48,46 +48,37 @@ class Classification:
 
 def classify(g: PFGraph) -> Classification:
     eps = tolerance()
-    witnesses: dict[str, tuple[str, str]] = {}
-
-    def note(flag: str, key: PairKey) -> None:
-        witnesses.setdefault(flag, (key.lo, key.hi))
-
-    mu_strong = nu_strong = True
-    for key, degree in sorted(g.edges.items()):
-        bound = g.pair_bound(key.lo, key.hi)
-        if abs(degree.mu - bound.mu) > eps:
-            mu_strong = False
-            note("is_mu_strong", key)
-        if abs(degree.nu - bound.nu) > eps:
-            nu_strong = False
-            note("is_nu_strong", key)
-
-    complete = complete_mu = complete_nu = True
-    for key in g.pairs():
-        bound = g.pair_bound(key.lo, key.hi)
-        degree = g.edge_degree(key.lo, key.hi)
+    # witnesses keep the strength flags ahead of the completeness flags
+    strength: dict[str, tuple[str, str]] = {}
+    completeness: dict[str, tuple[str, str]] = {}
+    for key, degree, bound in g.pair_rows():
+        pair = (key.lo, key.hi)
         mu_equal = abs(degree.mu - bound.mu) <= eps
         nu_equal = abs(degree.nu - bound.nu) <= eps
-        mu_below = bound.mu - degree.mu > eps
-        nu_below = bound.nu - degree.nu > eps
+        if key in g.edges:
+            if not mu_equal:
+                strength.setdefault("is_mu_strong", pair)
+            if not nu_equal:
+                strength.setdefault("is_nu_strong", pair)
         if not (mu_equal and nu_equal):
-            complete = False
-            note("is_complete", key)
-        if not (mu_equal and nu_below):
-            complete_mu = False
-            note("is_complete_mu_strong", key)
-        if not (mu_below and nu_equal):
-            complete_nu = False
-            note("is_complete_nu_strong", key)
+            completeness.setdefault("is_complete", pair)
+        if not (mu_equal and bound.nu - degree.nu > eps):
+            completeness.setdefault("is_complete_mu_strong", pair)
+        if not (bound.mu - degree.mu > eps and nu_equal):
+            completeness.setdefault("is_complete_nu_strong", pair)
 
-    strong = mu_strong and nu_strong
-    if not strong:
-        first = witnesses.get("is_mu_strong") or witnesses.get("is_nu_strong")
-        if first is not None:
-            witnesses.setdefault("is_strong", first)
+    witnesses = {**strength, **completeness}
+    first = strength.get("is_mu_strong") or strength.get("is_nu_strong")
+    if first is not None:
+        witnesses["is_strong"] = first
     return Classification(
-        mu_strong, nu_strong, strong, complete, complete_mu, complete_nu, witnesses
+        is_mu_strong="is_mu_strong" not in witnesses,
+        is_nu_strong="is_nu_strong" not in witnesses,
+        is_strong=first is None,
+        is_complete="is_complete" not in witnesses,
+        is_complete_mu_strong="is_complete_mu_strong" not in witnesses,
+        is_complete_nu_strong="is_complete_nu_strong" not in witnesses,
+        witnesses=witnesses,
     )
 
 
@@ -113,21 +104,14 @@ class SumIdentityReport:
         }
 
 
-def _pair_totals(g: PFGraph) -> tuple[float, float, float, float]:
+def _sum_report(g: PFGraph, factor: float) -> SumIdentityReport:
+    eps = tolerance()
     edge_mu = edge_nu = bound_mu = bound_nu = 0.0
-    for key in g.pairs():
-        degree = g.edge_degree(key.lo, key.hi)
-        bound = g.pair_bound(key.lo, key.hi)
+    for _, degree, bound in g.pair_rows():
         edge_mu += degree.mu
         edge_nu += degree.nu
         bound_mu += bound.mu
         bound_nu += bound.nu
-    return edge_mu, edge_nu, bound_mu, bound_nu
-
-
-def _sum_report(g: PFGraph, factor: float) -> SumIdentityReport:
-    eps = tolerance()
-    edge_mu, edge_nu, bound_mu, bound_nu = _pair_totals(g)
     rhs_mu = factor * bound_mu
     rhs_nu = factor * bound_nu
     return SumIdentityReport(
@@ -188,13 +172,6 @@ def half_strong_construction(p: Mapping[str, PFDegree]) -> PFGraph:
     non-membership max(nu_u, nu_v)/2.  The output is always valid and is
     isomorphic to its own general complement under the identity map.
     """
-    vertices = dict(p)
-    labels = sorted(vertices)
-    edges: dict[PairKey, PFDegree] = {}
-    for i, u in enumerate(labels):
-        for v in labels[i + 1:]:
-            du, dv = vertices[u], vertices[v]
-            edges[PairKey(u, v)] = PFDegree(
-                0.5 * min(du.mu, dv.mu), 0.5 * max(du.nu, dv.nu)
-            )
-    return PFGraph(vertices, edges)
+    g = PFGraph(p)
+    edges = {key: PFDegree(0.5 * bound.mu, 0.5 * bound.nu) for key, _, bound in g.pair_rows()}
+    return PFGraph(g.vertices, edges)

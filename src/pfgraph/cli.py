@@ -4,18 +4,19 @@ Every subcommand is a thin shell over the library: it reads graph documents
 (from files or stdin via ``-``), calls one library operation, and prints the
 serialized result on stdout.  Diagnostics and error objects go to stderr so
 stdout always carries a clean document.  Exit codes: 0 success, 1 domain
-error (invalid graph, overlap on join, morphism not found under --require,
-and similar), 2 usage or document-syntax error.
+error (invalid graph, overlap on join, an overlapping union that breaks the
+edge bounds, morphism not found under --require, and similar), 2 usage or
+document-syntax error.
 
 The PFG_EPSILON environment variable overrides the global comparison
-tolerance (decimal, default 1e-9).
+tolerance (decimal, default 1e-9); a value that is not a positive finite
+number exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -28,10 +29,16 @@ from .algebra import (
     strong_complement,
     union,
 )
-from .classify import classify, is_self_complementary, strong_sum_identity, sum_identity
-from .core import set_tolerance, validate
+from .classify import (
+    SELF_COMPLEMENT_VARIANTS,
+    classify,
+    is_self_complementary,
+    strong_sum_identity,
+    sum_identity,
+)
+from .core import apply_env_tolerance, require_valid, validate
 from .errors import MalformedDocument, PFGError
-from .generate import GenConfig, generate
+from .generate import FAMILIES, GenConfig, generate
 from .graph_io import parse, render, to_dot
 from .morphism import DEFAULT_SEARCH_CAP, MorphismKind, find_morphism
 
@@ -117,18 +124,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selfcomp", help="test whether a graph is isomorphic to its complement")
     p.add_argument("graph")
-    p.add_argument("--variant", choices=("general", "strong", "complete"), default="general")
+    p.add_argument("--variant", choices=SELF_COMPLEMENT_VARIANTS, default="general")
     p.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP)
 
     p = sub.add_parser("gen", help="generate a seeded random graph document")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=0.5)
-    p.add_argument(
-        "--family",
-        choices=("general", "strong", "complete", "half_strong"),
-        default="general",
-    )
+    p.add_argument("--family", choices=FAMILIES, default="general")
     p.add_argument("--quantize", type=int, default=None)
 
     p = sub.add_parser("dot", help="export a graph document as DOT text")
@@ -152,9 +155,11 @@ def _run(args: argparse.Namespace) -> int:
         else:
             if len(args.graphs) != 2:
                 raise SystemExit(f"op {args.name} takes exactly two graphs")
-            result = _BINARY_OPS[args.name](
-                _read_graph(args.graphs[0]), _read_graph(args.graphs[1])
-            )
+            g1, g2 = _read_graph(args.graphs[0]), _read_graph(args.graphs[1])
+            result = _BINARY_OPS[args.name](g1, g2)
+            if args.name == "union" and g1.vertices.keys() & g2.vertices.keys():
+                # raising a shared vertex can strand an edge copied from the other side
+                require_valid(result, "union of overlapping graphs")
         _emit(render(result))
         return 0
 
@@ -210,17 +215,19 @@ def _run(args: argparse.Namespace) -> int:
     raise SystemExit(f"unknown command {args.command!r}")
 
 
+def _fail(error: str, message: str, code: int, report=None) -> int:
+    payload = {"error": error, "message": message}
+    if report is not None:
+        payload["report"] = report.as_dict()
+    print(json.dumps(payload), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    env_eps = os.environ.get("PFG_EPSILON")
-    if env_eps is not None:
-        try:
-            set_tolerance(float(env_eps))
-        except ValueError:
-            print(
-                json.dumps({"error": "BadEpsilon", "message": f"PFG_EPSILON={env_eps!r}"}),
-                file=sys.stderr,
-            )
-            return 2
+    try:
+        apply_env_tolerance()
+    except ValueError as exc:
+        return _fail("BadEpsilon", str(exc), 2)
 
     parser = _build_parser()
     try:
@@ -231,19 +238,15 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     except MalformedDocument as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2
+        return _fail(type(exc).__name__, str(exc), 2)
     except PFGError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 1
+        return _fail(type(exc).__name__, str(exc), 1, getattr(exc, "report", None))
     except OSError as exc:
-        print(json.dumps({"error": "IOError", "message": str(exc)}), file=sys.stderr)
-        return 2
+        return _fail("IOError", str(exc), 2)
     except SystemExit as exc:
         if isinstance(exc.code, int):
             return exc.code
-        print(json.dumps({"error": "UsageError", "message": str(exc)}), file=sys.stderr)
-        return 2
+        return _fail("UsageError", str(exc), 2)
 
 
 def entry_point() -> None:

@@ -12,12 +12,17 @@ Design choices baked into this module:
   overridable through the PFG_EPSILON environment variable or
   :func:`set_tolerance`).  Worked examples in the literature use one or two
   decimals; the tolerance absorbs binary-float rounding without masking
-  genuine violations.
+  genuine violations.  The tolerance is always a positive finite number:
+  an unusable PFG_EPSILON leaves the default in place at import, and
+  :func:`apply_env_tolerance` reports it.
 - Graphs are simple and undirected.  Edges are keyed by a canonically
   ordered :class:`PairKey`, which makes symmetry structural; self-loops are
   rejected at key construction.
 - An edge whose degree is exactly (0, 0) means "no edge" and is removed
   when the graph is built.
+- Every pass over all unordered vertex pairs goes through
+  :meth:`PFGraph.pair_rows`, which yields each pair with its edge degree
+  (an absent edge reads as (0, 0)) and its attainable bound.
 - Values are immutable after construction.  Operations elsewhere in the
   package return new graphs and never mutate their inputs.
 
@@ -30,14 +35,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import ConstraintViolation
 
 DEFAULT_EPSILON = 1e-9
 
-_epsilon = float(os.environ.get("PFG_EPSILON", DEFAULT_EPSILON))
+_epsilon = DEFAULT_EPSILON
 
 
 def tolerance() -> float:
@@ -51,6 +56,28 @@ def set_tolerance(eps: float) -> None:
     if not (eps > 0.0) or not math.isfinite(eps):
         raise ValueError(f"tolerance must be a positive finite number, got {eps!r}")
     _epsilon = float(eps)
+
+
+def apply_env_tolerance() -> None:
+    """Set the tolerance from the PFG_EPSILON environment variable, if set.
+
+    The value goes through :func:`set_tolerance`, so anything that is not a
+    positive finite number raises ValueError and leaves the tolerance as it
+    was.
+    """
+    raw = os.environ.get("PFG_EPSILON")
+    if raw is None:
+        return
+    try:
+        set_tolerance(float(raw))
+    except ValueError:
+        raise ValueError(f"PFG_EPSILON={raw!r} is not a positive finite number") from None
+
+
+try:
+    apply_env_tolerance()
+except ValueError:
+    pass  # the default stays; the CLI rejects the value with exit status 2
 
 
 @dataclass(frozen=True)
@@ -163,7 +190,7 @@ class PFGraph:
     """
 
     vertices: Mapping[str, PFDegree]
-    edges: Mapping[PairKey, PFDegree] = field(default_factory=dict)
+    edges: Mapping[PairKey, PFDegree]
 
     def __init__(self, vertices, edges=()):
         object.__setattr__(self, "vertices", dict(vertices))
@@ -196,6 +223,16 @@ class PFGraph:
     def pair_bound(self, u: str, v: str) -> PFDegree:
         """The largest degree an edge between u and v may carry."""
         return degree_min_max(self.vertices[u], self.vertices[v])
+
+    def pair_rows(self) -> Iterator[tuple[PairKey, PFDegree, PFDegree]]:
+        """(key, degree, bound) for every unordered pair, in :meth:`pairs` order.
+
+        ``degree`` is ZERO_DEGREE when the pair has no edge and ``bound`` is
+        :meth:`pair_bound` of the pair.
+        """
+        edges = self.edges
+        for key in self.pairs():
+            yield key, edges.get(key, ZERO_DEGREE), self.pair_bound(key.lo, key.hi)
 
 
 @dataclass(frozen=True)
@@ -275,6 +312,18 @@ def validate(g: PFGraph) -> ValidationReport:
             )
 
     return ValidationReport(tuple(found))
+
+
+def require_valid(g: PFGraph, what: str) -> PFGraph:
+    """Return g if it validates; otherwise raise ConstraintViolation with the report."""
+    report = validate(g)
+    if not report.ok:
+        first = report.violations[0]
+        raise ConstraintViolation(
+            f"{what} violates graph constraints ({first.where}: {first.detail})",
+            report=report,
+        )
+    return g
 
 
 def degrees_close(a: PFDegree, b: PFDegree, eps: float | None = None) -> bool:

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from .classify import half_strong_construction
 from .core import PFDegree, PFGraph, PairKey, degree_min_max, tolerance
 
 FAMILIES = ("general", "strong", "complete", "half_strong")
@@ -63,7 +64,10 @@ def generate(cfg: GenConfig) -> PFGraph:
     rng = random.Random(cfg.seed)
     labels = [f"v{i}" for i in range(cfg.n_vertices)]
     vertices = {label: _draw_vertex_degree(rng, cfg.quantize) for label in labels}
+    if cfg.family == "half_strong":
+        return half_strong_construction(vertices)
 
+    # index order, not sorted order: it fixes which random draw each pair gets
     all_pairs = [
         PairKey(labels[i], labels[j])
         for i in range(cfg.n_vertices)
@@ -75,8 +79,6 @@ def generate(cfg: GenConfig) -> PFGraph:
         bound = degree_min_max(vertices[key.lo], vertices[key.hi])
         if cfg.family == "complete":
             edges[key] = bound
-        elif cfg.family == "half_strong":
-            edges[key] = PFDegree(0.5 * bound.mu, 0.5 * bound.nu)
         else:
             keep = rng.random() < cfg.edge_probability
             if cfg.family == "strong":

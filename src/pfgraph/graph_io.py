@@ -19,9 +19,8 @@ import json
 import re
 import warnings
 
-from .core import PFDegree, PFGraph, PairKey, validate
+from .core import PFDegree, PFGraph, PairKey, require_valid
 from .errors import (
-    ConstraintViolation,
     DanglingEdge,
     DuplicateEdge,
     DuplicateVertex,
@@ -106,15 +105,7 @@ def parse(text: str, check: bool = True) -> PFGraph:
         edges[key] = degree
 
     graph = PFGraph(vertices, edges)
-    if check:
-        report = validate(graph)
-        if not report.ok:
-            first = report.violations[0]
-            raise ConstraintViolation(
-                f"document violates graph constraints ({first.where}: {first.detail})",
-                report=report,
-            )
-    return graph
+    return require_valid(graph, "document") if check else graph
 
 
 def render(g: PFGraph) -> str:
@@ -142,21 +133,17 @@ def _quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _fmt(x: float) -> str:
-    return repr(x)
-
-
 def to_dot(g: PFGraph) -> str:
     """Render the graph as undirected DOT with degree-carrying labels."""
     lines = ["graph G {"]
     for label, degree in sorted(g.vertices.items()):
         lines.append(
-            f"  {_quote(label)} [label=\"{label} ({_fmt(degree.mu)}, {_fmt(degree.nu)})\"];"
+            f"  {_quote(label)} [label=\"{label} ({degree.mu!r}, {degree.nu!r})\"];"
         )
     for key, degree in sorted(g.edges.items()):
         lines.append(
             f"  {_quote(key.lo)} -- {_quote(key.hi)} "
-            f"[label=\"({_fmt(degree.mu)}, {_fmt(degree.nu)})\"];"
+            f"[label=\"({degree.mu!r}, {degree.nu!r})\"];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -76,16 +76,9 @@ class MorphismCheck:
     violations: tuple[str, ...]
 
 
-def _vertex_ok(kind: MorphismKind, s: PFDegree, t: PFDegree) -> bool:
-    eps = tolerance()
-    if kind.vertex_equality:
-        return degrees_close(s, t, eps)
-    return s.mu <= t.mu + eps and s.nu >= t.nu - eps
-
-
-def _pair_ok(kind: MorphismKind, s: PFDegree, t: PFDegree) -> bool:
-    eps = tolerance()
-    if kind.edge_equality:
+def _related(equality: bool, s: PFDegree, t: PFDegree, eps: float) -> bool:
+    """s equals t within eps, or without ``equality`` s maps into t."""
+    if equality:
         return degrees_close(s, t, eps)
     return s.mu <= t.mu + eps and s.nu >= t.nu - eps
 
@@ -110,16 +103,19 @@ def find_morphism(
     if kind.bijective and n1 != len(g2.vertices):
         return MorphismReport(kind, False, None, 0)
 
+    eps = tolerance()
     source = sorted(g1.vertices)
     targets = sorted(g2.vertices)
     candidates = {
-        u: [v for v in targets if _vertex_ok(kind, g1.vertices[u], g2.vertices[v])]
+        u: [v for v in targets
+            if _related(kind.vertex_equality, g1.vertices[u], g2.vertices[v], eps)]
         for u in source
     }
     if any(not candidates[u] for u in source):
         return MorphismReport(kind, False, None, 0)
 
     iso = kind is MorphismKind.ISOMORPHISM
+    edge_equality = kind.edge_equality
     assignment: dict[str, str] = {}
     used: set[str] = set()
     attempts = 0
@@ -130,7 +126,7 @@ def find_morphism(
                 continue
             # a collapsed pair (non-injective homomorphism) carries no edge
             target = ZERO_DEGREE if v == x else g2.edge_degree(v, x)
-            if not _pair_ok(kind, g1.edge_degree(u, w), target):
+            if not _related(edge_equality, g1.edge_degree(u, w), target, eps):
                 return False
         return True
 
@@ -187,19 +183,19 @@ def verify_morphism(
         if len(g1.vertices) != len(g2.vertices):
             violations.append("vertex counts differ, mapping cannot be a bijection")
 
+    eps = tolerance()
     for u in sorted(g1.vertices):
-        if not _vertex_ok(kind, g1.vertices[u], g2.vertices[mapping[u]]):
+        if not _related(kind.vertex_equality, g1.vertices[u], g2.vertices[mapping[u]], eps):
             violations.append(f"vertex condition fails at {u!r} -> {mapping[u]!r}")
 
     if kind is MorphismKind.ISOMORPHISM:
-        checked = ((key.lo, key.hi) for key in g1.pairs())
+        checked = ((key, s) for key, s, _ in g1.pair_rows())
     else:
-        checked = ((key.lo, key.hi) for key in sorted(g1.edges))
-    for u, w in checked:
-        s = g1.edge_degree(u, w)
+        checked = sorted(g1.edges.items())
+    for (u, w), s in checked:
         tu, tw = mapping[u], mapping[w]
         t = ZERO_DEGREE if tu == tw else g2.edge_degree(tu, tw)
-        if not _pair_ok(kind, s, t):
+        if not _related(kind.edge_equality, s, t, eps):
             violations.append(f"edge condition fails at pair {u}-{w} -> {tu}-{tw}")
 
     return MorphismCheck(not violations, tuple(violations))

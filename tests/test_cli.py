@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -119,6 +120,29 @@ class TestOp:
     def test_wrong_arity_is_a_usage_error(self, square_cycle_file, capsys):
         code, _, _ = run_cli(["op", "union", square_cycle_file], capsys)
         assert code == 2
+
+    def test_overlapping_union_must_validate(
+        self, tmp_path, capsys, overlapping_pair, square_cycle_file
+    ):
+        from pfgraph import parse, render
+
+        paths = []
+        for name, g in zip(("g1", "g2"), overlapping_pair):
+            path = tmp_path / f"{name}.json"
+            path.write_text(render(g))
+            paths.append(str(path))
+        code, out, err = run_cli(["op", "union", *paths], capsys)
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ConstraintViolation"
+        assert {"kind": "edge_nonmembership_above_bound", "where": "a-d"} in [
+            {"kind": v["kind"], "where": v["where"]} for v in payload["report"]["violations"]
+        ]
+        # a full overlap that stays valid still prints the union
+        code, out, _ = run_cli(["op", "union", square_cycle_file, square_cycle_file], capsys)
+        assert code == 0
+        assert parse(out) == parse(SQUARE_CYCLE_DOC)
 
 
 class TestClassifyAndSums:
@@ -252,6 +276,28 @@ class TestEpsilonOverride:
         code, _, err = run_cli(["gen", "--seed", "1", "--n", "2"], capsys)
         assert code == 2
         assert json.loads(err)["error"] == "BadEpsilon"
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1"])
+    def test_bad_epsilon_in_a_fresh_process(self, value):
+        # a fresh interpreter parses PFG_EPSILON at import, before main runs
+        env = {**os.environ, "PFG_EPSILON": value}
+        cli = subprocess.run(
+            [sys.executable, "-m", "pfgraph.cli", "gen", "--seed", "1", "--n", "3"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert cli.returncode == 2
+        assert cli.stdout == ""
+        assert json.loads(cli.stderr)["error"] == "BadEpsilon"
+        lib = subprocess.run(
+            [sys.executable, "-c", "import pfgraph; print(repr(pfgraph.tolerance()))"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert lib.returncode == 0, lib.stderr
+        assert float(lib.stdout) == DEFAULT_EPSILON
 
     def test_coarse_epsilon_changes_validation(self, tmp_path, capsys, monkeypatch):
         doc = {

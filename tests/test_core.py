@@ -8,10 +8,13 @@ from hypothesis import given, strategies as st
 from pfgraph import (
     ConstraintViolation,
     PFDegree,
+    GenConfig,
     PFGraph,
     PairKey,
+    ZERO_DEGREE,
     degree_max_min,
     degree_min_max,
+    generate,
     hesitation,
     validate,
 )
@@ -178,6 +181,20 @@ class TestGraphConstruction:
     def test_pairs_cover_all_unordered_pairs(self):
         g = build({"a": (0.5, 0.5), "b": (0.5, 0.5), "c": (0.5, 0.5)})
         assert {str(k) for k in g.pairs()} == {"a-b", "a-c", "b-c"}
+
+    def test_pair_rows_give_every_pair_in_key_order(self, square_cycle):
+        # n=12 labels v0..v11 sort v10 before v2, unlike their index order
+        for g in (square_cycle, generate(GenConfig(seed=3, n_vertices=12))):
+            rows = list(g.pair_rows())
+            keys = [key for key, _, _ in rows]
+            n = len(g.vertices)
+            assert len(rows) == n * (n - 1) // 2
+            assert keys == sorted(keys) == list(g.pairs())
+            for key, degree, bound in rows:
+                assert degree == g.edges.get(key, ZERO_DEGREE)
+                assert bound == g.pair_bound(key.lo, key.hi)
+        absent = {key for key, degree, _ in square_cycle.pair_rows() if degree == ZERO_DEGREE}
+        assert absent == {PairKey("a", "c"), PairKey("b", "d")}
 
     def test_value_equality(self, square_cycle):
         twin = build(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from pfgraph import GenConfig, classify, generate, validate
+from pfgraph import GenConfig, classify, generate, half_strong_construction, validate
 
 
 class TestDeterminism:
@@ -51,6 +51,13 @@ class TestFamilies:
             bound = g.pair_bound(key.lo, key.hi)
             assert degree.mu == pytest.approx(0.5 * bound.mu, abs=1e-12)
             assert degree.nu == pytest.approx(0.5 * bound.nu, abs=1e-12)
+
+    def test_half_strong_family_is_the_construction_on_its_vertices(self):
+        for seed in range(40):
+            cfg = GenConfig(seed=seed, n_vertices=1 + seed % 13, family="half_strong",
+                            quantize=(None, 2)[seed % 2])
+            g = generate(cfg)
+            assert g == half_strong_construction(g.vertices)
 
     def test_zero_edge_probability_gives_edgeless(self):
         g = generate(GenConfig(seed=5, n_vertices=6, edge_probability=0.0))

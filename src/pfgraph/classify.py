@@ -14,7 +14,7 @@ complement, under the complement variant matching how the graph classifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional
 
 from .algebra import complement, complete_complement, strong_complement
@@ -35,15 +35,7 @@ class Classification:
     witnesses: Mapping[str, tuple[str, str]]
 
     def as_dict(self) -> dict:
-        return {
-            "is_mu_strong": self.is_mu_strong,
-            "is_nu_strong": self.is_nu_strong,
-            "is_strong": self.is_strong,
-            "is_complete": self.is_complete,
-            "is_complete_mu_strong": self.is_complete_mu_strong,
-            "is_complete_nu_strong": self.is_complete_nu_strong,
-            "witnesses": {flag: list(pair) for flag, pair in self.witnesses.items()},
-        }
+        return {**asdict(self), "witnesses": {f: list(p) for f, p in self.witnesses.items()}}
 
 
 def classify(g: PFGraph) -> Classification:
@@ -94,14 +86,7 @@ class SumIdentityReport:
     holds_nu: bool
 
     def as_dict(self) -> dict:
-        return {
-            "lhs_mu": self.lhs_mu,
-            "rhs_mu": self.rhs_mu,
-            "lhs_nu": self.lhs_nu,
-            "rhs_nu": self.rhs_nu,
-            "holds_mu": self.holds_mu,
-            "holds_nu": self.holds_nu,
-        }
+        return asdict(self)
 
 
 def _sum_report(g: PFGraph, factor: float) -> SumIdentityReport:

@@ -15,9 +15,13 @@ Design choices baked into this module:
   genuine violations.  The tolerance is always a positive finite number:
   an unusable PFG_EPSILON leaves the default in place at import, and
   :func:`apply_env_tolerance` reports it.
-- Graphs are simple and undirected.  Edges are keyed by a canonically
-  ordered :class:`PairKey`, which makes symmetry structural; self-loops are
-  rejected at key construction.
+- Graphs are simple and undirected.  Edges are keyed by :class:`PairKey`,
+  the label pair (lo, hi) in canonical order, which makes symmetry
+  structural; self-loops are rejected at key construction.  PairKey and
+  :class:`PFDegree` (mu, nu) are tuples and compare, hash and sort as such.
+- A dangling edge names an undeclared vertex: :meth:`PFGraph.pair_rows`
+  never yields it, :func:`validate` reports it, and an operation that needs
+  its endpoints' degrees raises DanglingEdge.
 - An edge whose degree is exactly (0, 0) means "no edge" and is removed
   when the graph is built.
 - Every pass over all unordered vertex pairs goes through
@@ -35,10 +39,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from dataclasses import asdict, dataclass
+from operator import itemgetter
+from typing import Iterator, Mapping, NamedTuple
 
-from .errors import ConstraintViolation
+from .errors import ConstraintViolation, DanglingEdge
 
 DEFAULT_EPSILON = 1e-9
 
@@ -80,8 +85,7 @@ except ValueError:
     pass  # the default stays; the CLI rejects the value with exit status 2
 
 
-@dataclass(frozen=True)
-class PFDegree:
+class PFDegree(NamedTuple):
     """A (membership, non-membership) pair.
 
     The type itself is a dumb value; whether it satisfies the unit-range and
@@ -102,15 +106,20 @@ class PFDegree:
 ZERO_DEGREE = PFDegree(0.0, 0.0)
 
 
+def in_unit_range(value: float) -> bool:
+    """Whether value lies in [0, 1] up to the tolerance (NaN does not)."""
+    eps = tolerance()
+    return -eps <= value <= 1.0 + eps
+
+
 def degree_violations(d: PFDegree) -> list[str]:
     """Return human-readable constraint problems of a single degree pair."""
-    eps = tolerance()
     problems = []
-    if not (-eps <= d.mu <= 1.0 + eps):
+    if not in_unit_range(d.mu):
         problems.append(f"membership {d.mu!r} outside [0, 1]")
-    if not (-eps <= d.nu <= 1.0 + eps):
+    if not in_unit_range(d.nu):
         problems.append(f"non-membership {d.nu!r} outside [0, 1]")
-    if d.mu * d.mu + d.nu * d.nu > 1.0 + eps:
+    if d.mu * d.mu + d.nu * d.nu > 1.0 + tolerance():
         problems.append(
             f"membership {d.mu!r} and non-membership {d.nu!r} have squared sum > 1"
         )
@@ -147,27 +156,29 @@ def degree_max_min(a: PFDegree, b: PFDegree) -> PFDegree:
     return PFDegree(max(a.mu, b.mu), min(a.nu, b.nu))
 
 
-@dataclass(frozen=True, order=True)
-class PairKey:
+class PairKey(tuple):
     """Canonical unordered pair of vertex labels (the edge key).
 
     ``PairKey(u, v) == PairKey(v, u)`` by construction; self-loops are
     rejected because the underlying graphs are simple.
     """
 
-    lo: str
-    hi: str
+    __slots__ = ()
 
-    def __init__(self, u: str, v: str) -> None:
+    def __new__(cls, u: str, v: str) -> PairKey:
         if u == v:
             raise ValueError(f"self-loop on vertex {u!r} is not allowed")
-        lo, hi = (u, v) if u < v else (v, u)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        try:
+            ordered = u < v
+        except TypeError:  # an int and a str label, say: order by type name, then repr
+            ordered = (type(u).__name__, repr(u)) < (type(v).__name__, repr(v))
+        return tuple.__new__(cls, (u, v) if ordered else (v, u))
 
-    def __iter__(self) -> Iterator[str]:
-        yield self.lo
-        yield self.hi
+    lo = property(itemgetter(0))
+    hi = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple[str, str]:
+        return tuple(self)
 
     def other(self, v: str) -> str:
         if v == self.lo:
@@ -175,6 +186,9 @@ class PairKey:
         if v == self.hi:
             return self.lo
         raise KeyError(v)
+
+    def __repr__(self) -> str:
+        return f"PairKey(lo={self.lo!r}, hi={self.hi!r})"
 
     def __str__(self) -> str:
         return f"{self.lo}-{self.hi}"
@@ -221,8 +235,11 @@ class PFGraph:
                 yield PairKey(u, v)
 
     def pair_bound(self, u: str, v: str) -> PFDegree:
-        """The largest degree an edge between u and v may carry."""
-        return degree_min_max(self.vertices[u], self.vertices[v])
+        """The largest degree an edge between u and v may carry; DanglingEdge if one is absent."""
+        try:
+            return degree_min_max(self.vertices[u], self.vertices[v])
+        except KeyError as exc:
+            raise DanglingEdge(f"edge {u}-{v} uses undeclared vertex {exc.args[0]!r}") from None
 
     def pair_rows(self) -> Iterator[tuple[PairKey, PFDegree, PFDegree]]:
         """(key, degree, bound) for every unordered pair, in :meth:`pairs` order.
@@ -244,7 +261,7 @@ class Violation:
     detail: str
 
     def as_dict(self) -> dict:
-        return {"kind": self.kind, "where": self.where, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -60,4 +60,4 @@ class DuplicateEdge(PFGError):
 
 
 class DanglingEdge(PFGError):
-    """Graph document has an edge whose endpoint is not a declared vertex."""
+    """A graph or graph document has an edge whose endpoint is not a declared vertex."""

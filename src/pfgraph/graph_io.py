@@ -19,7 +19,7 @@ import json
 import re
 import warnings
 
-from .core import PFDegree, PFGraph, PairKey, require_valid
+from .core import PFDegree, PFGraph, PairKey, in_unit_range, require_valid
 from .errors import (
     DanglingEdge,
     DuplicateEdge,
@@ -42,7 +42,7 @@ def _read_degree(entry: dict, where: str) -> PFDegree:
             isinstance(value, (int, float)) and not isinstance(value, bool),
             f"{where}: {field!r} must be a number",
         )
-        _require(0.0 <= value <= 1.0, f"{where}: {field!r} value {value!r} outside [0, 1]")
+        _require(in_unit_range(value), f"{where}: {field!r} value {value!r} outside [0, 1]")
     return PFDegree(float(entry["mu"]), float(entry["nu"]))
 
 

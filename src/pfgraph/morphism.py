@@ -23,7 +23,7 @@ incrementally, which cannot exclude a valid witness.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional
 
 from .core import PFDegree, PFGraph, ZERO_DEGREE, degrees_close, tolerance
@@ -62,12 +62,7 @@ class MorphismReport:
     search_space: int
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "found": self.found,
-            "witness": dict(self.witness) if self.witness is not None else None,
-            "search_space": self.search_space,
-        }
+        return {**asdict(self), "kind": self.kind.value}
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Core value types: degree arithmetic, pair keys, and graph validation."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -75,6 +77,14 @@ class TestValidate:
         g = PFGraph({"": PFDegree(0.5, 0.5)})
         assert validate(g).violations[0].kind == "bad_vertex_id"
 
+    def test_labels_without_order_reach_the_report(self):
+        # 1 < "a" raises TypeError; the graph must still be built and described
+        d = PFDegree(0.5, 0.5)
+        g = PFGraph({1: d, "a": d}, {(1, "a"): PFDegree(0.2, 0.3)})
+        report = validate(g)
+        assert [(v.kind, v.where) for v in report.violations] == [("bad_vertex_id", "1")]
+        assert PairKey("a", 1) == PairKey(1, "a") == (1, "a")
+
     def test_report_serialization(self, square_cycle):
         d = validate(square_cycle).as_dict()
         assert d == {"valid": True, "violations": []}
@@ -139,6 +149,12 @@ class TestDegreeCombine:
         assert degree_min_max(d, d) == d
         assert degree_max_min(d, d) == d
 
+    def test_degree_is_a_named_pair(self):
+        d = PFDegree(mu=0.5, nu=0.7)
+        assert repr(d) == "PFDegree(mu=0.5, nu=0.7)"
+        assert d == (0.5, 0.7) and d.as_tuple() == (0.5, 0.7)
+        assert hash(d) == hash((0.5, 0.7))
+
     def test_extremes(self):
         assert degree_min_max(PFDegree(1, 0), PFDegree(0, 1)) == PFDegree(0, 1)
         assert degree_max_min(PFDegree(0, 1), PFDegree(0, 1)) == PFDegree(0, 1)
@@ -160,6 +176,18 @@ class TestPairKey:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             PairKey("a", "a")
+
+    def test_tuple_behaviour(self):
+        key = PairKey("b", "a")
+        assert repr(key) == "PairKey(lo='a', hi='b')"
+        assert str(key) == "a-b"
+        assert tuple(key) == key == ("a", "b")
+        assert hash(key) == hash(("a", "b"))
+        assert (key.other("a"), key.other("b")) == ("b", "a")
+        keys = [PairKey("c", "b"), PairKey("b", "a"), PairKey("c", "a"), PairKey("a", "b10")]
+        assert [(k.lo, k.hi) for k in sorted(keys)] == [
+            ("a", "b"), ("a", "b10"), ("a", "c"), ("b", "c")
+        ]
 
     def test_edge_lookup_is_symmetric(self):
         g = build({"u": (0.5, 0.5), "v": (0.4, 0.4)}, {("u", "v"): (0.3, 0.5)})
@@ -195,6 +223,18 @@ class TestGraphConstruction:
                 assert bound == g.pair_bound(key.lo, key.hi)
         absent = {key for key, degree, _ in square_cycle.pair_rows() if degree == ZERO_DEGREE}
         assert absent == {PairKey("a", "c"), PairKey("b", "d")}
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trips(self, clone):
+        g = generate(GenConfig(seed=5, n_vertices=9))
+        for value in (g, PairKey("b", "a"), PFDegree(0.5, 0.7)):
+            twin = clone(value)
+            assert twin == value and type(twin) is type(value)
+        assert list(clone(g).edges) == list(g.edges)
 
     def test_value_equality(self, square_cycle):
         twin = build(

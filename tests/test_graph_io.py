@@ -80,6 +80,11 @@ class TestParse:
         with pytest.raises(MalformedDocument):
             parse(doc)
 
+    def test_value_within_tolerance_of_range_accepted(self):
+        # the same unit-range rule as validate, which accepts this degree
+        doc = '{"format_version":1,"vertices":[{"id":"a","mu":1.0000000000001,"nu":0}],"edges":[]}'
+        assert parse(doc).vertices["a"] == PFDegree(1.0000000000001, 0.0)
+
     def test_duplicate_vertex(self):
         doc = json.dumps(
             {

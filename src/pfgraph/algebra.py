@@ -154,10 +154,8 @@ def complement(g: PFGraph) -> PFGraph:
     """General complement over all vertex pairs; an involution on valid graphs."""
     eps = tolerance()
     edges = {
-        key: PFDegree(
-            _bound_minus(bound.mu, degree.mu, eps), _bound_minus(bound.nu, degree.nu, eps)
-        )
-        for key, degree, bound in g.pair_rows()
+        key: PFDegree(_bound_minus(bmu, mu, eps), _bound_minus(bnu, nu, eps))
+        for key, (mu, nu), (bmu, bnu) in g.pair_rows()
     }
     return PFGraph(g.vertices, edges)
 
@@ -165,8 +163,8 @@ def complement(g: PFGraph) -> PFGraph:
 def _zero_or_bound_complement(g: PFGraph) -> PFGraph:
     eps = tolerance()
     edges = {
-        key: PFDegree(0.0 if degree.mu > eps else bound.mu, 0.0 if degree.nu > eps else bound.nu)
-        for key, degree, bound in g.pair_rows()
+        key: PFDegree(0.0 if mu > eps else bmu, 0.0 if nu > eps else bnu)
+        for key, (mu, nu), (bmu, bnu) in g.pair_rows()
     }
     return PFGraph(g.vertices, edges)
 

@@ -43,20 +43,21 @@ def classify(g: PFGraph) -> Classification:
     # witnesses keep the strength flags ahead of the completeness flags
     strength: dict[str, tuple[str, str]] = {}
     completeness: dict[str, tuple[str, str]] = {}
-    for key, degree, bound in g.pair_rows():
-        pair = (key.lo, key.hi)
-        mu_equal = abs(degree.mu - bound.mu) <= eps
-        nu_equal = abs(degree.nu - bound.nu) <= eps
-        if key in g.edges:
+    edges = g.edges
+    for key, (mu, nu), (bmu, bnu) in g.pair_rows():
+        pair = tuple(key)
+        mu_equal = abs(mu - bmu) <= eps
+        nu_equal = abs(nu - bnu) <= eps
+        if key in edges:
             if not mu_equal:
                 strength.setdefault("is_mu_strong", pair)
             if not nu_equal:
                 strength.setdefault("is_nu_strong", pair)
         if not (mu_equal and nu_equal):
             completeness.setdefault("is_complete", pair)
-        if not (mu_equal and bound.nu - degree.nu > eps):
+        if not (mu_equal and bnu - nu > eps):
             completeness.setdefault("is_complete_mu_strong", pair)
-        if not (bound.mu - degree.mu > eps and nu_equal):
+        if not (bmu - mu > eps and nu_equal):
             completeness.setdefault("is_complete_nu_strong", pair)
 
     witnesses = {**strength, **completeness}
@@ -92,11 +93,11 @@ class SumIdentityReport:
 def _sum_report(g: PFGraph, factor: float) -> SumIdentityReport:
     eps = tolerance()
     edge_mu = edge_nu = bound_mu = bound_nu = 0.0
-    for _, degree, bound in g.pair_rows():
-        edge_mu += degree.mu
-        edge_nu += degree.nu
-        bound_mu += bound.mu
-        bound_nu += bound.nu
+    for _, (mu, nu), (bmu, bnu) in g.pair_rows():
+        edge_mu += mu
+        edge_nu += nu
+        bound_mu += bmu
+        bound_nu += bnu
     rhs_mu = factor * bound_mu
     rhs_nu = factor * bound_nu
     return SumIdentityReport(
@@ -158,5 +159,5 @@ def half_strong_construction(p: Mapping[str, PFDegree]) -> PFGraph:
     isomorphic to its own general complement under the identity map.
     """
     g = PFGraph(p)
-    edges = {key: PFDegree(0.5 * bound.mu, 0.5 * bound.nu) for key, _, bound in g.pair_rows()}
+    edges = {key: PFDegree(0.5 * bmu, 0.5 * bnu) for key, _, (bmu, bnu) in g.pair_rows()}
     return PFGraph(g.vertices, edges)

@@ -26,7 +26,12 @@ Design choices baked into this module:
   when the graph is built.
 - Every pass over all unordered vertex pairs goes through
   :meth:`PFGraph.pair_rows`, which yields each pair with its edge degree
-  (an absent edge reads as (0, 0)) and its attainable bound.
+  (an absent edge reads as (0, 0)) and its attainable bound.  It sorts the
+  labels once and builds each key and bound as a bare tuple, with no
+  per-pair Python-level call.  Every pass that sorts vertex labels goes through
+  :func:`sorted_vertices`, so labels that ``<`` cannot put in a strict
+  order (an int beside a str, NaN) raise ConstraintViolation with the
+  validation report rather than TypeError or a silently wrong order.
 - Values are immutable after construction.  Operations elsewhere in the
   package return new graphs and never mutate their inputs.
 
@@ -213,7 +218,7 @@ class PFGraph:
         for key, degree in edge_items:
             if not isinstance(key, PairKey):
                 key = PairKey(*key)
-            if not degree.is_zero():
+            if degree != ZERO_DEGREE:
                 normalized[key] = degree
         object.__setattr__(self, "edges", normalized)
 
@@ -229,10 +234,7 @@ class PFGraph:
 
     def pairs(self) -> Iterator[PairKey]:
         """All unordered pairs of distinct vertices, edge or not."""
-        labels = sorted(self.vertices)
-        for i, u in enumerate(labels):
-            for v in labels[i + 1:]:
-                yield PairKey(u, v)
+        return (key for key, _, _ in self.pair_rows())
 
     def pair_bound(self, u: str, v: str) -> PFDegree:
         """The largest degree an edge between u and v may carry; DanglingEdge if one is absent."""
@@ -242,14 +244,23 @@ class PFGraph:
             raise DanglingEdge(f"edge {u}-{v} uses undeclared vertex {exc.args[0]!r}") from None
 
     def pair_rows(self) -> Iterator[tuple[PairKey, PFDegree, PFDegree]]:
-        """(key, degree, bound) for every unordered pair, in :meth:`pairs` order.
+        """(key, degree, bound) for every unordered pair, in sorted key order.
 
         ``degree`` is ZERO_DEGREE when the pair has no edge and ``bound`` is
-        :meth:`pair_bound` of the pair.
+        :meth:`pair_bound` of the pair.  The labels are sorted once by
+        :func:`sorted_vertices`; strictly increasing labels are already in
+        PairKey's canonical order, and the bound follows
+        :func:`degree_min_max`'s rule exactly (the lower label's value wins
+        ties), so both are built as bare tuples without a per-pair call.
         """
-        edges = self.edges
-        for key in self.pairs():
-            yield key, edges.get(key, ZERO_DEGREE), self.pair_bound(key.lo, key.hi)
+        get = self.edges.get
+        items = sorted_vertices(self)
+        new = tuple.__new__
+        for i, (u, (umu, unu)) in enumerate(items, 1):
+            for v, (vmu, vnu) in items[i:]:
+                key = new(PairKey, (u, v))
+                bound = new(PFDegree, (vmu if vmu < umu else umu, vnu if vnu > unu else unu))
+                yield key, get(key, ZERO_DEGREE), bound
 
 
 @dataclass(frozen=True)
@@ -341,6 +352,25 @@ def require_valid(g: PFGraph, what: str) -> PFGraph:
             report=report,
         )
     return g
+
+
+def sorted_vertices(g: PFGraph) -> list[tuple[str, PFDegree]]:
+    """g's (label, degree) items in strictly increasing label order.
+
+    Labels that ``<`` cannot compare, or that do not come out strictly
+    increasing (NaN), raise ConstraintViolation carrying :func:`validate`'s
+    report, which names them as ``bad_vertex_id``.
+    """
+    items = list(g.vertices.items())
+    try:
+        items.sort()
+        if all(a < b for (a, _), (b, _) in zip(items, items[1:])):
+            return items
+    except TypeError:
+        pass
+    report = validate(g)
+    bad = ", ".join(v.where for v in report.violations if v.kind == "bad_vertex_id")
+    raise ConstraintViolation(f"vertex labels cannot be put in a strict order: {bad}", report=report)
 
 
 def degrees_close(a: PFDegree, b: PFDegree, eps: float | None = None) -> bool:

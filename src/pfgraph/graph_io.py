@@ -19,7 +19,7 @@ import json
 import re
 import warnings
 
-from .core import PFDegree, PFGraph, PairKey, in_unit_range, require_valid
+from .core import PFDegree, PFGraph, PairKey, in_unit_range, require_valid, sorted_vertices
 from .errors import (
     DanglingEdge,
     DuplicateEdge,
@@ -114,7 +114,7 @@ def render(g: PFGraph) -> str:
         "format_version": FORMAT_VERSION,
         "vertices": [
             {"id": label, "mu": degree.mu, "nu": degree.nu}
-            for label, degree in sorted(g.vertices.items())
+            for label, degree in sorted_vertices(g)
         ],
         "edges": [
             {"u": key.lo, "v": key.hi, "mu": degree.mu, "nu": degree.nu}
@@ -136,7 +136,7 @@ def _quote(label: str) -> str:
 def to_dot(g: PFGraph) -> str:
     """Render the graph as undirected DOT with degree-carrying labels."""
     lines = ["graph G {"]
-    for label, degree in sorted(g.vertices.items()):
+    for label, degree in sorted_vertices(g):
         lines.append(
             f"  {_quote(label)} [label=\"{label} ({degree.mu!r}, {degree.nu!r})\"];"
         )

@@ -26,8 +26,8 @@ import enum
 from dataclasses import asdict, dataclass
 from typing import Mapping, Optional
 
-from .core import PFDegree, PFGraph, ZERO_DEGREE, degrees_close, tolerance
-from .errors import SearchCapExceeded, UnknownVertex
+from .core import PFDegree, PFGraph, ZERO_DEGREE, degrees_close, sorted_vertices, tolerance
+from .errors import DanglingEdge, SearchCapExceeded, UnknownVertex
 
 DEFAULT_SEARCH_CAP = 9
 
@@ -99,15 +99,14 @@ def find_morphism(
         return MorphismReport(kind, False, None, 0)
 
     eps = tolerance()
-    source = sorted(g1.vertices)
-    targets = sorted(g2.vertices)
+    targets = sorted_vertices(g2)
     candidates = {
-        u: [v for v in targets
-            if _related(kind.vertex_equality, g1.vertices[u], g2.vertices[v], eps)]
-        for u in source
+        u: [v for v, dv in targets if _related(kind.vertex_equality, du, dv, eps)]
+        for u, du in sorted_vertices(g1)
     }
-    if any(not candidates[u] for u in source):
+    if not all(candidates.values()):
         return MorphismReport(kind, False, None, 0)
+    source = list(candidates)
 
     iso = kind is MorphismKind.ISOMORPHISM
     edge_equality = kind.edge_equality
@@ -179,8 +178,8 @@ def verify_morphism(
             violations.append("vertex counts differ, mapping cannot be a bijection")
 
     eps = tolerance()
-    for u in sorted(g1.vertices):
-        if not _related(kind.vertex_equality, g1.vertices[u], g2.vertices[mapping[u]], eps):
+    for u, du in sorted_vertices(g1):
+        if not _related(kind.vertex_equality, du, g2.vertices[mapping[u]], eps):
             violations.append(f"vertex condition fails at {u!r} -> {mapping[u]!r}")
 
     if kind is MorphismKind.ISOMORPHISM:
@@ -188,7 +187,10 @@ def verify_morphism(
     else:
         checked = sorted(g1.edges.items())
     for (u, w), s in checked:
-        tu, tw = mapping[u], mapping[w]
+        try:
+            tu, tw = mapping[u], mapping[w]
+        except KeyError as exc:  # the mapping is total on g1's vertices
+            raise DanglingEdge(f"edge {u}-{w} uses undeclared vertex {exc.args[0]!r}") from None
         t = ZERO_DEGREE if tu == tw else g2.edge_degree(tu, tw)
         if not _related(kind.edge_equality, s, t, eps):
             violations.append(f"edge condition fails at pair {u}-{w} -> {tu}-{tw}")

@@ -9,16 +9,24 @@ from hypothesis import given, strategies as st
 
 from pfgraph import (
     ConstraintViolation,
+    MorphismKind,
     PFDegree,
     GenConfig,
     PFGraph,
     PairKey,
     ZERO_DEGREE,
+    classify,
+    complement,
     degree_max_min,
     degree_min_max,
+    find_morphism,
     generate,
     hesitation,
+    render,
+    sum_identity,
+    to_dot,
     validate,
+    verify_morphism,
 )
 
 from conftest import build
@@ -84,6 +92,32 @@ class TestValidate:
         report = validate(g)
         assert [(v.kind, v.where) for v in report.violations] == [("bad_vertex_id", "1")]
         assert PairKey("a", 1) == PairKey(1, "a") == (1, "a")
+
+    @pytest.mark.parametrize(
+        "labels", [(1, "a"), (math.nan, 0.5, 0.25)], ids=["int-and-str", "nan"]
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            complement,
+            classify,
+            sum_identity,
+            render,
+            to_dot,
+            lambda m: find_morphism(m, m, MorphismKind.ISOMORPHISM),
+            lambda m: verify_morphism(m, m, MorphismKind.ISOMORPHISM, {v: v for v in m.vertices}),
+        ],
+        ids=["complement", "classify", "sum_identity", "render", "to_dot",
+             "find_morphism", "verify_morphism"],
+    )
+    def test_sorted_passes_reject_labels_without_strict_order(self, labels, call):
+        # NaN sorts without an error but not into a strict order, which would
+        # build non-canonical pair keys and miss edges
+        d = PFDegree(0.5, 0.5)
+        m = PFGraph(dict.fromkeys(labels, d), {labels[:2]: PFDegree(0.2, 0.3)})
+        with pytest.raises(ConstraintViolation, match="strict order") as raised:
+            call(m)
+        assert "bad_vertex_id" in {v.kind for v in raised.value.report.violations}
 
     def test_report_serialization(self, square_cycle):
         d = validate(square_cycle).as_dict()
@@ -223,6 +257,28 @@ class TestGraphConstruction:
                 assert bound == g.pair_bound(key.lo, key.hi)
         absent = {key for key, degree, _ in square_cycle.pair_rows() if degree == ZERO_DEGREE}
         assert absent == {PairKey("a", "c"), PairKey("b", "d")}
+
+    @given(st.data())
+    def test_pair_rows_agree_with_the_per_pair_methods(self, data):
+        # unicode labels whose sort order is not their insertion order; vertex
+        # values with ties, -0.0 and NaN exercise the bound's tie rule
+        labels = data.draw(st.lists(st.text(min_size=1), min_size=1, max_size=8, unique=True))
+        value = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, math.nan]), st.floats(0.0, 1.0))
+        vertices = {v: PFDegree(data.draw(value), data.draw(value)) for v in labels}
+        pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        g = PFGraph(vertices, {pair: data.draw(valid_degrees()) for pair in chosen})
+
+        rows = list(g.pair_rows())
+        n = len(labels)
+        assert len(rows) == n * (n - 1) // 2
+        keys = [key for key, _, _ in rows]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        for key, degree, bound in rows:
+            assert type(key) is PairKey
+            assert key == PairKey(*key)
+            assert degree == g.edge_degree(*key)
+            assert repr(bound) == repr(g.pair_bound(*key))
 
     @pytest.mark.parametrize(
         "clone",

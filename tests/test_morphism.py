@@ -6,8 +6,10 @@ import random
 import pytest
 
 from pfgraph import (
+    DanglingEdge,
     GenConfig,
     MorphismKind,
+    PFDegree,
     PFGraph,
     PairKey,
     SearchCapExceeded,
@@ -172,6 +174,11 @@ class TestVerifyMorphism:
         del partial["a"]
         with pytest.raises(UnknownVertex):
             verify_morphism(square_cycle, square_cycle, ISO, partial)
+
+    def test_dangling_edge_raises(self):
+        g = PFGraph({"a": PFDegree(0.5, 0.5)}, {("a", "z"): PFDegree(0.2, 0.3)})
+        with pytest.raises(DanglingEdge, match="edge a-z uses undeclared vertex 'z'"):
+            verify_morphism(g, g, HOMO, {"a": "a"})
 
     def test_non_injective_map_rejected_for_bijective_kinds(self):
         g = build({"a": (0.5, 0.5), "b": (0.5, 0.5)})

@@ -25,6 +25,7 @@ from .core import (
     degree_max_min,
     degree_min_max,
     degrees_close,
+    sorted_labels,
     tolerance,
 )
 from .errors import ConstraintViolation, JoinOverlap, LabelClash, NotComplete, NotStrong
@@ -125,7 +126,7 @@ def join(g1: PFGraph, g2: PFGraph) -> PFGraph:
     overlap = set(g1.vertices) & set(g2.vertices)
     if overlap:
         raise JoinOverlap(
-            f"join requires disjoint vertex sets; shared: {sorted(overlap)}"
+            f"join requires disjoint vertex sets; shared: {sorted_labels(overlap)}"
         )
     joined = union(g1, g2)
     edges = dict(joined.edges)

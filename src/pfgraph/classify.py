@@ -14,16 +14,14 @@ complement, under the complement variant matching how the graph classifies.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .algebra import complement, complete_complement, strong_complement
 from .core import PFDegree, PFGraph, tolerance
 from .morphism import MorphismKind, MorphismReport, find_morphism
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Strength and completeness profile plus one offending pair per false flag."""
 
     is_mu_strong: bool
@@ -35,7 +33,7 @@ class Classification:
     witnesses: Mapping[str, tuple[str, str]]
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "witnesses": {f: list(p) for f, p in self.witnesses.items()}}
+        return {**self._asdict(), "witnesses": {f: list(p) for f, p in self.witnesses.items()}}
 
 
 def classify(g: PFGraph) -> Classification:
@@ -75,8 +73,7 @@ def classify(g: PFGraph) -> Classification:
     )
 
 
-@dataclass(frozen=True)
-class SumIdentityReport:
+class SumIdentityReport(NamedTuple):
     """Totals of edge degrees against totals of pair bounds, with verdicts."""
 
     lhs_mu: float
@@ -87,7 +84,7 @@ class SumIdentityReport:
     holds_nu: bool
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _sum_report(g: PFGraph, factor: float) -> SumIdentityReport:

@@ -198,13 +198,16 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "gen":
-        cfg = GenConfig(
-            seed=args.seed,
-            n_vertices=args.n,
-            edge_probability=args.p,
-            family=args.family,
-            quantize=args.quantize,
-        )
+        try:
+            cfg = GenConfig(
+                seed=args.seed,
+                n_vertices=args.n,
+                edge_probability=args.p,
+                family=args.family,
+                quantize=args.quantize,
+            )
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
         _emit(render(generate(cfg)))
         return 0
 

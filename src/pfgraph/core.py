@@ -33,7 +33,11 @@ Design choices baked into this module:
   order (an int beside a str, NaN) raise ConstraintViolation with the
   validation report rather than TypeError or a silently wrong order.
 - Values are immutable after construction.  Operations elsewhere in the
-  package return new graphs and never mutate their inputs.
+  package return new graphs and never mutate their inputs.  Every record
+  type (:class:`Violation`, :class:`ValidationReport`, and the reports and
+  config of the other modules) is a NamedTuple; :class:`PFGraph` is a plain
+  class that refuses attribute assignment, compares by its two maps and is
+  not hashable.
 
 Graphs holding *invalid* data are representable on purpose: :func:`validate`
 turns every broken invariant into a report entry instead of an exception,
@@ -44,7 +48,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import Iterator, Mapping, NamedTuple
 
@@ -161,6 +164,19 @@ def degree_max_min(a: PFDegree, b: PFDegree) -> PFDegree:
     return PFDegree(max(a.mu, b.mu), min(a.nu, b.nu))
 
 
+def _fallback_order(label) -> tuple[str, str]:
+    """Order for labels that ``<`` cannot compare: by type name, then repr."""
+    return (type(label).__name__, repr(label))
+
+
+def sorted_labels(labels) -> list:
+    """labels sorted by ``<``, or by :func:`_fallback_order` when ``<`` fails (for messages)."""
+    try:
+        return sorted(labels)
+    except TypeError:
+        return sorted(labels, key=_fallback_order)
+
+
 class PairKey(tuple):
     """Canonical unordered pair of vertex labels (the edge key).
 
@@ -175,8 +191,8 @@ class PairKey(tuple):
             raise ValueError(f"self-loop on vertex {u!r} is not allowed")
         try:
             ordered = u < v
-        except TypeError:  # an int and a str label, say: order by type name, then repr
-            ordered = (type(u).__name__, repr(u)) < (type(v).__name__, repr(v))
+        except TypeError:  # an int and a str label, say
+            ordered = _fallback_order(u) < _fallback_order(v)
         return tuple.__new__(cls, (u, v) if ordered else (v, u))
 
     lo = property(itemgetter(0))
@@ -199,7 +215,6 @@ class PairKey(tuple):
         return f"{self.lo}-{self.hi}"
 
 
-@dataclass(frozen=True)
 class PFGraph:
     """An immutable Pythagorean fuzzy graph: vertex degrees plus edge degrees.
 
@@ -221,6 +236,19 @@ class PFGraph:
             if degree != ZERO_DEGREE:
                 normalized[key] = degree
         object.__setattr__(self, "edges", normalized)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(vertices={self.vertices!r}, edges={self.edges!r})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     def vertex_degree(self, v: str) -> PFDegree:
         return self.vertices[v]
@@ -263,8 +291,7 @@ class PFGraph:
                 yield key, get(key, ZERO_DEGREE), bound
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken invariant: what kind, where, and the offending numbers."""
 
     kind: str
@@ -272,11 +299,10 @@ class Violation:
     detail: str
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -371,6 +397,23 @@ def sorted_vertices(g: PFGraph) -> list[tuple[str, PFDegree]]:
     report = validate(g)
     bad = ", ".join(v.where for v in report.violations if v.kind == "bad_vertex_id")
     raise ConstraintViolation(f"vertex labels cannot be put in a strict order: {bad}", report=report)
+
+
+def sorted_edges(g: PFGraph) -> list[tuple[PairKey, PFDegree]]:
+    """g's (key, degree) items in key order, for use after :func:`sorted_vertices`.
+
+    Once the declared labels are known to compare, and as keys are unique,
+    the sort can only fail on a dangling edge's undeclared endpoint; that
+    raises DanglingEdge naming the edge.
+    """
+    try:
+        return sorted(g.edges.items())
+    except TypeError:
+        for key in g.edges:
+            for v in key:
+                if v not in g.vertices:
+                    raise DanglingEdge(f"edge {key} uses undeclared vertex {v!r}") from None
+        raise
 
 
 def degrees_close(a: PFDegree, b: PFDegree, eps: float | None = None) -> bool:

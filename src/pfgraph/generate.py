@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .classify import half_strong_construction
 from .core import PFDegree, PFGraph, PairKey, degree_min_max, tolerance
@@ -20,15 +19,19 @@ from .core import PFDegree, PFGraph, PairKey, degree_min_max, tolerance
 FAMILIES = ("general", "strong", "complete", "half_strong")
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class _GenFields(NamedTuple):
     seed: int
     n_vertices: int
     edge_probability: float = 0.5
     family: str = "general"
     quantize: Optional[int] = None
 
-    def __post_init__(self):
+
+class GenConfig(_GenFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_vertices < 1:
             raise ValueError("n_vertices must be positive")
         if not 0.0 <= self.edge_probability <= 1.0:
@@ -37,6 +40,11 @@ class GenConfig:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.quantize is not None and self.quantize < 1:
             raise ValueError("quantize must be a positive number of decimals")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's own _make, which _replace uses, skips the checks
+        return cls(*iterable)
 
 
 def _draw_vertex_degree(rng: random.Random, quantize: Optional[int]) -> PFDegree:

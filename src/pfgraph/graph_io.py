@@ -19,7 +19,15 @@ import json
 import re
 import warnings
 
-from .core import PFDegree, PFGraph, PairKey, in_unit_range, require_valid, sorted_vertices
+from .core import (
+    PFDegree,
+    PFGraph,
+    PairKey,
+    in_unit_range,
+    require_valid,
+    sorted_edges,
+    sorted_vertices,
+)
 from .errors import (
     DanglingEdge,
     DuplicateEdge,
@@ -60,6 +68,8 @@ def parse(text: str, check: bool = True) -> PFGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise MalformedDocument("not valid JSON: nested too deeply") from None
 
     _require(isinstance(doc, dict), "document root must be an object")
     _require(
@@ -118,7 +128,7 @@ def render(g: PFGraph) -> str:
         ],
         "edges": [
             {"u": key.lo, "v": key.hi, "mu": degree.mu, "nu": degree.nu}
-            for key, degree in sorted(g.edges.items())
+            for key, degree in sorted_edges(g)
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -140,7 +150,7 @@ def to_dot(g: PFGraph) -> str:
         lines.append(
             f"  {_quote(label)} [label=\"{label} ({degree.mu!r}, {degree.nu!r})\"];"
         )
-    for key, degree in sorted(g.edges.items()):
+    for key, degree in sorted_edges(g):
         lines.append(
             f"  {_quote(key.lo)} -- {_quote(key.hi)} "
             f"[label=\"({degree.mu!r}, {degree.nu!r})\"];"

@@ -23,10 +23,18 @@ incrementally, which cannot exclude a valid witness.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
-from .core import PFDegree, PFGraph, ZERO_DEGREE, degrees_close, sorted_vertices, tolerance
+from .core import (
+    PFDegree,
+    PFGraph,
+    ZERO_DEGREE,
+    degrees_close,
+    sorted_edges,
+    sorted_labels,
+    sorted_vertices,
+    tolerance,
+)
 from .errors import DanglingEdge, SearchCapExceeded, UnknownVertex
 
 DEFAULT_SEARCH_CAP = 9
@@ -51,8 +59,7 @@ class MorphismKind(enum.Enum):
         return self in (MorphismKind.ISOMORPHISM, MorphismKind.COWEAK_ISOMORPHISM)
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(NamedTuple):
     """Search outcome: the kind sought, a witness if one exists, and the
     number of assignment attempts the search explored."""
 
@@ -62,11 +69,11 @@ class MorphismReport:
     search_space: int
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "kind": self.kind.value}
+        witness = None if self.witness is None else dict(self.witness)
+        return {**self._asdict(), "kind": self.kind.value, "witness": witness}
 
 
-@dataclass(frozen=True)
-class MorphismCheck:
+class MorphismCheck(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
 
@@ -162,13 +169,13 @@ def verify_morphism(
     """
     unknown_sources = [u for u in mapping if u not in g1.vertices]
     if unknown_sources:
-        raise UnknownVertex(f"mapping keys not in the source graph: {sorted(unknown_sources)}")
+        raise UnknownVertex(f"mapping keys not in the source graph: {sorted_labels(unknown_sources)}")
     unknown_targets = [v for v in mapping.values() if v not in g2.vertices]
     if unknown_targets:
-        raise UnknownVertex(f"mapping values not in the target graph: {sorted(unknown_targets)}")
+        raise UnknownVertex(f"mapping values not in the target graph: {sorted_labels(unknown_targets)}")
     missing = [u for u in g1.vertices if u not in mapping]
     if missing:
-        raise UnknownVertex(f"mapping is not total on the source graph: {sorted(missing)}")
+        raise UnknownVertex(f"mapping is not total on the source graph: {sorted_labels(missing)}")
 
     violations: list[str] = []
     if kind.bijective:
@@ -185,7 +192,7 @@ def verify_morphism(
     if kind is MorphismKind.ISOMORPHISM:
         checked = ((key, s) for key, s, _ in g1.pair_rows())
     else:
-        checked = sorted(g1.edges.items())
+        checked = sorted_edges(g1)
     for (u, w), s in checked:
         try:
             tu, tw = mapping[u], mapping[w]

@@ -179,6 +179,13 @@ class TestJoin:
         with pytest.raises(JoinOverlap):
             join(square_cycle, square_cycle)
 
+    def test_overlap_message_orders_mixed_labels(self, square_cycle):
+        with pytest.raises(JoinOverlap, match=r"shared: \['a', 'b', 'c', 'd'\]"):
+            join(square_cycle, square_cycle)
+        mixed = PFGraph({1: PFDegree(0.5, 0.5), "a": PFDegree(0.5, 0.5)})
+        with pytest.raises(JoinOverlap, match=r"shared: \[1, 'a'\]"):
+            join(mixed, mixed)
+
     def test_closure_on_random_inputs(self):
         for seed in range(60):
             g1, g2 = random_pair(seed)

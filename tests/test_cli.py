@@ -65,6 +65,14 @@ class TestValidate:
         assert code == 2
         assert json.loads(err)["error"] == "MalformedDocument"
 
+    def test_deeply_nested_document_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(["validate", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "MalformedDocument"
+
 
 class TestOp:
     def test_complement_of_empty_graph(self, tmp_path, capsys):
@@ -238,6 +246,13 @@ class TestGen:
         code, out, _ = run_cli(["gen", "--seed", "3", "--n", "4"], capsys)
         assert code == 0
         assert validate(parse(out)).ok
+
+    @pytest.mark.parametrize("bad", [["--n", "0"], ["--p", "2"], ["--p", "nan"], ["--quantize", "0"]])
+    def test_bad_numbers_are_usage_errors(self, bad, capsys):
+        code, out, err = run_cli(["gen", "--seed", "1", "--n", "3", *bad], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "UsageError"
 
 
 class TestDotCommand:

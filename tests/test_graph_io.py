@@ -1,8 +1,10 @@
 """JSON document parsing/rendering and DOT export."""
 
 import json
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfgraph import (
     ConstraintViolation,
@@ -12,6 +14,8 @@ from pfgraph import (
     GenConfig,
     MalformedDocument,
     PFDegree,
+    PFGError,
+    PFGraph,
     generate,
     parse,
     render,
@@ -153,10 +157,61 @@ class TestParse:
             g = parse(doc)
         assert g.edges == {}
 
+    def test_deeply_nested_json_is_malformed(self):
+        with pytest.raises(MalformedDocument, match="nested too deeply"):
+            parse("[" * 100_000 + "]" * 100_000)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+LABELS = st.sampled_from(["a", "b", "c", ""]) | JSON_VALUES
+NUMBERS = st.sampled_from([0.0, 0.3, 0.6, 1.0, 1.0 + 1e-12, -0.0]) | JSON_VALUES
+NEAR_DOCUMENTS = st.fixed_dictionaries(
+    {
+        "format_version": st.just(1) | JSON_VALUES,
+        "vertices": st.lists(
+            st.fixed_dictionaries({"id": LABELS, "mu": NUMBERS, "nu": NUMBERS}), max_size=4
+        )
+        | JSON_VALUES,
+        "edges": st.lists(
+            st.fixed_dictionaries({"u": LABELS, "v": LABELS, "mu": NUMBERS, "nu": NUMBERS}),
+            max_size=4,
+        )
+        | JSON_VALUES,
+    }
+)
+
+
+@settings(deadline=None)
+@given(
+    text=st.text() | JSON_VALUES.map(json.dumps) | NEAR_DOCUMENTS.map(json.dumps),
+    check=st.booleans(),
+)
+def test_parse_returns_a_graph_or_raises_a_domain_error(text, check):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero-degree edges are dropped with a warning
+        try:
+            g = parse(text, check=check)
+        except PFGError:
+            return
+    assert isinstance(g, PFGraph)
+    if check:
+        assert validate(g).ok
+
 
 class TestRender:
     def test_round_trip_identity(self, square_cycle):
         assert parse(render(square_cycle)) == square_cycle
+
+    @pytest.mark.parametrize("write", [render, to_dot])
+    def test_dangling_edge_with_unorderable_endpoint(self, write):
+        d = PFDegree(0.5, 0.5)
+        g = PFGraph({"a": d, "b": d}, {("a", 1): PFDegree(0.2, 0.3), ("a", "b"): d})
+        with pytest.raises(DanglingEdge, match="edge 1-a uses undeclared vertex 1"):
+            write(g)
 
     def test_round_trip_on_generated_graphs(self):
         for seed in range(100):

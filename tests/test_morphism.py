@@ -6,6 +6,7 @@ import random
 import pytest
 
 from pfgraph import (
+    FAMILIES,
     DanglingEdge,
     GenConfig,
     MorphismKind,
@@ -15,10 +16,12 @@ from pfgraph import (
     SearchCapExceeded,
     UnknownVertex,
     classify,
+    degrees_close,
     find_morphism,
     generate,
     strong_complement,
     complete_complement,
+    tolerance,
     verify_morphism,
 )
 
@@ -180,6 +183,29 @@ class TestVerifyMorphism:
         with pytest.raises(DanglingEdge, match="edge a-z uses undeclared vertex 'z'"):
             verify_morphism(g, g, HOMO, {"a": "a"})
 
+    def test_dangling_edge_with_unorderable_endpoint_raises(self):
+        d = PFDegree(0.5, 0.5)
+        g = PFGraph({"a": d, "b": d}, {("a", 1): PFDegree(0.2, 0.3), ("a", "b"): d})
+        with pytest.raises(DanglingEdge, match="edge 1-a uses undeclared vertex 1"):
+            verify_morphism(g, g, HOMO, {"a": "a", "b": "b"})
+
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [
+            ({"a": "a", "b": "b", 1: "a", "z": "a"}, r"keys not in the source graph: \[1, 'z'\]"),
+            ({"a": 1, "b": "z"}, r"values not in the target graph: \[1, 'z'\]"),
+        ],
+    )
+    def test_unknown_vertex_messages_order_mixed_labels(self, mapping, message):
+        g = build({"a": (0.5, 0.5), "b": (0.5, 0.5)})
+        with pytest.raises(UnknownVertex, match=message):
+            verify_morphism(g, g, HOMO, mapping)
+
+    def test_partial_mapping_message_orders_mixed_labels(self):
+        g = PFGraph({1: PFDegree(0.5, 0.5), "a": PFDegree(0.5, 0.5), "b": PFDegree(0.5, 0.5)})
+        with pytest.raises(UnknownVertex, match=r"not total on the source graph: \[1, 'a'\]"):
+            verify_morphism(g, g, HOMO, {"b": "b"})
+
     def test_non_injective_map_rejected_for_bijective_kinds(self):
         g = build({"a": (0.5, 0.5), "b": (0.5, 0.5)})
         check = verify_morphism(g, g, ISO, {"a": "a", "b": "a"})
@@ -314,3 +340,38 @@ class TestPruningSoundness:
                 assert report.found == (expected is not None)
                 if report.found:
                     assert verify_morphism(g1, g2, kind, report.witness).ok
+
+
+def _to_networkx(nx, g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from((v, {"degree": d}) for v, d in g.vertices.items())
+    nxg.add_edges_from((key.lo, key.hi, {"degree": d}) for key, d in g.edges.items())
+    return nxg
+
+
+def test_isomorphism_agrees_with_networkx():
+    # quantised degrees keep every present edge far from (0, 0), so networkx's
+    # edge structure plus an edge match checks the same pair function
+    nx = pytest.importorskip("networkx")
+    eps = tolerance()
+
+    def match(a, b):
+        return degrees_close(a["degree"], b["degree"], eps)
+
+    rng = random.Random(6)
+    for n in range(5, 9):
+        for family in FAMILIES:
+            for seed in range(3):
+                g = generate(GenConfig(seed=100 * n + seed, n_vertices=n, family=family, quantize=1))
+                key, degree, bound = rng.choice(list(g.pair_rows()))
+                changed = bound if degree != bound else PFDegree(bound.mu / 2, bound.nu / 2)
+                for other in (g, PFGraph(g.vertices, {**g.edges, key: changed})):
+                    labels = list(other.vertices)
+                    h = relabel_with(other, dict(zip(labels, rng.sample(labels, n))))
+                    report = find_morphism(g, h, ISO)
+                    expected = nx.is_isomorphic(
+                        _to_networkx(nx, g), _to_networkx(nx, h), node_match=match, edge_match=match
+                    )
+                    assert report.found == expected, (g, h)
+                    if report.found:
+                        assert verify_morphism(g, h, ISO, report.witness).ok

@@ -41,7 +41,10 @@ Design choices baked into this module:
 
 Graphs holding *invalid* data are representable on purpose: :func:`validate`
 turns every broken invariant into a report entry instead of an exception,
-so arbitrary candidate data can be inspected.
+so arbitrary candidate data can be inspected.  It tests each vertex and edge
+with one inline check (str label, unit range, squared sum, bound from the
+two endpoint tuples) and runs the full per-item check, which names every
+problem, only for an item that fails it; the report is the same either way.
 """
 
 from __future__ import annotations
@@ -237,6 +240,18 @@ class PFGraph:
                 normalized[key] = degree
         object.__setattr__(self, "edges", normalized)
 
+    @classmethod
+    def _adopt(cls, vertices: dict, edges: dict) -> PFGraph:
+        """A graph that takes over two maps built for it, with no copy and no check.
+
+        The caller guarantees what ``__init__`` would establish: both maps
+        are its own, every edge key is a PairKey and no degree is (0, 0).
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -324,9 +339,17 @@ def validate(g: PFGraph) -> ValidationReport:
     accepted and described.
     """
     eps = tolerance()
+    low, high = -eps, 1.0 + eps
+    vertices = g.vertices
     found: list[Violation] = []
 
-    for label, degree in g.vertices.items():
+    for label, degree in vertices.items():
+        mu, nu = degree
+        if (
+            type(label) is str and label
+            and low <= mu <= high and low <= nu <= high and mu * mu + nu * nu <= high
+        ):
+            continue
         if not isinstance(label, str) or not label:
             found.append(
                 Violation("bad_vertex_id", repr(label), "vertex ids must be non-empty strings")
@@ -334,8 +357,20 @@ def validate(g: PFGraph) -> ValidationReport:
         for problem in degree_violations(degree):
             found.append(Violation("bad_vertex_degree", str(label), problem))
 
+    get = vertices.get
     for key, degree in g.edges.items():
-        missing = [v for v in key if v not in g.vertices]
+        lo, hi = key
+        mu, nu = degree
+        a, b = get(lo), get(hi)
+        if a is not None and b is not None:
+            (amu, anu), (bmu, bnu) = a, b
+            if (
+                low <= mu <= high and low <= nu <= high and mu * mu + nu * nu <= high
+                and mu <= (bmu if bmu < amu else amu) + eps
+                and nu <= (bnu if bnu > anu else anu) + eps
+            ):
+                continue
+        missing = [v for v in key if v not in vertices]
         if missing:
             found.append(
                 Violation(

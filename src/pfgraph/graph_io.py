@@ -11,6 +11,17 @@ The document layout is::
 Edges are undirected: (u, v) and (v, u) name the same edge and declaring
 both is rejected.  Rendering is deterministic, with vertices sorted by id
 and edges by their canonical pair, so equal graphs render byte-identically.
+
+:func:`render` writes the exact bytes of ``json.dumps(doc, indent=2)``
+without going through the pure-Python encoder that ``indent`` selects: an
+entry whose label is a str and whose degrees are finite floats is formatted
+directly (``encode_basestring_ascii`` for the label, ``float.__repr__`` for
+the numbers), and any other entry is handed to ``json.dumps`` itself.
+:func:`parse` tests each value once: one loop reads every entry, checks its
+type and unit range, its squared sum and, for an edge, its endpoint bound.
+A value that fails the type or range check is read again by the checks that
+name the problem, and only a graph that failed the squared-sum or bound
+check is run through :func:`~pfgraph.core.validate` for its report.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
+from json.encoder import encode_basestring_ascii
 
 from .core import (
     PFDegree,
@@ -27,6 +39,7 @@ from .core import (
     require_valid,
     sorted_edges,
     sorted_vertices,
+    tolerance,
 )
 from .errors import (
     DanglingEdge,
@@ -36,6 +49,8 @@ from .errors import (
 )
 
 FORMAT_VERSION = 1
+
+_INF = float("inf")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -72,88 +87,139 @@ def parse(text: str, check: bool = True) -> PFGraph:
         raise MalformedDocument("not valid JSON: nested too deeply") from None
 
     _require(isinstance(doc, dict), "document root must be an object")
+    version = doc.get("format_version")
     _require(
-        doc.get("format_version") == FORMAT_VERSION,
+        type(version) is int and version == FORMAT_VERSION,
         f"format_version must be {FORMAT_VERSION}",
     )
     _require(isinstance(doc.get("vertices"), list), "'vertices' must be a list")
     _require(isinstance(doc.get("edges"), list), "'edges' must be a list")
 
+    eps = tolerance()
+    low, high = -eps, 1.0 + eps
+    new = tuple.__new__
+    suspect = False  # a squared sum or an edge bound failed: validate says which
+
     vertices: dict[str, PFDegree] = {}
     for entry in doc["vertices"]:
-        _require(isinstance(entry, dict), "vertex entries must be objects")
+        if not isinstance(entry, dict):
+            raise MalformedDocument("vertex entries must be objects")
         label = entry.get("id")
-        _require(isinstance(label, str) and label != "", "vertex 'id' must be a non-empty string")
+        if not (isinstance(label, str) and label):
+            raise MalformedDocument("vertex 'id' must be a non-empty string")
         if label in vertices:
             raise DuplicateVertex(f"vertex {label!r} declared twice")
-        vertices[label] = _read_degree(entry, f"vertex {label!r}")
+        mu, nu = entry.get("mu"), entry.get("nu")
+        if type(mu) is float and type(nu) is float and low <= mu <= high and low <= nu <= high:
+            degree = new(PFDegree, (mu, nu))
+        else:
+            degree = _read_degree(entry, f"vertex {label!r}")
+            mu, nu = degree
+        if mu * mu + nu * nu > high:
+            suspect = True
+        vertices[label] = degree
 
     edges: dict[PairKey, PFDegree] = {}
     for entry in doc["edges"]:
-        _require(isinstance(entry, dict), "edge entries must be objects")
+        if not isinstance(entry, dict):
+            raise MalformedDocument("edge entries must be objects")
         u, v = entry.get("u"), entry.get("v")
-        _require(
-            isinstance(u, str) and isinstance(v, str) and u and v,
-            "edge endpoints 'u' and 'v' must be non-empty strings",
-        )
-        try:
-            key = PairKey(u, v)
-        except ValueError as exc:
-            raise MalformedDocument(str(exc)) from exc
-        for endpoint in key:
-            if endpoint not in vertices:
-                raise DanglingEdge(f"edge {key} uses undeclared vertex {endpoint!r}")
+        if not (isinstance(u, str) and isinstance(v, str) and u and v):
+            raise MalformedDocument("edge endpoints 'u' and 'v' must be non-empty strings")
+        if v < u:
+            u, v = v, u
+        elif u == v:
+            raise MalformedDocument(f"self-loop on vertex {u!r} is not allowed")
+        key = new(PairKey, (u, v))
+        if u not in vertices or v not in vertices:
+            missing = u if u not in vertices else v
+            raise DanglingEdge(f"edge {key} uses undeclared vertex {missing!r}")
         if key in edges:
             raise DuplicateEdge(f"edge {key} declared twice")
-        degree = _read_degree(entry, f"edge {key}")
-        if degree.is_zero():
+        mu, nu = entry.get("mu"), entry.get("nu")
+        if type(mu) is float and type(nu) is float and low <= mu <= high and low <= nu <= high:
+            degree = new(PFDegree, (mu, nu))
+        else:
+            degree = _read_degree(entry, f"edge {key}")
+            mu, nu = degree
+        if mu == 0.0 and nu == 0.0:
             warnings.warn(
                 f"edge {key} has degree (0, 0) and was dropped: a zero degree means no edge",
                 stacklevel=2,
             )
             continue
+        (umu, unu), (vmu, vnu) = vertices[u], vertices[v]
+        if (
+            mu * mu + nu * nu > high
+            or mu > umu + eps
+            or mu > vmu + eps
+            or (nu > unu + eps and nu > vnu + eps)
+        ):
+            suspect = True
         edges[key] = degree
 
-    graph = PFGraph(vertices, edges)
-    return require_valid(graph, "document") if check else graph
+    graph = PFGraph._adopt(vertices, edges)  # keys are PairKeys and (0, 0) edges were dropped
+    return require_valid(graph, "document") if check and suspect else graph
+
+
+def _entry(fields: dict) -> str:
+    """One list entry exactly as ``json.dumps(doc, indent=2)`` writes it."""
+    return "    " + json.dumps(fields, indent=2).replace("\n", "\n    ")
+
+
+def _entries(lines: list[str]) -> str:
+    return "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
 
 
 def render(g: PFGraph) -> str:
     """Serialize a graph to its canonical JSON document text."""
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "vertices": [
-            {"id": label, "mu": degree.mu, "nu": degree.nu}
-            for label, degree in sorted_vertices(g)
-        ],
-        "edges": [
-            {"u": key.lo, "v": key.hi, "mu": degree.mu, "nu": degree.nu}
-            for key, degree in sorted_edges(g)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    enc = encode_basestring_ascii
+    vertices = [
+        f'    {{\n      "id": {enc(label)},\n      "mu": {mu!r},\n      "nu": {nu!r}\n    }}'
+        if type(label) is str and type(mu) is float and type(nu) is float
+        and -_INF < mu < _INF and -_INF < nu < _INF
+        else _entry({"id": label, "mu": mu, "nu": nu})
+        for label, (mu, nu) in sorted_vertices(g)
+    ]
+    edges = [
+        f'    {{\n      "u": {enc(u)},\n      "v": {enc(v)},\n'
+        f'      "mu": {mu!r},\n      "nu": {nu!r}\n    }}'
+        if type(u) is str and type(v) is str and type(mu) is float and type(nu) is float
+        and -_INF < mu < _INF and -_INF < nu < _INF
+        else _entry({"u": u, "v": v, "mu": mu, "nu": nu})
+        for (u, v), (mu, nu) in sorted_edges(g)
+    ]
+    return (
+        f'{{\n  "format_version": {FORMAT_VERSION},\n'
+        f'  "vertices": {_entries(vertices)},\n'
+        f'  "edges": {_entries(edges)}\n}}\n'
+    )
 
 
 _BARE_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
+def _escape(label: str) -> str:
+    return label.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _quote(label: str) -> str:
     if _BARE_DOT_ID.match(label):
         return label
-    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + _escape(label) + '"'
 
 
 def to_dot(g: PFGraph) -> str:
     """Render the graph as undirected DOT with degree-carrying labels."""
     lines = ["graph G {"]
-    for label, degree in sorted_vertices(g):
+    names = {}
+    for label, (mu, nu) in sorted_vertices(g):
+        names[label] = name = _quote(label)
+        lines.append(f'  {name} [label="{_escape(label)} ({mu!r}, {nu!r})"];')
+    for (u, v), (mu, nu) in sorted_edges(g):  # a dangling endpoint has no name yet
         lines.append(
-            f"  {_quote(label)} [label=\"{label} ({degree.mu!r}, {degree.nu!r})\"];"
-        )
-    for key, degree in sorted_edges(g):
-        lines.append(
-            f"  {_quote(key.lo)} -- {_quote(key.hi)} "
-            f"[label=\"({degree.mu!r}, {degree.nu!r})\"];"
+            f'  {names.get(u) or _quote(u)} -- {names.get(v) or _quote(v)} '
+            f'[label="({mu!r}, {nu!r})"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

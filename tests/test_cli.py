@@ -65,6 +65,15 @@ class TestValidate:
         assert code == 2
         assert json.loads(err)["error"] == "MalformedDocument"
 
+    @pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
+    def test_format_version_that_is_not_the_int_1_exits_two(self, version, tmp_path, capsys):
+        path = tmp_path / "version.json"
+        path.write_text('{"format_version": %s, "vertices": [], "edges": []}' % version)
+        code, out, err = run_cli(["validate", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["message"] == "format_version must be 1"
+
     def test_deeply_nested_document_exits_two(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

@@ -30,6 +30,7 @@ from pfgraph import (
 )
 
 from conftest import build
+from reference_codec import boundary_specs, one_break_specs, reference_validate
 
 
 def valid_degrees():
@@ -118,6 +119,18 @@ class TestValidate:
         with pytest.raises(ConstraintViolation, match="strict order") as raised:
             call(m)
         assert "bad_vertex_id" in {v.kind for v in raised.value.report.violations}
+
+    @given(boundary_specs(st.sampled_from(["a", "b", "c", "", 1, 2])) | one_break_specs())
+    def test_agrees_with_the_reference_on_boundary_values(self, spec):
+        # NaN, -0.0, ints, values within the tolerance of 0, 1 and the edge
+        # bound, non-str labels and dangling edges: same kinds, places,
+        # details and order as the plain per-item check
+        vertices, edges = spec
+        g = PFGraph(
+            {label: PFDegree(*d) for label, d in vertices.items()},
+            [(pair, PFDegree(*d)) for pair, d in edges],
+        )
+        assert validate(g) == reference_validate(g)
 
     def test_report_serialization(self, square_cycle):
         d = validate(square_cycle).as_dict()

@@ -1,6 +1,7 @@
 """JSON document parsing/rendering and DOT export."""
 
 import json
+import math
 import warnings
 
 import pytest
@@ -22,6 +23,9 @@ from pfgraph import (
     to_dot,
     validate,
 )
+from pfgraph.core import sorted_edges, sorted_vertices
+
+from reference_codec import EPS, one_break_specs, reference_parse, reference_validate
 
 SQUARE_CYCLE_DOC = json.dumps(
     {
@@ -157,9 +161,71 @@ class TestParse:
             g = parse(doc)
         assert g.edges == {}
 
+    @pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
+    def test_format_version_must_be_the_int_1(self, version):
+        with pytest.raises(MalformedDocument, match=r"^format_version must be 1$"):
+            parse('{"format_version": %s, "vertices": [], "edges": []}' % version)
+
     def test_deeply_nested_json_is_malformed(self):
         with pytest.raises(MalformedDocument, match="nested too deeply"):
             parse("[" * 100_000 + "]" * 100_000)
+
+
+def _document(vertices, edges):
+    return json.dumps(
+        {
+            "format_version": 1,
+            "vertices": [{"id": label, "mu": mu, "nu": nu} for label, (mu, nu) in vertices],
+            "edges": [{"u": u, "v": v, "mu": mu, "nu": nu} for (u, v), (mu, nu) in edges],
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, error, message",
+    [
+        ([("a", (1.5, 0.0))], [], MalformedDocument, "vertex 'a': 'mu' value 1.5 outside [0, 1]"),
+        (
+            [("a", (0.5, 0.5)), ("b", (0.5, 0.5))],
+            [(("b", "a"), (0.2, -0.5))],
+            MalformedDocument,
+            "edge a-b: 'nu' value -0.5 outside [0, 1]",
+        ),
+        (
+            [("a", (0.9, 0.9))],
+            [],
+            ConstraintViolation,
+            "document violates graph constraints "
+            "(a: membership 0.9 and non-membership 0.9 have squared sum > 1)",
+        ),
+        (
+            [("a", (0.6, 0.7)), ("b", (0.6, 0.7))],
+            [(("a", "b"), (0.7, 0.0))],
+            ConstraintViolation,
+            "document violates graph constraints "
+            "(a-b: edge membership 0.7 exceeds endpoint minimum 0.6)",
+        ),
+        (
+            [("a", (0.9, 0.1)), ("b", (0.9, 0.2))],
+            [(("b", "a"), (0.5, 0.4))],
+            ConstraintViolation,
+            "document violates graph constraints "
+            "(a-b: edge non-membership 0.4 exceeds endpoint maximum 0.2)",
+        ),
+        (
+            # a later schema error wins over an earlier constraint break
+            [("a", (0.9, 0.9)), ("b", (0.5, 2))],
+            [],
+            MalformedDocument,
+            "vertex 'b': 'nu' value 2 outside [0, 1]",
+        ),
+    ],
+    ids=["vertex-range", "edge-range", "squared-sum", "edge-mu-bound", "edge-nu-bound", "order"],
+)
+def test_parse_errors_are_pinned(vertices, edges, error, message):
+    with pytest.raises(error) as raised:
+        parse(_document(vertices, edges))
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 JSON_VALUES = st.recursive(
@@ -200,6 +266,93 @@ def test_parse_returns_a_graph_or_raises_a_domain_error(text, check):
     assert isinstance(g, PFGraph)
     if check:
         assert validate(g).ok
+
+
+def _outcome(read, text, check):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = read(text, check=check)
+            result = ("graph", g, repr(g))  # the repr tells -0.0 from 0.0
+        except PFGError as exc:
+            result = ("error", type(exc), str(exc), getattr(exc, "report", None))
+    return result, [str(w.message) for w in caught]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    text=one_break_specs().map(lambda spec: _document(spec[0].items(), spec[1]))
+    | NEAR_DOCUMENTS.map(json.dumps),
+    check=st.booleans(),
+)
+def test_parse_agrees_with_the_reference(text, check):
+    assert _outcome(parse, text, check) == _outcome(reference_parse, text, check)
+
+
+def test_parse_and_validate_agree_with_the_references_on_a_grid():
+    # one edge between two vertices, moved off its bound by fractions and
+    # multiples of the tolerance in each field and declared in both orders:
+    # each of the bound and squared-sum checks decides some case on its own
+    corners = [(0.6, 0.8), (0.8, 0.6), (1.0, 0.0), (0.0, 1.0), (0.3, 0.4), (1 + EPS / 2, -EPS / 2)]
+    moves = [0.0, 0.9 * EPS, 2 * EPS, -2 * EPS, 0.1]
+    for a in corners:
+        for b in corners:
+            bound = (min(a[0], b[0]), max(a[1], b[1]))
+            for dmu in moves:
+                for dnu in moves:
+                    edge = (bound[0] + dmu, bound[1] + dnu)
+                    g = PFGraph({"a": PFDegree(*a), "b": PFDegree(*b)}, {("a", "b"): PFDegree(*edge)})
+                    assert validate(g) == reference_validate(g)
+                    for pair in (("a", "b"), ("b", "a")):
+                        text = _document([("a", a), ("b", b)], [(pair, edge)])
+                        assert _outcome(parse, text, True) == _outcome(reference_parse, text, True)
+
+
+# every code point, lone surrogates and control characters included
+ANY_TEXT = st.text(st.characters(blacklist_categories=()), max_size=6)
+RENDER_LABELS = st.sampled_from(['"', "\\", 'a"b', "c\\d", "\x00", "\x1f", "\ud800", "é", "\u2028"]) | ANY_TEXT
+RENDER_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308, 1e16]),
+    st.floats(1e15, 1e17),
+    st.integers(),
+    st.booleans(),
+)
+RENDER_DEGREES = st.builds(PFDegree, RENDER_VALUES, RENDER_VALUES)
+
+
+@st.composite
+def render_graphs(draw):
+    """Graphs with str, int or tuple labels (one kind per graph, so they sort)."""
+    labels = draw(
+        st.one_of(
+            st.lists(RENDER_LABELS, unique=True, max_size=6),
+            st.lists(st.integers(), unique=True, max_size=6),
+            st.lists(st.tuples(st.integers(0, 2), ANY_TEXT), unique=True, max_size=6),
+        )
+    )
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    return PFGraph(
+        {label: draw(RENDER_DEGREES) for label in labels},
+        {pair: draw(RENDER_DEGREES) for pair in chosen},
+    )
+
+
+@settings(deadline=None)
+@given(render_graphs())
+def test_render_is_json_dumps_with_indent_2(g):
+    doc = {
+        "format_version": 1,
+        "vertices": [
+            {"id": label, "mu": degree.mu, "nu": degree.nu} for label, degree in sorted_vertices(g)
+        ],
+        "edges": [
+            {"u": key.lo, "v": key.hi, "mu": degree.mu, "nu": degree.nu}
+            for key, degree in sorted_edges(g)
+        ],
+    }
+    assert render(g) == json.dumps(doc, indent=2) + "\n"
 
 
 class TestRender:
@@ -261,6 +414,13 @@ class TestDot:
         assert len(node_lines) == 4
         assert len(edge_lines) == 4
         assert 'a -- b [label="(0.4, 0.7)"];' in text
+
+    def test_vertex_labels_are_escaped(self):
+        g = PFGraph({'a"b': PFDegree(0.5, 0.5), "c\\d": PFDegree(0.25, 0.5)})
+        assert to_dot(g).splitlines()[1:3] == [
+            '  "a\\"b" [label="a\\"b (0.5, 0.5)"];',
+            '  "c\\\\d" [label="c\\\\d (0.25, 0.5)"];',
+        ]
 
     def test_composite_labels_are_quoted(self):
         from conftest import build

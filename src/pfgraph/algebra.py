@@ -61,12 +61,12 @@ def _product_edges(g1: PFGraph, g2: PFGraph) -> dict[PairKey, PFDegree]:
     for u, du in g1.vertices.items():
         for key2, q2 in g2.edges.items():
             key = PairKey(compose_label(u, key2.lo), compose_label(u, key2.hi))
-            edges[key] = PFDegree(min(du.mu, q2.mu), max(du.nu, q2.nu))
+            edges[key] = degree_min_max(du, q2)
     # edges between copies, one per vertex of g2
     for w, dw in g2.vertices.items():
         for key1, q1 in g1.edges.items():
             key = PairKey(compose_label(key1.lo, w), compose_label(key1.hi, w))
-            edges[key] = PFDegree(min(q1.mu, dw.mu), max(q1.nu, dw.nu))
+            edges[key] = degree_min_max(q1, dw)
     return edges
 
 
@@ -113,7 +113,7 @@ def union(g1: PFGraph, g2: PFGraph) -> PFGraph:
     edges: dict[PairKey, PFDegree] = dict(g1.edges)
     for key, q2 in g2.edges.items():
         q1 = edges.get(key)
-        edges[key] = q2 if q1 is None else PFDegree(max(q1.mu, q2.mu), min(q1.nu, q2.nu))
+        edges[key] = q2 if q1 is None else degree_max_min(q1, q2)
     return PFGraph(vertices, edges)
 
 

@@ -41,10 +41,11 @@ Design choices baked into this module:
 
 Graphs holding *invalid* data are representable on purpose: :func:`validate`
 turns every broken invariant into a report entry instead of an exception,
-so arbitrary candidate data can be inspected.  It tests each vertex and edge
-with one inline check (str label, unit range, squared sum, bound from the
-two endpoint tuples) and runs the full per-item check, which names every
-problem, only for an item that fails it; the report is the same either way.
+so arbitrary candidate data can be inspected.  It is the one checker of the
+degree rules: one pass tests each vertex's label, unit range and squared
+sum, and each edge's endpoints, unit range, squared sum and bound (read
+from the two endpoint tuples), each rule once, and every failed test adds
+its own report entry.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ class PFDegree(NamedTuple):
     """A (membership, non-membership) pair.
 
     The type itself is a dumb value; whether it satisfies the unit-range and
-    Pythagorean constraints is checked by :func:`degree_violations` and, for
-    whole graphs, by :func:`validate`.
+    Pythagorean constraints is checked, for the vertices and edges of a
+    graph, by :func:`validate`.
     """
 
     mu: float
@@ -121,20 +122,6 @@ def in_unit_range(value: float) -> bool:
     """Whether value lies in [0, 1] up to the tolerance (NaN does not)."""
     eps = tolerance()
     return -eps <= value <= 1.0 + eps
-
-
-def degree_violations(d: PFDegree) -> list[str]:
-    """Return human-readable constraint problems of a single degree pair."""
-    problems = []
-    if not in_unit_range(d.mu):
-        problems.append(f"membership {d.mu!r} outside [0, 1]")
-    if not in_unit_range(d.nu):
-        problems.append(f"non-membership {d.nu!r} outside [0, 1]")
-    if d.mu * d.mu + d.nu * d.nu > 1.0 + tolerance():
-        problems.append(
-            f"membership {d.mu!r} and non-membership {d.nu!r} have squared sum > 1"
-        )
-    return problems
 
 
 def hesitation(d: PFDegree) -> float:
@@ -342,37 +329,32 @@ def validate(g: PFGraph) -> ValidationReport:
     low, high = -eps, 1.0 + eps
     vertices = g.vertices
     found: list[Violation] = []
+    add = found.append
 
     for label, degree in vertices.items():
         mu, nu = degree
-        if (
-            type(label) is str and label
-            and low <= mu <= high and low <= nu <= high and mu * mu + nu * nu <= high
-        ):
-            continue
         if not isinstance(label, str) or not label:
-            found.append(
-                Violation("bad_vertex_id", repr(label), "vertex ids must be non-empty strings")
+            add(Violation("bad_vertex_id", repr(label), "vertex ids must be non-empty strings"))
+        if not low <= mu <= high:
+            add(Violation("bad_vertex_degree", str(label), f"membership {mu!r} outside [0, 1]"))
+        if not low <= nu <= high:
+            add(Violation("bad_vertex_degree", str(label), f"non-membership {nu!r} outside [0, 1]"))
+        if mu * mu + nu * nu > high:
+            add(
+                Violation(
+                    "bad_vertex_degree",
+                    str(label),
+                    f"membership {mu!r} and non-membership {nu!r} have squared sum > 1",
+                )
             )
-        for problem in degree_violations(degree):
-            found.append(Violation("bad_vertex_degree", str(label), problem))
 
     get = vertices.get
     for key, degree in g.edges.items():
         lo, hi = key
-        mu, nu = degree
         a, b = get(lo), get(hi)
-        if a is not None and b is not None:
-            (amu, anu), (bmu, bnu) = a, b
-            if (
-                low <= mu <= high and low <= nu <= high and mu * mu + nu * nu <= high
-                and mu <= (bmu if bmu < amu else amu) + eps
-                and nu <= (bnu if bnu > anu else anu) + eps
-            ):
-                continue
-        missing = [v for v in key if v not in vertices]
-        if missing:
-            found.append(
+        if a is None or b is None:
+            missing = [v for v in key if v not in vertices]
+            add(
                 Violation(
                     "dangling_edge",
                     str(key),
@@ -380,23 +362,36 @@ def validate(g: PFGraph) -> ValidationReport:
                 )
             )
             continue
-        for problem in degree_violations(degree):
-            found.append(Violation("bad_edge_degree", str(key), problem))
-        bound = g.pair_bound(key.lo, key.hi)
-        if degree.mu > bound.mu + eps:
-            found.append(
+        mu, nu = degree
+        if not low <= mu <= high:
+            add(Violation("bad_edge_degree", str(key), f"membership {mu!r} outside [0, 1]"))
+        if not low <= nu <= high:
+            add(Violation("bad_edge_degree", str(key), f"non-membership {nu!r} outside [0, 1]"))
+        if mu * mu + nu * nu > high:
+            add(
+                Violation(
+                    "bad_edge_degree",
+                    str(key),
+                    f"membership {mu!r} and non-membership {nu!r} have squared sum > 1",
+                )
+            )
+        (amu, anu), (bmu, bnu) = a, b
+        bound_mu = bmu if bmu < amu else amu  # degree_min_max's tie rule: lo's value wins
+        if mu > bound_mu + eps:
+            add(
                 Violation(
                     "edge_membership_above_bound",
                     str(key),
-                    f"edge membership {degree.mu!r} exceeds endpoint minimum {bound.mu!r}",
+                    f"edge membership {mu!r} exceeds endpoint minimum {bound_mu!r}",
                 )
             )
-        if degree.nu > bound.nu + eps:
-            found.append(
+        bound_nu = bnu if bnu > anu else anu
+        if nu > bound_nu + eps:
+            add(
                 Violation(
                     "edge_nonmembership_above_bound",
                     str(key),
-                    f"edge non-membership {degree.nu!r} exceeds endpoint maximum {bound.nu!r}",
+                    f"edge non-membership {nu!r} exceeds endpoint maximum {bound_nu!r}",
                 )
             )
 

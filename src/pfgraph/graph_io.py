@@ -17,11 +17,12 @@ without going through the pure-Python encoder that ``indent`` selects: an
 entry whose label is a str and whose degrees are finite floats is formatted
 directly (``encode_basestring_ascii`` for the label, ``float.__repr__`` for
 the numbers), and any other entry is handed to ``json.dumps`` itself.
-:func:`parse` tests each value once: one loop reads every entry, checks its
-type and unit range, its squared sum and, for an edge, its endpoint bound.
-A value that fails the type or range check is read again by the checks that
-name the problem, and only a graph that failed the squared-sum or bound
-check is run through :func:`~pfgraph.core.validate` for its report.
+:func:`parse` checks the schema: one loop reads every entry and checks its
+labels, declarations and the type and unit range of each value, and a
+value that fails the type or range check is read again by the checks that
+name the problem.  The degree rules, the squared sum and the edge bound,
+are left to :func:`~pfgraph.core.validate`, the one constraint checker,
+which a checked parse runs on the graph it built.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def parse(text: str, check: bool = True) -> PFGraph:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past CPython's int-string limit
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
     except RecursionError:
         raise MalformedDocument("not valid JSON: nested too deeply") from None
@@ -98,7 +99,6 @@ def parse(text: str, check: bool = True) -> PFGraph:
     eps = tolerance()
     low, high = -eps, 1.0 + eps
     new = tuple.__new__
-    suspect = False  # a squared sum or an edge bound failed: validate says which
 
     vertices: dict[str, PFDegree] = {}
     for entry in doc["vertices"]:
@@ -114,9 +114,6 @@ def parse(text: str, check: bool = True) -> PFGraph:
             degree = new(PFDegree, (mu, nu))
         else:
             degree = _read_degree(entry, f"vertex {label!r}")
-            mu, nu = degree
-        if mu * mu + nu * nu > high:
-            suspect = True
         vertices[label] = degree
 
     edges: dict[PairKey, PFDegree] = {}
@@ -141,25 +138,16 @@ def parse(text: str, check: bool = True) -> PFGraph:
             degree = new(PFDegree, (mu, nu))
         else:
             degree = _read_degree(entry, f"edge {key}")
-            mu, nu = degree
-        if mu == 0.0 and nu == 0.0:
+        if mu == 0.0 and nu == 0.0:  # the raw values: an int 0 equals 0.0
             warnings.warn(
                 f"edge {key} has degree (0, 0) and was dropped: a zero degree means no edge",
                 stacklevel=2,
             )
             continue
-        (umu, unu), (vmu, vnu) = vertices[u], vertices[v]
-        if (
-            mu * mu + nu * nu > high
-            or mu > umu + eps
-            or mu > vmu + eps
-            or (nu > unu + eps and nu > vnu + eps)
-        ):
-            suspect = True
         edges[key] = degree
 
     graph = PFGraph._adopt(vertices, edges)  # keys are PairKeys and (0, 0) edges were dropped
-    return require_valid(graph, "document") if check and suspect else graph
+    return require_valid(graph, "document") if check else graph
 
 
 def _entry(fields: dict) -> str:
@@ -203,10 +191,11 @@ def _escape(label: str) -> str:
     return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _quote(label: str) -> str:
-    if _BARE_DOT_ID.match(label):
+def _quote(label) -> str:
+    """A DOT id for label; a label that is not a str is quoted as its str()."""
+    if isinstance(label, str) and _BARE_DOT_ID.match(label):
         return label
-    return '"' + _escape(label) + '"'
+    return '"' + _escape(str(label)) + '"'
 
 
 def to_dot(g: PFGraph) -> str:
@@ -215,7 +204,7 @@ def to_dot(g: PFGraph) -> str:
     names = {}
     for label, (mu, nu) in sorted_vertices(g):
         names[label] = name = _quote(label)
-        lines.append(f'  {name} [label="{_escape(label)} ({mu!r}, {nu!r})"];')
+        lines.append(f'  {name} [label="{_escape(str(label))} ({mu!r}, {nu!r})"];')
     for (u, v), (mu, nu) in sorted_edges(g):  # a dangling endpoint has no name yet
         lines.append(
             f'  {names.get(u) or _quote(u)} -- {names.get(v) or _quote(v)} '

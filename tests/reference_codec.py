@@ -1,10 +1,11 @@
 """Straightforward reference versions of ``validate`` and ``parse``.
 
-The library's versions test each value once through inline fast paths and
-fall back to the full checks only when a value fails.  These references
-keep the plain per-item code, which reads every degree through
-``degree_violations`` and every bound through ``PFGraph.pair_bound``, and
-a parse that reads each degree and then validates the whole graph.  The
+The library's ``validate`` tests each rule inline in one pass over the
+items, and its ``parse`` reads each value once and leaves the degree rules
+to ``validate``.  These references keep the plain per-item code, which
+reads every degree through :func:`degree_violations` and every bound
+through ``PFGraph.pair_bound``, and a parse that reads each degree through
+one helper and then validates the whole graph.  The
 property tests require the library to agree with them exactly: the same
 graph, or the same exception class, message and report.
 :func:`boundary_specs` draws the graphs those tests feed to both sides.
@@ -30,7 +31,21 @@ from pfgraph import (
     Violation,
     tolerance,
 )
-from pfgraph.core import degree_violations, in_unit_range
+from pfgraph.core import in_unit_range
+
+
+def degree_violations(d: PFDegree) -> list[str]:
+    """Return human-readable constraint problems of a single degree pair."""
+    problems = []
+    if not in_unit_range(d.mu):
+        problems.append(f"membership {d.mu!r} outside [0, 1]")
+    if not in_unit_range(d.nu):
+        problems.append(f"non-membership {d.nu!r} outside [0, 1]")
+    if d.mu * d.mu + d.nu * d.nu > 1.0 + tolerance():
+        problems.append(
+            f"membership {d.mu!r} and non-membership {d.nu!r} have squared sum > 1"
+        )
+    return problems
 
 
 def reference_validate(g):

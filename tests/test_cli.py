@@ -82,6 +82,17 @@ class TestValidate:
         assert out == ""
         assert json.loads(err)["error"] == "MalformedDocument"
 
+    def test_integer_past_the_int_string_limit_exits_two(self, tmp_path, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no int-string limit")
+        path = tmp_path / "long.json"
+        path.write_text('{"format_version": 1%s, "vertices": [], "edges": []}' % ("0" * limit))
+        code, out, err = run_cli(["validate", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "MalformedDocument"
+
 
 class TestOp:
     def test_complement_of_empty_graph(self, tmp_path, capsys):

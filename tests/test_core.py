@@ -132,6 +132,31 @@ class TestValidate:
         )
         assert validate(g) == reference_validate(g)
 
+    def test_one_item_breaking_every_rule_reports_in_the_reference_order(self):
+        # a non-str label with both values out of range and a squared sum
+        # over 1, and an edge out of range, over 1 and above both bounds
+        g = PFGraph(
+            {7: PFDegree(1.5, -0.5), "a": PFDegree(0.5, 0.5), "b": PFDegree(0.8, 0.3)},
+            {("a", "b"): PFDegree(1.2, 1.1)},
+        )
+        found = [tuple(v) for v in validate(g).violations]
+        assert found == [tuple(v) for v in reference_validate(g).violations]
+        assert found == [
+            ("bad_vertex_id", "7", "vertex ids must be non-empty strings"),
+            ("bad_vertex_degree", "7", "membership 1.5 outside [0, 1]"),
+            ("bad_vertex_degree", "7", "non-membership -0.5 outside [0, 1]"),
+            ("bad_vertex_degree", "7",
+             "membership 1.5 and non-membership -0.5 have squared sum > 1"),
+            ("bad_edge_degree", "a-b", "membership 1.2 outside [0, 1]"),
+            ("bad_edge_degree", "a-b", "non-membership 1.1 outside [0, 1]"),
+            ("bad_edge_degree", "a-b",
+             "membership 1.2 and non-membership 1.1 have squared sum > 1"),
+            ("edge_membership_above_bound", "a-b",
+             "edge membership 1.2 exceeds endpoint minimum 0.5"),
+            ("edge_nonmembership_above_bound", "a-b",
+             "edge non-membership 1.1 exceeds endpoint maximum 0.5"),
+        ]
+
     def test_report_serialization(self, square_cycle):
         d = validate(square_cycle).as_dict()
         assert d == {"valid": True, "violations": []}

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import warnings
 
 import pytest
@@ -78,6 +79,46 @@ class TestParse:
     def test_syntax_error(self):
         with pytest.raises(MalformedDocument):
             parse("{not json")
+
+    def test_integer_past_the_int_string_limit_is_malformed(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no int-string limit")
+        text = '{"format_version": 1%s, "vertices": [], "edges": []}' % ("0" * limit)
+        with pytest.raises(MalformedDocument, match=r"^not valid JSON: "):
+            parse(text)
+
+    def test_checked_parse_reports_in_the_reference_order(self):
+        # every value is in range, so the schema checks pass and the squared
+        # sums and the bounds are left to validate
+        doc = json.dumps(
+            {
+                "format_version": 1,
+                "vertices": [
+                    {"id": "a", "mu": 0.5, "nu": 0.5},
+                    {"id": "b", "mu": 0.8, "nu": 0.3},
+                    {"id": "c", "mu": 0.9, "nu": 0.8},
+                ],
+                "edges": [{"u": "b", "v": "a", "mu": 0.7, "nu": 0.75}],
+            }
+        )
+        with pytest.raises(ConstraintViolation) as err:
+            parse(doc)
+        with pytest.raises(ConstraintViolation) as expected:
+            reference_parse(doc)
+        found = [tuple(v) for v in err.value.report.violations]
+        assert found == [tuple(v) for v in expected.value.report.violations]
+        assert found == [
+            ("bad_vertex_degree", "c",
+             "membership 0.9 and non-membership 0.8 have squared sum > 1"),
+            ("bad_edge_degree", "a-b",
+             "membership 0.7 and non-membership 0.75 have squared sum > 1"),
+            ("edge_membership_above_bound", "a-b",
+             "edge membership 0.7 exceeds endpoint minimum 0.5"),
+            ("edge_nonmembership_above_bound", "a-b",
+             "edge non-membership 0.75 exceeds endpoint maximum 0.5"),
+        ]
+        assert str(err.value) == str(expected.value)
 
     def test_wrong_version(self):
         with pytest.raises(MalformedDocument):
@@ -421,6 +462,21 @@ class TestDot:
             '  "a\\"b" [label="a\\"b (0.5, 0.5)"];',
             '  "c\\\\d" [label="c\\\\d (0.25, 0.5)"];',
         ]
+
+    def test_labels_that_are_not_str_are_quoted(self):
+        # render writes this graph; to_dot quotes and escapes each label's str()
+        d = PFDegree(0.5, 0.5)
+        assert to_dot(PFGraph({1: d, 2: d}, {(1, 2): PFDegree(0.25, 0.5)})) == (
+            'graph G {\n'
+            '  "1" [label="1 (0.5, 0.5)"];\n'
+            '  "2" [label="2 (0.5, 0.5)"];\n'
+            '  "1" -- "2" [label="(0.25, 0.5)"];\n'
+            '}\n'
+        )
+        dangling = PFGraph({"a": d}, {("a", ("x", 'y"')): PFDegree(0.25, 0.5)})
+        assert to_dot(dangling).splitlines()[2] == (
+            '  a -- "(\'x\', \'y\\"\')" [label="(0.25, 0.5)"];'
+        )
 
     def test_composite_labels_are_quoted(self):
         from conftest import build

@@ -16,6 +16,7 @@ positive component and raise absent components to the bound.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 from .core import (
@@ -38,8 +39,15 @@ def compose_label(left: str, right: str) -> str:
 
 
 def _require_composable(graphs: Iterable[PFGraph]) -> None:
+    # a dangling edge's undeclared endpoint is composed as well, so it is checked
+    # too: then no two composed labels coincide and no composed key is a self-loop
     for g in graphs:
-        for label in g.vertices:
+        for label in chain(g.vertices, *g.edges):
+            if not isinstance(label, str):
+                raise LabelClash(
+                    f"vertex label {label!r} is not a string and cannot be composed "
+                    "into a product label"
+                )
             if any(ch in label for ch in _FORBIDDEN_LABEL_CHARS):
                 raise LabelClash(
                     f"vertex label {label!r} contains '(', ')' or ',' and cannot "
@@ -47,33 +55,53 @@ def _require_composable(graphs: Iterable[PFGraph]) -> None:
                 )
 
 
-def _product_vertices(g1: PFGraph, g2: PFGraph) -> dict[str, PFDegree]:
-    return {
-        compose_label(u, v): degree_min_max(du, dv)
-        for u, du in g1.vertices.items()
-        for v, dv in g2.vertices.items()
-    }
+def _label_table(g1: PFGraph, g2: PFGraph) -> dict[str, dict[str, str]]:
+    """table[a][b] is compose_label(a, b), each built once.
+
+    a ranges over g1's labels and b over g2's, each with the endpoints of
+    its graph's edges, so a dangling edge composes as a declared one does.
+    """
+    seconds = set(chain(g2.vertices, *g2.edges))
+    return {a: {b: compose_label(a, b) for b in seconds} for a in set(chain(g1.vertices, *g1.edges))}
 
 
-def _product_edges(g1: PFGraph, g2: PFGraph) -> dict[PairKey, PFDegree]:
-    edges: dict[PairKey, PFDegree] = {}
-    # edges inside one copy of g2, one copy per vertex of g1
-    for u, du in g1.vertices.items():
-        for key2, q2 in g2.edges.items():
-            key = PairKey(compose_label(u, key2.lo), compose_label(u, key2.hi))
-            edges[key] = degree_min_max(du, q2)
+def _product(g1: PFGraph, g2: PFGraph, table: dict[str, dict[str, str]]) -> tuple[dict, dict]:
+    """The vertex and edge maps of the Cartesian product, keys and degrees as bare tuples.
+
+    Each degree follows :func:`degree_min_max` with the g1 side first: its
+    value wins ties.  Composed labels are distinct, so a key is ordered by
+    one comparison; an exactly-(0, 0) edge degree is left out.
+    """
+    new = tuple.__new__
+    vertices, edges = {}, {}
+    g2_edges = g2.edges.items()
+    for u, (umu, unu) in g1.vertices.items():
+        row = table[u]
+        for v, (vmu, vnu) in g2.vertices.items():
+            vertices[row[v]] = new(PFDegree, (vmu if vmu < umu else umu, vnu if vnu > unu else unu))
+        # edges inside the copy of g2 at u
+        for (lo, hi), (qmu, qnu) in g2_edges:
+            a, b = row[lo], row[hi]
+            mu = qmu if qmu < umu else umu
+            nu = qnu if qnu > unu else unu
+            if mu != 0.0 or nu != 0.0:
+                edges[new(PairKey, (a, b) if a < b else (b, a))] = new(PFDegree, (mu, nu))
     # edges between copies, one per vertex of g2
-    for w, dw in g2.vertices.items():
-        for key1, q1 in g1.edges.items():
-            key = PairKey(compose_label(key1.lo, w), compose_label(key1.hi, w))
-            edges[key] = degree_min_max(q1, dw)
-    return edges
+    g1_edges = [(table[lo], table[hi], q) for (lo, hi), q in g1.edges.items()]
+    for w, (wmu, wnu) in g2.vertices.items():
+        for lo_row, hi_row, (qmu, qnu) in g1_edges:
+            a, b = lo_row[w], hi_row[w]
+            mu = wmu if wmu < qmu else qmu
+            nu = wnu if wnu > qnu else qnu
+            if mu != 0.0 or nu != 0.0:
+                edges[new(PairKey, (a, b) if a < b else (b, a))] = new(PFDegree, (mu, nu))
+    return vertices, edges
 
 
 def cartesian_product(g1: PFGraph, g2: PFGraph) -> PFGraph:
     """Cartesian product: grid of both graphs with min/max combined degrees."""
     _require_composable((g1, g2))
-    return PFGraph(_product_vertices(g1, g2), _product_edges(g1, g2))
+    return PFGraph._adopt(*_product(g1, g2, _label_table(g1, g2)))
 
 
 def composition(g1: PFGraph, g2: PFGraph) -> PFGraph:
@@ -84,17 +112,26 @@ def composition(g1: PFGraph, g2: PFGraph) -> PFGraph:
     degree-limited by both g2 endpoints and the g1 edge.  Not commutative.
     """
     _require_composable((g1, g2))
-    edges = _product_edges(g1, g2)
-    for key1, q1 in g1.edges.items():
-        for u2, du2 in g2.vertices.items():
-            for v2, dv2 in g2.vertices.items():
+    table = _label_table(g1, g2)
+    vertices, edges = _product(g1, g2, table)
+    new = tuple.__new__
+    g2_vertices = g2.vertices.items()
+    for (lo, hi), (qmu, qnu) in g1.edges.items():
+        lo_row, hi_row = table[lo], table[hi]
+        for u2, (umu, unu) in g2_vertices:
+            a = lo_row[u2]
+            for v2, (vmu, vnu) in g2_vertices:
                 if u2 == v2:
                     continue
-                key = PairKey(compose_label(key1.lo, u2), compose_label(key1.hi, v2))
-                edges[key] = PFDegree(
-                    min(du2.mu, dv2.mu, q1.mu), max(du2.nu, dv2.nu, q1.nu)
-                )
-    return PFGraph(_product_vertices(g1, g2), edges)
+                # min and max over (u2, v2, the g1 edge), the first value winning ties
+                mu = vmu if vmu < umu else umu
+                mu = qmu if qmu < mu else mu
+                nu = vnu if vnu > unu else unu
+                nu = qnu if qnu > nu else nu
+                if mu != 0.0 or nu != 0.0:
+                    b = hi_row[v2]
+                    edges[new(PairKey, (a, b) if a < b else (b, a))] = new(PFDegree, (mu, nu))
+    return PFGraph._adopt(vertices, edges)
 
 
 def union(g1: PFGraph, g2: PFGraph) -> PFGraph:
@@ -137,9 +174,11 @@ def join(g1: PFGraph, g2: PFGraph) -> PFGraph:
 
 
 def _bound_minus(bound: float, value: float, eps: float) -> float:
-    """bound - value for complement degrees, clamped to exact zero near zero."""
-    if value <= eps:
-        return bound
+    """bound - value for a complement degree whose value is not within eps of zero.
+
+    The result is clamped to exact zero near zero.  A value within eps of
+    zero (absent, in effect) gives the bound itself; callers test that first.
+    """
     result = bound - value
     if result < -eps:
         raise ConstraintViolation(
@@ -154,20 +193,26 @@ def _bound_minus(bound: float, value: float, eps: float) -> float:
 def complement(g: PFGraph) -> PFGraph:
     """General complement over all vertex pairs; an involution on valid graphs."""
     eps = tolerance()
-    edges = {
-        key: PFDegree(_bound_minus(bmu, mu, eps), _bound_minus(bnu, nu, eps))
-        for key, (mu, nu), (bmu, bnu) in g.pair_rows()
-    }
-    return PFGraph(g.vertices, edges)
+    new = tuple.__new__
+    edges = {}
+    for key, (mu, nu), (bmu, bnu) in g.pair_rows():
+        mu = bmu if mu <= eps else _bound_minus(bmu, mu, eps)
+        nu = bnu if nu <= eps else _bound_minus(bnu, nu, eps)
+        if mu != 0.0 or nu != 0.0:
+            edges[key] = new(PFDegree, (mu, nu))
+    return PFGraph._adopt(dict(g.vertices), edges)
 
 
 def _zero_or_bound_complement(g: PFGraph) -> PFGraph:
     eps = tolerance()
-    edges = {
-        key: PFDegree(0.0 if mu > eps else bmu, 0.0 if nu > eps else bnu)
-        for key, (mu, nu), (bmu, bnu) in g.pair_rows()
-    }
-    return PFGraph(g.vertices, edges)
+    new = tuple.__new__
+    edges = {}
+    for key, (mu, nu), (bmu, bnu) in g.pair_rows():
+        mu = 0.0 if mu > eps else bmu
+        nu = 0.0 if nu > eps else bnu
+        if mu != 0.0 or nu != 0.0:
+            edges[key] = new(PFDegree, (mu, nu))
+    return PFGraph._adopt(dict(g.vertices), edges)
 
 
 def strong_complement(g: PFGraph, force: bool = False) -> PFGraph:

@@ -42,21 +42,32 @@ def classify(g: PFGraph) -> Classification:
     strength: dict[str, tuple[str, str]] = {}
     completeness: dict[str, tuple[str, str]] = {}
     edges = g.edges
+
+    def note(found: dict, flag: str, key) -> bool:
+        """Record key as the witness of flag; whether all five flags now have one."""
+        found[flag] = tuple(key)
+        return len(strength) + len(completeness) == 5
+
+    # the scan stops once every flag has its witness: later pairs change nothing
     for key, (mu, nu), (bmu, bnu) in g.pair_rows():
-        pair = tuple(key)
         mu_equal = abs(mu - bmu) <= eps
         nu_equal = abs(nu - bnu) <= eps
         if key in edges:
-            if not mu_equal:
-                strength.setdefault("is_mu_strong", pair)
-            if not nu_equal:
-                strength.setdefault("is_nu_strong", pair)
-        if not (mu_equal and nu_equal):
-            completeness.setdefault("is_complete", pair)
-        if not (mu_equal and bnu - nu > eps):
-            completeness.setdefault("is_complete_mu_strong", pair)
-        if not (bmu - mu > eps and nu_equal):
-            completeness.setdefault("is_complete_nu_strong", pair)
+            if not mu_equal and "is_mu_strong" not in strength:
+                if note(strength, "is_mu_strong", key):
+                    break
+            if not nu_equal and "is_nu_strong" not in strength:
+                if note(strength, "is_nu_strong", key):
+                    break
+        if not (mu_equal and nu_equal) and "is_complete" not in completeness:
+            if note(completeness, "is_complete", key):
+                break
+        if not (mu_equal and bnu - nu > eps) and "is_complete_mu_strong" not in completeness:
+            if note(completeness, "is_complete_mu_strong", key):
+                break
+        if not (bmu - mu > eps and nu_equal) and "is_complete_nu_strong" not in completeness:
+            if note(completeness, "is_complete_nu_strong", key):
+                break
 
     witnesses = {**strength, **completeness}
     first = strength.get("is_mu_strong") or strength.get("is_nu_strong")
@@ -156,5 +167,10 @@ def half_strong_construction(p: Mapping[str, PFDegree]) -> PFGraph:
     isomorphic to its own general complement under the identity map.
     """
     g = PFGraph(p)
-    edges = {key: PFDegree(0.5 * bmu, 0.5 * bnu) for key, _, (bmu, bnu) in g.pair_rows()}
-    return PFGraph(g.vertices, edges)
+    new = tuple.__new__
+    edges = {}
+    for key, _, (bmu, bnu) in g.pair_rows():
+        mu, nu = 0.5 * bmu, 0.5 * bnu
+        if mu != 0.0 or nu != 0.0:
+            edges[key] = new(PFDegree, (mu, nu))
+    return PFGraph._adopt(g.vertices, edges)  # g, and so its copy of p, goes no further

@@ -23,7 +23,13 @@ Design choices baked into this module:
   never yields it, :func:`validate` reports it, and an operation that needs
   its endpoints' degrees raises DanglingEdge.
 - An edge whose degree is exactly (0, 0) means "no edge" and is removed
-  when the graph is built.
+  when the graph is built.  ``PFGraph(...)`` is the checking constructor:
+  it copies both maps, makes every key a canonical PairKey and drops (0, 0)
+  edges.  Graphs the library builds (``parse``, ``generate``, the
+  complements, ``half_strong_construction`` and the products) write keys
+  and degrees as bare tuples, leave out (0, 0) edges themselves (the test
+  ``mu != 0.0 or nu != 0.0`` is ``!= ZERO_DEGREE``, for -0.0 and NaN too)
+  and hand their maps to :meth:`PFGraph._adopt` once.
 - Every pass over all unordered vertex pairs goes through
   :meth:`PFGraph.pair_rows`, which yields each pair with its edge degree
   (an absent edge reads as (0, 0)) and its attainable bound.  It sorts the
@@ -208,9 +214,11 @@ class PairKey(tuple):
 class PFGraph:
     """An immutable Pythagorean fuzzy graph: vertex degrees plus edge degrees.
 
-    Construction copies both maps, accepts edge keys given either as
-    PairKey or as a plain (u, v) tuple, and drops edges whose degree is
-    exactly (0, 0).  No other checking happens here; use :func:`validate`.
+    Construction, the checking path for graphs built outside the library,
+    copies both maps, accepts edge keys given either as PairKey or as a
+    plain (u, v) tuple, and drops edges whose degree is exactly (0, 0).
+    The degree rules are not checked here; use :func:`validate`.  The
+    library's own builders go through :meth:`_adopt` instead.
     """
 
     vertices: Mapping[str, PFDegree]

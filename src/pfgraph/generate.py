@@ -4,7 +4,10 @@ The generator exists to power the property suites, so it trades
 distributional uniformity for determinism and guaranteed validity: the
 membership value is drawn first, then the non-membership uniformly from
 what the constraint leaves, and edge degrees are drawn inside the bounds
-set by their endpoints.  The same config always produces the same graph.
+set by their endpoints.  The same config always produces the same graph:
+a config's seed is a required int, so no config draws from system entropy.
+The pair loop builds each key and degree as a bare tuple and hands its maps
+to the graph once, through ``PFGraph._adopt``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import random
 from typing import NamedTuple, Optional
 
 from .classify import half_strong_construction
-from .core import PFDegree, PFGraph, PairKey, degree_min_max, tolerance
+from .core import PFDegree, PFGraph, PairKey, tolerance
 
 FAMILIES = ("general", "strong", "complete", "half_strong")
 
@@ -32,6 +35,15 @@ class GenConfig(_GenFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        typed = [("seed", int), ("n_vertices", int), ("edge_probability", (int, float))]
+        if self.quantize is not None:
+            typed.append(("quantize", int))
+        for name, kinds in typed:
+            value = getattr(self, name)
+            # a bool is an int to isinstance, but never a seed, a count or a probability
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                kind = "an int" if kinds is int else "an int or a float"
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
         if self.n_vertices < 1:
             raise ValueError("n_vertices must be positive")
         if not 0.0 <= self.edge_probability <= 1.0:
@@ -70,34 +82,33 @@ def generate(cfg: GenConfig) -> PFGraph:
     isomorphic to its own complement.
     """
     rng = random.Random(cfg.seed)
+    family, quantize = cfg.family, cfg.quantize
     labels = [f"v{i}" for i in range(cfg.n_vertices)]
-    vertices = {label: _draw_vertex_degree(rng, cfg.quantize) for label in labels}
-    if cfg.family == "half_strong":
+    vertices = {label: _draw_vertex_degree(rng, quantize) for label in labels}
+    if family == "half_strong":
         return half_strong_construction(vertices)
 
-    # index order, not sorted order: it fixes which random draw each pair gets
-    all_pairs = [
-        PairKey(labels[i], labels[j])
-        for i in range(cfg.n_vertices)
-        for j in range(i + 1, cfg.n_vertices)
-    ]
-
+    draw, p = rng.random, cfg.edge_probability
+    every_pair, general = family == "complete", family == "general"
+    new = tuple.__new__
     edges: dict[PairKey, PFDegree] = {}
-    for key in all_pairs:
-        bound = degree_min_max(vertices[key.lo], vertices[key.hi])
-        if cfg.family == "complete":
-            edges[key] = bound
-        else:
-            keep = rng.random() < cfg.edge_probability
-            if cfg.family == "strong":
-                if keep:
-                    edges[key] = bound
+    # index order, not sorted order: it fixes which random draw each pair gets
+    items = list(vertices.items())
+    for i, (u, (umu, unu)) in enumerate(items, 1):
+        for v, (vmu, vnu) in items[i:]:
+            if not (every_pair or draw() < p):
+                continue
+            # the key puts the lower label first, and its value wins ties in the bound
+            if v < u:
+                key = new(PairKey, (v, u))
+                mu, nu = (umu if umu < vmu else vmu), (unu if unu > vnu else vnu)
             else:
-                if keep:
-                    mu = rng.random() * bound.mu
-                    nu = rng.random() * bound.nu
-                    if cfg.quantize is not None:
-                        mu = round(mu, cfg.quantize)
-                        nu = round(nu, cfg.quantize)
-                    edges[key] = PFDegree(mu, nu)
-    return PFGraph(vertices, edges)
+                key = new(PairKey, (u, v))
+                mu, nu = (vmu if vmu < umu else umu), (vnu if vnu > unu else unu)
+            if general:
+                mu, nu = draw() * mu, draw() * nu
+                if quantize is not None:
+                    mu, nu = round(mu, quantize), round(nu, quantize)
+            if mu != 0.0 or nu != 0.0:  # an exactly-(0, 0) degree means no edge
+                edges[key] = new(PFDegree, (mu, nu))
+    return PFGraph._adopt(vertices, edges)

@@ -1,0 +1,182 @@
+"""The graph builders against their earlier bodies in ``reference_builders``.
+
+``generate``, the complements, ``half_strong_construction`` and the
+products write keys and degrees as bare tuples and hand their maps over
+once; ``classify`` stops at its fifth witness.  Each must give what the
+reference gives: the same vertices and edges (compared by repr, so NaN,
+-0.0 and the key and degree types count), the same edge order, the same
+rendered bytes, or the same exception class and message.
+"""
+
+import hashlib
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import reference_builders as ref
+from pfgraph import (
+    FAMILIES,
+    GenConfig,
+    LabelClash,
+    PFDegree,
+    PFGraph,
+    cartesian_product,
+    classify,
+    complement,
+    complete_complement,
+    composition,
+    generate,
+    half_strong_construction,
+    render,
+    strong_complement,
+)
+from reference_codec import boundary_specs
+
+
+def outcome(build, *args):
+    """("graph", vertices, edges, rendered) or ("raise", class, message) for build(*args)."""
+    try:
+        g = build(*args)
+    except Exception as exc:  # the reference's own exception is the expected value
+        return ("raise", type(exc), str(exc))
+    assert type(g) is PFGraph and type(g.vertices) is dict and type(g.edges) is dict
+    return ("graph", repr(list(g.vertices.items())), repr(list(g.edges.items())), render(g))
+
+
+def assert_same(build, reference, *args):
+    assert outcome(build, *args) == outcome(reference, *args)
+
+
+@st.composite
+def hand_built(draw, labels=st.sampled_from("abcdef")):
+    """A graph from ``boundary_specs``: values at and near 0, 1 and the edge bounds,
+    NaN, -0.0 and dangling edges; in half the graphs some vertices are (0, 0)."""
+    vertices, edges = draw(boundary_specs(labels))
+    zeroed = draw(st.sets(st.sampled_from(sorted(vertices)))) if vertices and draw(st.booleans()) else ()
+    return PFGraph(
+        {v: PFDegree(0.0, 0.0) if v in zeroed else PFDegree(*d) for v, d in vertices.items()},
+        {key: PFDegree(*d) for key, d in edges},
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(1, 30),
+    p=st.sampled_from([0, 0.3, 1]),
+    family=st.sampled_from(FAMILIES),
+    quantize=st.sampled_from([None, 1, 2]),
+)
+def test_generate_matches_reference(seed, n, p, family, quantize):
+    cfg = GenConfig(seed=seed, n_vertices=n, edge_probability=p, family=family, quantize=quantize)
+    assert_same(generate, ref.generate, cfg)
+
+
+# sha256 of render(generate(cfg)) for GenConfig(seed=2018, n_vertices=12,
+# edge_probability=0.5, family=family, quantize=quantize), taken from the
+# per-pair constructor code that ``reference_builders.generate`` keeps
+RENDER_DIGESTS = {
+    ("general", None): "fd18682a1bdfbff2e947cfc91eb1be20bb0cf921b64428d29a2668aed531adc7",
+    ("general", 2): "5c616f8b78ea18293ded79ca3a081e3b19bd8e6d07ca8dc9cc397dc268591d3e",
+    ("strong", None): "4d00aa49a48bc2181b98fc6e8ec43cad253878aa5f1c715f5fdbb4cc9b41f13d",
+    ("strong", 2): "146d66b88950184d283499ad12d825f27582eeca1e59371f30faeca4c9ce44f3",
+    ("complete", None): "b75948762be220e3cc1c1f690339930497242502286d51edb473fc9165c10c20",
+    ("complete", 2): "09f980ac71d87e1cac95efd0e9d5501f9ec79a83a398c99c0e976c05e63b4eee",
+    ("half_strong", None): "afab7e7e48e573415c93bf457b2e6f6bc9426e0f5766f0b68c5addca30c4dcd8",
+    ("half_strong", 2): "6e7cbe7451822afc7a0feb683f4349855ad9a38572e94f44efb151a72e31a56c",
+}
+
+
+@pytest.mark.parametrize("family, quantize", RENDER_DIGESTS)
+def test_generate_render_digest_is_pinned(family, quantize):
+    cfg = GenConfig(seed=2018, n_vertices=12, edge_probability=0.5, family=family, quantize=quantize)
+    digest = hashlib.sha256(render(generate(cfg)).encode("utf-8")).hexdigest()
+    assert digest == RENDER_DIGESTS[family, quantize]
+
+
+@settings(deadline=None, max_examples=300)
+@given(g=hand_built())
+def test_complements_match_reference(g):
+    assert_same(complement, ref.complement, g)
+    for force in (False, True):
+        assert_same(strong_complement, ref.strong_complement, g, force)
+        assert_same(complete_complement, ref.complete_complement, g, force)
+
+
+def test_complements_of_generated_graphs_match_reference():
+    for seed in range(40):
+        g = generate(GenConfig(seed=seed, n_vertices=1 + seed % 14, family=FAMILIES[seed % 4],
+                               quantize=(None, 1, 2)[seed % 3]))
+        assert_same(complement, ref.complement, g)
+        assert_same(strong_complement, ref.strong_complement, g)
+        assert_same(complete_complement, ref.complete_complement, g)
+
+
+@settings(deadline=None, max_examples=300)
+@given(g=hand_built())
+def test_half_strong_construction_matches_reference(g):
+    assert_same(half_strong_construction, ref.half_strong_construction, g.vertices)
+
+
+@settings(deadline=None, max_examples=300)
+@given(g=hand_built())
+def test_classify_matches_reference(g):
+    got, want = classify(g), ref.classify(g)
+    assert got == want
+    assert list(got.witnesses) == list(want.witnesses)
+
+
+# "a" is a prefix of "a " and "a!b", and " " and "!" sort below ")" and ",", so
+# "(a,a)" and "(a,a )" come out in the opposite order to "a" and "a ", as do "(a,b)" and "(a!b,b)"
+PRODUCT_LABELS = st.sampled_from(["a", "a ", "a!b", "b", "c"])
+
+
+# 0.0 tied with -0.0 in mu (beside a nonzero nu) and in nu (beside a nonzero mu):
+# only the tie rule decides which zero a degree keeps, and render shows the sign;
+# every edge joins a label to one that composes in the opposite order
+SIGNED_ZEROS = PFGraph(
+    {"a": PFDegree(0.5, 0.0), "a!": PFDegree(0.4, -0.0), "b": PFDegree(0.0, 0.5), "b ": PFDegree(-0.0, 0.5)},
+    {
+        ("a", "a!"): PFDegree(0.3, 0.0),
+        ("b", "b "): PFDegree(-0.0, 0.5),
+        ("a!", "b"): PFDegree(0.0, 0.5),
+        ("a", "b "): PFDegree(-0.0, 0.5),
+    },
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(g1=hand_built(PRODUCT_LABELS), g2=hand_built(PRODUCT_LABELS | st.just("x,y")))
+@example(g1=SIGNED_ZEROS, g2=SIGNED_ZEROS)
+def test_products_match_reference(g1, g2):
+    for g, h in ((g1, g2), (g2, g1)):
+        assert_same(cartesian_product, ref.cartesian_product, g, h)
+        assert_same(composition, ref.composition, g, h)
+
+
+def test_products_of_generated_graphs_match_reference():
+    for seed in range(12):
+        g1, g2 = (generate(GenConfig(seed=2 * seed + i, n_vertices=1 + seed % 6, family=FAMILIES[seed % 4],
+                                     quantize=(None, 1)[seed % 2])) for i in (0, 1))
+        assert_same(cartesian_product, ref.cartesian_product, g1, g2)
+        assert_same(composition, ref.composition, g1, g2)
+
+
+@pytest.mark.parametrize("product", [cartesian_product, composition])
+def test_product_rejects_non_string_label_by_name(product):
+    d = PFDegree(0.5, 0.5)
+    for g1, g2 in ((PFGraph({1: d}), PFGraph({"a": d})), (PFGraph({"a": d}), PFGraph({1: d}))):
+        with pytest.raises(LabelClash, match="vertex label 1 is not a string"):
+            product(g1, g2)
+
+
+@pytest.mark.parametrize("product", [cartesian_product, composition])
+def test_product_rejects_uncomposable_dangling_endpoint(product):
+    # the dangling endpoint 1 would compose to "(a,1)", the label of the declared ("a", "1")
+    d = PFDegree(0.5, 0.5)
+    one = PFGraph({"1": d, "2": d}, {("1", 1): d, ("1", "2"): d})
+    with pytest.raises(LabelClash, match="vertex label 1 is not a string"):
+        product(PFGraph({"a": d, "b": d}, {("a", "b"): d}), one)
+    comma = PFGraph({"x": d}, {("x", "y,z"): d})
+    with pytest.raises(LabelClash, match="vertex label 'y,z' contains"):
+        product(comma, PFGraph({"a": d}))

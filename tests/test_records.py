@@ -112,6 +112,17 @@ class TestGenConfig:
         {"edge_probability": float("nan")},
         {"family": "petersen"},
         {"quantize": 0},
+        # wrong types: each raised TypeError or was accepted, seed=None gave a new graph per call
+        {"seed": None},
+        {"seed": True},
+        {"seed": 1.0},
+        {"n_vertices": 2.5},
+        {"n_vertices": "3"},
+        {"n_vertices": True},
+        {"edge_probability": "0.5"},
+        {"edge_probability": True},
+        {"quantize": 1.5},
+        {"quantize": True},
     ]
 
     @pytest.mark.parametrize("bad", BAD)

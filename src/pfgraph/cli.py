@@ -140,6 +140,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _search_cap(args: argparse.Namespace) -> int:
+    if args.cap < 0:
+        raise SystemExit(f"--cap must be a non-negative integer, got {args.cap}")
+    return args.cap
+
+
 def _run(args: argparse.Namespace) -> int:
     if args.command == "validate":
         graph = _read_graph(args.graph, check=False)
@@ -174,11 +180,12 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "iso":
+        cap = _search_cap(args)
         report = find_morphism(
             _read_graph(args.graph1),
             _read_graph(args.graph2),
             _KIND_NAMES[args.kind],
-            cap=args.cap,
+            cap=cap,
         )
         _emit_json(report.as_dict())
         if args.require and not report.found:
@@ -186,7 +193,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "selfcomp":
-        report = is_self_complementary(_read_graph(args.graph), args.variant, cap=args.cap)
+        cap = _search_cap(args)
+        report = is_self_complementary(_read_graph(args.graph), args.variant, cap=cap)
         _emit_json(
             {
                 "variant": args.variant,

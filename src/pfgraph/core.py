@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 import os
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import ConstraintViolation, DanglingEdge
@@ -428,7 +428,8 @@ def sorted_vertices(g: PFGraph) -> list[tuple[str, PFDegree]]:
     items = list(g.vertices.items())
     try:
         items.sort()
-        if all(a < b for (a, _), (b, _) in zip(items, items[1:])):
+        labels = list(map(itemgetter(0), items))
+        if all(map(lt, labels, labels[1:])):
             return items
     except TypeError:
         pass

@@ -18,6 +18,20 @@ trying target labels in sorted order, so when several witnesses exist the
 lexicographically least one is returned.  Pruning only filters per-vertex
 candidate sets by the kind's vertex conditions and checks pair conditions
 incrementally, which cannot exclude a valid witness.
+
+Each call reads the kind's vertex relation and edge relation once, as two
+booleans (equality within eps, or s maps into t), and every check then
+compares bare (mu, nu) floats inline: NaN relates to nothing, as in the
+two relations' definitions.  Checks read an edge with ``edges.get`` on the
+plain tuple ``(a, b) if a < b else (b, a)``, which hashes and compares as
+the canonical PairKey does.  The search has put the labels of both graphs
+through :func:`sorted_vertices`, so ``<`` orders them, and a source pair
+is looked up as (earlier, later) in assignment order; verification never
+sorts the target's labels, so two that ``<`` cannot order fall back to
+PairKey's order.  Under the kinds other than
+isomorphism every source edge is checked, so a dangling source edge raises
+DanglingEdge before the search, as :func:`verify_morphism` would on any
+witness.
 """
 
 from __future__ import annotations
@@ -28,8 +42,8 @@ from typing import Mapping, NamedTuple, Optional
 from .core import (
     PFDegree,
     PFGraph,
+    PairKey,
     ZERO_DEGREE,
-    degrees_close,
     sorted_edges,
     sorted_labels,
     sorted_vertices,
@@ -78,11 +92,15 @@ class MorphismCheck(NamedTuple):
     violations: tuple[str, ...]
 
 
-def _related(equality: bool, s: PFDegree, t: PFDegree, eps: float) -> bool:
-    """s equals t within eps, or without ``equality`` s maps into t."""
-    if equality:
-        return degrees_close(s, t, eps)
-    return s.mu <= t.mu + eps and s.nu >= t.nu - eps
+def _edges_with_declared_endpoints(g: PFGraph) -> list[tuple[PairKey, PFDegree]]:
+    """:func:`sorted_edges` of g; DanglingEdge names the first edge, in key
+    order, with an undeclared endpoint."""
+    edges = sorted_edges(g)
+    for key, _ in edges:
+        for v in key:
+            if v not in g.vertices:
+                raise DanglingEdge(f"edge {key} uses undeclared vertex {v!r}")
+    return edges
 
 
 def find_morphism(
@@ -95,49 +113,74 @@ def find_morphism(
 
     Bijective kinds return not-found immediately when the vertex counts
     differ.  Raises SearchCapExceeded when g1 has more than ``cap``
-    vertices; raise the cap explicitly for larger instances.
+    vertices; raise the cap explicitly for larger instances.  The kinds
+    other than isomorphism check every source edge, so a dangling one
+    raises DanglingEdge, as :func:`verify_morphism` does.
     """
     n1 = len(g1.vertices)
     if n1 > cap:
         raise SearchCapExceeded(
             f"source graph has {n1} vertices, above the search cap {cap}"
         )
-    if kind.bijective and n1 != len(g2.vertices):
+    bijective = kind.bijective
+    if bijective and n1 != len(g2.vertices):
         return MorphismReport(kind, False, None, 0)
 
     eps = tolerance()
+    vertex_equality = kind.vertex_equality
+    edge_equality = kind.edge_equality
+    iso = kind is MorphismKind.ISOMORPHISM
+    sources = sorted_vertices(g1)
     targets = sorted_vertices(g2)
+    if not iso:
+        _edges_with_declared_endpoints(g1)
     candidates = {
-        u: [v for v, dv in targets if _related(kind.vertex_equality, du, dv, eps)]
-        for u, du in sorted_vertices(g1)
+        u: [
+            v
+            for v, (tmu, tnu) in targets
+            if (
+                abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
+                if vertex_equality
+                else smu <= tmu + eps and snu >= tnu - eps
+            )
+        ]
+        for u, (smu, snu) in sources
     }
     if not all(candidates.values()):
         return MorphismReport(kind, False, None, 0)
     source = list(candidates)
 
-    iso = kind is MorphismKind.ISOMORPHISM
-    edge_equality = kind.edge_equality
+    source_edge = g1.edges.get
+    target_edge = g2.edges.get
     assignment: dict[str, str] = {}
     used: set[str] = set()
     attempts = 0
 
     def compatible(u: str, v: str) -> bool:
         for w, x in assignment.items():
-            if not iso and not g1.has_edge(u, w):
-                continue
+            # w was assigned before u, so w < u and (w, u) is the canonical key
+            s = source_edge((w, u))
+            if s is None:
+                if not iso:
+                    continue
+                s = ZERO_DEGREE
             # a collapsed pair (non-injective homomorphism) carries no edge
-            target = ZERO_DEGREE if v == x else g2.edge_degree(v, x)
-            if not _related(edge_equality, g1.edge_degree(u, w), target, eps):
+            t = ZERO_DEGREE if v == x else target_edge((v, x) if v < x else (x, v), ZERO_DEGREE)
+            (smu, snu), (tmu, tnu) = s, t
+            if edge_equality:
+                if not (abs(smu - tmu) <= eps and abs(snu - tnu) <= eps):
+                    return False
+            elif not (smu <= tmu + eps and snu >= tnu - eps):
                 return False
         return True
 
     def extend(index: int) -> bool:
         nonlocal attempts
-        if index == len(source):
+        if index == n1:
             return True
         u = source[index]
         for v in candidates[u]:
-            if kind.bijective and v in used:
+            if bijective and v in used:
                 continue
             attempts += 1
             if not compatible(u, v):
@@ -185,21 +228,38 @@ def verify_morphism(
             violations.append("vertex counts differ, mapping cannot be a bijection")
 
     eps = tolerance()
-    for u, du in sorted_vertices(g1):
-        if not _related(kind.vertex_equality, du, g2.vertices[mapping[u]], eps):
+    vertex_equality = kind.vertex_equality
+    edge_equality = kind.edge_equality
+    target_vertices = g2.vertices
+    for u, (smu, snu) in sorted_vertices(g1):
+        tmu, tnu = target_vertices[mapping[u]]
+        if not (
+            abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
+            if vertex_equality
+            else smu <= tmu + eps and snu >= tnu - eps
+        ):
             violations.append(f"vertex condition fails at {u!r} -> {mapping[u]!r}")
 
     if kind is MorphismKind.ISOMORPHISM:
         checked = ((key, s) for key, s, _ in g1.pair_rows())
     else:
-        checked = sorted_edges(g1)
-    for (u, w), s in checked:
-        try:
-            tu, tw = mapping[u], mapping[w]
-        except KeyError as exc:  # the mapping is total on g1's vertices
-            raise DanglingEdge(f"edge {u}-{w} uses undeclared vertex {exc.args[0]!r}") from None
-        t = ZERO_DEGREE if tu == tw else g2.edge_degree(tu, tw)
-        if not _related(kind.edge_equality, s, t, eps):
+        checked = _edges_with_declared_endpoints(g1)
+    target_edge = g2.edges.get
+    for (u, w), (smu, snu) in checked:
+        tu, tw = mapping[u], mapping[w]
+        if tu == tw:
+            tmu = tnu = 0.0
+        else:
+            try:
+                key = (tu, tw) if tu < tw else (tw, tu)
+            except TypeError:  # g2's labels were never sorted; PairKey orders any two
+                key = PairKey(tu, tw)
+            tmu, tnu = target_edge(key, ZERO_DEGREE)
+        if not (
+            abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
+            if edge_equality
+            else smu <= tmu + eps and snu >= tnu - eps
+        ):
             violations.append(f"edge condition fails at pair {u}-{w} -> {tu}-{tw}")
 
     return MorphismCheck(not violations, tuple(violations))

@@ -417,6 +417,7 @@ def test_criterion_8_pruned_search_matches_exhaustive_oracle():
                 assert report.found == (expected is not None), (
                     f"{kind} disagrees: {render(g1)} vs {render(g2)}"
                 )
+                assert report.witness == expected  # the lexicographically least one
                 if report.found:
                     assert verify_morphism(g1, g2, kind, report.witness).ok
                 compared += 1
@@ -431,6 +432,7 @@ def test_criterion_8_pruned_search_matches_exhaustive_oracle():
             expected = oracle_search(g1, g2, kind)
             report = find_morphism(g1, g2, kind)
             assert report.found == (expected is not None)
+            assert report.witness == expected
             compared += 1
 
     _report(8, f"pruned vs exhaustive search agreement on {compared} comparisons", started, budget=300.0)

@@ -237,6 +237,33 @@ class TestIso:
         assert json.loads(err)["error"] == "SearchCapExceeded"
 
 
+class TestSearchCapFlag:
+    EMPTY = '{"format_version":1,"vertices":[],"edges":[]}'
+
+    @pytest.fixture
+    def empty_file(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(self.EMPTY)
+        return str(path)
+
+    @pytest.mark.parametrize("command", [["iso", "g", "g"], ["selfcomp", "g"]])
+    def test_negative_cap_is_a_usage_error(self, command, square_cycle_file, capsys):
+        argv = [square_cycle_file if arg == "g" else arg for arg in command]
+        code, out, err = run_cli([*argv, "--cap", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "UsageError"
+        assert "--cap" in payload["message"]
+
+    @pytest.mark.parametrize("command", [["iso", "g", "g"], ["selfcomp", "g"]])
+    def test_zero_cap_on_an_empty_graph_searches(self, command, empty_file, capsys):
+        argv = [empty_file if arg == "g" else arg for arg in command]
+        code, out, err = run_cli([*argv, "--cap", "0"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["search_space"] == 0
+
+
 class TestSelfcomp:
     def test_half_bound_graph(self, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -121,6 +121,24 @@ class TestFindMorphism:
             find_morphism(big, big, ISO)
         assert find_morphism(big, big, ISO, cap=10).found
 
+    @pytest.mark.parametrize("kind", [HOMO, WEAK, COWEAK])
+    def test_dangling_edge_raises_where_verification_would(self, kind):
+        # every source edge is checked under these kinds, so a witness found
+        # past a dangling edge would be one verify_morphism rejects
+        g = PFGraph({"a": PFDegree(0.5, 0.5)}, {("a", "z"): PFDegree(0.2, 0.3)})
+        message = "edge a-z uses undeclared vertex 'z'"
+        with pytest.raises(DanglingEdge, match=message):
+            verify_morphism(g, g, kind, {"a": "a"})
+        with pytest.raises(DanglingEdge, match=message):
+            find_morphism(g, g, kind)
+
+    def test_dangling_edge_is_skipped_under_isomorphism(self):
+        # both functions compare declared pairs only under isomorphism
+        g = PFGraph({"a": PFDegree(0.5, 0.5)}, {("a", "z"): PFDegree(0.2, 0.3)})
+        report = find_morphism(g, g, ISO)
+        assert (report.found, report.witness, report.search_space) == (True, {"a": "a"}, 1)
+        assert verify_morphism(g, g, ISO, report.witness).ok
+
     def test_least_witness_returned(self):
         g1 = build({"a": (0.5, 0.5), "b": (0.5, 0.5)})
         g2 = build({"x": (0.5, 0.5), "y": (0.5, 0.5)})
@@ -205,6 +223,17 @@ class TestVerifyMorphism:
         g = PFGraph({1: PFDegree(0.5, 0.5), "a": PFDegree(0.5, 0.5), "b": PFDegree(0.5, 0.5)})
         with pytest.raises(UnknownVertex, match=r"not total on the source graph: \[1, 'a'\]"):
             verify_morphism(g, g, HOMO, {"b": "b"})
+
+    @pytest.mark.parametrize("kind", [HOMO, ISO, WEAK, COWEAK])
+    def test_target_labels_that_do_not_compare(self, kind):
+        # verification never sorts the target's labels, so an int and a str
+        # label there still find their edge, under PairKey's order
+        d, e = PFDegree(0.5, 0.5), PFDegree(0.4, 0.6)
+        g1 = PFGraph({"x": d, "y": d}, {("x", "y"): e})
+        g2 = PFGraph({1: d, "a": d}, {(1, "a"): e})
+        assert verify_morphism(g1, g2, kind, {"x": 1, "y": "a"}).ok
+        check = verify_morphism(g1, PFGraph(g2.vertices), kind, {"x": 1, "y": "a"})
+        assert check.violations == ("edge condition fails at pair x-y -> 1-a",)
 
     def test_non_injective_map_rejected_for_bijective_kinds(self):
         g = build({"a": (0.5, 0.5), "b": (0.5, 0.5)})
@@ -338,6 +367,7 @@ class TestPruningSoundness:
                 expected = oracle_search(g1, g2, kind)
                 report = find_morphism(g1, g2, kind)
                 assert report.found == (expected is not None)
+                assert report.witness == expected  # the lexicographically least one
                 if report.found:
                     assert verify_morphism(g1, g2, kind, report.witness).ok
 

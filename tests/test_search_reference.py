@@ -1,0 +1,163 @@
+"""The morphism search makes the same attempts and finds the same witnesses
+as the search it replaced, kept verbatim in ``reference_search.py``."""
+
+import itertools
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from pfgraph import (
+    MorphismKind,
+    PFDegree,
+    PFGraph,
+    complement,
+    find_morphism,
+    is_self_complementary,
+)
+
+from reference_search import find_morphism as reference_find_morphism
+from test_acceptance import _corpus_n1, _corpus_n2, _corpus_n3, _corpus_n4
+
+KINDS = tuple(MorphismKind)
+HOMO = MorphismKind.HOMOMORPHISM
+ISO = MorphismKind.ISOMORPHISM
+WEAK = MorphismKind.WEAK_ISOMORPHISM
+COWEAK = MorphismKind.COWEAK_ISOMORPHISM
+
+
+def assert_same_reports(g1, g2):
+    for kind in KINDS:
+        report = find_morphism(g1, g2, kind)
+        expected = reference_find_morphism(g1, g2, kind)
+        # kind, found, witness and search_space, field for field
+        assert report == expected, (kind, g1, g2)
+
+
+def test_same_reports_on_a_slice_of_the_grid_corpora():
+    n1, n2, n3, n4 = _corpus_n1(), _corpus_n2(), _corpus_n3(), _corpus_n4()
+    for bucket in (n1, n2[::4], n3[::9], n4):
+        for g1, g2 in itertools.product(bucket, repeat=2):
+            assert_same_reports(g1, g2)
+    small, large = n1[::2] + n2[::9], n3[::17] + n4[::5]
+    for g1, g2 in itertools.chain(itertools.product(small, large), itertools.product(large, small)):
+        assert_same_reports(g1, g2)
+
+
+# Values that exercise every edge of the two relations at the default
+# tolerance of 1e-9: NaN, a signed zero, ints, and values within eps of each
+# other and of zero, beside values just beyond eps.
+VALUES = (
+    0.0, -0.0, 0, 1, 1.0, 0.25, 0.5, 0.75,
+    5e-10, -5e-10, 2e-9,
+    0.5 + 5e-10, 0.5 - 5e-10, 0.5 + 2e-9,
+    math.nan,
+)
+degrees = st.builds(PFDegree, st.sampled_from(VALUES), st.sampled_from(VALUES))
+# repeated vertex degrees give every source vertex several candidates
+vertex_degrees = st.one_of(st.just(PFDegree(0.5, 0.5)), degrees)
+label_lists = st.one_of(
+    st.lists(st.text(alphabet="abcd", min_size=1, max_size=2), unique=True, max_size=5),
+    st.lists(st.integers(-3, 5), unique=True, max_size=5),
+)
+
+
+@st.composite
+def graphs(draw):
+    vertices = {v: draw(vertex_degrees) for v in draw(label_lists)}
+    pairs = list(itertools.combinations(vertices, 2))
+    chosen = draw(st.lists(st.one_of(st.none(), degrees), min_size=len(pairs), max_size=len(pairs)))
+    return PFGraph(vertices, {pair: d for pair, d in zip(pairs, chosen) if d is not None})
+
+
+def _nudged(d, sign):
+    return PFDegree(d.mu + sign * 5e-10, d.nu - sign * 5e-10)
+
+
+@st.composite
+def graph_pairs(draw):
+    """Two unrelated graphs, or g1 and a relabelled copy with some degrees
+    moved by half the tolerance, so that maps exist and sit near eps, and
+    with one pair's edge sometimes added or removed."""
+    g1 = draw(graphs())
+    if draw(st.booleans()):
+        return g1, draw(graphs())
+    new = draw(st.permutations(draw(label_lists.filter(lambda ls: len(ls) >= len(g1.vertices)))))
+    image = dict(zip(g1.vertices, new))
+    sign = draw(st.sampled_from((-1, 0, 1)))
+    vertices = {image[v]: _nudged(d, sign) if draw(st.booleans()) else d for v, d in g1.vertices.items()}
+    edges = {(image[k.lo], image[k.hi]): _nudged(d, -sign) for k, d in g1.edges.items()}
+    pairs = list(g1.pairs())
+    if pairs and draw(st.booleans()):
+        key = draw(st.sampled_from(pairs))
+        edge = draw(st.one_of(st.none(), degrees))
+        pair = (image[key.lo], image[key.hi])
+        if edge is None:
+            edges.pop(pair, None)
+        else:
+            edges[pair] = edge
+    return g1, PFGraph(vertices, edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_pairs())
+def test_same_reports_on_hypothesis_graphs(pair):
+    assert_same_reports(*pair)
+
+
+# --- attempt counts pinned from the search's first version ------------------
+
+UNIFORM = PFDegree(0.6, 0.3)  # vertices and edges alike: every edge at its bound
+
+
+def _uniform(names, pairs):
+    return PFGraph({v: UNIFORM for v in names}, {pair: UNIFORM for pair in pairs})
+
+
+def _clique(n):
+    names = [f"v{i}" for i in range(n)]
+    return _uniform(names, itertools.combinations(names, 2))
+
+
+def _cycles(count, length):
+    names, pairs = [], []
+    for c in range(count):
+        ring = [f"c{c}_{i:02d}" for i in range(length)]
+        names += ring
+        pairs += [(ring[i], ring[(i + 1) % length]) for i in range(length)]
+    return _uniform(names, pairs)
+
+
+def _paley9():
+    cells = [(r, c) for r in range(3) for c in range(3)]
+    pairs = [
+        (f"p{a}{b}", f"p{c}{d}")
+        for i, (a, b) in enumerate(cells)
+        for c, d in cells[i + 1:]
+        if a == c or b == d
+    ]
+    return _uniform([f"p{r}{c}" for r, c in cells], pairs)
+
+
+def test_clique_homomorphism_attempts_are_pinned():
+    for n, attempts in ((5, 260), (6, 1_630), (7, 11_742)):
+        report = find_morphism(_clique(n), _clique(n - 1), HOMO)
+        assert (report.found, report.witness, report.search_space) == (False, None, attempts)
+
+
+def test_cycle_union_attempts_are_pinned():
+    c12, c3x4 = _cycles(1, 12), _cycles(4, 3)
+    expected = {
+        (ISO, False): 384, (WEAK, False): 600, (COWEAK, False): 600,
+        (ISO, True): 384, (WEAK, True): 384, (COWEAK, True): 384,
+    }
+    for (kind, backwards), attempts in expected.items():
+        g1, g2 = (c3x4, c12) if backwards else (c12, c3x4)
+        report = find_morphism(g1, g2, kind, cap=12)
+        assert (report.found, report.search_space) == (False, attempts), (kind, backwards)
+
+
+def test_paley9_self_complementarity_attempts_are_pinned():
+    p9 = _paley9()
+    report = is_self_complementary(p9)
+    assert report.found and report.search_space == 26
+    assert report == reference_find_morphism(p9, complement(p9), ISO)

@@ -36,7 +36,7 @@ from .classify import (
     strong_sum_identity,
     sum_identity,
 )
-from .core import apply_env_tolerance, require_valid, validate
+from .core import apply_env_tolerance, require_valid, set_tolerance, tolerance, validate
 from .errors import MalformedDocument, PFGError
 from .generate import FAMILIES, GenConfig, generate
 from .graph_io import parse, render, to_dot
@@ -235,19 +235,15 @@ def _fail(error: str, message: str, code: int, report=None) -> int:
 
 
 def main(argv=None) -> int:
+    saved = tolerance()  # PFG_EPSILON applies to this call only
     try:
         apply_env_tolerance()
     except ValueError as exc:
         return _fail("BadEpsilon", str(exc), 2)
 
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-
-    try:
-        return _run(args)
+        # argparse exits with an int code, which the SystemExit branch returns
+        return _run(_build_parser().parse_args(argv))
     except MalformedDocument as exc:
         return _fail(type(exc).__name__, str(exc), 2)
     except PFGError as exc:
@@ -258,6 +254,8 @@ def main(argv=None) -> int:
         if isinstance(exc.code, int):
             return exc.code
         return _fail("UsageError", str(exc), 2)
+    finally:
+        set_tolerance(saved)
 
 
 def entry_point() -> None:

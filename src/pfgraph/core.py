@@ -48,10 +48,11 @@ Design choices baked into this module:
 Graphs holding *invalid* data are representable on purpose: :func:`validate`
 turns every broken invariant into a report entry instead of an exception,
 so arbitrary candidate data can be inspected.  It is the one checker of the
-degree rules: one pass tests each vertex's label, unit range and squared
-sum, and each edge's endpoints, unit range, squared sum and bound (read
-from the two endpoint tuples), each rule once, and every failed test adds
-its own report entry.
+degree rules: one pass tests each vertex's label (a non-empty str that
+encodes as UTF-8, so that the document it renders can be parsed and
+printed), unit range and squared sum, and each edge's endpoints, unit
+range, squared sum and bound (read from the two endpoint tuples), each
+rule once, and every failed test adds its own report entry.
 """
 
 from __future__ import annotations
@@ -133,9 +134,12 @@ def in_unit_range(value: float) -> bool:
 def hesitation(d: PFDegree) -> float:
     """Residual indeterminacy sqrt(1 - mu^2 - nu^2) of a valid degree pair.
 
-    Raises ConstraintViolation when the squared sum exceeds 1 beyond
-    tolerance.  A radicand within tolerance of zero clamps to exactly 0.
+    Raises ConstraintViolation when a component fails :func:`in_unit_range`
+    (NaN does) or the squared sum exceeds 1 beyond tolerance.  A radicand
+    within tolerance of zero clamps to exactly 0.
     """
+    if not (in_unit_range(d.mu) and in_unit_range(d.nu)):
+        raise ConstraintViolation(f"degree ({d.mu!r}, {d.nu!r}) has a component outside [0, 1]")
     radicand = 1.0 - d.mu * d.mu - d.nu * d.nu
     if radicand < -tolerance():
         raise ConstraintViolation(
@@ -158,6 +162,15 @@ def degree_min_max(a: PFDegree, b: PFDegree) -> PFDegree:
 def degree_max_min(a: PFDegree, b: PFDegree) -> PFDegree:
     """Combine two degrees taking the larger membership and smaller non-membership."""
     return PFDegree(max(a.mu, b.mu), min(a.nu, b.nu))
+
+
+def encodes_as_utf8(label: str) -> bool:
+    """Whether a str label encodes as UTF-8; a lone surrogate does not."""
+    try:
+        label.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _fallback_order(label) -> tuple[str, str]:
@@ -343,6 +356,8 @@ def validate(g: PFGraph) -> ValidationReport:
         mu, nu = degree
         if not isinstance(label, str) or not label:
             add(Violation("bad_vertex_id", repr(label), "vertex ids must be non-empty strings"))
+        elif not (label.isascii() or encodes_as_utf8(label)):
+            add(Violation("bad_vertex_id", repr(label), "vertex ids must encode as UTF-8"))
         if not low <= mu <= high:
             add(Violation("bad_vertex_degree", str(label), f"membership {mu!r} outside [0, 1]"))
         if not low <= nu <= high:

@@ -18,11 +18,12 @@ entry whose label is a str and whose degrees are finite floats is formatted
 directly (``encode_basestring_ascii`` for the label, ``float.__repr__`` for
 the numbers), and any other entry is handed to ``json.dumps`` itself.
 :func:`parse` checks the schema: one loop reads every entry and checks its
-labels, declarations and the type and unit range of each value, and a
-value that fails the type or range check is read again by the checks that
-name the problem.  The degree rules, the squared sum and the edge bound,
-are left to :func:`~pfgraph.core.validate`, the one constraint checker,
-which a checked parse runs on the graph it built.
+labels (a vertex id must encode as UTF-8, which a lone surrogate escaped
+in JSON does not), declarations and the type and unit range of each
+value, and a value that fails the type or range check is read again by
+the checks that name the problem.  The degree rules, the squared sum and
+the edge bound, are left to :func:`~pfgraph.core.validate`, the one
+constraint checker, which a checked parse runs on the graph it built.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .core import (
     PFDegree,
     PFGraph,
     PairKey,
+    encodes_as_utf8,
     in_unit_range,
     require_valid,
     sorted_edges,
@@ -107,6 +109,8 @@ def parse(text: str, check: bool = True) -> PFGraph:
         label = entry.get("id")
         if not (isinstance(label, str) and label):
             raise MalformedDocument("vertex 'id' must be a non-empty string")
+        if not (label.isascii() or encodes_as_utf8(label)):
+            raise MalformedDocument(f"vertex 'id' {label!r} does not encode as UTF-8")
         if label in vertices:
             raise DuplicateVertex(f"vertex {label!r} declared twice")
         mu, nu = entry.get("mu"), entry.get("nu")

@@ -22,16 +22,12 @@ incrementally, which cannot exclude a valid witness.
 Each call reads the kind's vertex relation and edge relation once, as two
 booleans (equality within eps, or s maps into t), and every check then
 compares bare (mu, nu) floats inline: NaN relates to nothing, as in the
-two relations' definitions.  Checks read an edge with ``edges.get`` on the
-plain tuple ``(a, b) if a < b else (b, a)``, which hashes and compares as
-the canonical PairKey does.  The search has put the labels of both graphs
-through :func:`sorted_vertices`, so ``<`` orders them, and a source pair
-is looked up as (earlier, later) in assignment order; verification never
-sorts the target's labels, so two that ``<`` cannot order fall back to
-PairKey's order.  Under the kinds other than
-isomorphism every source edge is checked, so a dangling source edge raises
-DanglingEdge before the search, as :func:`verify_morphism` would on any
-witness.
+two relations' definitions.  Checks read edges with ``edges.get`` on plain
+tuples: a source pair as (earlier, later) in the sorted assignment order,
+and a target pair in either orientation, so no target label is ordered.
+Under the kinds other than isomorphism every source edge is checked, so a
+dangling source edge raises DanglingEdge before the search, as
+:func:`verify_morphism` would on any witness.
 """
 
 from __future__ import annotations
@@ -156,24 +152,6 @@ def find_morphism(
     used: set[str] = set()
     attempts = 0
 
-    def compatible(u: str, v: str) -> bool:
-        for w, x in assignment.items():
-            # w was assigned before u, so w < u and (w, u) is the canonical key
-            s = source_edge((w, u))
-            if s is None:
-                if not iso:
-                    continue
-                s = ZERO_DEGREE
-            # a collapsed pair (non-injective homomorphism) carries no edge
-            t = ZERO_DEGREE if v == x else target_edge((v, x) if v < x else (x, v), ZERO_DEGREE)
-            (smu, snu), (tmu, tnu) = s, t
-            if edge_equality:
-                if not (abs(smu - tmu) <= eps and abs(snu - tnu) <= eps):
-                    return False
-            elif not (smu <= tmu + eps and snu >= tnu - eps):
-                return False
-        return True
-
     def extend(index: int) -> bool:
         nonlocal attempts
         if index == n1:
@@ -183,14 +161,28 @@ def find_morphism(
             if bijective and v in used:
                 continue
             attempts += 1
-            if not compatible(u, v):
-                continue
-            assignment[u] = v
-            used.add(v)
-            if extend(index + 1):
-                return True
-            del assignment[u]
-            used.discard(v)
+            for w, x in assignment.items():
+                # w was assigned before u, so w < u and (w, u) is the canonical key
+                s = source_edge((w, u))
+                if s is None:
+                    if not iso:
+                        continue
+                    s = ZERO_DEGREE
+                # a stored degree is a non-empty tuple; a collapsed pair is never a key
+                (smu, snu), (tmu, tnu) = s, target_edge((v, x)) or target_edge((x, v), ZERO_DEGREE)
+                if not (
+                    abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
+                    if edge_equality
+                    else smu <= tmu + eps and snu >= tnu - eps
+                ):
+                    break
+            else:
+                assignment[u] = v
+                used.add(v)
+                if extend(index + 1):
+                    return True
+                del assignment[u]
+                used.discard(v)
         return False
 
     if extend(0):
@@ -210,15 +202,14 @@ def verify_morphism(
     anything else raises UnknownVertex.  Condition failures are returned
     as violations, one entry per failing vertex or pair.
     """
-    unknown_sources = [u for u in mapping if u not in g1.vertices]
-    if unknown_sources:
-        raise UnknownVertex(f"mapping keys not in the source graph: {sorted_labels(unknown_sources)}")
-    unknown_targets = [v for v in mapping.values() if v not in g2.vertices]
-    if unknown_targets:
-        raise UnknownVertex(f"mapping values not in the target graph: {sorted_labels(unknown_targets)}")
-    missing = [u for u in g1.vertices if u not in mapping]
-    if missing:
-        raise UnknownVertex(f"mapping is not total on the source graph: {sorted_labels(missing)}")
+    for message, labels, known in (
+        ("mapping keys not in the source graph", mapping, g1.vertices),
+        ("mapping values not in the target graph", mapping.values(), g2.vertices),
+        ("mapping is not total on the source graph", g1.vertices, mapping),
+    ):
+        unknown = [v for v in labels if v not in known]
+        if unknown:
+            raise UnknownVertex(f"{message}: {sorted_labels(unknown)}")
 
     violations: list[str] = []
     if kind.bijective:
@@ -247,14 +238,7 @@ def verify_morphism(
     target_edge = g2.edges.get
     for (u, w), (smu, snu) in checked:
         tu, tw = mapping[u], mapping[w]
-        if tu == tw:
-            tmu = tnu = 0.0
-        else:
-            try:
-                key = (tu, tw) if tu < tw else (tw, tu)
-            except TypeError:  # g2's labels were never sorted; PairKey orders any two
-                key = PairKey(tu, tw)
-            tmu, tnu = target_edge(key, ZERO_DEGREE)
+        tmu, tnu = target_edge((tu, tw)) or target_edge((tw, tu), ZERO_DEGREE)
         if not (
             abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
             if edge_equality

@@ -1,30 +1,42 @@
-"""The morphism search as it was before its pair checks were inlined.
+"""The morphism search and verifier as they were before target pairs were
+read in either orientation.
 
 The library's ``find_morphism`` resolves the kind's vertex and edge
-relations once per call and compares bare (mu, nu) floats, reading edges
-with ``edges.get`` on a canonical plain tuple.  This module keeps the
-earlier body verbatim: every pair check builds its ``PairKey``s through
-``has_edge`` and ``edge_degree`` and tests the relation through
-``_related`` and ``degrees_close``.  The tests in ``test_morphism.py``
-require the library's ``MorphismReport`` to equal this one field for field
-(kind, found, witness and search_space), so the variable order, the value
-order and the set and order of checks are pinned, not just the verdict.
+relations once per call and compares bare (mu, nu) floats, reading a
+target pair with ``edges.get`` in either orientation.  This module keeps
+two earlier bodies verbatim.  Its ``find_morphism`` is the search before
+its pair checks were inlined: every pair check builds its ``PairKey``s
+through ``has_edge`` and ``edge_degree`` and tests the relation through
+``_related`` and ``degrees_close``.  Its ``verify_morphism`` orders each
+target pair with ``<``, reads a collapsed pair as (0, 0) and falls back to
+``PairKey`` for labels that ``<`` cannot order.  The tests in
+``test_search_reference.py`` require the library's ``MorphismReport`` and
+``MorphismCheck`` to equal these field for field (kind, found, witness and
+search_space; ok and the violations in order), so the variable order, the
+value order and the set and order of checks are pinned, not just the
+verdict.
 """
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from pfgraph import (
     DEFAULT_SEARCH_CAP,
+    DanglingEdge,
+    MorphismCheck,
     MorphismKind,
     MorphismReport,
     PFDegree,
     PFGraph,
+    PairKey,
     SearchCapExceeded,
+    UnknownVertex,
     ZERO_DEGREE,
     degrees_close,
     tolerance,
 )
-from pfgraph.core import sorted_vertices
+from pfgraph.core import sorted_edges, sorted_labels, sorted_vertices
 
 
 def _related(equality: bool, s: PFDegree, t: PFDegree, eps: float) -> bool:
@@ -102,3 +114,81 @@ def find_morphism(
     if extend(0):
         return MorphismReport(kind, True, dict(assignment), attempts)
     return MorphismReport(kind, False, None, attempts)
+
+
+def _edges_with_declared_endpoints(g: PFGraph) -> list[tuple[PairKey, PFDegree]]:
+    """:func:`sorted_edges` of g; DanglingEdge names the first edge, in key
+    order, with an undeclared endpoint."""
+    edges = sorted_edges(g)
+    for key, _ in edges:
+        for v in key:
+            if v not in g.vertices:
+                raise DanglingEdge(f"edge {key} uses undeclared vertex {v!r}")
+    return edges
+
+
+def verify_morphism(
+    g1: PFGraph,
+    g2: PFGraph,
+    kind: MorphismKind,
+    mapping: Mapping[str, str],
+) -> MorphismCheck:
+    """Re-check a concrete mapping against the kind's conditions.
+
+    The mapping must be total on g1's vertices and stay inside g2's;
+    anything else raises UnknownVertex.  Condition failures are returned
+    as violations, one entry per failing vertex or pair.
+    """
+    unknown_sources = [u for u in mapping if u not in g1.vertices]
+    if unknown_sources:
+        raise UnknownVertex(f"mapping keys not in the source graph: {sorted_labels(unknown_sources)}")
+    unknown_targets = [v for v in mapping.values() if v not in g2.vertices]
+    if unknown_targets:
+        raise UnknownVertex(f"mapping values not in the target graph: {sorted_labels(unknown_targets)}")
+    missing = [u for u in g1.vertices if u not in mapping]
+    if missing:
+        raise UnknownVertex(f"mapping is not total on the source graph: {sorted_labels(missing)}")
+
+    violations: list[str] = []
+    if kind.bijective:
+        if len(set(mapping.values())) != len(g1.vertices):
+            violations.append("mapping is not injective")
+        if len(g1.vertices) != len(g2.vertices):
+            violations.append("vertex counts differ, mapping cannot be a bijection")
+
+    eps = tolerance()
+    vertex_equality = kind.vertex_equality
+    edge_equality = kind.edge_equality
+    target_vertices = g2.vertices
+    for u, (smu, snu) in sorted_vertices(g1):
+        tmu, tnu = target_vertices[mapping[u]]
+        if not (
+            abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
+            if vertex_equality
+            else smu <= tmu + eps and snu >= tnu - eps
+        ):
+            violations.append(f"vertex condition fails at {u!r} -> {mapping[u]!r}")
+
+    if kind is MorphismKind.ISOMORPHISM:
+        checked = ((key, s) for key, s, _ in g1.pair_rows())
+    else:
+        checked = _edges_with_declared_endpoints(g1)
+    target_edge = g2.edges.get
+    for (u, w), (smu, snu) in checked:
+        tu, tw = mapping[u], mapping[w]
+        if tu == tw:
+            tmu = tnu = 0.0
+        else:
+            try:
+                key = (tu, tw) if tu < tw else (tw, tu)
+            except TypeError:  # g2's labels were never sorted; PairKey orders any two
+                key = PairKey(tu, tw)
+            tmu, tnu = target_edge(key, ZERO_DEGREE)
+        if not (
+            abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
+            if edge_equality
+            else smu <= tmu + eps and snu >= tnu - eps
+        ):
+            violations.append(f"edge condition fails at pair {u}-{w} -> {tu}-{tw}")
+
+    return MorphismCheck(not violations, tuple(violations))

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from pfgraph import DEFAULT_EPSILON, set_tolerance
+from pfgraph import DEFAULT_EPSILON, set_tolerance, tolerance
 from pfgraph.cli import main
 
 from test_graph_io import SQUARE_CYCLE_DOC
@@ -309,6 +309,26 @@ class TestDotCommand:
         assert out.startswith("graph G {")
         assert 'a -- b [label="(0.4, 0.7)"];' in out
 
+    @pytest.mark.parametrize("escape", ["\\ud800", "\\udc80"])
+    def test_label_that_does_not_encode_as_utf8_exits_two(self, escape, tmp_path):
+        # valid JSON whose lone surrogate a UTF-8 stdout cannot write; the
+        # document is refused before anything reaches stdout
+        path = tmp_path / "surrogate.json"
+        path.write_text(
+            '{"format_version": 1, "vertices": [{"id": "%s", "mu": 0.5, "nu": 0.5}], "edges": []}'
+            % escape
+        )
+        env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+        for argv in (["dot", str(path)], ["validate", str(path)]):
+            cli = subprocess.run(
+                [sys.executable, "-m", "pfgraph.cli", *argv], capture_output=True, env=env
+            )
+            assert cli.returncode == 2, cli.stderr
+            assert cli.stdout == b""
+            error = json.loads(cli.stderr)
+            assert error["error"] == "MalformedDocument"
+            assert "does not encode as UTF-8" in error["message"]
+
 
 class TestStdinPiping:
     def test_dash_reads_stdin(self, capsys, monkeypatch):
@@ -377,6 +397,34 @@ class TestEpsilonOverride:
         monkeypatch.setenv("PFG_EPSILON", "0.01")
         code, _, _ = run_cli(["validate", str(path)], capsys)
         assert code == 0
+
+
+    def test_epsilon_applies_to_one_call_only(self, square_cycle_file, capsys, monkeypatch):
+        set_tolerance(1e-7)
+        monkeypatch.setenv("PFG_EPSILON", "1e-3")
+        code, _, _ = run_cli(["validate", square_cycle_file], capsys)
+        assert code == 0
+        assert tolerance() == 1e-7
+
+    def test_tolerance_is_restored_after_a_failing_command(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "over.json"
+        path.write_text(
+            '{"format_version": 1, "vertices": [{"id": "a", "mu": 0.9, "nu": 0.9}], "edges": []}'
+        )
+        set_tolerance(1e-7)
+        monkeypatch.setenv("PFG_EPSILON", "1e-3")
+        failing = {
+            "ConstraintViolation": ["classify", str(path)],
+            "IOError": ["validate", str(tmp_path / "missing.json")],
+            "UsageError": ["gen", "--seed", "1", "--n", "-1"],
+        }
+        for error, argv in failing.items():
+            code, out, err = run_cli(argv, capsys)
+            assert code in (1, 2) and out == "" and json.loads(err)["error"] == error
+            assert tolerance() == 1e-7, argv
+        # argparse's own exit, before any command runs
+        code, _, _ = run_cli(["gen"], capsys)
+        assert code == 2 and tolerance() == 1e-7
 
 
 class TestInstalledEntryPoint:

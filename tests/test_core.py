@@ -86,6 +86,14 @@ class TestValidate:
         g = PFGraph({"": PFDegree(0.5, 0.5)})
         assert validate(g).violations[0].kind == "bad_vertex_id"
 
+    @pytest.mark.parametrize("label", ["\ud800", "\udc80", "a\udfff"])
+    def test_vertex_id_that_does_not_encode_as_utf8_reported(self, label):
+        # render would write it as a JSON escape that parse rejects
+        g = PFGraph({label: PFDegree(0.5, 0.5), "é": PFDegree(0.5, 0.5)})
+        assert [tuple(v) for v in validate(g).violations] == [
+            ("bad_vertex_id", repr(label), "vertex ids must encode as UTF-8")
+        ]
+
     def test_labels_without_order_reach_the_report(self):
         # 1 < "a" raises TypeError; the graph must still be built and described
         d = PFDegree(0.5, 0.5)
@@ -201,6 +209,16 @@ class TestHesitation:
     def test_violating_pair_raises(self):
         with pytest.raises(ConstraintViolation):
             hesitation(PFDegree(0.9, 0.9))
+
+    @pytest.mark.parametrize(
+        "d", [PFDegree(math.nan, 0.5), PFDegree(-0.5, 0.0), PFDegree(0.2, -0.9)], ids=repr
+    )
+    def test_component_outside_the_unit_range_raises(self, d):
+        # each has a squared sum within 1 (NaN compares false), so only the
+        # unit-range rule catches it
+        with pytest.raises(ConstraintViolation, match=r"outside \[0, 1\]") as raised:
+            hesitation(d)
+        assert f"({d.mu!r}, {d.nu!r})" in str(raised.value)
 
     @given(valid_degrees())
     def test_squares_total_one(self, d):

@@ -211,6 +211,17 @@ class TestParse:
         with pytest.raises(MalformedDocument, match="nested too deeply"):
             parse("[" * 100_000 + "]" * 100_000)
 
+    @pytest.mark.parametrize("escape", ["\\ud800", "\\udc80", "a\\udfff"])
+    @pytest.mark.parametrize("check", [True, False])
+    def test_vertex_id_that_does_not_encode_as_utf8_is_malformed(self, escape, check):
+        # valid JSON, but a lone surrogate cannot be written to a UTF-8 stream
+        text = '{"format_version": 1, "vertices": [{"id": "%s", "mu": 0.5, "nu": 0.5}], "edges": []}'
+        with pytest.raises(MalformedDocument, match="does not encode as UTF-8"):
+            parse(text % escape, check=check)
+        # an escaped pair is one code point, and non-ASCII labels still parse
+        for label in ("\\ud83d\\ude00", "\\u00e9"):
+            assert list(parse(text % label, check=check).vertices) == [json.loads(f'"{label}"')]
+
 
 def _document(vertices, edges):
     return json.dumps(

@@ -19,6 +19,7 @@ from pfgraph import (
     degrees_close,
     find_morphism,
     generate,
+    set_tolerance,
     strong_complement,
     complete_complement,
     tolerance,
@@ -379,29 +380,153 @@ def _to_networkx(nx, g):
     return nxg
 
 
+def _relabelled_variants(g, rng):
+    """Relabelled copies of g: as it is, with one pair changed, with one edge
+    raised (mu up to its bound, nu halved), with one absent pair added at
+    its bound and with one vertex raised.  Weak isomorphism from g survives
+    a raised edge or an added pair, co-weak isomorphism an added pair or a
+    raised vertex, so each kind meets found and not-found cases."""
+    variants = [g]
+    key, degree, bound = rng.choice(list(g.pair_rows()))
+    changed = bound if degree != bound else PFDegree(bound.mu / 2, bound.nu / 2)
+    variants.append(PFGraph(g.vertices, {**g.edges, key: changed}))
+    if g.edges:
+        key = rng.choice(sorted(g.edges))
+        raised = PFDegree(g.pair_bound(*key).mu, g.edges[key].nu / 2)
+        variants.append(PFGraph(g.vertices, {**g.edges, key: raised}))
+    absent = [key for key in g.pairs() if key not in g.edges]
+    if absent:
+        key = rng.choice(absent)
+        variants.append(PFGraph(g.vertices, {**g.edges, key: g.pair_bound(*key)}))
+    v = rng.choice(sorted(g.vertices))
+    mu, nu = g.vertices[v]
+    variants.append(PFGraph({**g.vertices, v: PFDegree(min(1.0, mu + 0.1), nu / 2)}, g.edges))
+    labels = list(g.vertices)
+    return [relabel_with(h, dict(zip(labels, rng.sample(labels, len(labels))))) for h in variants]
+
+
 def test_isomorphism_agrees_with_networkx():
     # quantised degrees keep every present edge far from (0, 0), so networkx's
     # edge structure plus an edge match checks the same pair function
     nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
     eps = tolerance()
 
     def match(a, b):
         return degrees_close(a["degree"], b["degree"], eps)
 
+    def maps_into(s, t):
+        return s.mu <= t.mu + eps and s.nu >= t.nu - eps
+
+    # With equal vertex counts and every source edge's mu above eps, a weak
+    # or co-weak isomorphism is a monomorphism: a source edge cannot land on
+    # a non-edge, and target edges without a source edge are never checked.
+    # GraphMatcher(G2, G1) looks for a subgraph of G2 monomorphic to G1 and
+    # passes match arguments as (G2's, G1's), that is (target, source).
+    relations = {
+        WEAK: (degrees_close, maps_into),
+        COWEAK: (maps_into, degrees_close),
+    }
+
+    def monomorphic(g, h, kind):
+        vertex_rel, edge_rel = relations[kind]
+        matcher = GraphMatcher(
+            _to_networkx(nx, h),
+            _to_networkx(nx, g),
+            node_match=lambda t, s: vertex_rel(s["degree"], t["degree"]),
+            edge_match=lambda t, s: edge_rel(s["degree"], t["degree"]),
+        )
+        return matcher.subgraph_is_monomorphic()
+
     rng = random.Random(6)
+    found = dict.fromkeys((ISO, WEAK, COWEAK), 0)
+    cases = dict.fromkeys((ISO, WEAK, COWEAK), 0)
     for n in range(5, 9):
         for family in FAMILIES:
             for seed in range(3):
                 g = generate(GenConfig(seed=100 * n + seed, n_vertices=n, family=family, quantize=1))
-                key, degree, bound = rng.choice(list(g.pair_rows()))
-                changed = bound if degree != bound else PFDegree(bound.mu / 2, bound.nu / 2)
-                for other in (g, PFGraph(g.vertices, {**g.edges, key: changed})):
-                    labels = list(other.vertices)
-                    h = relabel_with(other, dict(zip(labels, rng.sample(labels, n))))
-                    report = find_morphism(g, h, ISO)
-                    expected = nx.is_isomorphic(
-                        _to_networkx(nx, g), _to_networkx(nx, h), node_match=match, edge_match=match
-                    )
-                    assert report.found == expected, (g, h)
-                    if report.found:
-                        assert verify_morphism(g, h, ISO, report.witness).ok
+                # the monomorphism check needs every source edge's mu above eps
+                positive = PFGraph(g.vertices, {k: d for k, d in g.edges.items() if d.mu > eps})
+                for kinds, source in (((ISO,), g), ((WEAK, COWEAK), positive)):
+                    for h in _relabelled_variants(source, rng):
+                        for kind in kinds:
+                            report = find_morphism(source, h, kind)
+                            if kind is ISO:
+                                expected = nx.is_isomorphic(
+                                    _to_networkx(nx, source), _to_networkx(nx, h),
+                                    node_match=match, edge_match=match,
+                                )
+                            else:
+                                expected = monomorphic(source, h, kind)
+                            assert report.found == expected, (kind, source, h)
+                            cases[kind] += 1
+                            if report.found:
+                                found[kind] += 1
+                                assert verify_morphism(source, h, kind, report.witness).ok
+    # the corpus meets both answers often for every kind
+    assert all(40 <= found[kind] <= cases[kind] - 40 for kind in found), (found, cases)
+
+
+# --- the least witness, against plain enumeration ---------------------------
+# At a power-of-two tolerance, D0 and D1 lie exactly the tolerance apart in
+# both components, so each of the two relations holds between them with
+# equality in every direction: the candidate filter keeps every target and
+# the search's value order alone decides which witness comes first.
+
+BOUNDARY_EPS = 2.0 ** -20
+D0 = PFDegree(0.5, 0.5)
+D1 = PFDegree(0.5 + BOUNDARY_EPS, 0.5 - BOUNDARY_EPS)
+EDGE_PALETTE = (PFDegree(0.5, 0.25), PFDegree(0.25, 0.5), PFDegree(0.25, 0.25))
+
+
+@pytest.fixture
+def boundary_tolerance():
+    saved = tolerance()
+    set_tolerance(BOUNDARY_EPS)
+    yield
+    set_tolerance(saved)
+
+
+def _one_degree_graph(rng, labels, density):
+    vertices = {v: rng.choice((D0, D1)) for v in labels}
+    pairs = [p for p in itertools.combinations(labels, 2) if rng.random() < density]
+    return PFGraph(vertices, {p: rng.choice(EDGE_PALETTE) for p in pairs})
+
+
+def _first_passing(g1, g2, kind):
+    """The first map in itertools order (product for homomorphism,
+    permutations otherwise) that verify_morphism accepts, or None."""
+    source, targets = sorted(g1.vertices), sorted(g2.vertices)
+    if kind is HOMO:
+        combos = itertools.product(targets, repeat=len(source))
+    else:
+        combos = itertools.permutations(targets)
+    for combo in combos:
+        mapping = dict(zip(source, combo))
+        if verify_morphism(g1, g2, kind, mapping).ok:
+            return mapping
+    return None
+
+
+def test_witness_is_the_first_passing_map_in_enumeration_order(boundary_tolerance):
+    assert abs(D1.mu - D0.mu) == abs(D1.nu - D0.nu) == BOUNDARY_EPS
+    rng = random.Random(17)
+    answers = []
+    for n, trials in ((5, 8), (6, 6), (7, 4)):
+        sources = [f"s{i}" for i in range(n)]
+        for _ in range(trials):
+            g1 = _one_degree_graph(rng, sources, rng.choice((0.3, 0.5, 0.7)))
+            # a relabelled copy with one pair changed, so that maps exist
+            # but some pairs fail, with targets in an order the sources' is not
+            targets = [f"t{i}" for i in rng.sample(range(n), n)]
+            key = rng.choice(list(itertools.combinations(sources, 2)))
+            edges = {**g1.edges, key: rng.choice(EDGE_PALETTE)}
+            g2 = relabel_with(PFGraph(g1.vertices, edges), dict(zip(sources, targets)))
+            # homomorphism into a smaller, denser graph: product over at most 5 targets
+            small = _one_degree_graph(rng, [f"t{i}" for i in range(rng.randint(3, 10 - n))], 0.8)
+            for kind, target in ((ISO, g2), (WEAK, g2), (COWEAK, g2), (HOMO, small)):
+                expected = _first_passing(g1, target, kind)
+                assert find_morphism(g1, target, kind).witness == expected, (kind, g1, target)
+                answers.append(expected is not None)
+    assert 0.25 * len(answers) < sum(answers) < 0.9 * len(answers), answers

@@ -1,21 +1,26 @@
 """The morphism search makes the same attempts and finds the same witnesses
-as the search it replaced, kept verbatim in ``reference_search.py``."""
+as the search it replaced, and the verifier reports the same violations as
+the verifier it replaced; both are kept verbatim in ``reference_search.py``."""
 
 import itertools
 import math
+import random
 
 from hypothesis import given, settings, strategies as st
 
 from pfgraph import (
     MorphismKind,
     PFDegree,
+    PFGError,
     PFGraph,
     complement,
     find_morphism,
     is_self_complementary,
+    verify_morphism,
 )
 
 from reference_search import find_morphism as reference_find_morphism
+from reference_search import verify_morphism as reference_verify_morphism
 from test_acceptance import _corpus_n1, _corpus_n2, _corpus_n3, _corpus_n4
 
 KINDS = tuple(MorphismKind)
@@ -62,8 +67,8 @@ label_lists = st.one_of(
 
 
 @st.composite
-def graphs(draw):
-    vertices = {v: draw(vertex_degrees) for v in draw(label_lists)}
+def graphs(draw, labels=label_lists):
+    vertices = {v: draw(vertex_degrees) for v in draw(labels)}
     pairs = list(itertools.combinations(vertices, 2))
     chosen = draw(st.lists(st.one_of(st.none(), degrees), min_size=len(pairs), max_size=len(pairs)))
     return PFGraph(vertices, {pair: d for pair, d in zip(pairs, chosen) if d is not None})
@@ -102,6 +107,85 @@ def graph_pairs(draw):
 @given(graph_pairs())
 def test_same_reports_on_hypothesis_graphs(pair):
     assert_same_reports(*pair)
+
+
+# --- the verifier against the one it replaced ---------------------------------
+
+def _checked(verify, g1, g2, kind, mapping):
+    try:
+        return verify(g1, g2, kind, mapping)
+    except PFGError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_checks(g1, g2, mapping):
+    for kind in KINDS:
+        check = _checked(verify_morphism, g1, g2, kind, mapping)
+        # ok and the violation tuple, in order, or the same error
+        assert check == _checked(reference_verify_morphism, g1, g2, kind, mapping), (
+            kind, g1, g2, mapping,
+        )
+
+
+def _grid_mappings(g1, g2, rng):
+    """Each kind's witness, a random total map (often not injective) and a
+    random injective map, which is partial when g1 has more vertices."""
+    mappings = [find_morphism(g1, g2, kind).witness for kind in KINDS]
+    targets = list(g2.vertices)
+    if targets:
+        mappings.append({u: rng.choice(targets) for u in g1.vertices})
+        mappings.append(dict(zip(g1.vertices, rng.sample(targets, len(targets)))))
+    return [m for m in mappings if m is not None]
+
+
+def test_same_checks_on_a_slice_of_the_grid_corpora():
+    rng = random.Random(11)
+    n1, n2, n3, n4 = _corpus_n1(), _corpus_n2(), _corpus_n3(), _corpus_n4()
+    small, large = n1[::2] + n2[::9], n3[::17] + n4[::5]
+    pairs = itertools.chain(
+        *(itertools.product(bucket, repeat=2) for bucket in (n1[::3], n2[::8], n3[::18], n4[::2])),
+        itertools.product(small, large),
+        itertools.product(large, small),
+    )
+    for g1, g2 in pairs:
+        for mapping in _grid_mappings(g1, g2, rng):
+            assert_same_checks(g1, g2, mapping)
+
+
+# a target may mix int and str labels, which ``<`` cannot order
+mixed_label_lists = st.lists(
+    st.one_of(st.text(alphabet="abcd", min_size=1, max_size=2), st.integers(-3, 5)),
+    unique=True,
+    max_size=5,
+)
+
+
+
+@st.composite
+def mapped_pairs(draw):
+    """Two graphs and a map between them: a witness of some kind, a total
+    map (for homomorphism, often not injective) or an injective one."""
+    g1, g2 = draw(st.one_of(graph_pairs(), st.tuples(graphs(), graphs(mixed_label_lists))))
+    targets = list(g2.vertices)
+    if not targets:
+        return g1, g2, {}
+    how = draw(st.sampled_from(("witness", "total", "injective")))
+    if how == "witness":
+        try:
+            witness = find_morphism(g1, g2, draw(st.sampled_from(KINDS))).witness
+        except PFGError:  # mixed target labels cannot be searched
+            witness = None
+        if witness is not None:
+            return g1, g2, witness
+    if how == "injective" and len(targets) >= len(g1.vertices):
+        return g1, g2, dict(zip(g1.vertices, draw(st.permutations(targets))))
+    return g1, g2, {u: draw(st.sampled_from(targets)) for u in g1.vertices}
+
+
+@settings(max_examples=400, deadline=None)
+@given(mapped_pairs())
+def test_same_checks_on_hypothesis_graphs(case):
+    assert_same_checks(*case)
 
 
 # --- attempt counts pinned from the search's first version ------------------

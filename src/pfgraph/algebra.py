@@ -25,7 +25,6 @@ from .core import (
     PairKey,
     degree_max_min,
     degree_min_max,
-    degrees_close,
     sorted_labels,
     tolerance,
 )
@@ -195,9 +194,18 @@ def complement(g: PFGraph) -> PFGraph:
     eps = tolerance()
     new = tuple.__new__
     edges = {}
-    for key, (mu, nu), (bmu, bnu) in g.pair_rows():
-        mu = bmu if mu <= eps else _bound_minus(bmu, mu, eps)
-        nu = bnu if nu <= eps else _bound_minus(bnu, nu, eps)
+    for key, (mu, nu), bmu, bnu in g._pair_scan():
+        # _bound_minus's common case inline: a result above eps is returned as it is
+        if mu <= eps:
+            mu = bmu
+        else:
+            rest = bmu - mu
+            mu = rest if rest > eps else _bound_minus(bmu, mu, eps)
+        if nu <= eps:
+            nu = bnu
+        else:
+            rest = bnu - nu
+            nu = rest if rest > eps else _bound_minus(bnu, nu, eps)
         if mu != 0.0 or nu != 0.0:
             edges[key] = new(PFDegree, (mu, nu))
     return PFGraph._adopt(dict(g.vertices), edges)
@@ -207,7 +215,7 @@ def _zero_or_bound_complement(g: PFGraph) -> PFGraph:
     eps = tolerance()
     new = tuple.__new__
     edges = {}
-    for key, (mu, nu), (bmu, bnu) in g.pair_rows():
+    for key, (mu, nu), bmu, bnu in g._pair_scan():
         mu = 0.0 if mu > eps else bmu
         nu = 0.0 if nu > eps else bnu
         if mu != 0.0 or nu != 0.0:
@@ -218,14 +226,22 @@ def _zero_or_bound_complement(g: PFGraph) -> PFGraph:
 def strong_complement(g: PFGraph, force: bool = False) -> PFGraph:
     """Complement for strong graphs: positive components zeroed, absent ones raised.
 
-    Requires the input to be strong unless ``force`` is set.
+    Requires the input to be strong unless ``force`` is set.  The check
+    walks the edges in order: a dangling edge raises DanglingEdge and an
+    edge off its bound raises NotStrong, whichever comes first.
     """
-    eps = tolerance()
-    if not force and not all(
-        degrees_close(degree, g.pair_bound(key.lo, key.hi), eps)
-        for key, degree in g.edges.items()
-    ):
-        raise NotStrong("input graph is not strong; pass force=True to override")
+    if not force:
+        eps = tolerance()
+        get = g.vertices.get
+        for (lo, hi), (mu, nu) in g.edges.items():
+            a, b = get(lo), get(hi)
+            if a is None or b is None:
+                g.pair_bound(lo, hi)  # raises DanglingEdge naming the edge
+            (amu, anu), (bmu, bnu) = a, b
+            bound_mu = bmu if bmu < amu else amu  # degree_min_max's tie rule: lo's value wins
+            bound_nu = bnu if bnu > anu else anu
+            if not (abs(mu - bound_mu) <= eps and abs(nu - bound_nu) <= eps):
+                raise NotStrong("input graph is not strong; pass force=True to override")
     return _zero_or_bound_complement(g)
 
 
@@ -233,7 +249,7 @@ def complete_complement(g: PFGraph, force: bool = False) -> PFGraph:
     """Complement for complete graphs; for a genuinely complete input it is edgeless."""
     eps = tolerance()
     if not force and not all(
-        degrees_close(degree, bound, eps) for _, degree, bound in g.pair_rows()
+        abs(mu - bmu) <= eps and abs(nu - bnu) <= eps for _, (mu, nu), bmu, bnu in g._pair_scan()
     ):
         raise NotComplete("input graph is not complete; pass force=True to override")
     return _zero_or_bound_complement(g)

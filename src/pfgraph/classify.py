@@ -49,7 +49,7 @@ def classify(g: PFGraph) -> Classification:
         return len(strength) + len(completeness) == 5
 
     # the scan stops once every flag has its witness: later pairs change nothing
-    for key, (mu, nu), (bmu, bnu) in g.pair_rows():
+    for key, (mu, nu), bmu, bnu in g._pair_scan():
         mu_equal = abs(mu - bmu) <= eps
         nu_equal = abs(nu - bnu) <= eps
         if key in edges:
@@ -101,7 +101,7 @@ class SumIdentityReport(NamedTuple):
 def _sum_report(g: PFGraph, factor: float) -> SumIdentityReport:
     eps = tolerance()
     edge_mu = edge_nu = bound_mu = bound_nu = 0.0
-    for _, (mu, nu), (bmu, bnu) in g.pair_rows():
+    for _, (mu, nu), bmu, bnu in g._pair_scan():
         edge_mu += mu
         edge_nu += nu
         bound_mu += bmu
@@ -169,7 +169,7 @@ def half_strong_construction(p: Mapping[str, PFDegree]) -> PFGraph:
     g = PFGraph(p)
     new = tuple.__new__
     edges = {}
-    for key, _, (bmu, bnu) in g.pair_rows():
+    for key, _, bmu, bnu in g._pair_scan():
         mu, nu = 0.5 * bmu, 0.5 * bnu
         if mu != 0.0 or nu != 0.0:
             edges[key] = new(PFDegree, (mu, nu))

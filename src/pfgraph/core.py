@@ -19,7 +19,7 @@ Design choices baked into this module:
   the label pair (lo, hi) in canonical order, which makes symmetry
   structural; self-loops are rejected at key construction.  PairKey and
   :class:`PFDegree` (mu, nu) are tuples and compare, hash and sort as such.
-- A dangling edge names an undeclared vertex: :meth:`PFGraph.pair_rows`
+- A dangling edge names an undeclared vertex: :meth:`PFGraph._pair_scan`
   never yields it, :func:`validate` reports it, and an operation that needs
   its endpoints' degrees raises DanglingEdge.
 - An edge whose degree is exactly (0, 0) means "no edge" and is removed
@@ -31,13 +31,16 @@ Design choices baked into this module:
   ``mu != 0.0 or nu != 0.0`` is ``!= ZERO_DEGREE``, for -0.0 and NaN too)
   and hand their maps to :meth:`PFGraph._adopt` once.
 - Every pass over all unordered vertex pairs goes through
-  :meth:`PFGraph.pair_rows`, which yields each pair with its edge degree
-  (an absent edge reads as (0, 0)) and its attainable bound.  It sorts the
-  labels once and builds each key and bound as a bare tuple, with no
-  per-pair Python-level call.  Every pass that sorts vertex labels goes through
-  :func:`sorted_vertices`, so labels that ``<`` cannot put in a strict
-  order (an int beside a str, NaN) raise ConstraintViolation with the
-  validation report rather than TypeError or a silently wrong order.
+  :meth:`PFGraph._pair_scan`, which yields each pair as a flat row: its
+  key, its edge degree (an absent edge reads as (0, 0)) and the two
+  components of its attainable bound.  It sorts the labels once and builds
+  each key as a bare tuple, with no per-pair Python-level call and no bound
+  tuple.  :meth:`PFGraph.pair_rows` is the public view of the same rows,
+  with the bound as a PFDegree; no pass in the package calls it.  Every
+  pass that sorts vertex labels goes through :func:`sorted_vertices`, so
+  labels that ``<`` cannot put in a strict order (an int beside a str,
+  NaN) raise ConstraintViolation with the validation report rather than
+  TypeError or a silently wrong order.
 - Values are immutable after construction.  Operations elsewhere in the
   package return new graphs and never mutate their inputs.  Every record
   type (:class:`Violation`, :class:`ValidationReport`, and the reports and
@@ -190,7 +193,9 @@ class PairKey(tuple):
     """Canonical unordered pair of vertex labels (the edge key).
 
     ``PairKey(u, v) == PairKey(v, u)`` by construction; self-loops are
-    rejected because the underlying graphs are simple.
+    rejected because the underlying graphs are simple.  Labels that ``<``
+    cannot order either way (an int and a str, or two frozensets neither of
+    which contains the other) are ordered by :func:`_fallback_order`.
     """
 
     __slots__ = ()
@@ -199,7 +204,7 @@ class PairKey(tuple):
         if u == v:
             raise ValueError(f"self-loop on vertex {u!r} is not allowed")
         try:
-            ordered = u < v
+            ordered = u < v or not v < u and _fallback_order(u) < _fallback_order(v)
         except TypeError:  # an int and a str label, say
             ordered = _fallback_order(u) < _fallback_order(v)
         return tuple.__new__(cls, (u, v) if ordered else (v, u))
@@ -285,7 +290,7 @@ class PFGraph:
 
     def pairs(self) -> Iterator[PairKey]:
         """All unordered pairs of distinct vertices, edge or not."""
-        return (key for key, _, _ in self.pair_rows())
+        return (key for key, _, _, _ in self._pair_scan())
 
     def pair_bound(self, u: str, v: str) -> PFDegree:
         """The largest degree an edge between u and v may carry; DanglingEdge if one is absent."""
@@ -298,11 +303,22 @@ class PFGraph:
         """(key, degree, bound) for every unordered pair, in sorted key order.
 
         ``degree`` is ZERO_DEGREE when the pair has no edge and ``bound`` is
-        :meth:`pair_bound` of the pair.  The labels are sorted once by
-        :func:`sorted_vertices`; strictly increasing labels are already in
-        PairKey's canonical order, and the bound follows
-        :func:`degree_min_max`'s rule exactly (the lower label's value wins
-        ties), so both are built as bare tuples without a per-pair call.
+        :meth:`pair_bound` of the pair.  These are the rows of
+        :meth:`_pair_scan` with the bound built as a PFDegree.
+        """
+        new = tuple.__new__
+        for key, degree, bound_mu, bound_nu in self._pair_scan():
+            yield key, degree, new(PFDegree, (bound_mu, bound_nu))
+
+    def _pair_scan(self) -> Iterator[tuple[PairKey, PFDegree, float, float]]:
+        """(key, degree, bound_mu, bound_nu) for every unordered pair, in sorted key order.
+
+        The labels are sorted once by :func:`sorted_vertices`; strictly
+        increasing labels are already in PairKey's canonical order, so each
+        key is built as a bare tuple.  ``degree`` is the edge's own degree
+        object, or ZERO_DEGREE when the pair has no edge, and the bound
+        follows :func:`degree_min_max`'s rule exactly (the lower label's
+        value wins ties), with no per-pair call and no bound tuple.
         """
         get = self.edges.get
         items = sorted_vertices(self)
@@ -310,8 +326,7 @@ class PFGraph:
         for i, (u, (umu, unu)) in enumerate(items, 1):
             for v, (vmu, vnu) in items[i:]:
                 key = new(PairKey, (u, v))
-                bound = new(PFDegree, (vmu if vmu < umu else umu, vnu if vnu > unu else unu))
-                yield key, get(key, ZERO_DEGREE), bound
+                yield key, get(key, ZERO_DEGREE), vmu if vmu < umu else umu, vnu if vnu > unu else unu
 
 
 class Violation(NamedTuple):
@@ -480,18 +495,26 @@ def graphs_close(g1: PFGraph, g2: PFGraph, eps: float | None = None) -> bool:
     """Equality up to tolerance: same vertices, all degrees within eps.
 
     Edge presence may differ only where the present degree is within eps of
-    (0, 0), because absent edges read as exactly (0, 0).
+    (0, 0), because absent edges read as exactly (0, 0).  Each test is
+    :func:`degrees_close`'s, inline, so NaN is close to nothing.
     """
     if eps is None:
         eps = tolerance()
-    if set(g1.vertices) != set(g2.vertices):
+    vertices1, vertices2 = g1.vertices, g2.vertices
+    if vertices1.keys() != vertices2.keys():
         return False
-    for label in g1.vertices:
-        if not degrees_close(g1.vertices[label], g2.vertices[label], eps):
+    for label, (mu, nu) in vertices1.items():
+        other_mu, other_nu = vertices2[label]
+        if not (abs(mu - other_mu) <= eps and abs(nu - other_nu) <= eps):
             return False
-    for key in set(g1.edges) | set(g2.edges):
-        d1 = g1.edges.get(key, ZERO_DEGREE)
-        d2 = g2.edges.get(key, ZERO_DEGREE)
-        if not degrees_close(d1, d2, eps):
+    edges1, edges2 = g1.edges, g2.edges
+    get = edges2.get
+    for key, (mu, nu) in edges1.items():
+        other_mu, other_nu = get(key, ZERO_DEGREE)
+        if not (abs(mu - other_mu) <= eps and abs(nu - other_nu) <= eps):
+            return False
+    for key in edges2.keys() - edges1.keys():
+        other_mu, other_nu = edges2[key]
+        if not (abs(other_mu) <= eps and abs(other_nu) <= eps):  # against an absent (0, 0)
             return False
     return True

@@ -207,7 +207,14 @@ def verify_morphism(
         ("mapping values not in the target graph", mapping.values(), g2.vertices),
         ("mapping is not total on the source graph", g1.vertices, mapping),
     ):
-        unknown = [v for v in labels if v not in known]
+        unknown = []
+        for v in labels:
+            try:
+                if v in known:
+                    continue
+            except TypeError:  # an unhashable label is in no graph
+                pass
+            unknown.append(v)
         if unknown:
             raise UnknownVertex(f"{message}: {sorted_labels(unknown)}")
 
@@ -232,7 +239,7 @@ def verify_morphism(
             violations.append(f"vertex condition fails at {u!r} -> {mapping[u]!r}")
 
     if kind is MorphismKind.ISOMORPHISM:
-        checked = ((key, s) for key, s, _ in g1.pair_rows())
+        checked = ((key, s) for key, s, _, _ in g1._pair_scan())
     else:
         checked = _edges_with_declared_endpoints(g1)
     target_edge = g2.edges.get

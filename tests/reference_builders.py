@@ -7,11 +7,14 @@ edge degrees themselves and hand their maps to ``PFGraph._adopt`` once;
 keeps the earlier bodies verbatim: every key through ``PairKey(...)``,
 every degree through ``PFDegree(...)`` or ``degree_min_max``, every graph
 through the checking constructor ``PFGraph(...)``, and a classify that
-scans every pair.  Each body calls this module's own copies of the
-others, so the property tests in ``test_builders.py`` compare the library
-against an independent path and require the same graph (vertices, edges,
-edge order and rendered bytes), the same classification, or the same
-exception class and message.
+scans every pair.  It also keeps the sum identities and ``graphs_close``
+as they were before the pair scan yielded flat rows: every pair through
+``PFGraph.pair_rows`` and every comparison through ``degrees_close``.
+Each body calls this module's own copies of the others, so the property
+tests in ``test_builders.py`` compare the library against an independent
+path and require the same graph (vertices, edges, edge order and rendered
+bytes), the same classification, the same sum report to the bit, the same
+verdict, or the same exception class and message.
 """
 
 import math
@@ -21,6 +24,8 @@ from typing import Iterable, Mapping, Optional
 from pfgraph import (
     Classification,
     ConstraintViolation,
+    SumIdentityReport,
+    ZERO_DEGREE,
     GenConfig,
     LabelClash,
     NotComplete,
@@ -262,3 +267,58 @@ def half_strong_construction(p: Mapping[str, PFDegree]) -> PFGraph:
     g = PFGraph(p)
     edges = {key: PFDegree(0.5 * bmu, 0.5 * bnu) for key, _, (bmu, bnu) in g.pair_rows()}
     return PFGraph(g.vertices, edges)
+
+
+def _sum_report(g: PFGraph, factor: float) -> SumIdentityReport:
+    eps = tolerance()
+    edge_mu = edge_nu = bound_mu = bound_nu = 0.0
+    for _, (mu, nu), (bmu, bnu) in g.pair_rows():
+        edge_mu += mu
+        edge_nu += nu
+        bound_mu += bmu
+        bound_nu += bnu
+    rhs_mu = factor * bound_mu
+    rhs_nu = factor * bound_nu
+    return SumIdentityReport(
+        lhs_mu=edge_mu,
+        rhs_mu=rhs_mu,
+        lhs_nu=edge_nu,
+        rhs_nu=rhs_nu,
+        holds_mu=abs(edge_mu - rhs_mu) <= eps,
+        holds_nu=abs(edge_nu - rhs_nu) <= eps,
+    )
+
+
+def sum_identity(g: PFGraph) -> SumIdentityReport:
+    """Edge-degree totals against half the pair-bound totals.
+
+    Every graph isomorphic to its general complement satisfies both
+    equalities; the converse does not hold.
+    """
+    return _sum_report(g, 0.5)
+
+
+def strong_sum_identity(g: PFGraph) -> SumIdentityReport:
+    """Edge-degree totals against the full pair-bound totals (no half factor)."""
+    return _sum_report(g, 1.0)
+
+
+def graphs_close(g1: PFGraph, g2: PFGraph, eps: float | None = None) -> bool:
+    """Equality up to tolerance: same vertices, all degrees within eps.
+
+    Edge presence may differ only where the present degree is within eps of
+    (0, 0), because absent edges read as exactly (0, 0).
+    """
+    if eps is None:
+        eps = tolerance()
+    if set(g1.vertices) != set(g2.vertices):
+        return False
+    for label in g1.vertices:
+        if not degrees_close(g1.vertices[label], g2.vertices[label], eps):
+            return False
+    for key in set(g1.edges) | set(g2.edges):
+        d1 = g1.edges.get(key, ZERO_DEGREE)
+        d2 = g2.edges.get(key, ZERO_DEGREE)
+        if not degrees_close(d1, d2, eps):
+            return False
+    return True

@@ -1,14 +1,18 @@
-"""The graph builders against their earlier bodies in ``reference_builders``.
+"""The graph builders and pair passes against their earlier bodies in ``reference_builders``.
 
 ``generate``, the complements, ``half_strong_construction`` and the
 products write keys and degrees as bare tuples and hand their maps over
-once; ``classify`` stops at its fifth witness.  Each must give what the
-reference gives: the same vertices and edges (compared by repr, so NaN,
--0.0 and the key and degree types count), the same edge order, the same
-rendered bytes, or the same exception class and message.
+once; ``classify`` stops at its fifth witness; the complements, the
+classification, the sum identities and ``graphs_close`` read flat pair
+rows and compare inline.  Each must give what the reference gives: the
+same vertices and edges (compared by repr, so NaN, -0.0 and the key and
+degree types count), the same edge order, the same rendered bytes, the
+same sum report to the bit, the same verdict, or the same exception class
+and message.
 """
 
 import hashlib
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,9 +30,12 @@ from pfgraph import (
     complete_complement,
     composition,
     generate,
+    graphs_close,
     half_strong_construction,
     render,
     strong_complement,
+    strong_sum_identity,
+    sum_identity,
 )
 from reference_codec import boundary_specs
 
@@ -110,6 +117,110 @@ def test_complements_of_generated_graphs_match_reference():
         assert_same(complement, ref.complement, g)
         assert_same(strong_complement, ref.strong_complement, g)
         assert_same(complete_complement, ref.complete_complement, g)
+
+
+@settings(deadline=None, max_examples=300)
+@given(g=hand_built(), data=st.data())
+def test_strong_complement_raises_as_reference_on_non_strong_dangling_graphs(g, data):
+    # the check walks the edges in order, so whichever of the two comes first decides
+    d = PFDegree(0.5, 0.5)
+    edges = list(g.edges.items())
+    for extra in ((("p", "q"), PFDegree(0.25, 0.5)), (("q", "zz"), d)):
+        edges.insert(data.draw(st.integers(0, len(edges))), extra)
+    h = PFGraph({**g.vertices, "p": d, "q": d}, edges)
+    assert outcome(strong_complement, h)[0] == "raise"
+    assert_same(strong_complement, ref.strong_complement, h)
+
+
+@settings(deadline=None, max_examples=300)
+@given(g=hand_built())
+def test_sum_reports_match_reference_to_the_bit(g):
+    assert repr(sum_identity(g)) == repr(ref.sum_identity(g))
+    assert repr(strong_sum_identity(g)) == repr(ref.strong_sum_identity(g))
+
+
+def test_sum_reports_of_generated_graphs_match_reference_to_the_bit():
+    # n up to 40 gives 780 terms per total, so any change in summation order shows
+    for seed in range(40):
+        g = generate(GenConfig(seed=seed, n_vertices=1 + seed, family=FAMILIES[seed % 4],
+                               quantize=(None, 1, 2)[seed % 3]))
+        assert repr(sum_identity(g)) == repr(ref.sum_identity(g))
+        assert repr(strong_sum_identity(g)) == repr(ref.strong_sum_identity(g))
+
+
+# a power of two: a value moved by it, by half of it or by twice it mostly moves exactly,
+# so many differences land on the tolerance itself, where <= and < disagree
+CLOSE_EPS = 2.0**-20
+NEAR_VALUES = st.sampled_from([CLOSE_EPS, -CLOSE_EPS, CLOSE_EPS / 2, 2 * CLOSE_EPS, math.nan])
+
+
+@st.composite
+def near_pairs(draw):
+    """(g, h): a hand-built graph and a copy with one change at about the tolerance.
+
+    The copy differs by one vertex, one vertex or edge value moved, one edge
+    dropped, or one new edge (dangling on "zz" or not) whose degree is near
+    (0, 0); a moved value may become NaN.
+    """
+    g = draw(hand_built())
+    vertices, edges = dict(g.vertices), dict(g.edges)
+    change = draw(st.sampled_from(["move_vertex", "move_edge", "new_edge", "drop_edge",
+                                   "add_vertex", "drop_vertex", "none"]))
+    if change == "add_vertex":
+        vertices[draw(st.sampled_from("abcdefg"))] = PFDegree(0.5, 0.5)
+    elif change == "drop_vertex" and vertices:
+        del vertices[draw(st.sampled_from(sorted(vertices)))]
+    elif change in ("move_vertex", "move_edge"):
+        table = vertices if change == "move_vertex" else edges
+        if table:
+            where = draw(st.sampled_from(sorted(table)))
+            moved = list(table[where])
+            moved[draw(st.integers(0, 1))] += draw(NEAR_VALUES)
+            table[where] = PFDegree(*moved)
+    elif change == "drop_edge" and edges:
+        del edges[draw(st.sampled_from(sorted(edges)))]
+    elif change == "new_edge":
+        ends = sorted({*vertices, "zz"})
+        pairs = [(u, v) for u in ends for v in ends if u < v and (u, v) not in edges]
+        if pairs:
+            edges[draw(st.sampled_from(pairs))] = PFDegree(draw(NEAR_VALUES), draw(NEAR_VALUES))
+    return g, PFGraph(vertices, edges)
+
+
+def _moved(mu, nu):
+    """Pairs of graphs that differ in one vertex, one shared edge or one edge present on
+    one side only, by (mu, nu)."""
+    d, e = PFDegree(0.5, 0.5), PFDegree(0.25, 0.5)
+    path = PFGraph({"a": d, "b": d}, {("a", "b"): e})
+    return [
+        (PFGraph({"a": d}), PFGraph({"a": PFDegree(0.5 + mu, 0.5 + nu)})),
+        (path, PFGraph(path.vertices, {("a", "b"): PFDegree(0.25 + mu, 0.5 + nu)})),
+        (PFGraph(path.vertices), PFGraph(path.vertices, {("a", "b"): PFDegree(mu, nu)})),
+    ]
+
+
+# each component of each kind of value off by exactly the tolerance, either way
+EXACT_CASES = [
+    pair
+    for move in ((CLOSE_EPS, 0.0), (0.0, CLOSE_EPS), (-CLOSE_EPS, 0.0), (0.0, -CLOSE_EPS))
+    for pair in _moved(*move)
+]
+
+
+@pytest.mark.parametrize("pair", EXACT_CASES)
+def test_graphs_close_holds_at_exactly_the_tolerance(pair):
+    g, h = pair
+    for a, b in ((g, h), (h, g)):
+        assert graphs_close(a, b, CLOSE_EPS) is ref.graphs_close(a, b, CLOSE_EPS) is True
+
+
+@settings(deadline=None, max_examples=500)
+@given(pair=near_pairs(), eps=st.sampled_from([None, CLOSE_EPS]))
+def test_graphs_close_matches_reference(pair, eps):
+    g, h = pair
+    for a, b in ((g, h), (h, g)):
+        assert graphs_close(a, b, eps) is ref.graphs_close(a, b, eps)
+    assert graphs_close(g, g, eps) is ref.graphs_close(g, g, eps)
 
 
 @settings(deadline=None, max_examples=300)

@@ -267,6 +267,17 @@ class TestPairKey:
         with pytest.raises(ValueError):
             PairKey("a", "a")
 
+    def test_canonical_for_partially_ordered_labels(self):
+        # neither frozenset contains the other, so < is False both ways
+        a, b = frozenset({1}), frozenset({2})
+        assert PairKey(a, b) == PairKey(b, a) == (a, b)
+        d, first, later = PFDegree(0.5, 0.5), PFDegree(0.1, 0.2), PFDegree(0.3, 0.4)
+        g = PFGraph({a: d, b: d}, {(a, b): first, (b, a): later})
+        assert list(g.edges.items()) == [(PairKey(a, b), later)]
+        # the later degree wins, as it does for str labels
+        h = PFGraph({"a": d, "b": d}, {("a", "b"): first, ("b", "a"): later})
+        assert list(h.edges.values()) == [later]
+
     def test_tuple_behaviour(self):
         key = PairKey("b", "a")
         assert repr(key) == "PairKey(lo='a', hi='b')"
@@ -335,6 +346,14 @@ class TestGraphConstruction:
             assert key == PairKey(*key)
             assert degree == g.edge_degree(*key)
             assert repr(bound) == repr(g.pair_bound(*key))
+
+        # the flat rows every pass reads are the same rows, element for element
+        scan = list(g._pair_scan())
+        assert len(scan) == len(rows)
+        for (key, degree, bound_mu, bound_nu), (row_key, row_degree, bound) in zip(scan, rows):
+            assert type(key) is PairKey and key == row_key
+            assert degree is row_degree
+            assert repr(PFDegree(bound_mu, bound_nu)) == repr(bound)
 
     @pytest.mark.parametrize(
         "clone",

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections.abc import Mapping
 
 import pytest
 
@@ -196,6 +197,31 @@ class TestVerifyMorphism:
         del partial["a"]
         with pytest.raises(UnknownVertex):
             verify_morphism(square_cycle, square_cycle, ISO, partial)
+
+    def test_unhashable_mapping_value_raises(self):
+        g = build({"a": (0.5, 0.5)})
+        with pytest.raises(UnknownVertex, match=r"^mapping values not in the target graph: \[\['a'\]\]$"):
+            verify_morphism(g, g, ISO, {"a": ["a"]})
+
+    def test_unhashable_mapping_key_raises(self):
+        class PairList(Mapping):
+            """A mapping over (key, value) pairs, so its keys need no hash."""
+
+            def __init__(self, pairs):
+                self.pairs = pairs
+
+            def __getitem__(self, key):
+                return next(value for k, value in self.pairs if k == key)
+
+            def __iter__(self):
+                return (k for k, _ in self.pairs)
+
+            def __len__(self):
+                return len(self.pairs)
+
+        g = build({"a": (0.5, 0.5)})
+        with pytest.raises(UnknownVertex, match=r"^mapping keys not in the source graph: \[\['a'\]\]$"):
+            verify_morphism(g, g, ISO, PairList([("a", "a"), (["a"], "a")]))
 
     def test_dangling_edge_raises(self):
         g = PFGraph({"a": PFDegree(0.5, 0.5)}, {("a", "z"): PFDegree(0.2, 0.3)})

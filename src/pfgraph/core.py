@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from operator import itemgetter, lt
 from typing import Iterator, Mapping, NamedTuple
 
@@ -78,9 +79,12 @@ def tolerance() -> float:
 
 
 def set_tolerance(eps: float) -> None:
-    """Override the global tolerance (must be a small positive number)."""
+    """Override the global tolerance: a small positive int or float, not a bool."""
     global _epsilon
-    if not (eps > 0.0) or not math.isfinite(eps):
+    # a bool is an int to isinstance, but never a tolerance
+    if isinstance(eps, bool) or not isinstance(eps, (int, float)):
+        raise ValueError(f"tolerance must be an int or a float, got {eps!r}")
+    if not 0.0 < eps <= sys.float_info.max:  # NaN fails both comparisons
         raise ValueError(f"tolerance must be a positive finite number, got {eps!r}")
     _epsilon = float(eps)
 
@@ -181,6 +185,12 @@ def _fallback_order(label) -> tuple[str, str]:
     return (type(label).__name__, repr(label))
 
 
+def _tie_order(label) -> tuple[str, str, int]:
+    """:func:`_fallback_order`, then ``id()`` for labels it cannot tell apart
+    (two NaNs): stable within a process, which is all an edge key needs."""
+    return (*_fallback_order(label), id(label))
+
+
 def sorted_labels(labels) -> list:
     """labels sorted by ``<``, or by :func:`_fallback_order` when ``<`` fails (for messages)."""
     try:
@@ -195,18 +205,18 @@ class PairKey(tuple):
     ``PairKey(u, v) == PairKey(v, u)`` by construction; self-loops are
     rejected because the underlying graphs are simple.  Labels that ``<``
     cannot order either way (an int and a str, or two frozensets neither of
-    which contains the other) are ordered by :func:`_fallback_order`.
+    which contains the other) are ordered by :func:`_tie_order`.
     """
 
     __slots__ = ()
 
     def __new__(cls, u: str, v: str) -> PairKey:
-        if u == v:
+        if u is v or u == v:  # one NaN object is one label, though not equal to itself
             raise ValueError(f"self-loop on vertex {u!r} is not allowed")
         try:
-            ordered = u < v or not v < u and _fallback_order(u) < _fallback_order(v)
+            ordered = u < v or not v < u and _tie_order(u) < _tie_order(v)
         except TypeError:  # an int and a str label, say
-            ordered = _fallback_order(u) < _fallback_order(v)
+            ordered = _tie_order(u) < _tie_order(v)
         return tuple.__new__(cls, (u, v) if ordered else (v, u))
 
     lo = property(itemgetter(0))

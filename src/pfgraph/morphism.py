@@ -19,15 +19,26 @@ lexicographically least one is returned.  Pruning only filters per-vertex
 candidate sets by the kind's vertex conditions and checks pair conditions
 incrementally, which cannot exclude a valid witness.
 
+The search runs on integer indices: sources and targets are numbered by
+their positions in sorted label order, candidate lists hold target
+indices, and labels come back only to build the witness.  It is one loop
+over depths, with an iterator of the untried candidates at each depth.
+Depth i has a check row of (p, mu, nu) for the earlier sources p that it
+is tested against, built the first time the search enters the depth:
+every earlier source under isomorphism, an absent edge read as (0, 0),
+and only the ends of source edges under the other kinds.  A target pair's
+degree is read from ``edges`` at most once per call, in either
+orientation, so no target label is ordered.  It is kept in a row per
+assigned target, allocated on first use and filled cell by cell, and a
+cell still empty in one row is looked up in its mirror before the graph;
+so per-call set-up grows with the target's size, not its square.
+
 Each call reads the kind's vertex relation and edge relation once, as two
 booleans (equality within eps, or s maps into t), and every check then
 compares bare (mu, nu) floats inline: NaN relates to nothing, as in the
-two relations' definitions.  Checks read edges with ``edges.get`` on plain
-tuples: a source pair as (earlier, later) in the sorted assignment order,
-and a target pair in either orientation, so no target label is ordered.
-Under the kinds other than isomorphism every source edge is checked, so a
-dangling source edge raises DanglingEdge before the search, as
-:func:`verify_morphism` would on any witness.
+two relations' definitions.  Under the kinds other than isomorphism every
+source edge is checked, so a dangling source edge raises DanglingEdge
+before the search, as :func:`verify_morphism` would on any witness.
 """
 
 from __future__ import annotations
@@ -130,46 +141,61 @@ def find_morphism(
     targets = sorted_vertices(g2)
     if not iso:
         _edges_with_declared_endpoints(g1)
-    candidates = {
-        u: [
-            v
-            for v, (tmu, tnu) in targets
+    candidates = [
+        [
+            j
+            for j, (_, (tmu, tnu)) in enumerate(targets)
             if (
                 abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
                 if vertex_equality
                 else smu <= tmu + eps and snu >= tnu - eps
             )
         ]
-        for u, (smu, snu) in sources
-    }
-    if not all(candidates.values()):
+        for _, (smu, snu) in sources
+    ]
+    if not all(candidates):
         return MorphismReport(kind, False, None, 0)
-    source = list(candidates)
 
+    n2 = len(targets)
     source_edge = g1.edges.get
     target_edge = g2.edges.get
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
+    checks: list = [None] * n1  # per depth i: (p, mu, nu) for the earlier sources p
+    cells: list = [None] * n2  # per assigned target x: the pairs (x, v) read so far
+    pending = list(map(iter, candidates))  # per depth: the candidates not yet tried
+    image = [0] * n1
+    used = [False] * n2
     attempts = 0
-
-    def extend(index: int) -> bool:
-        nonlocal attempts
-        if index == n1:
-            return True
-        u = source[index]
-        for v in candidates[u]:
-            if bijective and v in used:
-                continue
-            attempts += 1
-            for w, x in assignment.items():
-                # w was assigned before u, so w < u and (w, u) is the canonical key
-                s = source_edge((w, u))
+    depth = 0
+    while depth < n1:
+        row = checks[depth]
+        if row is None:
+            u = sources[depth][0]
+            row = checks[depth] = []
+            for p in range(depth):
+                # p sorts before u, so (p's label, u's label) is the canonical key
+                s = source_edge((sources[p][0], u))
                 if s is None:
                     if not iso:
                         continue
                     s = ZERO_DEGREE
-                # a stored degree is a non-empty tuple; a collapsed pair is never a key
-                (smu, snu), (tmu, tnu) = s, target_edge((v, x)) or target_edge((x, v), ZERO_DEGREE)
+                smu, snu = s
+                row.append((p, smu, snu))
+        for v in pending[depth]:
+            if used[v]:
+                continue
+            attempts += 1
+            for p, smu, snu in row:
+                x = image[p]
+                t = cells[x][v]
+                if t is None:
+                    mirror = cells[v]
+                    t = None if mirror is None else mirror[x]
+                    if t is None:
+                        a, b = targets[x][0], targets[v][0]
+                        # a stored degree is a non-empty tuple; a collapsed pair is never a key
+                        t = target_edge((a, b)) or target_edge((b, a), ZERO_DEGREE)
+                    cells[x][v] = t
+                tmu, tnu = t
                 if not (
                     abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
                     if edge_equality
@@ -177,17 +203,23 @@ def find_morphism(
                 ):
                     break
             else:
-                assignment[u] = v
-                used.add(v)
-                if extend(index + 1):
-                    return True
-                del assignment[u]
-                used.discard(v)
-        return False
+                break  # v passes every check
+        else:
+            # no candidate left: rewind this depth and undo the one before
+            pending[depth] = iter(candidates[depth])
+            depth -= 1
+            if depth < 0:
+                return MorphismReport(kind, False, None, attempts)
+            used[image[depth]] = False
+            continue
+        image[depth] = v
+        used[v] = bijective  # a homomorphism may reuse a target
+        if cells[v] is None:
+            cells[v] = [None] * n2
+        depth += 1
 
-    if extend(0):
-        return MorphismReport(kind, True, dict(assignment), attempts)
-    return MorphismReport(kind, False, None, attempts)
+    witness = {u: targets[v][0] for (u, _), v in zip(sources, image)}
+    return MorphismReport(kind, True, witness, attempts)
 
 
 def verify_morphism(

@@ -23,8 +23,10 @@ from pfgraph import (
     generate,
     hesitation,
     render,
+    set_tolerance,
     sum_identity,
     to_dot,
+    tolerance,
     validate,
     verify_morphism,
 )
@@ -278,6 +280,17 @@ class TestPairKey:
         h = PFGraph({"a": d, "b": d}, {("a", "b"): first, ("b", "a"): later})
         assert list(h.edges.values()) == [later]
 
+    def test_canonical_for_labels_nothing_tells_apart(self):
+        # two NaNs: < is False both ways, and type and repr are the same
+        a, b = float("nan"), float("nan")
+        assert PairKey(a, b) == PairKey(b, a)
+        d, first, later = PFDegree(0.5, 0.5), PFDegree(0.1, 0.2), PFDegree(0.3, 0.4)
+        g = PFGraph({a: d, b: d}, {(a, b): first, (b, a): later})
+        assert list(g.edges.values()) == [later]
+        # one NaN object is one label, so a pair of it is a self-loop
+        with pytest.raises(ValueError):
+            PairKey(a, a)
+
     def test_tuple_behaviour(self):
         key = PairKey("b", "a")
         assert repr(key) == "PairKey(lo='a', hi='b')"
@@ -294,6 +307,30 @@ class TestPairKey:
         g = build({"u": (0.5, 0.5), "v": (0.4, 0.4)}, {("u", "v"): (0.3, 0.5)})
         assert g.edge_degree("v", "u") == PFDegree(0.3, 0.5)
         assert g.edge_degree("u", "v") == g.edge_degree("v", "u")
+
+
+class TestSetTolerance:
+    @pytest.fixture(autouse=True)
+    def restore_tolerance(self):
+        saved = tolerance()
+        yield
+        set_tolerance(saved)
+
+    def test_accepts_ints_and_floats(self):
+        set_tolerance(1)
+        assert tolerance() == 1.0 and type(tolerance()) is float
+        set_tolerance(1e-6)
+        assert tolerance() == 1e-6
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, "1e-3", None, 0, -1e-9, math.nan, math.inf, pytest.param(10**400, id="10**400")],
+    )
+    def test_rejects_what_is_not_a_positive_finite_number(self, value):
+        before = tolerance()
+        with pytest.raises(ValueError):
+            set_tolerance(value)
+        assert tolerance() == before
 
 
 class TestGraphConstruction:

@@ -2,9 +2,11 @@
 as the search it replaced, and the verifier reports the same violations as
 the verifier it replaced; both are kept verbatim in ``reference_search.py``."""
 
+import collections
 import itertools
 import math
 import random
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
@@ -245,3 +247,90 @@ def test_paley9_self_complementarity_attempts_are_pinned():
     report = is_self_complementary(p9)
     assert report.found and report.search_space == 26
     assert report == reference_find_morphism(p9, complement(p9), ISO)
+
+
+def test_k8_to_k7_homomorphism_attempts_are_pinned():
+    report = find_morphism(_clique(8), _clique(7), HOMO)
+    assert (report.found, report.witness, report.search_space) == (False, None, 95_900)
+
+
+# --- guards on the integer-indexed search -----------------------------------
+
+def test_same_reports_for_a_target_with_a_dangling_edge():
+    """Target pairs are read by label, so an edge to an undeclared vertex,
+    str or int, is never read and never ordered."""
+    d, e = PFDegree(0.5, 0.5), PFDegree(0.3, 0.4)
+    names = ("a", "b", "c")
+    paths = ({}, {("a", "b"): e}, {("a", "b"): e, ("b", "c"): e})
+    triangle = dict.fromkeys(itertools.combinations(names, 2), e)
+    sources = [PFGraph({v: d for v in names}, edges) for edges in (*paths, triangle)]
+    targets = [
+        PFGraph({v: d for v in ("x", "y", "z")}, {("x", "y"): e, ("y", "z"): e, ("x", "w"): e}),
+        PFGraph({v: d for v in ("x", "y", "z")}, {("x", "y"): e, ("z", 7): e}),
+        PFGraph({v: d for v in ("x", "y", "z", "zz")}, {("w", "x"): e, ("x", "zz"): e, ("y", "z"): e}),
+    ]
+    for g1, g2 in itertools.product(sources, targets):
+        assert_same_reports(g1, g2)
+
+
+def _reversed(g):
+    """g rebuilt from its edges given (later, earlier)."""
+    return PFGraph(g.vertices, [((key.hi, key.lo), degree) for key, degree in g.edges.items()])
+
+
+def test_same_reports_for_edges_given_in_reversed_orientation():
+    n2, n3 = _corpus_n2(), _corpus_n3()
+    graphs = n2[::7] + n3[::23] + [_cycles(1, 6), _cycles(2, 3)]
+    for g1, g2 in itertools.product(graphs, repeat=2):
+        if len(g1.vertices) <= len(g2.vertices):
+            assert_same_reports(_reversed(g1), g2)
+            assert_same_reports(g1, _reversed(g2))
+            assert_same_reports(_reversed(g1), _reversed(g2))
+
+
+def test_homomorphism_into_a_large_sparse_target_has_no_quadratic_table():
+    """K3 into a 1,500-vertex target: a table of every target pair would
+    hold 2.25 million cells (18 MB of pointers) before the first attempt."""
+    rng = random.Random(5)
+    names = [f"t{i:04d}" for i in range(1_500)]
+    target = _uniform(names, [pair for pair in itertools.combinations(names, 2) if rng.random() < 0.05])
+    k3 = _clique(3)
+    tracemalloc.start()
+    try:
+        report = find_morphism(k3, target, HOMO)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == reference_find_morphism(k3, target, HOMO)
+    assert report.found
+    assert peak < 2_000_000, peak
+
+
+class _CountedEdges(dict):
+    """An edge map that counts ``get`` calls per unordered pair."""
+
+    def __init__(self, edges):
+        super().__init__(edges)
+        self.gets = collections.Counter()
+
+    def get(self, key, default=None):
+        self.gets[frozenset(key)] += 1
+        return super().get(key, default)
+
+
+def test_each_target_pair_is_read_once_per_call():
+    """Once means at most the two ``get`` calls of one either-orientation
+    read, however often the search checks the pair."""
+    cases = [
+        (_clique(6), _clique(5), HOMO, 9),
+        (_cycles(1, 12), _cycles(4, 3), WEAK, 12),
+        (_cycles(4, 3), _cycles(1, 12), ISO, 12),
+        (_paley9(), complement(_paley9()), ISO, 9),
+    ]
+    for g1, g2, kind, cap in cases:
+        edges = _CountedEdges(g2.edges)
+        counted = PFGraph._adopt(dict(g2.vertices), edges)
+        report = find_morphism(g1, counted, kind, cap=cap)
+        assert report == find_morphism(g1, g2, kind, cap=cap)
+        assert report.search_space > len(g2.vertices)
+        assert max(edges.gets.values()) <= 2, (kind, edges.gets.most_common(1))

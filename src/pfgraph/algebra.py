@@ -23,6 +23,7 @@ from .core import (
     PFDegree,
     PFGraph,
     PairKey,
+    dangling_edge,
     degree_max_min,
     degree_min_max,
     sorted_labels,
@@ -236,7 +237,7 @@ def strong_complement(g: PFGraph, force: bool = False) -> PFGraph:
         for (lo, hi), (mu, nu) in g.edges.items():
             a, b = get(lo), get(hi)
             if a is None or b is None:
-                g.pair_bound(lo, hi)  # raises DanglingEdge naming the edge
+                raise dangling_edge(lo, hi, g.vertices)
             (amu, anu), (bmu, bnu) = a, b
             bound_mu = bmu if bmu < amu else amu  # degree_min_max's tie rule: lo's value wins
             bound_nu = bnu if bnu > anu else anu

@@ -14,11 +14,11 @@ complement, under the complement variant matching how the graph classifies.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple
 
 from .algebra import complement, complete_complement, strong_complement
 from .core import PFDegree, PFGraph, tolerance
-from .morphism import MorphismKind, MorphismReport, find_morphism
+from .morphism import DEFAULT_SEARCH_CAP, MorphismKind, MorphismReport, find_morphism
 
 
 class Classification(NamedTuple):
@@ -136,7 +136,7 @@ SELF_COMPLEMENT_VARIANTS = ("general", "strong", "complete")
 
 
 def is_self_complementary(
-    g: PFGraph, variant: str = "general", cap: Optional[int] = None
+    g: PFGraph, variant: str = "general", cap: int = DEFAULT_SEARCH_CAP
 ) -> MorphismReport:
     """Search for an isomorphism between g and its complement.
 
@@ -155,8 +155,7 @@ def is_self_complementary(
         raise ValueError(
             f"unknown variant {variant!r}; expected one of {SELF_COMPLEMENT_VARIANTS}"
         )
-    kwargs = {} if cap is None else {"cap": cap}
-    return find_morphism(g, comp, MorphismKind.ISOMORPHISM, **kwargs)
+    return find_morphism(g, comp, MorphismKind.ISOMORPHISM, cap)
 
 
 def half_strong_construction(p: Mapping[str, PFDegree]) -> PFGraph:

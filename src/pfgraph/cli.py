@@ -64,10 +64,13 @@ _UNARY_OPS = {
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"not UTF-8 text: {exc}") from None
 
 
 def _read_graph(path: str, check: bool = True):

@@ -19,9 +19,12 @@ Design choices baked into this module:
   the label pair (lo, hi) in canonical order, which makes symmetry
   structural; self-loops are rejected at key construction.  PairKey and
   :class:`PFDegree` (mu, nu) are tuples and compare, hash and sort as such.
-- A dangling edge names an undeclared vertex: :meth:`PFGraph._pair_scan`
-  never yields it, :func:`validate` reports it, and an operation that needs
-  its endpoints' degrees raises DanglingEdge.
+- A dangling edge names an undeclared vertex.  One rule covers it:
+  :func:`validate` reports it, :meth:`PFGraph._pair_scan` skips it, the
+  products, ``union`` and ``join`` carry it, :func:`graphs_close` compares
+  it, and every pass that walks the edge list raises DanglingEdge through
+  :func:`require_endpoints`, for the first such edge in insertion order,
+  with the message that :func:`dangling_edge` writes.
 - An edge whose degree is exactly (0, 0) means "no edge" and is removed
   when the graph is built.  ``PFGraph(...)`` is the checking constructor:
   it copies both maps, makes every key a canonical PairKey and drops (0, 0)
@@ -180,23 +183,19 @@ def encodes_as_utf8(label: str) -> bool:
     return True
 
 
-def _fallback_order(label) -> tuple[str, str]:
-    """Order for labels that ``<`` cannot compare: by type name, then repr."""
-    return (type(label).__name__, repr(label))
-
-
 def _tie_order(label) -> tuple[str, str, int]:
-    """:func:`_fallback_order`, then ``id()`` for labels it cannot tell apart
-    (two NaNs): stable within a process, which is all an edge key needs."""
-    return (*_fallback_order(label), id(label))
+    """Order for labels that ``<`` cannot compare: by type name, then repr, then
+    ``id()`` for labels those cannot tell apart (two NaNs).  It is stable within
+    a process, which is all an edge key or a message needs."""
+    return (type(label).__name__, repr(label), id(label))
 
 
 def sorted_labels(labels) -> list:
-    """labels sorted by ``<``, or by :func:`_fallback_order` when ``<`` fails (for messages)."""
+    """labels sorted by ``<``, or by :func:`_tie_order` when ``<`` fails (for messages)."""
     try:
         return sorted(labels)
     except TypeError:
-        return sorted(labels, key=_fallback_order)
+        return sorted(labels, key=_tie_order)
 
 
 class PairKey(tuple):
@@ -306,8 +305,8 @@ class PFGraph:
         """The largest degree an edge between u and v may carry; DanglingEdge if one is absent."""
         try:
             return degree_min_max(self.vertices[u], self.vertices[v])
-        except KeyError as exc:
-            raise DanglingEdge(f"edge {u}-{v} uses undeclared vertex {exc.args[0]!r}") from None
+        except KeyError:
+            raise dangling_edge(u, v, self.vertices) from None
 
     def pair_rows(self) -> Iterator[tuple[PairKey, PFDegree, PFDegree]]:
         """(key, degree, bound) for every unordered pair, in sorted key order.
@@ -478,21 +477,28 @@ def sorted_vertices(g: PFGraph) -> list[tuple[str, PFDegree]]:
     raise ConstraintViolation(f"vertex labels cannot be put in a strict order: {bad}", report=report)
 
 
+def dangling_edge(u, v, vertices) -> DanglingEdge:
+    """The DanglingEdge for edge u-v: it names u if vertices lacks u, and v otherwise."""
+    return DanglingEdge(f"edge {u}-{v} uses undeclared vertex {(u if u not in vertices else v)!r}")
+
+
+def require_endpoints(g: PFGraph) -> None:
+    """Raise DanglingEdge for g's first edge, in insertion order, with an undeclared endpoint."""
+    vertices = g.vertices
+    for u, v in g.edges:
+        if u not in vertices or v not in vertices:
+            raise dangling_edge(u, v, vertices)
+
+
 def sorted_edges(g: PFGraph) -> list[tuple[PairKey, PFDegree]]:
     """g's (key, degree) items in key order, for use after :func:`sorted_vertices`.
 
-    Once the declared labels are known to compare, and as keys are unique,
-    the sort can only fail on a dangling edge's undeclared endpoint; that
-    raises DanglingEdge naming the edge.
+    :func:`require_endpoints` runs first.  Every endpoint is then a declared
+    label, the declared labels are known to compare and keys are unique, so
+    the sort cannot fail.
     """
-    try:
-        return sorted(g.edges.items())
-    except TypeError:
-        for key in g.edges:
-            for v in key:
-                if v not in g.vertices:
-                    raise DanglingEdge(f"edge {key} uses undeclared vertex {v!r}") from None
-        raise
+    require_endpoints(g)
+    return sorted(g.edges.items())
 
 
 def degrees_close(a: PFDegree, b: PFDegree, eps: float | None = None) -> bool:

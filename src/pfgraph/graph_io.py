@@ -11,6 +11,8 @@ The document layout is::
 Edges are undirected: (u, v) and (v, u) name the same edge and declaring
 both is rejected.  Rendering is deterministic, with vertices sorted by id
 and edges by their canonical pair, so equal graphs render byte-identically.
+:func:`render` and :func:`to_dot` raise DanglingEdge for a graph with an
+edge to an undeclared vertex, as :func:`parse` does for such a document.
 
 :func:`render` writes the exact bytes of ``json.dumps(doc, indent=2)``
 without going through the pure-Python encoder that ``indent`` selects: an
@@ -37,6 +39,7 @@ from .core import (
     PFDegree,
     PFGraph,
     PairKey,
+    dangling_edge,
     encodes_as_utf8,
     in_unit_range,
     require_valid,
@@ -45,7 +48,6 @@ from .core import (
     tolerance,
 )
 from .errors import (
-    DanglingEdge,
     DuplicateEdge,
     DuplicateVertex,
     MalformedDocument,
@@ -133,8 +135,7 @@ def parse(text: str, check: bool = True) -> PFGraph:
             raise MalformedDocument(f"self-loop on vertex {u!r} is not allowed")
         key = new(PairKey, (u, v))
         if u not in vertices or v not in vertices:
-            missing = u if u not in vertices else v
-            raise DanglingEdge(f"edge {key} uses undeclared vertex {missing!r}")
+            raise dangling_edge(u, v, vertices)
         if key in edges:
             raise DuplicateEdge(f"edge {key} declared twice")
         mu, nu = entry.get("mu"), entry.get("nu")
@@ -164,7 +165,7 @@ def _entries(lines: list[str]) -> str:
 
 
 def render(g: PFGraph) -> str:
-    """Serialize a graph to its canonical JSON document text."""
+    """Serialize a graph to its canonical JSON document text; DanglingEdge if an edge dangles."""
     enc = encode_basestring_ascii
     vertices = [
         f'    {{\n      "id": {enc(label)},\n      "mu": {mu!r},\n      "nu": {nu!r}\n    }}'
@@ -203,16 +204,13 @@ def _quote(label) -> str:
 
 
 def to_dot(g: PFGraph) -> str:
-    """Render the graph as undirected DOT with degree-carrying labels."""
+    """Render the graph as undirected DOT with degree-carrying labels; DanglingEdge as render."""
     lines = ["graph G {"]
     names = {}
     for label, (mu, nu) in sorted_vertices(g):
         names[label] = name = _quote(label)
         lines.append(f'  {name} [label="{_escape(str(label))} ({mu!r}, {nu!r})"];')
-    for (u, v), (mu, nu) in sorted_edges(g):  # a dangling endpoint has no name yet
-        lines.append(
-            f'  {names.get(u) or _quote(u)} -- {names.get(v) or _quote(v)} '
-            f'[label="({mu!r}, {nu!r})"];'
-        )
+    for (u, v), (mu, nu) in sorted_edges(g):
+        lines.append(f'  {names[u]} -- {names[v]} [label="({mu!r}, {nu!r})"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -37,8 +37,10 @@ Each call reads the kind's vertex relation and edge relation once, as two
 booleans (equality within eps, or s maps into t), and every check then
 compares bare (mu, nu) floats inline: NaN relates to nothing, as in the
 two relations' definitions.  Under the kinds other than isomorphism every
-source edge is checked, so a dangling source edge raises DanglingEdge
-before the search, as :func:`verify_morphism` would on any witness.
+source edge is checked, so :func:`find_morphism` (before it searches) and
+:func:`verify_morphism` raise DanglingEdge for the first dangling source
+edge in insertion order, through :func:`~pfgraph.core.require_endpoints`,
+the same check that makes ``render`` and ``to_dot`` raise it.
 """
 
 from __future__ import annotations
@@ -47,16 +49,15 @@ import enum
 from typing import Mapping, NamedTuple, Optional
 
 from .core import (
-    PFDegree,
     PFGraph,
-    PairKey,
     ZERO_DEGREE,
+    require_endpoints,
     sorted_edges,
     sorted_labels,
     sorted_vertices,
     tolerance,
 )
-from .errors import DanglingEdge, SearchCapExceeded, UnknownVertex
+from .errors import SearchCapExceeded, UnknownVertex
 
 DEFAULT_SEARCH_CAP = 9
 
@@ -99,17 +100,6 @@ class MorphismCheck(NamedTuple):
     violations: tuple[str, ...]
 
 
-def _edges_with_declared_endpoints(g: PFGraph) -> list[tuple[PairKey, PFDegree]]:
-    """:func:`sorted_edges` of g; DanglingEdge names the first edge, in key
-    order, with an undeclared endpoint."""
-    edges = sorted_edges(g)
-    for key, _ in edges:
-        for v in key:
-            if v not in g.vertices:
-                raise DanglingEdge(f"edge {key} uses undeclared vertex {v!r}")
-    return edges
-
-
 def find_morphism(
     g1: PFGraph,
     g2: PFGraph,
@@ -140,7 +130,7 @@ def find_morphism(
     sources = sorted_vertices(g1)
     targets = sorted_vertices(g2)
     if not iso:
-        _edges_with_declared_endpoints(g1)
+        require_endpoints(g1)
     candidates = [
         [
             j
@@ -273,7 +263,7 @@ def verify_morphism(
     if kind is MorphismKind.ISOMORPHISM:
         checked = ((key, s) for key, s, _, _ in g1._pair_scan())
     else:
-        checked = _edges_with_declared_endpoints(g1)
+        checked = sorted_edges(g1)
     target_edge = g2.edges.get
     for (u, w), (smu, snu) in checked:
         tu, tw = mapping[u], mapping[w]

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import reference_builders as ref
 from pfgraph import (
     FAMILIES,
+    DanglingEdge,
     GenConfig,
     LabelClash,
     PFDegree,
@@ -41,13 +42,21 @@ from reference_codec import boundary_specs
 
 
 def outcome(build, *args):
-    """("graph", vertices, edges, rendered) or ("raise", class, message) for build(*args)."""
+    """("graph", vertices, edges, rendered) or ("raise", class, message) for build(*args).
+
+    ``rendered`` is the text, or ("raise", class, message) for the DanglingEdge
+    that render raises on a product that keeps its inputs' dangling edges.
+    """
     try:
         g = build(*args)
     except Exception as exc:  # the reference's own exception is the expected value
         return ("raise", type(exc), str(exc))
     assert type(g) is PFGraph and type(g.vertices) is dict and type(g.edges) is dict
-    return ("graph", repr(list(g.vertices.items())), repr(list(g.edges.items())), render(g))
+    try:
+        rendered = render(g)
+    except DanglingEdge as exc:
+        rendered = ("raise", type(exc), str(exc))
+    return ("graph", repr(list(g.vertices.items())), repr(list(g.edges.items())), rendered)
 
 
 def assert_same(build, reference, *args):

@@ -6,6 +6,7 @@ from pfgraph import (
     GenConfig,
     NotStrong,
     PFDegree,
+    SearchCapExceeded,
     classify,
     complement,
     find_morphism,
@@ -200,6 +201,12 @@ class TestSelfComplementarity:
     def test_strong_variant_requires_strong_graph(self, square_cycle):
         with pytest.raises(NotStrong):
             is_self_complementary(square_cycle, "strong")
+
+    def test_cap_reaches_the_search(self):
+        g = half_strong_construction({"x": PFDegree(0.5, 0.5), "y": PFDegree(0.5, 0.5)})
+        with pytest.raises(SearchCapExceeded, match="above the search cap 1"):
+            is_self_complementary(g, cap=1)
+        assert is_self_complementary(g, cap=2).found
 
     def test_unknown_variant_rejected(self, square_cycle):
         with pytest.raises(ValueError):

@@ -94,6 +94,24 @@ class TestValidate:
         assert json.loads(err)["error"] == "MalformedDocument"
 
 
+class TestInputThatIsNotUtf8:
+    @pytest.mark.parametrize("command", ["validate", "iso"])
+    def test_file_exits_two(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff")
+        argv = [command, str(path)] + ([str(path)] if command == "iso" else [])
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "MalformedDocument"
+
+    def test_strict_stdin_exits_two(self, capsys, monkeypatch):
+        with io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8") as stdin:
+            monkeypatch.setattr("sys.stdin", stdin)
+            code, out, err = run_cli(["validate", "-"], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "MalformedDocument"
+
+
 class TestOp:
     def test_complement_of_empty_graph(self, tmp_path, capsys):
         path = tmp_path / "empty.json"

@@ -1,6 +1,7 @@
 """Core value types: degree arithmetic, pair keys, and graph validation."""
 
 import copy
+import json
 import math
 import pickle
 
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from pfgraph import (
     ConstraintViolation,
+    DanglingEdge,
     MorphismKind,
     PFDegree,
     GenConfig,
@@ -22,8 +24,10 @@ from pfgraph import (
     find_morphism,
     generate,
     hesitation,
+    parse,
     render,
     set_tolerance,
+    strong_complement,
     sum_identity,
     to_dot,
     tolerance,
@@ -415,3 +419,35 @@ class TestGraphConstruction:
             },
         )
         assert twin == square_cycle
+
+
+def _document(vertices, edges):
+    return json.dumps({
+        "format_version": 1,
+        "vertices": [{"id": v, "mu": 0.5, "nu": 0.5} for v in vertices],
+        "edges": [{"u": u, "v": v, "mu": 0.25, "nu": 0.5} for u, v in edges],
+    })
+
+
+_D = PFDegree(0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "fail, message",
+    [
+        (lambda: PFGraph({"b": _D}).pair_bound("a", "b"), "edge a-b uses undeclared vertex 'a'"),
+        (lambda: PFGraph({"b": _D}).pair_bound("b", "a"), "edge b-a uses undeclared vertex 'a'"),
+        (lambda: PFGraph({}).pair_bound("z", "y"), "edge z-y uses undeclared vertex 'z'"),
+        (lambda: strong_complement(PFGraph({"b": _D}, {("b", "a"): _D})), "edge a-b uses undeclared vertex 'a'"),
+        (lambda: strong_complement(PFGraph({"a": _D}, {("a", "z"): _D})), "edge a-z uses undeclared vertex 'z'"),
+        (lambda: strong_complement(PFGraph({}, {("z", "y"): _D})), "edge y-z uses undeclared vertex 'y'"),
+        (lambda: parse(_document(["b"], [("b", "a")])), "edge a-b uses undeclared vertex 'a'"),
+        (lambda: parse(_document(["a"], [("a", "z")])), "edge a-z uses undeclared vertex 'z'"),
+        (lambda: parse(_document([], [("z", "y")])), "edge y-z uses undeclared vertex 'y'"),
+    ],
+)
+def test_dangling_edge_messages_name_the_edge_and_its_first_undeclared_endpoint(fail, message):
+    # pair_bound names the pair as called; strong_complement and parse name its key
+    with pytest.raises(DanglingEdge) as raised:
+        fail()
+    assert str(raised.value) == message

@@ -418,6 +418,20 @@ class TestRender:
         with pytest.raises(DanglingEdge, match="edge 1-a uses undeclared vertex 1"):
             write(g)
 
+    @pytest.mark.parametrize("write", [render, to_dot])
+    @pytest.mark.parametrize("others", [{}, {("a", "b"): PFDegree(0.5, 0.5)}], ids=["alone", "beside"])
+    def test_dangling_edge_raises_whatever_other_edges_the_graph_holds(self, write, others):
+        # alone, the edge sorts without comparing 1 with a str; it raises all the same
+        d = PFDegree(0.5, 0.5)
+        g = PFGraph({"a": d, "b": d}, {("a", 1): PFDegree(0.2, 0.3), **others})
+        with pytest.raises(DanglingEdge, match="^edge 1-a uses undeclared vertex 1$"):
+            write(g)
+
+    def test_render_never_writes_a_dangling_edge(self):
+        g = PFGraph({"a": PFDegree(0.5, 0.5)}, {("a", "z"): PFDegree(0.2, 0.3)})
+        with pytest.raises(DanglingEdge, match="^edge a-z uses undeclared vertex 'z'$"):
+            render(g)
+
     def test_round_trip_on_generated_graphs(self):
         for seed in range(100):
             family = ("general", "strong", "complete", "half_strong")[seed % 4]
@@ -485,9 +499,8 @@ class TestDot:
             '}\n'
         )
         dangling = PFGraph({"a": d}, {("a", ("x", 'y"')): PFDegree(0.25, 0.5)})
-        assert to_dot(dangling).splitlines()[2] == (
-            '  a -- "(\'x\', \'y\\"\')" [label="(0.25, 0.5)"];'
-        )
+        with pytest.raises(DanglingEdge, match=r"^edge a-\('x', 'y\"'\) uses undeclared vertex \('x', 'y\"'\)$"):
+            to_dot(dangling)
 
     def test_composite_labels_are_quoted(self):
         from conftest import build

@@ -134,6 +134,16 @@ class TestFindMorphism:
         with pytest.raises(DanglingEdge, match=message):
             find_morphism(g, g, kind)
 
+    def test_first_dangling_edge_in_insertion_order_is_named(self):
+        # key order would put a-z first
+        d, e = PFDegree(0.5, 0.5), PFDegree(0.2, 0.3)
+        g = PFGraph({"a": d, "b": d}, {("b", "y"): e, ("a", "b"): e, ("a", "z"): e})
+        message = "^edge b-y uses undeclared vertex 'y'$"
+        with pytest.raises(DanglingEdge, match=message):
+            find_morphism(g, g, HOMO)
+        with pytest.raises(DanglingEdge, match=message):
+            verify_morphism(g, g, HOMO, {"a": "a", "b": "b"})
+
     def test_dangling_edge_is_skipped_under_isomorphism(self):
         # both functions compare declared pairs only under isomorphism
         g = PFGraph({"a": PFDegree(0.5, 0.5)}, {("a", "z"): PFDegree(0.2, 0.3)})

@@ -36,10 +36,18 @@ Design choices baked into this module:
 - Every pass over all unordered vertex pairs goes through
   :meth:`PFGraph._pair_scan`, which yields each pair as a flat row: its
   key, its edge degree (an absent edge reads as (0, 0)) and the two
-  components of its attainable bound.  It sorts the labels once and builds
-  each key as a bare tuple, with no per-pair Python-level call and no bound
-  tuple.  :meth:`PFGraph.pair_rows` is the public view of the same rows,
-  with the bound as a PFDegree; no pass in the package calls it.  Every
+  components of its attainable bound.  It sorts the labels once, yields an
+  edge pair's own stored key and builds a key, as a bare tuple, only for a
+  pair with no edge, with no per-pair Python-level call and no bound tuple.
+  :meth:`PFGraph.pair_rows` is the public view of the same rows, with the
+  bound as a PFDegree; no pass in the package calls it.
+- PairKey and PFDegree are tuple subclasses, and CPython's cyclic garbage
+  collector tracks such an object for its whole life (it untracks only
+  plain tuples of untracked items).  Each one a pass builds and keeps, and
+  each (key, degree) pair it holds in a list, counts towards the next
+  collection, so the passes reuse the objects a graph already holds: the
+  pair scan yields stored keys and degrees, and :func:`sorted_edges`
+  returns the bare keys, whose degrees the writers read from the map.  Every
   pass that sorts vertex labels goes through :func:`sorted_vertices`, so
   labels that ``<`` cannot put in a strict order (an int beside a str,
   NaN) raise ConstraintViolation with the validation report rather than
@@ -302,7 +310,12 @@ class PFGraph:
         return (key for key, _, _, _ in self._pair_scan())
 
     def pair_bound(self, u: str, v: str) -> PFDegree:
-        """The largest degree an edge between u and v may carry; DanglingEdge if one is absent."""
+        """The largest degree an edge between u and v may carry.
+
+        DanglingEdge if u or v is absent, and ValueError, as for
+        :meth:`edge_degree`, if they are one vertex.
+        """
+        PairKey(u, v)  # the self-loop check
         try:
             return degree_min_max(self.vertices[u], self.vertices[v])
         except KeyError:
@@ -323,19 +336,29 @@ class PFGraph:
         """(key, degree, bound_mu, bound_nu) for every unordered pair, in sorted key order.
 
         The labels are sorted once by :func:`sorted_vertices`; strictly
-        increasing labels are already in PairKey's canonical order, so each
-        key is built as a bare tuple.  ``degree`` is the edge's own degree
-        object, or ZERO_DEGREE when the pair has no edge, and the bound
-        follows :func:`degree_min_max`'s rule exactly (the lower label's
-        value wins ties), with no per-pair call and no bound tuple.
+        increasing labels are already in PairKey's canonical order.  An edge
+        pair yields the edge's own stored key and degree objects, found by
+        looking up the plain tuple (u, v) in a key-to-key map built in C once
+        per scan (a PairKey hashes and compares as its tuple); only a pair
+        with no edge gets a new key, built as a bare tuple, and ZERO_DEGREE.
+        A PairKey stays tracked by the cyclic GC for life, so a key that a
+        pass keeps without building it is collector work saved.  The bound
+        follows :func:`degree_min_max`'s rule exactly (the lower label's value
+        wins ties), with no per-pair call and no bound tuple.
         """
-        get = self.edges.get
+        edges = self.edges
+        stored = dict(zip(edges, edges)).get
         items = sorted_vertices(self)
         new = tuple.__new__
         for i, (u, (umu, unu)) in enumerate(items, 1):
             for v, (vmu, vnu) in items[i:]:
-                key = new(PairKey, (u, v))
-                yield key, get(key, ZERO_DEGREE), vmu if vmu < umu else umu, vnu if vnu > unu else unu
+                bound_mu = vmu if vmu < umu else umu
+                bound_nu = vnu if vnu > unu else unu
+                key = stored((u, v))
+                if key is None:
+                    yield new(PairKey, (u, v)), ZERO_DEGREE, bound_mu, bound_nu
+                else:
+                    yield key, edges[key], bound_mu, bound_nu
 
 
 class Violation(NamedTuple):
@@ -490,15 +513,17 @@ def require_endpoints(g: PFGraph) -> None:
             raise dangling_edge(u, v, vertices)
 
 
-def sorted_edges(g: PFGraph) -> list[tuple[PairKey, PFDegree]]:
-    """g's (key, degree) items in key order, for use after :func:`sorted_vertices`.
+def sorted_edges(g: PFGraph) -> list[PairKey]:
+    """g's edge keys in key order, for use after :func:`sorted_vertices`.
 
     :func:`require_endpoints` runs first.  Every endpoint is then a declared
     label, the declared labels are known to compare and keys are unique, so
-    the sort cannot fail.
+    the sort cannot fail.  The list holds g's own key objects; a caller reads
+    each degree as ``g.edges[key]``, so the walk builds no (key, degree)
+    tuple, which the cyclic GC would track as it tracks the key inside it.
     """
     require_endpoints(g)
-    return sorted(g.edges.items())
+    return sorted(g.edges)
 
 
 def degrees_close(a: PFDegree, b: PFDegree, eps: float | None = None) -> bool:

@@ -13,6 +13,12 @@ both is rejected.  Rendering is deterministic, with vertices sorted by id
 and edges by their canonical pair, so equal graphs render byte-identically.
 :func:`render` and :func:`to_dot` raise DanglingEdge for a graph with an
 edge to an undeclared vertex, as :func:`parse` does for such a document.
+:func:`render` raises MalformedDocument for a NaN or infinite degree, with
+the message :func:`parse` gives for the ``NaN`` or ``Infinity`` that
+``json.dumps`` would write, which is not JSON.  Both writers walk the edge
+keys that :func:`~pfgraph.core.sorted_edges` returns and read each degree
+from the edge map, so they build no (key, degree) tuple per edge, which
+the cyclic GC would track.
 
 :func:`render` writes the exact bytes of ``json.dumps(doc, indent=2)``
 without going through the pure-Python encoder that ``indent`` selects: an
@@ -155,8 +161,17 @@ def parse(text: str, check: bool = True) -> PFGraph:
     return require_valid(graph, "document") if check else graph
 
 
-def _entry(fields: dict) -> str:
-    """One list entry exactly as ``json.dumps(doc, indent=2)`` writes it."""
+def _entry(fields: dict, where: str) -> str:
+    """One list entry exactly as ``json.dumps(doc, indent=2)`` writes it.
+
+    A degree that JSON cannot carry (NaN, ±inf) raises MalformedDocument
+    with the message :func:`parse` gives for the text ``json.dumps`` would
+    write, instead of that text.
+    """
+    for field in ("mu", "nu"):
+        value = fields[field]
+        if isinstance(value, float) and not -_INF < value < _INF:
+            raise MalformedDocument(f"{where}: {field!r} value {value!r} outside [0, 1]")
     return "    " + json.dumps(fields, indent=2).replace("\n", "\n    ")
 
 
@@ -165,23 +180,31 @@ def _entries(lines: list[str]) -> str:
 
 
 def render(g: PFGraph) -> str:
-    """Serialize a graph to its canonical JSON document text; DanglingEdge if an edge dangles."""
+    """Serialize a graph to its canonical JSON document text.
+
+    DanglingEdge if an edge dangles; MalformedDocument if a degree is NaN or
+    infinite, which JSON cannot carry.
+    """
     enc = encode_basestring_ascii
     vertices = [
         f'    {{\n      "id": {enc(label)},\n      "mu": {mu!r},\n      "nu": {nu!r}\n    }}'
         if type(label) is str and type(mu) is float and type(nu) is float
         and -_INF < mu < _INF and -_INF < nu < _INF
-        else _entry({"id": label, "mu": mu, "nu": nu})
+        else _entry({"id": label, "mu": mu, "nu": nu}, f"vertex {label!r}")
         for label, (mu, nu) in sorted_vertices(g)
     ]
-    edges = [
-        f'    {{\n      "u": {enc(u)},\n      "v": {enc(v)},\n'
-        f'      "mu": {mu!r},\n      "nu": {nu!r}\n    }}'
-        if type(u) is str and type(v) is str and type(mu) is float and type(nu) is float
-        and -_INF < mu < _INF and -_INF < nu < _INF
-        else _entry({"u": u, "v": v, "mu": mu, "nu": nu})
-        for (u, v), (mu, nu) in sorted_edges(g)
-    ]
+    degrees = g.edges
+    edges = []
+    for key in sorted_edges(g):
+        u, v = key
+        mu, nu = degrees[key]
+        edges.append(
+            f'    {{\n      "u": {enc(u)},\n      "v": {enc(v)},\n'
+            f'      "mu": {mu!r},\n      "nu": {nu!r}\n    }}'
+            if type(u) is str and type(v) is str and type(mu) is float and type(nu) is float
+            and -_INF < mu < _INF and -_INF < nu < _INF
+            else _entry({"u": u, "v": v, "mu": mu, "nu": nu}, f"edge {key}")
+        )
     return (
         f'{{\n  "format_version": {FORMAT_VERSION},\n'
         f'  "vertices": {_entries(vertices)},\n'
@@ -210,7 +233,10 @@ def to_dot(g: PFGraph) -> str:
     for label, (mu, nu) in sorted_vertices(g):
         names[label] = name = _quote(label)
         lines.append(f'  {name} [label="{_escape(str(label))} ({mu!r}, {nu!r})"];')
-    for (u, v), (mu, nu) in sorted_edges(g):
+    degrees = g.edges
+    for key in sorted_edges(g):
+        u, v = key
+        mu, nu = degrees[key]
         lines.append(f'  {names[u]} -- {names[v]} [label="({mu!r}, {nu!r})"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

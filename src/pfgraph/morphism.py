@@ -260,12 +260,12 @@ def verify_morphism(
         ):
             violations.append(f"vertex condition fails at {u!r} -> {mapping[u]!r}")
 
-    if kind is MorphismKind.ISOMORPHISM:
-        checked = ((key, s) for key, s, _, _ in g1._pair_scan())
-    else:
-        checked = sorted_edges(g1)
+    checked = g1.pairs() if kind is MorphismKind.ISOMORPHISM else sorted_edges(g1)
+    source_edge = g1.edges.get
     target_edge = g2.edges.get
-    for (u, w), (smu, snu) in checked:
+    for key in checked:
+        u, w = key
+        smu, snu = source_edge(key, ZERO_DEGREE)
         tu, tw = mapping[u], mapping[w]
         tmu, tnu = target_edge((tu, tw)) or target_edge((tw, tu), ZERO_DEGREE)
         if not (

@@ -23,7 +23,6 @@ from typing import Mapping
 
 from pfgraph import (
     DEFAULT_SEARCH_CAP,
-    DanglingEdge,
     MorphismCheck,
     MorphismKind,
     MorphismReport,
@@ -36,7 +35,7 @@ from pfgraph import (
     degrees_close,
     tolerance,
 )
-from pfgraph.core import sorted_edges, sorted_labels, sorted_vertices
+from pfgraph.core import require_endpoints, sorted_labels, sorted_vertices
 
 
 def _related(equality: bool, s: PFDegree, t: PFDegree, eps: float) -> bool:
@@ -117,14 +116,10 @@ def find_morphism(
 
 
 def _edges_with_declared_endpoints(g: PFGraph) -> list[tuple[PairKey, PFDegree]]:
-    """:func:`sorted_edges` of g; DanglingEdge names the first edge, in key
-    order, with an undeclared endpoint."""
-    edges = sorted_edges(g)
-    for key, _ in edges:
-        for v in key:
-            if v not in g.vertices:
-                raise DanglingEdge(f"edge {key} uses undeclared vertex {v!r}")
-    return edges
+    """g's (key, degree) items in key order; DanglingEdge names the first edge,
+    in insertion order, with an undeclared endpoint (``require_endpoints``)."""
+    require_endpoints(g)
+    return sorted(g.edges.items())
 
 
 def verify_morphism(

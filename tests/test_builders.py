@@ -23,6 +23,7 @@ from pfgraph import (
     DanglingEdge,
     GenConfig,
     LabelClash,
+    MalformedDocument,
     PFDegree,
     PFGraph,
     cartesian_product,
@@ -45,7 +46,8 @@ def outcome(build, *args):
     """("graph", vertices, edges, rendered) or ("raise", class, message) for build(*args).
 
     ``rendered`` is the text, or ("raise", class, message) for the DanglingEdge
-    that render raises on a product that keeps its inputs' dangling edges.
+    that render raises on a product that keeps its inputs' dangling edges, or
+    for the MalformedDocument it raises on a NaN or infinite degree.
     """
     try:
         g = build(*args)
@@ -54,7 +56,7 @@ def outcome(build, *args):
     assert type(g) is PFGraph and type(g.vertices) is dict and type(g.edges) is dict
     try:
         rendered = render(g)
-    except DanglingEdge as exc:
+    except (DanglingEdge, MalformedDocument) as exc:
         rendered = ("raise", type(exc), str(exc))
     return ("graph", repr(list(g.vertices.items())), repr(list(g.edges.items())), rendered)
 

@@ -34,6 +34,7 @@ from pfgraph import (
     validate,
     verify_morphism,
 )
+from pfgraph.core import sorted_edges
 
 from conftest import build
 from reference_codec import boundary_specs, one_break_specs, reference_validate
@@ -312,6 +313,13 @@ class TestPairKey:
         assert g.edge_degree("v", "u") == PFDegree(0.3, 0.5)
         assert g.edge_degree("u", "v") == g.edge_degree("v", "u")
 
+    @pytest.mark.parametrize("method", ["has_edge", "edge_degree", "pair_bound"])
+    def test_pair_of_one_vertex_raises_in_every_pair_method(self, method):
+        g = build({"a": (0.5, 0.5), "b": (0.5, 0.5)}, {("a", "b"): (0.5, 0.5)})
+        with pytest.raises(ValueError) as raised:
+            getattr(g, method)("a", "a")
+        assert str(raised.value) == "self-loop on vertex 'a' is not allowed"
+
 
 class TestSetTolerance:
     @pytest.fixture(autouse=True)
@@ -395,6 +403,49 @@ class TestGraphConstruction:
             assert type(key) is PairKey and key == row_key
             assert degree is row_degree
             assert repr(PFDegree(bound_mu, bound_nu)) == repr(bound)
+
+    def test_pair_scan_yields_each_edge_its_stored_key(self, square_cycle):
+        # an edge pair gives the edge's own key and degree objects, every
+        # other pair a new key in each scan
+        g = square_cycle
+        stored = {key: key for key in g.edges}
+        first, second = list(g._pair_scan()), list(g._pair_scan())
+        assert [row[0] for row in first] == [row[0] for row in second] == list(g.pairs())
+        for (key, degree, _, _), (again, _, _, _) in zip(first, second):
+            assert type(key) is PairKey
+            if key in stored:
+                assert key is stored[key] is again and degree is g.edges[key]
+            else:
+                assert key is not again and degree is ZERO_DEGREE
+
+    def test_complement_keeps_the_keys_of_edges_inside_their_bound(self):
+        # every pair is an edge strictly inside its bound, so every pair is an
+        # edge of the complement and of the involution, under g's own key
+        labels = "abcde"
+        g = PFGraph(
+            dict.fromkeys(labels, PFDegree(0.5, 0.5)),
+            {(u, v): PFDegree(0.2, 0.3) for i, u in enumerate(labels) for v in labels[i + 1:]},
+        )
+        stored = {key: key for key in g.edges}
+        for h in (complement(g), complement(complement(g))):
+            assert list(h.edges) == list(g.edges)
+            assert all(key is stored[key] for key in h.edges)
+
+    def test_complement_keys_an_edge_pair_by_the_edge_key(self):
+        # 1.0 == 1, so the edge keyed (1.0, 2) is the pair of vertices 1 and 2:
+        # the complement keeps that edge's key, with the label as the key spells it
+        d, e = PFDegree(0.5, 0.5), PFDegree(0.2, 0.3)
+        h = complement(PFGraph({1: d, 2: d, 3: d}, {(1.0, 2): e}))
+        assert repr(list(h.edges)) == (
+            "[PairKey(lo=1.0, hi=2), PairKey(lo=1, hi=3), PairKey(lo=2, hi=3)]"
+        )
+
+    def test_sorted_edges_are_the_graph_keys_in_key_order(self, square_cycle):
+        for g in (square_cycle, generate(GenConfig(seed=3, n_vertices=12))):
+            keys = sorted_edges(g)
+            assert keys == [k for k, _ in sorted(g.edges.items())]
+            stored = {key: key for key in g.edges}
+            assert all(key is stored[key] for key in keys)
 
     @pytest.mark.parametrize(
         "clone",

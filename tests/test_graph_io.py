@@ -24,7 +24,7 @@ from pfgraph import (
     to_dot,
     validate,
 )
-from pfgraph.core import sorted_edges, sorted_vertices
+from pfgraph.core import sorted_vertices
 
 from reference_codec import EPS, one_break_specs, reference_parse, reference_validate
 
@@ -401,15 +401,43 @@ def test_render_is_json_dumps_with_indent_2(g):
         ],
         "edges": [
             {"u": key.lo, "v": key.hi, "mu": degree.mu, "nu": degree.nu}
-            for key, degree in sorted_edges(g)
+            for key, degree in sorted(g.edges.items())
         ],
     }
-    assert render(g) == json.dumps(doc, indent=2) + "\n"
+    try:
+        expected = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # a NaN or infinite degree, which JSON cannot carry
+        with pytest.raises(MalformedDocument, match="value (nan|inf|-inf) outside"):
+            render(g)
+    else:
+        assert render(g) == expected
 
 
 class TestRender:
     def test_round_trip_identity(self, square_cycle):
         assert parse(render(square_cycle)) == square_cycle
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("entry", ["vertex", "edge"])
+    def test_non_finite_degree_raises_what_parse_raises_for_the_text(self, entry, value):
+        # json.dumps would write NaN or Infinity, which parse rejects even unchecked
+        d = PFDegree(0.5, 0.5)
+        if entry == "vertex":
+            g = PFGraph({"a": PFDegree(value, 0.5)})
+            message = f"vertex 'a': 'mu' value {value!r} outside [0, 1]"
+        else:
+            g = PFGraph({"a": d, "b": d}, {("b", "a"): PFDegree(0.2, value)})
+            message = f"edge a-b: 'nu' value {value!r} outside [0, 1]"
+        doc = {
+            "format_version": 1,
+            "vertices": [{"id": v, "mu": mu, "nu": nu} for v, (mu, nu) in g.vertices.items()],
+            "edges": [{"u": u, "v": v, "mu": mu, "nu": nu} for (u, v), (mu, nu) in g.edges.items()],
+        }
+        with pytest.raises(MalformedDocument) as parsed:
+            parse(json.dumps(doc), check=False)
+        with pytest.raises(MalformedDocument) as rendered:
+            render(g)
+        assert str(rendered.value) == str(parsed.value) == message
 
     @pytest.mark.parametrize("write", [render, to_dot])
     def test_dangling_edge_with_unorderable_endpoint(self, write):

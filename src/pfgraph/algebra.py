@@ -23,6 +23,7 @@ from .core import (
     PFDegree,
     PFGraph,
     PairKey,
+    ZERO_DEGREE,
     dangling_edge,
     degree_max_min,
     degree_min_max,
@@ -194,19 +195,21 @@ def complement(g: PFGraph) -> PFGraph:
     """General complement over all vertex pairs; an involution on valid graphs."""
     eps = tolerance()
     new = tuple.__new__
+    stored = dict(zip(g.edges, g.edges)).get  # an edge pair keeps g's own key object
     edges = {}
-    for key, (mu, nu), bmu, bnu in g._pair_scan():
-        # _bound_minus's common case inline: a result above eps is returned as it is
-        if mu <= eps:
-            mu = bmu
+    for u, v, degree, mu, nu in g._pair_scan():  # mu, nu start as the bound: no edge's complement
+        if degree is ZERO_DEGREE:
+            key = new(PairKey, (u, v))
         else:
-            rest = bmu - mu
-            mu = rest if rest > eps else _bound_minus(bmu, mu, eps)
-        if nu <= eps:
-            nu = bnu
-        else:
-            rest = bnu - nu
-            nu = rest if rest > eps else _bound_minus(bnu, nu, eps)
+            key = stored((u, v))
+            emu, enu = degree
+            # _bound_minus's common case inline: a result above eps is returned as it is
+            if not emu <= eps:
+                rest = mu - emu
+                mu = rest if rest > eps else _bound_minus(mu, emu, eps)
+            if not enu <= eps:
+                rest = nu - enu
+                nu = rest if rest > eps else _bound_minus(nu, enu, eps)
         if mu != 0.0 or nu != 0.0:
             edges[key] = new(PFDegree, (mu, nu))
     return PFGraph._adopt(dict(g.vertices), edges)
@@ -216,11 +219,11 @@ def _zero_or_bound_complement(g: PFGraph) -> PFGraph:
     eps = tolerance()
     new = tuple.__new__
     edges = {}
-    for key, (mu, nu), bmu, bnu in g._pair_scan():
+    for u, v, (mu, nu), bmu, bnu in g._pair_scan():
         mu = 0.0 if mu > eps else bmu
         nu = 0.0 if nu > eps else bnu
         if mu != 0.0 or nu != 0.0:
-            edges[key] = new(PFDegree, (mu, nu))
+            edges[new(PairKey, (u, v))] = new(PFDegree, (mu, nu))
     return PFGraph._adopt(dict(g.vertices), edges)
 
 
@@ -250,7 +253,8 @@ def complete_complement(g: PFGraph, force: bool = False) -> PFGraph:
     """Complement for complete graphs; for a genuinely complete input it is edgeless."""
     eps = tolerance()
     if not force and not all(
-        abs(mu - bmu) <= eps and abs(nu - bnu) <= eps for _, (mu, nu), bmu, bnu in g._pair_scan()
+        abs(mu - bmu) <= eps and abs(nu - bnu) <= eps
+        for _, _, (mu, nu), bmu, bnu in g._pair_scan()
     ):
         raise NotComplete("input graph is not complete; pass force=True to override")
     return _zero_or_bound_complement(g)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple
 
 from .algebra import complement, complete_complement, strong_complement
-from .core import PFDegree, PFGraph, tolerance
+from .core import PFDegree, PFGraph, PairKey, ZERO_DEGREE, tolerance
 from .morphism import DEFAULT_SEARCH_CAP, MorphismKind, MorphismReport, find_morphism
 
 
@@ -41,32 +41,32 @@ def classify(g: PFGraph) -> Classification:
     # witnesses keep the strength flags ahead of the completeness flags
     strength: dict[str, tuple[str, str]] = {}
     completeness: dict[str, tuple[str, str]] = {}
-    edges = g.edges
 
-    def note(found: dict, flag: str, key) -> bool:
-        """Record key as the witness of flag; whether all five flags now have one."""
-        found[flag] = tuple(key)
+    def note(found: dict, flag: str, u, v) -> bool:
+        """Record (u, v) as the witness of flag; whether all five flags now have one."""
+        found[flag] = (u, v)
         return len(strength) + len(completeness) == 5
 
     # the scan stops once every flag has its witness: later pairs change nothing
-    for key, (mu, nu), bmu, bnu in g._pair_scan():
+    for u, v, degree, bmu, bnu in g._pair_scan():
+        mu, nu = degree
         mu_equal = abs(mu - bmu) <= eps
         nu_equal = abs(nu - bnu) <= eps
-        if key in edges:
+        if degree is not ZERO_DEGREE:  # a stored degree is never that object
             if not mu_equal and "is_mu_strong" not in strength:
-                if note(strength, "is_mu_strong", key):
+                if note(strength, "is_mu_strong", u, v):
                     break
             if not nu_equal and "is_nu_strong" not in strength:
-                if note(strength, "is_nu_strong", key):
+                if note(strength, "is_nu_strong", u, v):
                     break
         if not (mu_equal and nu_equal) and "is_complete" not in completeness:
-            if note(completeness, "is_complete", key):
+            if note(completeness, "is_complete", u, v):
                 break
         if not (mu_equal and bnu - nu > eps) and "is_complete_mu_strong" not in completeness:
-            if note(completeness, "is_complete_mu_strong", key):
+            if note(completeness, "is_complete_mu_strong", u, v):
                 break
         if not (bmu - mu > eps and nu_equal) and "is_complete_nu_strong" not in completeness:
-            if note(completeness, "is_complete_nu_strong", key):
+            if note(completeness, "is_complete_nu_strong", u, v):
                 break
 
     witnesses = {**strength, **completeness}
@@ -101,7 +101,7 @@ class SumIdentityReport(NamedTuple):
 def _sum_report(g: PFGraph, factor: float) -> SumIdentityReport:
     eps = tolerance()
     edge_mu = edge_nu = bound_mu = bound_nu = 0.0
-    for _, (mu, nu), bmu, bnu in g._pair_scan():
+    for _, _, (mu, nu), bmu, bnu in g._pair_scan():
         edge_mu += mu
         edge_nu += nu
         bound_mu += bmu
@@ -168,8 +168,8 @@ def half_strong_construction(p: Mapping[str, PFDegree]) -> PFGraph:
     g = PFGraph(p)
     new = tuple.__new__
     edges = {}
-    for key, _, bmu, bnu in g._pair_scan():
+    for u, v, _, bmu, bnu in g._pair_scan():
         mu, nu = 0.5 * bmu, 0.5 * bnu
         if mu != 0.0 or nu != 0.0:
-            edges[key] = new(PFDegree, (mu, nu))
+            edges[new(PairKey, (u, v))] = new(PFDegree, (mu, nu))
     return PFGraph._adopt(g.vertices, edges)  # g, and so its copy of p, goes no further

@@ -34,19 +34,20 @@ Design choices baked into this module:
   ``mu != 0.0 or nu != 0.0`` is ``!= ZERO_DEGREE``, for -0.0 and NaN too)
   and hand their maps to :meth:`PFGraph._adopt` once.
 - Every pass over all unordered vertex pairs goes through
-  :meth:`PFGraph._pair_scan`, which yields each pair as a flat row: its
-  key, its edge degree (an absent edge reads as (0, 0)) and the two
-  components of its attainable bound.  It sorts the labels once, yields an
-  edge pair's own stored key and builds a key, as a bare tuple, only for a
-  pair with no edge, with no per-pair Python-level call and no bound tuple.
-  :meth:`PFGraph.pair_rows` is the public view of the same rows, with the
-  bound as a PFDegree; no pass in the package calls it.
+  :meth:`PFGraph._pair_scan`, which yields each pair as a flat row: its two
+  labels in sorted order, its edge degree (an absent edge reads as
+  ZERO_DEGREE) and the two components of its attainable bound.  It sorts
+  the labels once and makes one C-level ``get`` per pair; it builds no key,
+  no map and no bound tuple, so each pass builds only what it keeps.
+  :meth:`PFGraph.pairs` and :meth:`PFGraph.pair_rows` are the public views
+  of the same rows, keyed by PairKey; no pass in the package calls them.
 - PairKey and PFDegree are tuple subclasses, and CPython's cyclic garbage
   collector tracks such an object for its whole life (it untracks only
   plain tuples of untracked items).  Each one a pass builds and keeps, and
   each (key, degree) pair it holds in a list, counts towards the next
   collection, so the passes reuse the objects a graph already holds: the
-  pair scan yields stored keys and degrees, and :func:`sorted_edges`
+  pair scan yields stored degrees, ``complement``, the one pass that keeps
+  edge pairs' keys, fetches the stored keys itself, and :func:`sorted_edges`
   returns the bare keys, whose degrees the writers read from the map.  Every
   pass that sorts vertex labels goes through :func:`sorted_vertices`, so
   labels that ``<`` cannot put in a strict order (an int beside a str,
@@ -306,8 +307,8 @@ class PFGraph:
         return self.edges.get(PairKey(u, v), ZERO_DEGREE)
 
     def pairs(self) -> Iterator[PairKey]:
-        """All unordered pairs of distinct vertices, edge or not."""
-        return (key for key, _, _, _ in self._pair_scan())
+        """All unordered pairs of distinct vertices, edge or not, as new PairKeys in key order."""
+        return (tuple.__new__(PairKey, (u, v)) for u, v, _, _, _ in self._pair_scan())
 
     def pair_bound(self, u: str, v: str) -> PFDegree:
         """The largest degree an edge between u and v may carry.
@@ -326,39 +327,33 @@ class PFGraph:
 
         ``degree`` is ZERO_DEGREE when the pair has no edge and ``bound`` is
         :meth:`pair_bound` of the pair.  These are the rows of
-        :meth:`_pair_scan` with the bound built as a PFDegree.
+        :meth:`_pair_scan`, keyed by a new PairKey, the bound as a PFDegree.
         """
         new = tuple.__new__
-        for key, degree, bound_mu, bound_nu in self._pair_scan():
-            yield key, degree, new(PFDegree, (bound_mu, bound_nu))
+        for u, v, degree, bound_mu, bound_nu in self._pair_scan():
+            yield new(PairKey, (u, v)), degree, new(PFDegree, (bound_mu, bound_nu))
 
-    def _pair_scan(self) -> Iterator[tuple[PairKey, PFDegree, float, float]]:
-        """(key, degree, bound_mu, bound_nu) for every unordered pair, in sorted key order.
+    def _pair_scan(self) -> Iterator[tuple[str, str, PFDegree, float, float]]:
+        """(u, v, degree, bound_mu, bound_nu) for every unordered pair, in sorted key order.
 
         The labels are sorted once by :func:`sorted_vertices`; strictly
-        increasing labels are already in PairKey's canonical order.  An edge
-        pair yields the edge's own stored key and degree objects, found by
-        looking up the plain tuple (u, v) in a key-to-key map built in C once
-        per scan (a PairKey hashes and compares as its tuple); only a pair
-        with no edge gets a new key, built as a bare tuple, and ZERO_DEGREE.
-        A PairKey stays tracked by the cyclic GC for life, so a key that a
-        pass keeps without building it is collector work saved.  The bound
-        follows :func:`degree_min_max`'s rule exactly (the lower label's value
-        wins ties), with no per-pair call and no bound tuple.
+        increasing labels are already in PairKey's canonical order, so (u, v)
+        is the key's (lo, hi).  ``degree`` is the stored degree object, read
+        with one ``get`` of the plain tuple (u, v) (a PairKey hashes and
+        compares as its tuple), or ZERO_DEGREE itself for a pair with no
+        edge; a stored degree is never that object, since (0, 0) edges are
+        dropped on construction.  The scan builds no key: each pass builds
+        the keys it keeps.  The bound follows :func:`degree_min_max`'s rule
+        exactly (the lower label's value wins ties), with no per-pair call
+        and no bound tuple.
         """
-        edges = self.edges
-        stored = dict(zip(edges, edges)).get
+        get = self.edges.get
         items = sorted_vertices(self)
-        new = tuple.__new__
         for i, (u, (umu, unu)) in enumerate(items, 1):
             for v, (vmu, vnu) in items[i:]:
                 bound_mu = vmu if vmu < umu else umu
                 bound_nu = vnu if vnu > unu else unu
-                key = stored((u, v))
-                if key is None:
-                    yield new(PairKey, (u, v)), ZERO_DEGREE, bound_mu, bound_nu
-                else:
-                    yield key, edges[key], bound_mu, bound_nu
+                yield u, v, get((u, v), ZERO_DEGREE), bound_mu, bound_nu
 
 
 class Violation(NamedTuple):

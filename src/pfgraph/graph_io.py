@@ -13,18 +13,21 @@ both is rejected.  Rendering is deterministic, with vertices sorted by id
 and edges by their canonical pair, so equal graphs render byte-identically.
 :func:`render` and :func:`to_dot` raise DanglingEdge for a graph with an
 edge to an undeclared vertex, as :func:`parse` does for such a document.
-:func:`render` raises MalformedDocument for a NaN or infinite degree, with
-the message :func:`parse` gives for the ``NaN`` or ``Infinity`` that
-``json.dumps`` would write, which is not JSON.  Both writers walk the edge
+:func:`render` raises MalformedDocument for every entry that
+``parse(text, check=False)`` would reject (a vertex id that is not a
+non-empty UTF-8 str, a bool or other degree that is not a number, a degree
+outside [0, 1], NaN and ±inf included), with the message :func:`parse`
+gives for the text ``json.dumps`` would write.  Both writers walk the edge
 keys that :func:`~pfgraph.core.sorted_edges` returns and read each degree
 from the edge map, so they build no (key, degree) tuple per edge, which
 the cyclic GC would track.
 
 :func:`render` writes the exact bytes of ``json.dumps(doc, indent=2)``
 without going through the pure-Python encoder that ``indent`` selects: an
-entry whose label is a str and whose degrees are finite floats is formatted
-directly (``encode_basestring_ascii`` for the label, ``float.__repr__`` for
-the numbers), and any other entry is handed to ``json.dumps`` itself.
+entry whose label is a non-empty UTF-8 str and whose degrees are floats in
+[0, 1] up to the tolerance is formatted directly (``encode_basestring_ascii``
+for the label, ``float.__repr__`` for the numbers), and any other entry is
+checked by parse's own readers and then handed to ``json.dumps`` itself.
 :func:`parse` checks the schema: one loop reads every entry and checks its
 labels (a vertex id must encode as UTF-8, which a lone surrogate escaped
 in JSON does not), declarations and the type and unit range of each
@@ -61,12 +64,18 @@ from .errors import (
 
 FORMAT_VERSION = 1
 
-_INF = float("inf")
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise MalformedDocument(message)
+
+
+def _read_id(label) -> None:
+    """MalformedDocument unless label is a vertex id: a non-empty str that encodes as UTF-8."""
+    if not (isinstance(label, str) and label):
+        raise MalformedDocument("vertex 'id' must be a non-empty string")
+    if not (label.isascii() or encodes_as_utf8(label)):
+        raise MalformedDocument(f"vertex 'id' {label!r} does not encode as UTF-8")
 
 
 def _read_degree(entry: dict, where: str) -> PFDegree:
@@ -115,10 +124,7 @@ def parse(text: str, check: bool = True) -> PFGraph:
         if not isinstance(entry, dict):
             raise MalformedDocument("vertex entries must be objects")
         label = entry.get("id")
-        if not (isinstance(label, str) and label):
-            raise MalformedDocument("vertex 'id' must be a non-empty string")
-        if not (label.isascii() or encodes_as_utf8(label)):
-            raise MalformedDocument(f"vertex 'id' {label!r} does not encode as UTF-8")
+        _read_id(label)
         if label in vertices:
             raise DuplicateVertex(f"vertex {label!r} declared twice")
         mu, nu = entry.get("mu"), entry.get("nu")
@@ -164,14 +170,15 @@ def parse(text: str, check: bool = True) -> PFGraph:
 def _entry(fields: dict, where: str) -> str:
     """One list entry exactly as ``json.dumps(doc, indent=2)`` writes it.
 
-    A degree that JSON cannot carry (NaN, ±inf) raises MalformedDocument
-    with the message :func:`parse` gives for the text ``json.dumps`` would
-    write, instead of that text.
+    An entry that :func:`parse` would reject even with ``check=False`` (a
+    vertex id that is not a non-empty UTF-8 str; a degree that is not a
+    number, such as a bool, or lies outside [0, 1], NaN and ±inf included)
+    raises MalformedDocument with the message :func:`parse` gives for the
+    text ``json.dumps`` would write, instead of that text.
     """
-    for field in ("mu", "nu"):
-        value = fields[field]
-        if isinstance(value, float) and not -_INF < value < _INF:
-            raise MalformedDocument(f"{where}: {field!r} value {value!r} outside [0, 1]")
+    if "id" in fields:
+        _read_id(fields["id"])
+    _read_degree(fields, where)
     return "    " + json.dumps(fields, indent=2).replace("\n", "\n    ")
 
 
@@ -182,14 +189,16 @@ def _entries(lines: list[str]) -> str:
 def render(g: PFGraph) -> str:
     """Serialize a graph to its canonical JSON document text.
 
-    DanglingEdge if an edge dangles; MalformedDocument if a degree is NaN or
-    infinite, which JSON cannot carry.
+    DanglingEdge if an edge dangles; MalformedDocument, with :func:`parse`'s
+    message, for an entry that ``parse(text, check=False)`` would reject.
     """
     enc = encode_basestring_ascii
+    eps = tolerance()
+    low, high = -eps, 1.0 + eps  # in range implies finite: NaN and ±inf fail
     vertices = [
         f'    {{\n      "id": {enc(label)},\n      "mu": {mu!r},\n      "nu": {nu!r}\n    }}'
-        if type(label) is str and type(mu) is float and type(nu) is float
-        and -_INF < mu < _INF and -_INF < nu < _INF
+        if type(label) is str and label and (label.isascii() or encodes_as_utf8(label))
+        and type(mu) is float and type(nu) is float and low <= mu <= high and low <= nu <= high
         else _entry({"id": label, "mu": mu, "nu": nu}, f"vertex {label!r}")
         for label, (mu, nu) in sorted_vertices(g)
     ]
@@ -202,7 +211,7 @@ def render(g: PFGraph) -> str:
             f'    {{\n      "u": {enc(u)},\n      "v": {enc(v)},\n'
             f'      "mu": {mu!r},\n      "nu": {nu!r}\n    }}'
             if type(u) is str and type(v) is str and type(mu) is float and type(nu) is float
-            and -_INF < mu < _INF and -_INF < nu < _INF
+            and low <= mu <= high and low <= nu <= high
             else _entry({"u": u, "v": v, "mu": mu, "nu": nu}, f"edge {key}")
         )
     return (

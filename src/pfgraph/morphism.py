@@ -36,11 +36,12 @@ so per-call set-up grows with the target's size, not its square.
 Each call reads the kind's vertex relation and edge relation once, as two
 booleans (equality within eps, or s maps into t), and every check then
 compares bare (mu, nu) floats inline: NaN relates to nothing, as in the
-two relations' definitions.  Under the kinds other than isomorphism every
-source edge is checked, so :func:`find_morphism` (before it searches) and
-:func:`verify_morphism` raise DanglingEdge for the first dangling source
-edge in insertion order, through :func:`~pfgraph.core.require_endpoints`,
-the same check that makes ``render`` and ``to_dot`` raise it.
+two relations' definitions.  Under isomorphism :func:`verify_morphism`
+reads each source pair's labels and degree from the pair scan's rows, with
+no key built.  Under the other kinds every source edge is checked, so
+:func:`find_morphism` (before it searches) and :func:`verify_morphism`
+raise DanglingEdge for the first dangling source edge in insertion order,
+through :func:`~pfgraph.core.require_endpoints`, as the writers do.
 """
 
 from __future__ import annotations
@@ -260,12 +261,12 @@ def verify_morphism(
         ):
             violations.append(f"vertex condition fails at {u!r} -> {mapping[u]!r}")
 
-    checked = g1.pairs() if kind is MorphismKind.ISOMORPHISM else sorted_edges(g1)
-    source_edge = g1.edges.get
+    if kind is MorphismKind.ISOMORPHISM:
+        checked = g1._pair_scan()  # every pair, an absent edge read as (0, 0)
+    else:
+        checked = ((*key, g1.edges[key], None, None) for key in sorted_edges(g1))
     target_edge = g2.edges.get
-    for key in checked:
-        u, w = key
-        smu, snu = source_edge(key, ZERO_DEGREE)
+    for u, w, (smu, snu), _, _ in checked:
         tu, tw = mapping[u], mapping[w]
         tmu, tnu = target_edge((tu, tw)) or target_edge((tw, tu), ZERO_DEGREE)
         if not (

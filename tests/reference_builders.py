@@ -9,7 +9,10 @@ every degree through ``PFDegree(...)`` or ``degree_min_max``, every graph
 through the checking constructor ``PFGraph(...)``, and a classify that
 scans every pair.  It also keeps the sum identities and ``graphs_close``
 as they were before the pair scan yielded flat rows: every pair through
-``PFGraph.pair_rows`` and every comparison through ``degrees_close``.
+this module's :func:`pair_rows` and every comparison through
+``degrees_close``.  ``pair_rows`` walks the sorted labels pair by pair and
+reads each pair through ``edge_degree`` and ``pair_bound``, so a defect in
+the library's pair scan cannot pass on both sides.
 Each body calls this module's own copies of the others, so the property
 tests in ``test_builders.py`` compare the library against an independent
 path and require the same graph (vertices, edges, edge order and rendered
@@ -17,9 +20,10 @@ bytes), the same classification, the same sum report to the bit, the same
 verdict, or the same exception class and message.
 """
 
+import itertools
 import math
 import random
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from pfgraph import (
     Classification,
@@ -177,12 +181,19 @@ def _bound_minus(bound: float, value: float, eps: float) -> float:
     return result
 
 
+def pair_rows(g: PFGraph) -> Iterator[tuple[PairKey, PFDegree, PFDegree]]:
+    """(key, degree, bound) for every unordered pair in sorted key order, as
+    ``PFGraph.pair_rows`` gives them, read through the per-pair methods."""
+    for u, v in itertools.combinations(sorted(g.vertices), 2):
+        yield PairKey(u, v), g.edge_degree(u, v), g.pair_bound(u, v)
+
+
 def complement(g: PFGraph) -> PFGraph:
     """General complement over all vertex pairs; an involution on valid graphs."""
     eps = tolerance()
     edges = {
         key: PFDegree(_bound_minus(bmu, mu, eps), _bound_minus(bnu, nu, eps))
-        for key, (mu, nu), (bmu, bnu) in g.pair_rows()
+        for key, (mu, nu), (bmu, bnu) in pair_rows(g)
     }
     return PFGraph(g.vertices, edges)
 
@@ -191,7 +202,7 @@ def _zero_or_bound_complement(g: PFGraph) -> PFGraph:
     eps = tolerance()
     edges = {
         key: PFDegree(0.0 if mu > eps else bmu, 0.0 if nu > eps else bnu)
-        for key, (mu, nu), (bmu, bnu) in g.pair_rows()
+        for key, (mu, nu), (bmu, bnu) in pair_rows(g)
     }
     return PFGraph(g.vertices, edges)
 
@@ -214,7 +225,7 @@ def complete_complement(g: PFGraph, force: bool = False) -> PFGraph:
     """Complement for complete graphs; for a genuinely complete input it is edgeless."""
     eps = tolerance()
     if not force and not all(
-        degrees_close(degree, bound, eps) for _, degree, bound in g.pair_rows()
+        degrees_close(degree, bound, eps) for _, degree, bound in pair_rows(g)
     ):
         raise NotComplete("input graph is not complete; pass force=True to override")
     return _zero_or_bound_complement(g)
@@ -226,7 +237,7 @@ def classify(g: PFGraph) -> Classification:
     strength: dict[str, tuple[str, str]] = {}
     completeness: dict[str, tuple[str, str]] = {}
     edges = g.edges
-    for key, (mu, nu), (bmu, bnu) in g.pair_rows():
+    for key, (mu, nu), (bmu, bnu) in pair_rows(g):
         pair = tuple(key)
         mu_equal = abs(mu - bmu) <= eps
         nu_equal = abs(nu - bnu) <= eps
@@ -265,14 +276,14 @@ def half_strong_construction(p: Mapping[str, PFDegree]) -> PFGraph:
     isomorphic to its own general complement under the identity map.
     """
     g = PFGraph(p)
-    edges = {key: PFDegree(0.5 * bmu, 0.5 * bnu) for key, _, (bmu, bnu) in g.pair_rows()}
+    edges = {key: PFDegree(0.5 * bmu, 0.5 * bnu) for key, _, (bmu, bnu) in pair_rows(g)}
     return PFGraph(g.vertices, edges)
 
 
 def _sum_report(g: PFGraph, factor: float) -> SumIdentityReport:
     eps = tolerance()
     edge_mu = edge_nu = bound_mu = bound_nu = 0.0
-    for _, (mu, nu), (bmu, bnu) in g.pair_rows():
+    for _, (mu, nu), (bmu, bnu) in pair_rows(g):
         edge_mu += mu
         edge_nu += nu
         bound_mu += bmu

@@ -9,7 +9,9 @@ its pair checks were inlined: every pair check builds its ``PairKey``s
 through ``has_edge`` and ``edge_degree`` and tests the relation through
 ``_related`` and ``degrees_close``.  Its ``verify_morphism`` orders each
 target pair with ``<``, reads a collapsed pair as (0, 0) and falls back to
-``PairKey`` for labels that ``<`` cannot order.  The tests in
+``PairKey`` for labels that ``<`` cannot order; under isomorphism it reads
+the source pairs through ``reference_builders.pair_rows``, not through the
+library's pair scan.  The tests in
 ``test_search_reference.py`` require the library's ``MorphismReport`` and
 ``MorphismCheck`` to equal these field for field (kind, found, witness and
 search_space; ok and the violations in order), so the variable order, the
@@ -36,6 +38,7 @@ from pfgraph import (
     tolerance,
 )
 from pfgraph.core import require_endpoints, sorted_labels, sorted_vertices
+from reference_builders import pair_rows
 
 
 def _related(equality: bool, s: PFDegree, t: PFDegree, eps: float) -> bool:
@@ -165,7 +168,7 @@ def verify_morphism(
             violations.append(f"vertex condition fails at {u!r} -> {mapping[u]!r}")
 
     if kind is MorphismKind.ISOMORPHISM:
-        checked = ((key, s) for key, s, _ in g1.pair_rows())
+        checked = ((key, s) for key, s, _ in pair_rows(g1))
     else:
         checked = _edges_with_declared_endpoints(g1)
     target_edge = g2.edges.get

@@ -47,7 +47,8 @@ def outcome(build, *args):
 
     ``rendered`` is the text, or ("raise", class, message) for the DanglingEdge
     that render raises on a product that keeps its inputs' dangling edges, or
-    for the MalformedDocument it raises on a NaN or infinite degree.
+    for the MalformedDocument it raises on an entry that ``parse`` rejects
+    unchecked: a degree outside [0, 1] beyond the tolerance, NaN included.
     """
     try:
         g = build(*args)

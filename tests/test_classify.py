@@ -37,6 +37,31 @@ class TestClassify:
         assert not profile.is_strong
         assert profile.witnesses["is_mu_strong"] == ("a", "b")
 
+    @pytest.mark.parametrize(
+        "family, seed, expected",
+        [
+            # taken from the scan that yielded keys: a strong graph scans every
+            # pair, and its is_complete witness is not the first pair
+            ("strong", 1, [("is_complete_mu_strong", ("v0", "v1")),
+                           ("is_complete_nu_strong", ("v0", "v1")),
+                           ("is_complete", ("v1", "v11"))]),
+            ("strong", 2, [("is_complete_mu_strong", ("v0", "v1")),
+                           ("is_complete_nu_strong", ("v0", "v1")),
+                           ("is_complete", ("v0", "v10"))]),
+            ("general", 1, [(flag, ("v0", "v1")) for flag in (
+                "is_mu_strong", "is_nu_strong", "is_complete", "is_complete_mu_strong",
+                "is_complete_nu_strong", "is_strong")]),
+        ],
+    )
+    def test_witnesses_are_plain_pairs_of_the_vertex_labels(self, family, seed, expected):
+        g = generate(GenConfig(seed=seed, n_vertices=12, edge_probability=0.5, family=family))
+        witnesses = classify(g).witnesses
+        assert list(witnesses.items()) == expected
+        labels = {label: label for label in g.vertices}
+        for pair in witnesses.values():
+            assert type(pair) is tuple and len(pair) == 2
+            assert all(label is labels[label] for label in pair)
+
     def test_single_vertex_satisfies_everything(self):
         profile = classify(build({"a": (0.5, 0.5)}))
         assert profile.is_mu_strong and profile.is_nu_strong and profile.is_strong

@@ -1,6 +1,7 @@
 """Core value types: degree arithmetic, pair keys, and graph validation."""
 
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -396,27 +397,36 @@ class TestGraphConstruction:
             assert degree == g.edge_degree(*key)
             assert repr(bound) == repr(g.pair_bound(*key))
 
-        # the flat rows every pass reads are the same rows, element for element
+        # the flat rows every pass reads are the same rows, element for element:
+        # the key's two labels, the same degree object and the bound's components
         scan = list(g._pair_scan())
         assert len(scan) == len(rows)
-        for (key, degree, bound_mu, bound_nu), (row_key, row_degree, bound) in zip(scan, rows):
-            assert type(key) is PairKey and key == row_key
+        for (u, v, degree, bound_mu, bound_nu), (row_key, row_degree, bound) in zip(scan, rows):
+            assert (u, v) == tuple(row_key)
             assert degree is row_degree
             assert repr(PFDegree(bound_mu, bound_nu)) == repr(bound)
 
-    def test_pair_scan_yields_each_edge_its_stored_key(self, square_cycle):
-        # an edge pair gives the edge's own key and degree objects, every
-        # other pair a new key in each scan
-        g = square_cycle
-        stored = {key: key for key in g.edges}
-        first, second = list(g._pair_scan()), list(g._pair_scan())
-        assert [row[0] for row in first] == [row[0] for row in second] == list(g.pairs())
-        for (key, degree, _, _), (again, _, _, _) in zip(first, second):
-            assert type(key) is PairKey
-            if key in stored:
-                assert key is stored[key] is again and degree is g.edges[key]
-            else:
-                assert key is not again and degree is ZERO_DEGREE
+    def test_pair_scan_yields_the_label_objects_and_the_stored_degree(self, square_cycle):
+        # a row is the sorted pair of vertex label objects, with no key built;
+        # an edge pair gives the edge's own degree object, every other pair
+        # ZERO_DEGREE itself.  1.0 == 1, so the edge keyed (1.0, 2) is the pair
+        # of vertices 1 and 2, whose row carries the vertex label 1
+        d, e = PFDegree(0.5, 0.5), PFDegree(0.2, 0.3)
+        spelled = PFGraph({1: d, 2: d, 3: d}, {(1.0, 2): e})
+        for g in (square_cycle, generate(GenConfig(seed=3, n_vertices=12)), spelled):
+            labels = sorted(g.vertices)
+            scan = list(g._pair_scan())
+            assert len(scan) == len(labels) * (len(labels) - 1) // 2
+            for (u, v, degree, _, _), (a, b) in zip(scan, itertools.combinations(labels, 2)):
+                assert u is a and v is b
+                key = PairKey(u, v)
+                if key in g.edges:
+                    assert degree is g.edges[key]
+                else:
+                    assert degree is ZERO_DEGREE
+        assert [row[:3] for row in spelled._pair_scan()] == [
+            (1, 2, e), (1, 3, ZERO_DEGREE), (2, 3, ZERO_DEGREE)
+        ]
 
     def test_complement_keeps_the_keys_of_edges_inside_their_bound(self):
         # every pair is an edge strictly inside its bound, so every pair is an

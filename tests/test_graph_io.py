@@ -404,18 +404,68 @@ def test_render_is_json_dumps_with_indent_2(g):
             for key, degree in sorted(g.edges.items())
         ],
     }
+    # json.dumps writes NaN and Infinity, which json.loads reads back, so an
+    # entry parse rejects, unchecked, is rejected by parse's own rules
+    expected = json.dumps(doc, indent=2) + "\n"
     try:
-        expected = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    except ValueError:  # a NaN or infinite degree, which JSON cannot carry
-        with pytest.raises(MalformedDocument, match="value (nan|inf|-inf) outside"):
+        parse(expected, check=False)
+    except MalformedDocument as exc:
+        with pytest.raises(MalformedDocument) as rendered:
             render(g)
+        assert str(rendered.value) == str(exc)
     else:
         assert render(g) == expected
+
+
+def assert_render_raises_what_parse_raises(g, message):
+    """render(g) raises MalformedDocument with the message, which is the one
+    parse(check=False) gives for the text json.dumps writes for g's entries."""
+    doc = {
+        "format_version": 1,
+        "vertices": [{"id": v, "mu": mu, "nu": nu} for v, (mu, nu) in g.vertices.items()],
+        "edges": [{"u": u, "v": v, "mu": mu, "nu": nu} for (u, v), (mu, nu) in g.edges.items()],
+    }
+    with pytest.raises(MalformedDocument) as parsed:
+        parse(json.dumps(doc), check=False)
+    with pytest.raises(MalformedDocument) as rendered:
+        render(g)
+    assert str(rendered.value) == str(parsed.value) == message
 
 
 class TestRender:
     def test_round_trip_identity(self, square_cycle):
         assert parse(render(square_cycle)) == square_cycle
+
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            ({1: (0.5, 0.5)}, {}, "vertex 'id' must be a non-empty string"),
+            ({"": (0.5, 0.5)}, {}, "vertex 'id' must be a non-empty string"),
+            ({"\ud800": (0.5, 0.5)}, {}, "vertex 'id' '\\ud800' does not encode as UTF-8"),
+            ({"a": (True, 0.5)}, {}, "vertex 'a': 'mu' must be a number"),
+            ({"a": (0.5, 1.5)}, {}, "vertex 'a': 'nu' value 1.5 outside [0, 1]"),
+            ({"a": (-0.2, 0.5)}, {}, "vertex 'a': 'mu' value -0.2 outside [0, 1]"),
+            ({"a": (0.5, 0.5), "b": (0.5, 0.5)}, {("a", "b"): (0.2, False)},
+             "edge a-b: 'nu' must be a number"),
+            ({"a": (0.5, 0.5), "b": (0.5, 0.5)}, {("a", "b"): (1.5, 0.5)},
+             "edge a-b: 'mu' value 1.5 outside [0, 1]"),
+        ],
+        ids=["int-id", "empty-id", "surrogate-id", "bool-vertex", "above-one",
+             "below-zero", "bool-edge", "edge-above-one"],
+    )
+    def test_entry_that_parse_rejects_raises_what_parse_raises(self, vertices, edges, message):
+        g = PFGraph(
+            {v: PFDegree(*d) for v, d in vertices.items()},
+            {key: PFDegree(*d) for key, d in edges.items()},
+        )
+        assert_render_raises_what_parse_raises(g, message)
+
+    def test_values_within_tolerance_of_the_unit_range_are_written(self):
+        # the fast path's range test is parse's: -eps and 1 + eps are inside
+        g = PFGraph({"a": PFDegree(-EPS, 1.0 + EPS)})
+        assert parse(render(g), check=False) == g
+        with pytest.raises(MalformedDocument, match="outside"):
+            render(PFGraph({"a": PFDegree(-2 * EPS, 0.5)}))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
     @pytest.mark.parametrize("entry", ["vertex", "edge"])
@@ -428,16 +478,7 @@ class TestRender:
         else:
             g = PFGraph({"a": d, "b": d}, {("b", "a"): PFDegree(0.2, value)})
             message = f"edge a-b: 'nu' value {value!r} outside [0, 1]"
-        doc = {
-            "format_version": 1,
-            "vertices": [{"id": v, "mu": mu, "nu": nu} for v, (mu, nu) in g.vertices.items()],
-            "edges": [{"u": u, "v": v, "mu": mu, "nu": nu} for (u, v), (mu, nu) in g.edges.items()],
-        }
-        with pytest.raises(MalformedDocument) as parsed:
-            parse(json.dumps(doc), check=False)
-        with pytest.raises(MalformedDocument) as rendered:
-            render(g)
-        assert str(rendered.value) == str(parsed.value) == message
+        assert_render_raises_what_parse_raises(g, message)
 
     @pytest.mark.parametrize("write", [render, to_dot])
     def test_dangling_edge_with_unorderable_endpoint(self, write):

@@ -144,6 +144,15 @@ class PFDegree(NamedTuple):
 ZERO_DEGREE = PFDegree(0.0, 0.0)
 
 
+def safe_repr(value) -> str:
+    """repr(value), or, for an int with more digits than CPython converts to
+    a decimal string, its bit length, so that a message can name it."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<int of {value.bit_length()} bits>"
+
+
 def in_unit_range(value: float) -> bool:
     """Whether value lies in [0, 1] up to the tolerance (NaN does not)."""
     eps = tolerance()
@@ -158,7 +167,9 @@ def hesitation(d: PFDegree) -> float:
     within tolerance of zero clamps to exactly 0.
     """
     if not (in_unit_range(d.mu) and in_unit_range(d.nu)):
-        raise ConstraintViolation(f"degree ({d.mu!r}, {d.nu!r}) has a component outside [0, 1]")
+        raise ConstraintViolation(
+            f"degree ({safe_repr(d.mu)}, {safe_repr(d.nu)}) has a component outside [0, 1]"
+        )
     radicand = 1.0 - d.mu * d.mu - d.nu * d.nu
     if radicand < -tolerance():
         raise ConstraintViolation(
@@ -393,23 +404,30 @@ def validate(g: PFGraph) -> ValidationReport:
     vertices = g.vertices
     found: list[Violation] = []
     add = found.append
+    show = safe_repr
 
     for label, degree in vertices.items():
         mu, nu = degree
         if not isinstance(label, str) or not label:
-            add(Violation("bad_vertex_id", repr(label), "vertex ids must be non-empty strings"))
+            add(Violation("bad_vertex_id", show(label), "vertex ids must be non-empty strings"))
         elif not (label.isascii() or encodes_as_utf8(label)):
-            add(Violation("bad_vertex_id", repr(label), "vertex ids must encode as UTF-8"))
+            add(Violation("bad_vertex_id", show(label), "vertex ids must encode as UTF-8"))
         if not low <= mu <= high:
-            add(Violation("bad_vertex_degree", str(label), f"membership {mu!r} outside [0, 1]"))
+            add(Violation("bad_vertex_degree", str(label), f"membership {show(mu)} outside [0, 1]"))
         if not low <= nu <= high:
-            add(Violation("bad_vertex_degree", str(label), f"non-membership {nu!r} outside [0, 1]"))
-        if mu * mu + nu * nu > high:
+            add(
+                Violation("bad_vertex_degree", str(label), f"non-membership {show(nu)} outside [0, 1]")
+            )
+        try:
+            squares_above = mu * mu + nu * nu > high
+        except OverflowError:  # an int square beyond float range is above 1; NaN is not
+            squares_above = mu == mu and nu == nu
+        if squares_above:
             add(
                 Violation(
                     "bad_vertex_degree",
                     str(label),
-                    f"membership {mu!r} and non-membership {nu!r} have squared sum > 1",
+                    f"membership {show(mu)} and non-membership {show(nu)} have squared sum > 1",
                 )
             )
 
@@ -429,34 +447,45 @@ def validate(g: PFGraph) -> ValidationReport:
             continue
         mu, nu = degree
         if not low <= mu <= high:
-            add(Violation("bad_edge_degree", str(key), f"membership {mu!r} outside [0, 1]"))
+            add(Violation("bad_edge_degree", str(key), f"membership {show(mu)} outside [0, 1]"))
         if not low <= nu <= high:
-            add(Violation("bad_edge_degree", str(key), f"non-membership {nu!r} outside [0, 1]"))
-        if mu * mu + nu * nu > high:
+            add(Violation("bad_edge_degree", str(key), f"non-membership {show(nu)} outside [0, 1]"))
+        try:
+            squares_above = mu * mu + nu * nu > high
+        except OverflowError:
+            squares_above = mu == mu and nu == nu
+        if squares_above:
             add(
                 Violation(
                     "bad_edge_degree",
                     str(key),
-                    f"membership {mu!r} and non-membership {nu!r} have squared sum > 1",
+                    f"membership {show(mu)} and non-membership {show(nu)} have squared sum > 1",
                 )
             )
         (amu, anu), (bmu, bnu) = a, b
         bound_mu = bmu if bmu < amu else amu  # degree_min_max's tie rule: lo's value wins
-        if mu > bound_mu + eps:
+        bound_nu = bnu if bnu > anu else anu
+        try:
+            mu_above, nu_above = mu > bound_mu + eps, nu > bound_nu + eps
+        except OverflowError:  # an int bound beyond float range, compared exactly
+            from fractions import Fraction
+
+            slack = Fraction(eps)
+            mu_above, nu_above = mu > bound_mu + slack, nu > bound_nu + slack
+        if mu_above:
             add(
                 Violation(
                     "edge_membership_above_bound",
                     str(key),
-                    f"edge membership {mu!r} exceeds endpoint minimum {bound_mu!r}",
+                    f"edge membership {show(mu)} exceeds endpoint minimum {show(bound_mu)}",
                 )
             )
-        bound_nu = bnu if bnu > anu else anu
-        if nu > bound_nu + eps:
+        if nu_above:
             add(
                 Violation(
                     "edge_nonmembership_above_bound",
                     str(key),
-                    f"edge non-membership {nu!r} exceeds endpoint maximum {bound_nu!r}",
+                    f"edge non-membership {show(nu)} exceeds endpoint maximum {show(bound_nu)}",
                 )
             )
 

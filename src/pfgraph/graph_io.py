@@ -52,6 +52,7 @@ from .core import (
     encodes_as_utf8,
     in_unit_range,
     require_valid,
+    safe_repr,
     sorted_edges,
     sorted_vertices,
     tolerance,
@@ -85,7 +86,7 @@ def _read_degree(entry: dict, where: str) -> PFDegree:
             isinstance(value, (int, float)) and not isinstance(value, bool),
             f"{where}: {field!r} must be a number",
         )
-        _require(in_unit_range(value), f"{where}: {field!r} value {value!r} outside [0, 1]")
+        _require(in_unit_range(value), f"{where}: {field!r} value {safe_repr(value)} outside [0, 1]")
     return PFDegree(float(entry["mu"]), float(entry["nu"]))
 
 
@@ -167,7 +168,7 @@ def parse(text: str, check: bool = True) -> PFGraph:
     return require_valid(graph, "document") if check else graph
 
 
-def _entry(fields: dict, where: str) -> str:
+def _entry(fields: dict) -> str:
     """One list entry exactly as ``json.dumps(doc, indent=2)`` writes it.
 
     An entry that :func:`parse` would reject even with ``check=False`` (a
@@ -178,6 +179,9 @@ def _entry(fields: dict, where: str) -> str:
     """
     if "id" in fields:
         _read_id(fields["id"])
+        where = f"vertex {fields['id']!r}"
+    else:  # the endpoints were read as vertex ids first
+        where = f"edge {fields['u']}-{fields['v']}"
     _read_degree(fields, where)
     return "    " + json.dumps(fields, indent=2).replace("\n", "\n    ")
 
@@ -199,7 +203,7 @@ def render(g: PFGraph) -> str:
         f'    {{\n      "id": {enc(label)},\n      "mu": {mu!r},\n      "nu": {nu!r}\n    }}'
         if type(label) is str and label and (label.isascii() or encodes_as_utf8(label))
         and type(mu) is float and type(nu) is float and low <= mu <= high and low <= nu <= high
-        else _entry({"id": label, "mu": mu, "nu": nu}, f"vertex {label!r}")
+        else _entry({"id": label, "mu": mu, "nu": nu})
         for label, (mu, nu) in sorted_vertices(g)
     ]
     degrees = g.edges
@@ -212,7 +216,7 @@ def render(g: PFGraph) -> str:
             f'      "mu": {mu!r},\n      "nu": {nu!r}\n    }}'
             if type(u) is str and type(v) is str and type(mu) is float and type(nu) is float
             and low <= mu <= high and low <= nu <= high
-            else _entry({"u": u, "v": v, "mu": mu, "nu": nu}, f"edge {key}")
+            else _entry({"u": u, "v": v, "mu": mu, "nu": nu})
         )
     return (
         f'{{\n  "format_version": {FORMAT_VERSION},\n'
@@ -236,16 +240,23 @@ def _quote(label) -> str:
 
 
 def to_dot(g: PFGraph) -> str:
-    """Render the graph as undirected DOT with degree-carrying labels; DanglingEdge as render."""
+    """Render the graph as undirected DOT with degree-carrying labels; DanglingEdge as render.
+
+    MalformedDocument for a label or degree that is an int with more digits
+    than CPython converts to a decimal string.
+    """
     lines = ["graph G {"]
     names = {}
-    for label, (mu, nu) in sorted_vertices(g):
-        names[label] = name = _quote(label)
-        lines.append(f'  {name} [label="{_escape(str(label))} ({mu!r}, {nu!r})"];')
-    degrees = g.edges
-    for key in sorted_edges(g):
-        u, v = key
-        mu, nu = degrees[key]
-        lines.append(f'  {names[u]} -- {names[v]} [label="({mu!r}, {nu!r})"];')
+    try:
+        for label, (mu, nu) in sorted_vertices(g):
+            names[label] = name = _quote(label)
+            lines.append(f'  {name} [label="{_escape(str(label))} ({mu!r}, {nu!r})"];')
+        degrees = g.edges
+        for key in sorted_edges(g):
+            u, v = key
+            mu, nu = degrees[key]
+            lines.append(f'  {names[u]} -- {names[v]} [label="({mu!r}, {nu!r})"];')
+    except ValueError as exc:  # CPython's int-string limit
+        raise MalformedDocument(f"a label or degree cannot be written as DOT: {exc}") from None
     lines.append("}")
     return "\n".join(lines) + "\n"

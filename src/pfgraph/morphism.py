@@ -15,9 +15,18 @@ degrees, a candidate map g must satisfy, up to the global tolerance:
 
 The search is backtracking over vertex assignments in sorted source order,
 trying target labels in sorted order, so when several witnesses exist the
-lexicographically least one is returned.  Pruning only filters per-vertex
+lexicographically least one is returned.  Pruning filters per-vertex
 candidate sets by the kind's vertex conditions and checks pair conditions
-incrementally, which cannot exclude a valid witness.
+incrementally.  Under isomorphism the candidate lists are then refined
+once, before the search, whenever some source has more than one candidate:
+a target stays a candidate of a source only if their degree profiles, the
+sorted incident mu values and the sorted incident nu values over all the
+other vertices (absent pairs as 0), match elementwise within eps.  An
+isomorphism matches every pair within eps, so it matches each vertex's
+incident values to its image's, and two lists matched that way still match
+position by position once both are sorted.  None of this pruning can
+exclude a valid witness, and it leaves the variable and value order alone,
+so the same witness comes back, after as many attempts or fewer.
 
 The search runs on integer indices: sources and targets are numbered by
 their positions in sorted label order, candidate lists hold target
@@ -114,6 +123,13 @@ def find_morphism(
     vertices; raise the cap explicitly for larger instances.  The kinds
     other than isomorphism check every source edge, so a dangling one
     raises DanglingEdge, as :func:`verify_morphism` does.
+
+    Under isomorphism, when some source keeps more than one candidate
+    after the vertex filter, each candidate must also have the source's
+    degree profile within eps (see the module docstring): a sound filter,
+    so found and witness are those of the unrefined search, and
+    ``search_space`` can only be smaller.  A source left with no candidate
+    answers not-found after 0 attempts.
     """
     n1 = len(g1.vertices)
     if n1 > cap:
@@ -144,6 +160,9 @@ def find_morphism(
         ]
         for _, (smu, snu) in sources
     ]
+    if iso and any(len(c) > 1 for c in candidates):
+        # a single path needs no refinement
+        candidates = _profile_refined(candidates, g1, sources, g2, targets, eps)
     if not all(candidates):
         return MorphismReport(kind, False, None, 0)
 
@@ -211,6 +230,51 @@ def find_morphism(
 
     witness = {u: targets[v][0] for (u, _), v in zip(sources, image)}
     return MorphismReport(kind, True, witness, attempts)
+
+
+def _incident_profiles(g: PFGraph, items: list) -> list[tuple]:
+    """Per vertex of ``items`` (g's sorted vertex items), its degree profile:
+    the incident mu values over the other declared vertices, sorted, then
+    the incident nu values, sorted, as one tuple.  An absent pair reads as
+    0.0.  One walk of the edge map, skipping an edge with an undeclared
+    endpoint, which the isomorphism search never reads."""
+    index = {label: i for i, (label, _) in enumerate(items)}.get
+    mus: list[list] = [[] for _ in items]
+    nus: list[list] = [[] for _ in items]
+    for (a, b), (mu, nu) in g.edges.items():
+        i, j = index(a), index(b)
+        if i is not None and j is not None:
+            mus[i].append(mu)
+            mus[j].append(mu)
+            nus[i].append(nu)
+            nus[j].append(nu)
+    zeros = [0.0] * (len(items) - 1)
+    return [
+        (*sorted(m + zeros[len(m):]), *sorted(v + zeros[len(v):]))
+        for m, v in zip(mus, nus)
+    ]
+
+
+def _profile_refined(candidates, g1, sources, g2, targets, eps) -> list[list[int]]:
+    """The candidate lists without the targets whose degree profile differs
+    from their source's by more than eps at some position (sound, as the
+    module docstring shows); NaN matches nothing, as in the search's pair
+    check.  Each distinct source profile is compared once with each
+    distinct target profile, and vertices with equal profiles share the
+    verdict."""
+    by_profile: dict[tuple, set[int]] = {}
+    for j, q in enumerate(_incident_profiles(g2, targets)):
+        by_profile.setdefault(q, set()).add(j)
+    fits: dict[tuple, set[int]] = {}
+    refined = []
+    for c, p in zip(candidates, _incident_profiles(g1, sources)):
+        fit = fits.get(p)
+        if fit is None:
+            fit = fits[p] = set().union(
+                *(js for q, js in by_profile.items() if all(abs(s - t) <= eps for s, t in zip(p, q)))
+            )
+        refined.append([j for j in c if j in fit])
+    return refined
 
 
 def verify_morphism(

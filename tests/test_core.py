@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -203,6 +204,45 @@ class TestValidate:
                     checked += 1
         assert checked == 25 * 25 * 24
 
+    def test_int_past_the_int_string_limit_is_reported_without_its_digits(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no int-string limit")
+        huge, d = 10**limit, PFDegree(0.5, 0.5)
+        bits = f"<int of {huge.bit_length()} bits>"
+        vertex = validate(PFGraph({"a": PFDegree(huge, 0.5)}))
+        assert [(v.kind, v.detail) for v in vertex.violations] == [
+            ("bad_vertex_degree", f"membership {bits} outside [0, 1]"),
+            ("bad_vertex_degree", f"membership {bits} and non-membership 0.5 have squared sum > 1"),
+        ]
+        edge = validate(PFGraph({"a": d, "b": d}, {("a", "b"): PFDegree(0.5, huge)}))
+        assert [(v.kind, v.detail) for v in edge.violations] == [
+            ("bad_edge_degree", f"non-membership {bits} outside [0, 1]"),
+            ("bad_edge_degree", f"membership 0.5 and non-membership {bits} have squared sum > 1"),
+            ("edge_nonmembership_above_bound", f"edge non-membership {bits} exceeds endpoint maximum 0.5"),
+        ]
+
+    @pytest.mark.parametrize("eps", [1e-9, 3.0])
+    def test_ints_beyond_float_range_are_compared_exactly(self, eps):
+        """An int square or bound past float range cannot meet a float in
+        arithmetic; the squared sum is then above 1 and the bound is compared
+        exactly, at any tolerance."""
+        big = 10**400
+        d = PFDegree(0.5, 0.5)
+        saved = tolerance()
+        set_tolerance(eps)
+        try:
+            for slack, above in ((int(eps), False), (int(eps) + 1, True)):
+                g = PFGraph({"a": PFDegree(0.5, big), "b": d}, {("a", "b"): PFDegree(0.5, big + slack)})
+                kinds = [v.kind for v in validate(g).violations]
+                assert kinds == ["bad_vertex_degree"] * 2 + ["bad_edge_degree"] * 2 + (
+                    ["edge_nonmembership_above_bound"] if above else []
+                ), slack
+            nan_beside = validate(PFGraph({"a": PFDegree(big, math.nan)})).violations
+            assert [v.detail.endswith("squared sum > 1") for v in nan_beside] == [False, False]
+        finally:
+            set_tolerance(saved)
+
 
 class TestHesitation:
     def test_boundary_pair_has_zero_hesitation(self):
@@ -227,6 +267,17 @@ class TestHesitation:
         with pytest.raises(ConstraintViolation, match=r"outside \[0, 1\]") as raised:
             hesitation(d)
         assert f"({d.mu!r}, {d.nu!r})" in str(raised.value)
+
+    def test_int_past_the_int_string_limit_raises_without_its_digits(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no int-string limit")
+        huge = 10**limit
+        with pytest.raises(ConstraintViolation) as raised:
+            hesitation(PFDegree(huge, 0.5))
+        assert str(raised.value) == (
+            f"degree (<int of {huge.bit_length()} bits>, 0.5) has a component outside [0, 1]"
+        )
 
     @given(valid_degrees())
     def test_squares_total_one(self, d):

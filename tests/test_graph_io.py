@@ -480,6 +480,25 @@ class TestRender:
             message = f"edge a-b: 'nu' value {value!r} outside [0, 1]"
         assert_render_raises_what_parse_raises(g, message)
 
+    @pytest.mark.parametrize("entry", ["vertex", "edge"])
+    def test_int_past_the_int_string_limit_is_malformed_for_both_writers(self, entry):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no int-string limit")
+        huge, d = 10**limit, PFDegree(0.5, 0.5)
+        bits = f"<int of {huge.bit_length()} bits>"
+        if entry == "vertex":
+            g = PFGraph({"a": PFDegree(huge, 0.5)})
+            message = f"vertex 'a': 'mu' value {bits} outside [0, 1]"
+        else:
+            g = PFGraph({"a": d, "b": d}, {("b", "a"): PFDegree(0.2, huge)})
+            message = f"edge a-b: 'nu' value {bits} outside [0, 1]"
+        with pytest.raises(MalformedDocument) as rendered:
+            render(g)
+        assert str(rendered.value) == message
+        with pytest.raises(MalformedDocument, match="cannot be written as DOT"):
+            to_dot(g)
+
     @pytest.mark.parametrize("write", [render, to_dot])
     def test_dangling_edge_with_unorderable_endpoint(self, write):
         d = PFDegree(0.5, 0.5)

@@ -27,6 +27,8 @@ from .core import (
     dangling_edge,
     degree_max_min,
     degree_min_max,
+    float_range_error,
+    safe_repr,
     sorted_labels,
     tolerance,
 )
@@ -183,7 +185,7 @@ def _bound_minus(bound: float, value: float, eps: float) -> float:
     result = bound - value
     if result < -eps:
         raise ConstraintViolation(
-            f"edge degree {value!r} exceeds its bound {bound!r}; "
+            f"edge degree {safe_repr(value)} exceeds its bound {safe_repr(bound)}; "
             "complement of an invalid graph"
         )
     if abs(result) <= eps:
@@ -197,21 +199,24 @@ def complement(g: PFGraph) -> PFGraph:
     new = tuple.__new__
     stored = dict(zip(g.edges, g.edges)).get  # an edge pair keeps g's own key object
     edges = {}
-    for u, v, degree, mu, nu in g._pair_scan():  # mu, nu start as the bound: no edge's complement
-        if degree is ZERO_DEGREE:
-            key = new(PairKey, (u, v))
-        else:
-            key = stored((u, v))
-            emu, enu = degree
-            # _bound_minus's common case inline: a result above eps is returned as it is
-            if not emu <= eps:
-                rest = mu - emu
-                mu = rest if rest > eps else _bound_minus(mu, emu, eps)
-            if not enu <= eps:
-                rest = nu - enu
-                nu = rest if rest > eps else _bound_minus(nu, enu, eps)
-        if mu != 0.0 or nu != 0.0:
-            edges[key] = new(PFDegree, (mu, nu))
+    try:
+        for u, v, degree, mu, nu in g._pair_scan():  # mu, nu start as the bound: no edge's complement
+            if degree is ZERO_DEGREE:
+                key = new(PairKey, (u, v))
+            else:
+                key = stored((u, v))
+                emu, enu = degree
+                # _bound_minus's common case inline: a result above eps is returned as it is
+                if not emu <= eps:
+                    rest = mu - emu
+                    mu = rest if rest > eps else _bound_minus(mu, emu, eps)
+                if not enu <= eps:
+                    rest = nu - enu
+                    nu = rest if rest > eps else _bound_minus(nu, enu, eps)
+            if mu != 0.0 or nu != 0.0:
+                edges[key] = new(PFDegree, (mu, nu))
+    except OverflowError as exc:  # an int degree that float arithmetic cannot convert
+        raise float_range_error((g,), exc) from None
     return PFGraph._adopt(dict(g.vertices), edges)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple
 
 from .algebra import complement, complete_complement, strong_complement
-from .core import PFDegree, PFGraph, PairKey, ZERO_DEGREE, tolerance
+from .core import PFDegree, PFGraph, PairKey, ZERO_DEGREE, float_range_error, tolerance
 from .morphism import DEFAULT_SEARCH_CAP, MorphismKind, MorphismReport, find_morphism
 
 
@@ -48,26 +48,29 @@ def classify(g: PFGraph) -> Classification:
         return len(strength) + len(completeness) == 5
 
     # the scan stops once every flag has its witness: later pairs change nothing
-    for u, v, degree, bmu, bnu in g._pair_scan():
-        mu, nu = degree
-        mu_equal = abs(mu - bmu) <= eps
-        nu_equal = abs(nu - bnu) <= eps
-        if degree is not ZERO_DEGREE:  # a stored degree is never that object
-            if not mu_equal and "is_mu_strong" not in strength:
-                if note(strength, "is_mu_strong", u, v):
+    try:
+        for u, v, degree, bmu, bnu in g._pair_scan():
+            mu, nu = degree
+            mu_equal = abs(mu - bmu) <= eps
+            nu_equal = abs(nu - bnu) <= eps
+            if degree is not ZERO_DEGREE:  # a stored degree is never that object
+                if not mu_equal and "is_mu_strong" not in strength:
+                    if note(strength, "is_mu_strong", u, v):
+                        break
+                if not nu_equal and "is_nu_strong" not in strength:
+                    if note(strength, "is_nu_strong", u, v):
+                        break
+            if not (mu_equal and nu_equal) and "is_complete" not in completeness:
+                if note(completeness, "is_complete", u, v):
                     break
-            if not nu_equal and "is_nu_strong" not in strength:
-                if note(strength, "is_nu_strong", u, v):
+            if not (mu_equal and bnu - nu > eps) and "is_complete_mu_strong" not in completeness:
+                if note(completeness, "is_complete_mu_strong", u, v):
                     break
-        if not (mu_equal and nu_equal) and "is_complete" not in completeness:
-            if note(completeness, "is_complete", u, v):
-                break
-        if not (mu_equal and bnu - nu > eps) and "is_complete_mu_strong" not in completeness:
-            if note(completeness, "is_complete_mu_strong", u, v):
-                break
-        if not (bmu - mu > eps and nu_equal) and "is_complete_nu_strong" not in completeness:
-            if note(completeness, "is_complete_nu_strong", u, v):
-                break
+            if not (bmu - mu > eps and nu_equal) and "is_complete_nu_strong" not in completeness:
+                if note(completeness, "is_complete_nu_strong", u, v):
+                    break
+    except OverflowError as exc:  # an int degree that float arithmetic cannot convert
+        raise float_range_error((g,), exc) from None
 
     witnesses = {**strength, **completeness}
     first = strength.get("is_mu_strong") or strength.get("is_nu_strong")
@@ -101,11 +104,14 @@ class SumIdentityReport(NamedTuple):
 def _sum_report(g: PFGraph, factor: float) -> SumIdentityReport:
     eps = tolerance()
     edge_mu = edge_nu = bound_mu = bound_nu = 0.0
-    for _, _, (mu, nu), bmu, bnu in g._pair_scan():
-        edge_mu += mu
-        edge_nu += nu
-        bound_mu += bmu
-        bound_nu += bnu
+    try:
+        for _, _, (mu, nu), bmu, bnu in g._pair_scan():
+            edge_mu += mu
+            edge_nu += nu
+            bound_mu += bmu
+            bound_nu += bnu
+    except OverflowError as exc:  # an int degree that float arithmetic cannot convert
+        raise float_range_error((g,), exc) from None
     rhs_mu = factor * bound_mu
     rhs_nu = factor * bound_nu
     return SumIdentityReport(

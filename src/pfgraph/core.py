@@ -67,7 +67,11 @@ degree rules: one pass tests each vertex's label (a non-empty str that
 encodes as UTF-8, so that the document it renders can be parsed and
 printed), unit range and squared sum, and each edge's endpoints, unit
 range, squared sum and bound (read from the two endpoint tuples), each
-rule once, and every failed test adds its own report entry.
+rule once, and every failed test adds its own report entry.  Entries name
+labels, keys and values through :func:`safe_str` and :func:`safe_repr`, so
+an int past CPython's int-string limit is named by its bit length.  A pass
+whose float arithmetic meets an int degree beyond float range raises
+ConstraintViolation with the report, through :func:`float_range_error`.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from itertools import chain
 from operator import itemgetter, lt
 from typing import Iterator, Mapping, NamedTuple
 
@@ -153,6 +158,48 @@ def safe_repr(value) -> str:
         return f"<int of {value.bit_length()} bits>"
 
 
+def safe_str(item) -> str:
+    """str(item), as the validation report names a vertex label or an edge
+    key (a PairKey reads lo-hi), with an int label past CPython's int-string
+    limit named as :func:`safe_repr` names it."""
+    if isinstance(item, PairKey):
+        return f"{safe_str(item.lo)}-{safe_str(item.hi)}"
+    try:
+        return str(item)
+    except ValueError:
+        return safe_repr(item)
+
+
+def float_range_error(graphs, error: OverflowError) -> Exception:
+    """What to raise for an OverflowError from float arithmetic on the
+    degrees of ``graphs``: ConstraintViolation, carrying :func:`validate`'s
+    report of the first graph that holds an int degree beyond float range
+    and naming where each one sits, or ``error`` itself if none does.
+    Callers catch the error around a whole loop, so valid graphs pay
+    nothing."""
+    for g in graphs:
+        where = [
+            safe_str(item)
+            for item, degree in chain(g.vertices.items(), g.edges.items())
+            if any(map(_beyond_float, degree))
+        ]
+        if where:
+            return ConstraintViolation(
+                f"int degrees beyond float range: {', '.join(where)}", report=validate(g)
+            )
+    return error
+
+
+def _beyond_float(value) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    except (TypeError, ValueError):
+        pass
+    return False
+
+
 def in_unit_range(value: float) -> bool:
     """Whether value lies in [0, 1] up to the tolerance (NaN does not)."""
     eps = tolerance()
@@ -207,7 +254,7 @@ def _tie_order(label) -> tuple[str, str, int]:
     """Order for labels that ``<`` cannot compare: by type name, then repr, then
     ``id()`` for labels those cannot tell apart (two NaNs).  It is stable within
     a process, which is all an edge key or a message needs."""
-    return (type(label).__name__, repr(label), id(label))
+    return (type(label).__name__, safe_repr(label), id(label))
 
 
 def sorted_labels(labels) -> list:
@@ -404,7 +451,7 @@ def validate(g: PFGraph) -> ValidationReport:
     vertices = g.vertices
     found: list[Violation] = []
     add = found.append
-    show = safe_repr
+    show, name = safe_repr, safe_str
 
     for label, degree in vertices.items():
         mu, nu = degree
@@ -413,10 +460,10 @@ def validate(g: PFGraph) -> ValidationReport:
         elif not (label.isascii() or encodes_as_utf8(label)):
             add(Violation("bad_vertex_id", show(label), "vertex ids must encode as UTF-8"))
         if not low <= mu <= high:
-            add(Violation("bad_vertex_degree", str(label), f"membership {show(mu)} outside [0, 1]"))
+            add(Violation("bad_vertex_degree", name(label), f"membership {show(mu)} outside [0, 1]"))
         if not low <= nu <= high:
             add(
-                Violation("bad_vertex_degree", str(label), f"non-membership {show(nu)} outside [0, 1]")
+                Violation("bad_vertex_degree", name(label), f"non-membership {show(nu)} outside [0, 1]")
             )
         try:
             squares_above = mu * mu + nu * nu > high
@@ -426,7 +473,7 @@ def validate(g: PFGraph) -> ValidationReport:
             add(
                 Violation(
                     "bad_vertex_degree",
-                    str(label),
+                    name(label),
                     f"membership {show(mu)} and non-membership {show(nu)} have squared sum > 1",
                 )
             )
@@ -440,16 +487,16 @@ def validate(g: PFGraph) -> ValidationReport:
             add(
                 Violation(
                     "dangling_edge",
-                    str(key),
-                    f"endpoint(s) {', '.join(map(repr, missing))} not in the vertex set",
+                    name(key),
+                    f"endpoint(s) {', '.join(map(show, missing))} not in the vertex set",
                 )
             )
             continue
         mu, nu = degree
         if not low <= mu <= high:
-            add(Violation("bad_edge_degree", str(key), f"membership {show(mu)} outside [0, 1]"))
+            add(Violation("bad_edge_degree", name(key), f"membership {show(mu)} outside [0, 1]"))
         if not low <= nu <= high:
-            add(Violation("bad_edge_degree", str(key), f"non-membership {show(nu)} outside [0, 1]"))
+            add(Violation("bad_edge_degree", name(key), f"non-membership {show(nu)} outside [0, 1]"))
         try:
             squares_above = mu * mu + nu * nu > high
         except OverflowError:
@@ -458,7 +505,7 @@ def validate(g: PFGraph) -> ValidationReport:
             add(
                 Violation(
                     "bad_edge_degree",
-                    str(key),
+                    name(key),
                     f"membership {show(mu)} and non-membership {show(nu)} have squared sum > 1",
                 )
             )
@@ -476,7 +523,7 @@ def validate(g: PFGraph) -> ValidationReport:
             add(
                 Violation(
                     "edge_membership_above_bound",
-                    str(key),
+                    name(key),
                     f"edge membership {show(mu)} exceeds endpoint minimum {show(bound_mu)}",
                 )
             )
@@ -484,7 +531,7 @@ def validate(g: PFGraph) -> ValidationReport:
             add(
                 Violation(
                     "edge_nonmembership_above_bound",
-                    str(key),
+                    name(key),
                     f"edge non-membership {show(nu)} exceeds endpoint maximum {show(bound_nu)}",
                 )
             )
@@ -526,7 +573,8 @@ def sorted_vertices(g: PFGraph) -> list[tuple[str, PFDegree]]:
 
 def dangling_edge(u, v, vertices) -> DanglingEdge:
     """The DanglingEdge for edge u-v: it names u if vertices lacks u, and v otherwise."""
-    return DanglingEdge(f"edge {u}-{v} uses undeclared vertex {(u if u not in vertices else v)!r}")
+    missing = u if u not in vertices else v
+    return DanglingEdge(f"edge {safe_str(u)}-{safe_str(v)} uses undeclared vertex {safe_repr(missing)}")
 
 
 def require_endpoints(g: PFGraph) -> None:

@@ -17,16 +17,26 @@ The search is backtracking over vertex assignments in sorted source order,
 trying target labels in sorted order, so when several witnesses exist the
 lexicographically least one is returned.  Pruning filters per-vertex
 candidate sets by the kind's vertex conditions and checks pair conditions
-incrementally.  Under isomorphism the candidate lists are then refined
-once, before the search, whenever some source has more than one candidate:
-a target stays a candidate of a source only if their degree profiles, the
-sorted incident mu values and the sorted incident nu values over all the
-other vertices (absent pairs as 0), match elementwise within eps.  An
-isomorphism matches every pair within eps, so it matches each vertex's
-incident values to its image's, and two lists matched that way still match
-position by position once both are sorted.  None of this pruning can
-exclude a valid witness, and it leaves the variable and value order alone,
-so the same witness comes back, after as many attempts or fewer.
+incrementally.  The vertex test runs once per distinct source degree:
+sources whose degrees are equal share one candidate list.  Under
+isomorphism, whenever some source has more than one candidate, the set-up
+does two more things before the search:
+
+- It refines the candidate lists.  A target stays a candidate of a source
+  only if their degree profiles, the sorted incident mu values and the
+  sorted incident nu values over all the other vertices (absent pairs as
+  0), match elementwise within eps.  An isomorphism matches every pair
+  within eps, so it matches each vertex's incident values to its image's,
+  and two lists matched that way still match position by position once
+  both are sorted.
+- It looks for a perfect matching of sources to distinct candidate targets
+  (Hall's condition, by augmenting paths), and answers not-found after 0
+  attempts when there is none.  Every isomorphism is such a matching.
+
+None of this pruning can exclude a valid witness, and it leaves the
+variable and value order alone, so the same witness comes back, after as
+many attempts or fewer; the other kinds make the same attempts as without
+it.
 
 The search runs on integer indices: sources and targets are numbered by
 their positions in sorted label order, candidate lists hold target
@@ -56,11 +66,14 @@ through :func:`~pfgraph.core.require_endpoints`, as the writers do.
 from __future__ import annotations
 
 import enum
+from itertools import repeat
+from operator import le, sub
 from typing import Mapping, NamedTuple, Optional
 
 from .core import (
     PFGraph,
     ZERO_DEGREE,
+    float_range_error,
     require_endpoints,
     sorted_edges,
     sorted_labels,
@@ -126,10 +139,14 @@ def find_morphism(
 
     Under isomorphism, when some source keeps more than one candidate
     after the vertex filter, each candidate must also have the source's
-    degree profile within eps (see the module docstring): a sound filter,
-    so found and witness are those of the unrefined search, and
-    ``search_space`` can only be smaller.  A source left with no candidate
-    answers not-found after 0 attempts.
+    degree profile within eps, and the candidate lists must admit a perfect
+    matching (see the module docstring): sound filters, so found and
+    witness are those of the unfiltered search, and ``search_space`` can
+    only be smaller.  A source left with no candidate, or lists with no
+    matching, answer not-found after 0 attempts.  An int degree beyond
+    float range that a check meets in float arithmetic raises
+    ConstraintViolation with the validation report of the graph that holds
+    it.
     """
     n1 = len(g1.vertices)
     if n1 > cap:
@@ -148,88 +165,107 @@ def find_morphism(
     targets = sorted_vertices(g2)
     if not iso:
         require_endpoints(g1)
-    candidates = [
-        [
-            j
-            for j, (_, (tmu, tnu)) in enumerate(targets)
-            if (
-                abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
-                if vertex_equality
-                else smu <= tmu + eps and snu >= tnu - eps
-            )
-        ]
-        for _, (smu, snu) in sources
-    ]
-    if iso and any(len(c) > 1 for c in candidates):
-        # a single path needs no refinement
-        candidates = _profile_refined(candidates, g1, sources, g2, targets, eps)
-    if not all(candidates):
-        return MorphismReport(kind, False, None, 0)
-
     n2 = len(targets)
-    source_edge = g1.edges.get
-    target_edge = g2.edges.get
-    checks: list = [None] * n1  # per depth i: (p, mu, nu) for the earlier sources p
-    cells: list = [None] * n2  # per assigned target x: the pairs (x, v) read so far
-    pending = list(map(iter, candidates))  # per depth: the candidates not yet tried
-    image = [0] * n1
-    used = [False] * n2
-    attempts = 0
-    depth = 0
-    while depth < n1:
-        row = checks[depth]
-        if row is None:
-            u = sources[depth][0]
-            row = checks[depth] = []
-            for p in range(depth):
-                # p sorts before u, so (p's label, u's label) is the canonical key
-                s = source_edge((sources[p][0], u))
-                if s is None:
-                    if not iso:
-                        continue
-                    s = ZERO_DEGREE
-                smu, snu = s
-                row.append((p, smu, snu))
-        for v in pending[depth]:
-            if used[v]:
-                continue
-            attempts += 1
-            for p, smu, snu in row:
-                x = image[p]
-                t = cells[x][v]
-                if t is None:
-                    mirror = cells[v]
-                    t = None if mirror is None else mirror[x]
+    try:
+        candidates = _vertex_candidates(sources, targets, vertex_equality, eps)
+        if not all(candidates):
+            return MorphismReport(kind, False, None, 0)
+        if iso and any(len(c) > 1 for c in candidates):
+            # a single path needs neither the refinement nor the matching check,
+            # which also answers for a source the refinement leaves no candidate
+            candidates = _profile_refined(candidates, g1, sources, g2, targets, eps)
+            if not _has_perfect_matching(candidates, n2):
+                return MorphismReport(kind, False, None, 0)
+
+        source_edge = g1.edges.get
+        target_edge = g2.edges.get
+        checks: list = [None] * n1  # per depth i: (p, mu, nu) for the earlier sources p
+        cells: list = [None] * n2  # per assigned target x: the pairs (x, v) read so far
+        pending = list(map(iter, candidates))  # per depth: the candidates not yet tried
+        image = [0] * n1
+        used = [False] * n2
+        attempts = 0
+        depth = 0
+        while depth < n1:
+            row = checks[depth]
+            if row is None:
+                u = sources[depth][0]
+                row = checks[depth] = []
+                for p in range(depth):
+                    # p sorts before u, so (p's label, u's label) is the canonical key
+                    s = source_edge((sources[p][0], u))
+                    if s is None:
+                        if not iso:
+                            continue
+                        s = ZERO_DEGREE
+                    smu, snu = s
+                    row.append((p, smu, snu))
+            for v in pending[depth]:
+                if used[v]:
+                    continue
+                attempts += 1
+                for p, smu, snu in row:
+                    x = image[p]
+                    t = cells[x][v]
                     if t is None:
-                        a, b = targets[x][0], targets[v][0]
-                        # a stored degree is a non-empty tuple; a collapsed pair is never a key
-                        t = target_edge((a, b)) or target_edge((b, a), ZERO_DEGREE)
-                    cells[x][v] = t
-                tmu, tnu = t
-                if not (
-                    abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
-                    if edge_equality
-                    else smu <= tmu + eps and snu >= tnu - eps
-                ):
-                    break
+                        mirror = cells[v]
+                        t = None if mirror is None else mirror[x]
+                        if t is None:
+                            a, b = targets[x][0], targets[v][0]
+                            # a stored degree is a non-empty tuple; a collapsed pair is never a key
+                            t = target_edge((a, b)) or target_edge((b, a), ZERO_DEGREE)
+                        cells[x][v] = t
+                    tmu, tnu = t
+                    if not (
+                        abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
+                        if edge_equality
+                        else smu <= tmu + eps and snu >= tnu - eps
+                    ):
+                        break
+                else:
+                    break  # v passes every check
             else:
-                break  # v passes every check
-        else:
-            # no candidate left: rewind this depth and undo the one before
-            pending[depth] = iter(candidates[depth])
-            depth -= 1
-            if depth < 0:
-                return MorphismReport(kind, False, None, attempts)
-            used[image[depth]] = False
-            continue
-        image[depth] = v
-        used[v] = bijective  # a homomorphism may reuse a target
-        if cells[v] is None:
-            cells[v] = [None] * n2
-        depth += 1
+                # no candidate left: rewind this depth and undo the one before
+                pending[depth] = iter(candidates[depth])
+                depth -= 1
+                if depth < 0:
+                    return MorphismReport(kind, False, None, attempts)
+                used[image[depth]] = False
+                continue
+            image[depth] = v
+            used[v] = bijective  # a homomorphism may reuse a target
+            if cells[v] is None:
+                cells[v] = [None] * n2
+            depth += 1
+    except OverflowError as exc:  # an int degree that float arithmetic cannot convert
+        raise float_range_error((g1, g2), exc) from None
 
     witness = {u: targets[v][0] for (u, _), v in zip(sources, image)}
     return MorphismReport(kind, True, witness, attempts)
+
+
+def _vertex_candidates(sources, targets, vertex_equality, eps) -> list[list[int]]:
+    """Per source, the indices of the targets its degree relates to under the
+    kind's vertex relation, in target order.  The test runs once per distinct
+    source degree, and sources whose degrees are equal (as dict keys: -0.0
+    beside 0.0, 1 beside 1.0, a NaN beside itself) share one list."""
+    lists: dict = {}
+    candidates = []
+    for _, degree in sources:
+        c = lists.get(degree)
+        if c is None:
+            smu, snu = degree
+            c = lists[degree] = [
+                j
+                for j, (_, (tmu, tnu)) in enumerate(targets)
+                if (
+                    abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
+                    if vertex_equality
+                    else smu <= tmu + eps and snu >= tnu - eps
+                )
+            ]
+        candidates.append(c)
+    return candidates
 
 
 def _incident_profiles(g: PFGraph, items: list) -> list[tuple]:
@@ -237,7 +273,8 @@ def _incident_profiles(g: PFGraph, items: list) -> list[tuple]:
     the incident mu values over the other declared vertices, sorted, then
     the incident nu values, sorted, as one tuple.  An absent pair reads as
     0.0.  One walk of the edge map, skipping an edge with an undeclared
-    endpoint, which the isomorphism search never reads."""
+    endpoint, which the isomorphism search never reads; each incident list
+    is padded and sorted in place."""
     index = {label: i for i, (label, _) in enumerate(items)}.get
     mus: list[list] = [[] for _ in items]
     nus: list[list] = [[] for _ in items]
@@ -249,10 +286,15 @@ def _incident_profiles(g: PFGraph, items: list) -> list[tuple]:
             nus[i].append(nu)
             nus[j].append(nu)
     zeros = [0.0] * (len(items) - 1)
-    return [
-        (*sorted(m + zeros[len(m):]), *sorted(v + zeros[len(v):]))
-        for m, v in zip(mus, nus)
-    ]
+    profiles = []
+    for m, v in zip(mus, nus):
+        m += zeros[len(m):]
+        m.sort()
+        v += zeros[len(v):]
+        v.sort()
+        m += v
+        profiles.append(tuple(m))
+    return profiles
 
 
 def _profile_refined(candidates, g1, sources, g2, targets, eps) -> list[list[int]]:
@@ -260,21 +302,62 @@ def _profile_refined(candidates, g1, sources, g2, targets, eps) -> list[list[int
     from their source's by more than eps at some position (sound, as the
     module docstring shows); NaN matches nothing, as in the search's pair
     check.  Each distinct source profile is compared once with each
-    distinct target profile, and vertices with equal profiles share the
-    verdict."""
-    by_profile: dict[tuple, set[int]] = {}
+    distinct target profile, in one C-level chain, and vertices with equal
+    profiles share the verdict."""
+    by_profile: dict[tuple, list[int]] = {}
     for j, q in enumerate(_incident_profiles(g2, targets)):
-        by_profile.setdefault(q, set()).add(j)
+        by_profile.setdefault(q, []).append(j)
+    classes = by_profile.items()
+    within = repeat(eps)
     fits: dict[tuple, set[int]] = {}
     refined = []
     for c, p in zip(candidates, _incident_profiles(g1, sources)):
         fit = fits.get(p)
         if fit is None:
-            fit = fits[p] = set().union(
-                *(js for q, js in by_profile.items() if all(abs(s - t) <= eps for s, t in zip(p, q)))
-            )
+            fit = fits[p] = set()
+            for q, js in classes:
+                if all(map(le, map(abs, map(sub, p, q)), within)):
+                    fit.update(js)
         refined.append([j for j in c if j in fit])
     return refined
+
+
+def _has_perfect_matching(candidates: list[list[int]], n2: int) -> bool:
+    """Whether each source can take a distinct target from its candidate
+    list (Hall's condition), by augmenting paths (Kuhn's algorithm): each
+    source in turn searches depth first, through the sources holding the
+    targets it reaches, for a free target, and the path found shifts each
+    source on it to the next target.  O(n * candidate entries)."""
+    holder: list = [None] * n2  # per target: the source matched to it
+    for root, c in enumerate(candidates):
+        for v in c:
+            if holder[v] is None:  # a free candidate: the shortest augmenting path
+                holder[v] = root
+                break
+        else:
+            seen = [False] * n2
+            stack = [(root, iter(c))]
+            via: list[int] = []  # via[k]: the target that leads from stack[k] to stack[k + 1]
+            while stack:
+                for v in stack[-1][1]:
+                    if not seen[v]:
+                        seen[v] = True
+                        break
+                else:
+                    stack.pop()
+                    if via:
+                        via.pop()
+                    continue
+                via.append(v)
+                w = holder[v]
+                if w is None:  # a free target: each source on the path moves on by one
+                    for (u, _), t in zip(stack, via):
+                        holder[t] = u
+                    break
+                stack.append((w, iter(candidates[w])))
+            else:
+                return False
+    return True
 
 
 def verify_morphism(

@@ -222,6 +222,58 @@ class TestValidate:
             ("edge_nonmembership_above_bound", f"edge non-membership {bits} exceeds endpoint maximum 0.5"),
         ]
 
+    def test_int_label_past_the_int_string_limit_is_named_by_its_bit_length(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no int-string limit")
+        huge, d = 10**limit, PFDegree(0.5, 0.5)
+        bits = f"<int of {huge.bit_length()} bits>"
+        vertex = validate(PFGraph({huge: PFDegree(2.0, 0.5)}))
+        assert [(v.kind, v.where) for v in vertex.violations] == [
+            ("bad_vertex_id", bits),
+            ("bad_vertex_degree", bits),
+            ("bad_vertex_degree", bits),
+        ]
+        edge = validate(PFGraph({huge: d, 3: d}, {(3, huge): PFDegree(2.0, 0.5)}))
+        assert [(v.kind, v.where) for v in edge.violations] == [
+            ("bad_vertex_id", bits),
+            ("bad_vertex_id", "3"),
+            ("bad_edge_degree", f"3-{bits}"),
+            ("bad_edge_degree", f"3-{bits}"),
+            ("edge_membership_above_bound", f"3-{bits}"),
+        ]
+        dangling = validate(PFGraph({3: d}, {(3, huge): d}))
+        assert dangling.violations[-1] == (
+            "dangling_edge", f"3-{bits}", f"endpoint(s) {bits} not in the vertex set"
+        )
+        # beside a str label, whose order with an int comes from the type name
+        mixed = validate(PFGraph({huge: d, "a": d}, {("a", huge): d}))
+        assert [(v.kind, v.where) for v in mixed.violations] == [("bad_vertex_id", bits)]
+        with pytest.raises(DanglingEdge, match=f"edge 3-{bits} uses undeclared vertex {bits}"):
+            find_morphism(PFGraph({3: d}, {(3, huge): d}), PFGraph({3: d}), MorphismKind.HOMOMORPHISM)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            complement,
+            classify,
+            sum_identity,
+            lambda g: find_morphism(g, PFGraph({"b": PFDegree(0.5, 0.5)}), MorphismKind.ISOMORPHISM),
+            lambda g: find_morphism(PFGraph({"b": PFDegree(0.5, 0.5)}), g, MorphismKind.ISOMORPHISM),
+        ],
+        ids=["complement", "classify", "sum_identity", "find_morphism_source", "find_morphism_target"],
+    )
+    def test_int_degree_beyond_float_range_raises_constraint_violation(self, call):
+        d, big = PFDegree(0.5, 0.5), 10**400
+        if call in (complement, classify, sum_identity):
+            g, where = PFGraph({"a": d, "b": d}, {("a", "b"): PFDegree(big, 0.5)}), "a-b"
+        else:
+            g, where = PFGraph({"a": PFDegree(big, 0.5)}), "a"
+        with pytest.raises(ConstraintViolation, match=f"int degrees beyond float range: {where}$") as info:
+            call(g)
+        assert info.value.report == validate(g)
+        assert not info.value.report.ok
+
     @pytest.mark.parametrize("eps", [1e-9, 3.0])
     def test_ints_beyond_float_range_are_compared_exactly(self, eps):
         """An int square or bound past float range cannot meet a float in

@@ -1,6 +1,7 @@
 """The morphism search finds the same witnesses as the search it replaced,
 with the same attempts (at most as many under isomorphism, whose candidate
-lists the degree-profile refinement shortens), and the verifier reports the
+lists the degree-profile refinement shortens and the matching check can
+rule out before the first attempt), and the verifier reports the
 same violations as the verifier it replaced; both are kept verbatim in
 ``reference_search.py``."""
 
@@ -26,6 +27,8 @@ from pfgraph import (
     verify_morphism,
 )
 
+from pfgraph.core import sorted_vertices
+from pfgraph.morphism import _has_perfect_matching, _profile_refined, _vertex_candidates
 from reference_search import find_morphism as reference_find_morphism
 from reference_search import verify_morphism as reference_verify_morphism
 from test_acceptance import _corpus_n1, _corpus_n2, _corpus_n3, _corpus_n4
@@ -364,6 +367,10 @@ def _uniform_pair(rng, n, move):
     return _uniform(names, pairs), _uniform(names, [(image[a], image[b]) for a, b in moved])
 
 
+def _degree_sequence(g):
+    return sorted(collections.Counter(itertools.chain.from_iterable(g.edges)).get(v, 0) for v in g.vertices)
+
+
 def test_refined_isomorphism_agrees_with_networkx_on_uniform_pairs():
     nx = pytest.importorskip("networkx")
 
@@ -375,7 +382,7 @@ def test_refined_isomorphism_agrees_with_networkx_on_uniform_pairs():
 
     rng = random.Random(23)
     attempts = reference_attempts = 0
-    found = cases = 0
+    found = cases = unmatched = 0
     for n in range(6, 11):
         for _ in range(8):
             for move in (False, True):
@@ -384,6 +391,11 @@ def test_refined_isomorphism_agrees_with_networkx_on_uniform_pairs():
                 assert report.found == nx.is_isomorphic(to_nx(g1), to_nx(g2)), (g1, g2)
                 if report.found:
                     assert verify_morphism(g1, g2, ISO, report.witness).ok
+                if _degree_sequence(g1) != _degree_sequence(g2):
+                    # as in the benchmark's moved-edge pairs: some profile is held by
+                    # fewer targets than sources, so no matching exists
+                    assert report.search_space == 0, (g1, g2)
+                    unmatched += 1
                 expected = reference_find_morphism(g1, g2, ISO, cap=10)
                 assert report[:3] == expected[:3]
                 attempts += report.search_space
@@ -391,6 +403,7 @@ def test_refined_isomorphism_agrees_with_networkx_on_uniform_pairs():
                 found += report.found
                 cases += 1
     assert 20 <= found <= cases - 20, (found, cases)
+    assert unmatched >= 20, unmatched
     assert attempts < reference_attempts / 4, (attempts, reference_attempts)
 
 
@@ -439,3 +452,88 @@ def test_profiles_within_the_tolerance_at_one_position_still_match():
         assert report.search_space == 0  # beyond eps no target fits a or b
     finally:
         set_tolerance(saved)
+
+
+# --- the set-up: shared vertex tests and the root matching check --------------
+
+def _twin(x):
+    """A value equal to x as a dict key, of the other type or sign where one
+    exists: 1 and 1.0, 0.0 and -0.0; a NaN is its own twin."""
+    if isinstance(x, int):
+        return float(x)
+    if x == 0:
+        return -x
+    return int(x) if x.is_integer() else x
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(degrees, min_size=1, max_size=5),
+    st.lists(degrees, max_size=6),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_equal_source_degrees_share_the_per_source_candidate_list(base, target_degrees, equality, rng):
+    twins = [PFDegree(_twin(mu), _twin(nu)) for mu, nu in base]
+    fresh_nan = [PFDegree(float("nan"), nu) for _, nu in base[:1]]
+    degrees_ = base + twins + fresh_nan
+    rng.shuffle(degrees_)
+    sources = [(f"s{i}", d) for i, d in enumerate(degrees_)]
+    targets = [(f"t{j}", d) for j, d in enumerate(target_degrees)]
+    eps = tolerance()
+    expected = [
+        [
+            j
+            for j, (_, (tmu, tnu)) in enumerate(targets)
+            if (
+                abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
+                if equality
+                else smu <= tmu + eps and snu >= tnu - eps
+            )
+        ]
+        for _, (smu, snu) in sources
+    ]
+    candidates = _vertex_candidates(sources, targets, equality, eps)
+    assert candidates == expected
+    first: dict = {}
+    for (_, d), c in zip(sources, candidates):
+        assert c is first.setdefault(d, c)  # one vertex test per distinct degree
+
+
+def _matchable_by_brute_force(candidates, n2):
+    return any(
+        all(v in c for v, c in zip(image, candidates))
+        for image in itertools.permutations(range(n2), len(candidates))
+    )
+
+
+def test_matching_check_agrees_with_brute_force():
+    rng = random.Random(18)
+    outcomes = collections.Counter()
+    for n in range(1, 8):
+        for _ in range(150):
+            density = rng.choice((0.2, 0.35, 0.5))
+            candidates = [[j for j in range(n) if rng.random() < density] for _ in range(n)]
+            expected = _matchable_by_brute_force(candidates, n)
+            assert _has_perfect_matching(candidates, n) is expected, candidates
+            outcomes[expected, all(candidates)] += 1
+    # most lists leave every source a candidate, and some of those still have no matching
+    assert outcomes[False, True] >= 50 and outcomes[True, True] >= 50, outcomes
+
+
+def test_path_plus_two_against_path_plus_one_makes_no_attempt():
+    """P3 plus two isolated vertices against P4 plus one: every source keeps
+    a candidate after the refinement, but the two isolated sources share the
+    one isolated target."""
+    g1 = _uniform("abcde", [("a", "b"), ("b", "c")])
+    g2 = _uniform("vwxyz", [("v", "w"), ("w", "x"), ("x", "y")])
+    eps = tolerance()
+    sources, targets = sorted_vertices(g1), sorted_vertices(g2)
+    candidates = _vertex_candidates(sources, targets, True, eps)
+    refined = _profile_refined(candidates, g1, sources, g2, targets, eps)
+    assert refined == [[0, 3], [1, 2], [0, 3], [4], [4]]
+    expected = reference_find_morphism(g1, g2, ISO)
+    assert expected.search_space > 0
+    report = find_morphism(g1, g2, ISO)
+    assert report == (ISO, False, None, 0)
+    assert report[:3] == expected[:3]

@@ -28,6 +28,7 @@ from .core import (
     degree_max_min,
     degree_min_max,
     float_range_error,
+    gc_paused,
     safe_repr,
     sorted_labels,
     tolerance,
@@ -101,12 +102,14 @@ def _product(g1: PFGraph, g2: PFGraph, table: dict[str, dict[str, str]]) -> tupl
     return vertices, edges
 
 
+@gc_paused
 def cartesian_product(g1: PFGraph, g2: PFGraph) -> PFGraph:
     """Cartesian product: grid of both graphs with min/max combined degrees."""
     _require_composable((g1, g2))
     return PFGraph._adopt(*_product(g1, g2, _label_table(g1, g2)))
 
 
+@gc_paused
 def composition(g1: PFGraph, g2: PFGraph) -> PFGraph:
     """Lexicographic-style composition g1[g2].
 
@@ -137,6 +140,31 @@ def composition(g1: PFGraph, g2: PFGraph) -> PFGraph:
     return PFGraph._adopt(vertices, edges)
 
 
+def _union_maps(g1: PFGraph, g2: PFGraph) -> tuple[dict, dict]:
+    """The vertex and edge maps of the union; every key is one of the inputs' own.
+
+    A shared edge whose combined degree is exactly (0, 0), which only
+    invalid inputs give, is left out.
+    """
+    vertices: dict[str, PFDegree] = dict(g1.vertices)
+    for v, d2 in g2.vertices.items():
+        d1 = vertices.get(v)
+        vertices[v] = d2 if d1 is None else degree_max_min(d1, d2)
+    edges: dict[PairKey, PFDegree] = dict(g1.edges)
+    for key, q2 in g2.edges.items():
+        q1 = edges.get(key)
+        if q1 is None:
+            edges[key] = q2
+        else:
+            degree = degree_max_min(q1, q2)
+            if degree != ZERO_DEGREE:
+                edges[key] = degree
+            else:
+                del edges[key]
+    return vertices, edges
+
+
+@gc_paused
 def union(g1: PFGraph, g2: PFGraph) -> PFGraph:
     """Union: copy non-shared parts, combine shared ones by max/min.
 
@@ -146,34 +174,29 @@ def union(g1: PFGraph, g2: PFGraph) -> PFGraph:
     vertex's membership can strand an edge copied from one side; validate
     the result when the vertex sets overlap.
     """
-    vertices: dict[str, PFDegree] = dict(g1.vertices)
-    for v, d2 in g2.vertices.items():
-        d1 = vertices.get(v)
-        vertices[v] = d2 if d1 is None else degree_max_min(d1, d2)
-    edges: dict[PairKey, PFDegree] = dict(g1.edges)
-    for key, q2 in g2.edges.items():
-        q1 = edges.get(key)
-        edges[key] = q2 if q1 is None else degree_max_min(q1, q2)
-    return PFGraph(vertices, edges)
+    return PFGraph._adopt(*_union_maps(g1, g2))
 
 
+@gc_paused
 def join(g1: PFGraph, g2: PFGraph) -> PFGraph:
     """Join: disjoint union plus one cross edge per vertex pair across sides.
 
     Every cross edge carries the largest degree it may: the endpoint
-    minimum membership and maximum non-membership.
+    minimum membership and maximum non-membership.  A cross edge that comes
+    out as exactly (0, 0) is no edge and is left out.
     """
     overlap = set(g1.vertices) & set(g2.vertices)
     if overlap:
         raise JoinOverlap(
             f"join requires disjoint vertex sets; shared: {sorted_labels(overlap)}"
         )
-    joined = union(g1, g2)
-    edges = dict(joined.edges)
+    vertices, edges = _union_maps(g1, g2)
     for u, du in g1.vertices.items():
         for v, dv in g2.vertices.items():
-            edges[PairKey(u, v)] = degree_min_max(du, dv)
-    return PFGraph(joined.vertices, edges)
+            degree = degree_min_max(du, dv)
+            if degree != ZERO_DEGREE:
+                edges[PairKey(u, v)] = degree
+    return PFGraph._adopt(vertices, edges)
 
 
 def _bound_minus(bound: float, value: float, eps: float) -> float:
@@ -193,6 +216,7 @@ def _bound_minus(bound: float, value: float, eps: float) -> float:
     return result
 
 
+@gc_paused
 def complement(g: PFGraph) -> PFGraph:
     """General complement over all vertex pairs; an involution on valid graphs."""
     eps = tolerance()
@@ -232,6 +256,7 @@ def _zero_or_bound_complement(g: PFGraph) -> PFGraph:
     return PFGraph._adopt(dict(g.vertices), edges)
 
 
+@gc_paused
 def strong_complement(g: PFGraph, force: bool = False) -> PFGraph:
     """Complement for strong graphs: positive components zeroed, absent ones raised.
 
@@ -242,24 +267,32 @@ def strong_complement(g: PFGraph, force: bool = False) -> PFGraph:
     if not force:
         eps = tolerance()
         get = g.vertices.get
-        for (lo, hi), (mu, nu) in g.edges.items():
-            a, b = get(lo), get(hi)
-            if a is None or b is None:
-                raise dangling_edge(lo, hi, g.vertices)
-            (amu, anu), (bmu, bnu) = a, b
-            bound_mu = bmu if bmu < amu else amu  # degree_min_max's tie rule: lo's value wins
-            bound_nu = bnu if bnu > anu else anu
-            if not (abs(mu - bound_mu) <= eps and abs(nu - bound_nu) <= eps):
-                raise NotStrong("input graph is not strong; pass force=True to override")
+        try:
+            for (lo, hi), (mu, nu) in g.edges.items():
+                a, b = get(lo), get(hi)
+                if a is None or b is None:
+                    raise dangling_edge(lo, hi, g.vertices)
+                (amu, anu), (bmu, bnu) = a, b
+                bound_mu = bmu if bmu < amu else amu  # degree_min_max's tie rule: lo's value wins
+                bound_nu = bnu if bnu > anu else anu
+                if not (abs(mu - bound_mu) <= eps and abs(nu - bound_nu) <= eps):
+                    raise NotStrong("input graph is not strong; pass force=True to override")
+        except OverflowError as exc:  # an int degree that float arithmetic cannot convert
+            raise float_range_error((g,), exc) from None
     return _zero_or_bound_complement(g)
 
 
+@gc_paused
 def complete_complement(g: PFGraph, force: bool = False) -> PFGraph:
     """Complement for complete graphs; for a genuinely complete input it is edgeless."""
     eps = tolerance()
-    if not force and not all(
-        abs(mu - bmu) <= eps and abs(nu - bnu) <= eps
-        for _, _, (mu, nu), bmu, bnu in g._pair_scan()
-    ):
+    try:
+        complete = force or all(
+            abs(mu - bmu) <= eps and abs(nu - bnu) <= eps
+            for _, _, (mu, nu), bmu, bnu in g._pair_scan()
+        )
+    except OverflowError as exc:  # an int degree that float arithmetic cannot convert
+        raise float_range_error((g,), exc) from None
+    if not complete:
         raise NotComplete("input graph is not complete; pass force=True to override")
     return _zero_or_bound_complement(g)

@@ -17,7 +17,15 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple
 
 from .algebra import complement, complete_complement, strong_complement
-from .core import PFDegree, PFGraph, PairKey, ZERO_DEGREE, float_range_error, tolerance
+from .core import (
+    PFDegree,
+    PFGraph,
+    PairKey,
+    ZERO_DEGREE,
+    float_range_error,
+    gc_paused,
+    tolerance,
+)
 from .morphism import DEFAULT_SEARCH_CAP, MorphismKind, MorphismReport, find_morphism
 
 
@@ -164,6 +172,7 @@ def is_self_complementary(
     return find_morphism(g, comp, MorphismKind.ISOMORPHISM, cap)
 
 
+@gc_paused
 def half_strong_construction(p: Mapping[str, PFDegree]) -> PFGraph:
     """Build the graph on all pairs whose edges carry half the attainable bound.
 

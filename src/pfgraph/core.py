@@ -29,8 +29,10 @@ Design choices baked into this module:
   when the graph is built.  ``PFGraph(...)`` is the checking constructor:
   it copies both maps, makes every key a canonical PairKey and drops (0, 0)
   edges.  Graphs the library builds (``parse``, ``generate``, the
-  complements, ``half_strong_construction`` and the products) write keys
-  and degrees as bare tuples, leave out (0, 0) edges themselves (the test
+  complements, ``half_strong_construction``, the products, ``union`` and
+  ``join``) make every key a PairKey (most write keys and
+  degrees as bare tuples; ``union`` and ``join`` keep their inputs' keys),
+  leave out (0, 0) edges themselves (the test
   ``mu != 0.0 or nu != 0.0`` is ``!= ZERO_DEGREE``, for -0.0 and NaN too)
   and hand their maps to :meth:`PFGraph._adopt` once.
 - Every pass over all unordered vertex pairs goes through
@@ -48,7 +50,16 @@ Design choices baked into this module:
   collection, so the passes reuse the objects a graph already holds: the
   pair scan yields stored degrees, ``complement``, the one pass that keeps
   edge pairs' keys, fetches the stored keys itself, and :func:`sorted_edges`
-  returns the bare keys, whose degrees the writers read from the map.  Every
+  returns the bare keys, whose degrees the writers read from the map.  The
+  builders that keep such objects in bulk (the complements, the products,
+  ``union``, ``join``, ``parse``, ``generate`` and
+  ``half_strong_construction``) are wrapped in :func:`gc_paused`: while one
+  fills its maps, none of the collections those objects would trigger (each
+  of which finds nothing to free) runs, and the one young collection left
+  due runs once, as the call returns.  A call made with the GC off leaves it
+  off.  The pause reads the GC's state only as a call starts, so another
+  thread's ``gc.enable`` or ``gc.disable`` during a paused call is not
+  seen: the call enables the GC as it returns either way.  Every
   pass that sorts vertex labels goes through :func:`sorted_vertices`, so
   labels that ``<`` cannot put in a strict order (an int beside a str,
   NaN) raise ConstraintViolation with the validation report rather than
@@ -76,9 +87,11 @@ ConstraintViolation with the report, through :func:`float_range_error`.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import sys
+from functools import wraps
 from itertools import chain
 from operator import itemgetter, lt
 from typing import Iterator, Mapping, NamedTuple
@@ -198,6 +211,33 @@ def _beyond_float(value) -> bool:
     except (TypeError, ValueError):
         pass
     return False
+
+
+def gc_paused(fn):
+    """Decorate a builder so that the cyclic GC is paused for each call.
+
+    A call made while the GC is off (a caller's choice, or an outer paused
+    builder) goes straight through.  Otherwise the GC is disabled for the
+    call and enabled again however it ends; then, if the call's allocations
+    have made a young collection due (gen 0's count above a non-zero
+    threshold), it runs that collection itself rather than leaving it to
+    whatever allocates next.
+    """
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+            threshold = gc.get_threshold()[0]
+            if threshold and gc.get_count()[0] > threshold:
+                gc.collect(0)
+
+    return paused
 
 
 def in_unit_range(value: float) -> bool:
@@ -616,18 +656,21 @@ def graphs_close(g1: PFGraph, g2: PFGraph, eps: float | None = None) -> bool:
     vertices1, vertices2 = g1.vertices, g2.vertices
     if vertices1.keys() != vertices2.keys():
         return False
-    for label, (mu, nu) in vertices1.items():
-        other_mu, other_nu = vertices2[label]
-        if not (abs(mu - other_mu) <= eps and abs(nu - other_nu) <= eps):
-            return False
     edges1, edges2 = g1.edges, g2.edges
     get = edges2.get
-    for key, (mu, nu) in edges1.items():
-        other_mu, other_nu = get(key, ZERO_DEGREE)
-        if not (abs(mu - other_mu) <= eps and abs(nu - other_nu) <= eps):
-            return False
-    for key in edges2.keys() - edges1.keys():
-        other_mu, other_nu = edges2[key]
-        if not (abs(other_mu) <= eps and abs(other_nu) <= eps):  # against an absent (0, 0)
-            return False
+    try:
+        for label, (mu, nu) in vertices1.items():
+            other_mu, other_nu = vertices2[label]
+            if not (abs(mu - other_mu) <= eps and abs(nu - other_nu) <= eps):
+                return False
+        for key, (mu, nu) in edges1.items():
+            other_mu, other_nu = get(key, ZERO_DEGREE)
+            if not (abs(mu - other_mu) <= eps and abs(nu - other_nu) <= eps):
+                return False
+        for key in edges2.keys() - edges1.keys():
+            other_mu, other_nu = edges2[key]
+            if not (abs(other_mu) <= eps and abs(other_nu) <= eps):  # against an absent (0, 0)
+                return False
+    except OverflowError as exc:  # an int degree that float arithmetic cannot convert
+        raise float_range_error((g1, g2), exc) from None
     return True

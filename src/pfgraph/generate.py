@@ -17,7 +17,7 @@ import random
 from typing import NamedTuple, Optional
 
 from .classify import half_strong_construction
-from .core import PFDegree, PFGraph, PairKey, tolerance
+from .core import PFDegree, PFGraph, PairKey, gc_paused, tolerance
 
 FAMILIES = ("general", "strong", "complete", "half_strong")
 
@@ -72,6 +72,7 @@ def _draw_vertex_degree(rng: random.Random, quantize: Optional[int]) -> PFDegree
         return PFDegree(mu, nu)
 
 
+@gc_paused
 def generate(cfg: GenConfig) -> PFGraph:
     """Produce a valid graph for the given config, deterministically.
 

@@ -50,6 +50,7 @@ from .core import (
     PairKey,
     dangling_edge,
     encodes_as_utf8,
+    gc_paused,
     in_unit_range,
     require_valid,
     safe_repr,
@@ -90,6 +91,7 @@ def _read_degree(entry: dict, where: str) -> PFDegree:
     return PFDegree(float(entry["mu"]), float(entry["nu"]))
 
 
+@gc_paused
 def parse(text: str, check: bool = True) -> PFGraph:
     """Parse a graph document, validating constraints unless ``check`` is False.
 

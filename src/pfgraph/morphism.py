@@ -399,28 +399,31 @@ def verify_morphism(
     vertex_equality = kind.vertex_equality
     edge_equality = kind.edge_equality
     target_vertices = g2.vertices
-    for u, (smu, snu) in sorted_vertices(g1):
-        tmu, tnu = target_vertices[mapping[u]]
-        if not (
-            abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
-            if vertex_equality
-            else smu <= tmu + eps and snu >= tnu - eps
-        ):
-            violations.append(f"vertex condition fails at {u!r} -> {mapping[u]!r}")
-
-    if kind is MorphismKind.ISOMORPHISM:
-        checked = g1._pair_scan()  # every pair, an absent edge read as (0, 0)
-    else:
-        checked = ((*key, g1.edges[key], None, None) for key in sorted_edges(g1))
     target_edge = g2.edges.get
-    for u, w, (smu, snu), _, _ in checked:
-        tu, tw = mapping[u], mapping[w]
-        tmu, tnu = target_edge((tu, tw)) or target_edge((tw, tu), ZERO_DEGREE)
-        if not (
-            abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
-            if edge_equality
-            else smu <= tmu + eps and snu >= tnu - eps
-        ):
-            violations.append(f"edge condition fails at pair {u}-{w} -> {tu}-{tw}")
+    try:
+        for u, (smu, snu) in sorted_vertices(g1):
+            tmu, tnu = target_vertices[mapping[u]]
+            if not (
+                abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
+                if vertex_equality
+                else smu <= tmu + eps and snu >= tnu - eps
+            ):
+                violations.append(f"vertex condition fails at {u!r} -> {mapping[u]!r}")
+
+        if kind is MorphismKind.ISOMORPHISM:
+            checked = g1._pair_scan()  # every pair, an absent edge read as (0, 0)
+        else:
+            checked = ((*key, g1.edges[key], None, None) for key in sorted_edges(g1))
+        for u, w, (smu, snu), _, _ in checked:
+            tu, tw = mapping[u], mapping[w]
+            tmu, tnu = target_edge((tu, tw)) or target_edge((tw, tu), ZERO_DEGREE)
+            if not (
+                abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
+                if edge_equality
+                else smu <= tmu + eps and snu >= tnu - eps
+            ):
+                violations.append(f"edge condition fails at pair {u}-{w} -> {tu}-{tw}")
+    except OverflowError as exc:  # an int degree that float arithmetic cannot convert
+        raise float_range_error((g1, g2), exc) from None
 
     return MorphismCheck(not violations, tuple(violations))

@@ -1,8 +1,17 @@
 """Shared builders and pinned graphs used across the test modules."""
 
+import gc
+
 import pytest
 
 from pfgraph import PFDegree, PFGraph
+
+
+@pytest.fixture(autouse=True)
+def gc_left_on():
+    """Every test, and so every public call in the suite, leaves the cyclic GC on."""
+    yield
+    assert gc.isenabled(), "the cyclic GC was left disabled"
 
 
 def build(vertices, edges=()):

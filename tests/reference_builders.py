@@ -1,11 +1,13 @@
 """The graph builders as they were before they wrote bare tuples.
 
 The library's ``generate``, complements, ``half_strong_construction`` and
-products build each key and degree as a bare tuple, drop exactly-(0, 0)
-edge degrees themselves and hand their maps to ``PFGraph._adopt`` once;
+products build each key and degree as a bare tuple, and ``union`` and
+``join`` keep their inputs' keys; all of them drop exactly-(0, 0) edge
+degrees themselves and hand their maps to ``PFGraph._adopt`` once;
 ``classify`` stops scanning once every flag has a witness.  This module
 keeps the earlier bodies verbatim: every key through ``PairKey(...)``,
-every degree through ``PFDegree(...)`` or ``degree_min_max``, every graph
+every degree through ``PFDegree(...)``, ``degree_min_max`` or
+``degree_max_min``, every graph
 through the checking constructor ``PFGraph(...)``, and a classify that
 scans every pair.  It also keeps the sum identities and ``graphs_close``
 as they were before the pair scan yielded flat rows: every pair through
@@ -31,16 +33,19 @@ from pfgraph import (
     SumIdentityReport,
     ZERO_DEGREE,
     GenConfig,
+    JoinOverlap,
     LabelClash,
     NotComplete,
     NotStrong,
     PFDegree,
     PFGraph,
     PairKey,
+    degree_max_min,
     degree_min_max,
     degrees_close,
     tolerance,
 )
+from pfgraph.core import sorted_labels
 
 
 def _draw_vertex_degree(rng: random.Random, quantize: Optional[int]) -> PFDegree:
@@ -164,6 +169,34 @@ def composition(g1: PFGraph, g2: PFGraph) -> PFGraph:
                     min(du2.mu, dv2.mu, q1.mu), max(du2.nu, dv2.nu, q1.nu)
                 )
     return PFGraph(_product_vertices(g1, g2), edges)
+
+
+def union(g1: PFGraph, g2: PFGraph) -> PFGraph:
+    """Union: copy non-shared parts, combine shared ones by max/min."""
+    vertices: dict[str, PFDegree] = dict(g1.vertices)
+    for v, d2 in g2.vertices.items():
+        d1 = vertices.get(v)
+        vertices[v] = d2 if d1 is None else degree_max_min(d1, d2)
+    edges: dict[PairKey, PFDegree] = dict(g1.edges)
+    for key, q2 in g2.edges.items():
+        q1 = edges.get(key)
+        edges[key] = q2 if q1 is None else degree_max_min(q1, q2)
+    return PFGraph(vertices, edges)
+
+
+def join(g1: PFGraph, g2: PFGraph) -> PFGraph:
+    """Join: disjoint union plus one cross edge per vertex pair across sides."""
+    overlap = set(g1.vertices) & set(g2.vertices)
+    if overlap:
+        raise JoinOverlap(
+            f"join requires disjoint vertex sets; shared: {sorted_labels(overlap)}"
+        )
+    joined = union(g1, g2)
+    edges = dict(joined.edges)
+    for u, du in g1.vertices.items():
+        for v, dv in g2.vertices.items():
+            edges[PairKey(u, v)] = degree_min_max(du, dv)
+    return PFGraph(joined.vertices, edges)
 
 
 def _bound_minus(bound: float, value: float, eps: float) -> float:

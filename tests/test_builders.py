@@ -1,9 +1,10 @@
 """The graph builders and pair passes against their earlier bodies in ``reference_builders``.
 
 ``generate``, the complements, ``half_strong_construction`` and the
-products write keys and degrees as bare tuples and hand their maps over
-once; ``classify`` stops at its fifth witness; the complements, the
-classification, the sum identities and ``graphs_close`` read flat pair
+products write keys and degrees as bare tuples, ``union`` and ``join`` keep
+their inputs' keys, and all of them hand their maps over once; ``classify``
+stops at its fifth witness; the complements, the classification, the sum
+identities and ``graphs_close`` read flat pair
 rows and compare inline.  Each must give what the reference gives: the
 same vertices and edges (compared by repr, so NaN, -0.0 and the key and
 degree types count), the same edge order, the same rendered bytes, the
@@ -26,6 +27,7 @@ from pfgraph import (
     MalformedDocument,
     PFDegree,
     PFGraph,
+    PairKey,
     cartesian_product,
     classify,
     complement,
@@ -34,10 +36,12 @@ from pfgraph import (
     generate,
     graphs_close,
     half_strong_construction,
+    join,
     render,
     strong_complement,
     strong_sum_identity,
     sum_identity,
+    union,
 )
 from reference_codec import boundary_specs
 
@@ -303,3 +307,31 @@ def test_product_rejects_uncomposable_dangling_endpoint(product):
     comma = PFGraph({"x": d}, {("x", "y,z"): d})
     with pytest.raises(LabelClash, match="vertex label 'y,z' contains"):
         product(comma, PFGraph({"a": d}))
+
+
+# an invalid pair whose shared edge combines to exactly (0, 0), and a join whose
+# cross edge between a (0, 0) vertex and a vertex with nu 0 is exactly (0, 0)
+ZERO_UNION = (
+    PFGraph({"a": PFDegree(0.5, 0.5), "b": PFDegree(0.5, 0.5)}, {("a", "b"): PFDegree(-1e-10, 0.0)}),
+    PFGraph({"a": PFDegree(0.5, 0.5), "b": PFDegree(0.5, 0.5)}, {("b", "a"): PFDegree(0.0, 0.25)}),
+)
+ZERO_JOIN = (PFGraph({"a": PFDegree(0.0, 0.0)}), PFGraph({"g": PFDegree(0.5, 0.0)}))
+
+
+@settings(deadline=None, max_examples=300)
+@given(g=hand_built(), overlapping=hand_built(st.sampled_from("defghi")),
+       disjoint=hand_built(st.sampled_from("ghijkl")))
+@example(g=ZERO_UNION[0], overlapping=ZERO_UNION[1], disjoint=ZERO_JOIN[1])
+@example(g=ZERO_JOIN[0], overlapping=ZERO_UNION[1], disjoint=ZERO_JOIN[1])
+def test_union_and_join_match_reference(g, overlapping, disjoint):
+    for h in (overlapping, disjoint):
+        for a, b in ((g, h), (h, g)):
+            assert_same(union, ref.union, a, b)
+            assert_same(join, ref.join, a, b)
+
+
+def test_join_keeps_pair_key_order_for_labels_lt_cannot_order():
+    d = PFDegree(0.5, 0.5)
+    for g1, g2 in ((PFGraph({1: d}), PFGraph({"a": d})), (PFGraph({"a": d}), PFGraph({1: d}))):
+        (key,) = join(g1, g2).edges
+        assert type(key) is PairKey and key == PairKey(1, "a") == (1, "a")

@@ -21,10 +21,12 @@ from pfgraph import (
     ZERO_DEGREE,
     classify,
     complement,
+    complete_complement,
     degree_max_min,
     degree_min_max,
     find_morphism,
     generate,
+    graphs_close,
     hesitation,
     parse,
     render,
@@ -253,22 +255,44 @@ class TestValidate:
             find_morphism(PFGraph({3: d}, {(3, huge): d}), PFGraph({3: d}), MorphismKind.HOMOMORPHISM)
 
     @pytest.mark.parametrize(
-        "call",
+        "call, on_vertex",
         [
-            complement,
-            classify,
-            sum_identity,
-            lambda g: find_morphism(g, PFGraph({"b": PFDegree(0.5, 0.5)}), MorphismKind.ISOMORPHISM),
-            lambda g: find_morphism(PFGraph({"b": PFDegree(0.5, 0.5)}), g, MorphismKind.ISOMORPHISM),
+            pytest.param(complement, False, id="complement"),
+            pytest.param(strong_complement, False, id="strong_complement"),
+            pytest.param(complete_complement, False, id="complete_complement"),
+            pytest.param(classify, False, id="classify"),
+            pytest.param(sum_identity, False, id="sum_identity"),
+            pytest.param(
+                lambda g: graphs_close(g, PFGraph(g.vertices, {("a", "b"): PFDegree(0.5, 0.5)})),
+                False,
+                id="graphs_close",
+            ),
+            pytest.param(
+                lambda g: verify_morphism(
+                    g, PFGraph(g.vertices, {("a", "b"): PFDegree(0.5, 0.5)}), MorphismKind.ISOMORPHISM,
+                    {"a": "a", "b": "b"},
+                ),
+                False,
+                id="verify_morphism",
+            ),
+            pytest.param(
+                lambda g: find_morphism(g, PFGraph({"b": PFDegree(0.5, 0.5)}), MorphismKind.ISOMORPHISM),
+                True,
+                id="find_morphism_source",
+            ),
+            pytest.param(
+                lambda g: find_morphism(PFGraph({"b": PFDegree(0.5, 0.5)}), g, MorphismKind.ISOMORPHISM),
+                True,
+                id="find_morphism_target",
+            ),
         ],
-        ids=["complement", "classify", "sum_identity", "find_morphism_source", "find_morphism_target"],
     )
-    def test_int_degree_beyond_float_range_raises_constraint_violation(self, call):
+    def test_int_degree_beyond_float_range_raises_constraint_violation(self, call, on_vertex):
         d, big = PFDegree(0.5, 0.5), 10**400
-        if call in (complement, classify, sum_identity):
-            g, where = PFGraph({"a": d, "b": d}, {("a", "b"): PFDegree(big, 0.5)}), "a-b"
-        else:
+        if on_vertex:
             g, where = PFGraph({"a": PFDegree(big, 0.5)}), "a"
+        else:
+            g, where = PFGraph({"a": d, "b": d}, {("a", "b"): PFDegree(big, 0.5)}), "a-b"
         with pytest.raises(ConstraintViolation, match=f"int degrees beyond float range: {where}$") as info:
             call(g)
         assert info.value.report == validate(g)

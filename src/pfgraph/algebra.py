@@ -27,7 +27,6 @@ from .core import (
     dangling_edge,
     degree_max_min,
     degree_min_max,
-    float_range_error,
     gc_paused,
     safe_repr,
     sorted_labels,
@@ -223,24 +222,21 @@ def complement(g: PFGraph) -> PFGraph:
     new = tuple.__new__
     stored = dict(zip(g.edges, g.edges)).get  # an edge pair keeps g's own key object
     edges = {}
-    try:
-        for u, v, degree, mu, nu in g._pair_scan():  # mu, nu start as the bound: no edge's complement
-            if degree is ZERO_DEGREE:
-                key = new(PairKey, (u, v))
-            else:
-                key = stored((u, v))
-                emu, enu = degree
-                # _bound_minus's common case inline: a result above eps is returned as it is
-                if not emu <= eps:
-                    rest = mu - emu
-                    mu = rest if rest > eps else _bound_minus(mu, emu, eps)
-                if not enu <= eps:
-                    rest = nu - enu
-                    nu = rest if rest > eps else _bound_minus(nu, enu, eps)
-            if mu != 0.0 or nu != 0.0:
-                edges[key] = new(PFDegree, (mu, nu))
-    except OverflowError as exc:  # an int degree that float arithmetic cannot convert
-        raise float_range_error((g,), exc) from None
+    for u, v, degree, mu, nu in g._pair_scan():  # mu, nu start as the bound: no edge's complement
+        if degree is ZERO_DEGREE:
+            key = new(PairKey, (u, v))
+        else:
+            key = stored((u, v))
+            emu, enu = degree
+            # _bound_minus's common case inline: a result above eps is returned as it is
+            if not emu <= eps:
+                rest = mu - emu
+                mu = rest if rest > eps else _bound_minus(mu, emu, eps)
+            if not enu <= eps:
+                rest = nu - enu
+                nu = rest if rest > eps else _bound_minus(nu, enu, eps)
+        if mu != 0.0 or nu != 0.0:
+            edges[key] = new(PFDegree, (mu, nu))
     return PFGraph._adopt(dict(g.vertices), edges)
 
 
@@ -267,18 +263,15 @@ def strong_complement(g: PFGraph, force: bool = False) -> PFGraph:
     if not force:
         eps = tolerance()
         get = g.vertices.get
-        try:
-            for (lo, hi), (mu, nu) in g.edges.items():
-                a, b = get(lo), get(hi)
-                if a is None or b is None:
-                    raise dangling_edge(lo, hi, g.vertices)
-                (amu, anu), (bmu, bnu) = a, b
-                bound_mu = bmu if bmu < amu else amu  # degree_min_max's tie rule: lo's value wins
-                bound_nu = bnu if bnu > anu else anu
-                if not (abs(mu - bound_mu) <= eps and abs(nu - bound_nu) <= eps):
-                    raise NotStrong("input graph is not strong; pass force=True to override")
-        except OverflowError as exc:  # an int degree that float arithmetic cannot convert
-            raise float_range_error((g,), exc) from None
+        for (lo, hi), (mu, nu) in g.edges.items():
+            a, b = get(lo), get(hi)
+            if a is None or b is None:
+                raise dangling_edge(lo, hi, g.vertices)
+            (amu, anu), (bmu, bnu) = a, b
+            bound_mu = bmu if bmu < amu else amu  # degree_min_max's tie rule: lo's value wins
+            bound_nu = bnu if bnu > anu else anu
+            if not (abs(mu - bound_mu) <= eps and abs(nu - bound_nu) <= eps):
+                raise NotStrong("input graph is not strong; pass force=True to override")
     return _zero_or_bound_complement(g)
 
 
@@ -286,13 +279,10 @@ def strong_complement(g: PFGraph, force: bool = False) -> PFGraph:
 def complete_complement(g: PFGraph, force: bool = False) -> PFGraph:
     """Complement for complete graphs; for a genuinely complete input it is edgeless."""
     eps = tolerance()
-    try:
-        complete = force or all(
-            abs(mu - bmu) <= eps and abs(nu - bnu) <= eps
-            for _, _, (mu, nu), bmu, bnu in g._pair_scan()
-        )
-    except OverflowError as exc:  # an int degree that float arithmetic cannot convert
-        raise float_range_error((g,), exc) from None
+    complete = force or all(
+        abs(mu - bmu) <= eps and abs(nu - bnu) <= eps
+        for _, _, (mu, nu), bmu, bnu in g._pair_scan()
+    )
     if not complete:
         raise NotComplete("input graph is not complete; pass force=True to override")
     return _zero_or_bound_complement(g)

@@ -22,7 +22,6 @@ from .core import (
     PFGraph,
     PairKey,
     ZERO_DEGREE,
-    float_range_error,
     gc_paused,
     tolerance,
 )
@@ -56,29 +55,26 @@ def classify(g: PFGraph) -> Classification:
         return len(strength) + len(completeness) == 5
 
     # the scan stops once every flag has its witness: later pairs change nothing
-    try:
-        for u, v, degree, bmu, bnu in g._pair_scan():
-            mu, nu = degree
-            mu_equal = abs(mu - bmu) <= eps
-            nu_equal = abs(nu - bnu) <= eps
-            if degree is not ZERO_DEGREE:  # a stored degree is never that object
-                if not mu_equal and "is_mu_strong" not in strength:
-                    if note(strength, "is_mu_strong", u, v):
-                        break
-                if not nu_equal and "is_nu_strong" not in strength:
-                    if note(strength, "is_nu_strong", u, v):
-                        break
-            if not (mu_equal and nu_equal) and "is_complete" not in completeness:
-                if note(completeness, "is_complete", u, v):
+    for u, v, degree, bmu, bnu in g._pair_scan():
+        mu, nu = degree
+        mu_equal = abs(mu - bmu) <= eps
+        nu_equal = abs(nu - bnu) <= eps
+        if degree is not ZERO_DEGREE:  # a stored degree is never that object
+            if not mu_equal and "is_mu_strong" not in strength:
+                if note(strength, "is_mu_strong", u, v):
                     break
-            if not (mu_equal and bnu - nu > eps) and "is_complete_mu_strong" not in completeness:
-                if note(completeness, "is_complete_mu_strong", u, v):
+            if not nu_equal and "is_nu_strong" not in strength:
+                if note(strength, "is_nu_strong", u, v):
                     break
-            if not (bmu - mu > eps and nu_equal) and "is_complete_nu_strong" not in completeness:
-                if note(completeness, "is_complete_nu_strong", u, v):
-                    break
-    except OverflowError as exc:  # an int degree that float arithmetic cannot convert
-        raise float_range_error((g,), exc) from None
+        if not (mu_equal and nu_equal) and "is_complete" not in completeness:
+            if note(completeness, "is_complete", u, v):
+                break
+        if not (mu_equal and bnu - nu > eps) and "is_complete_mu_strong" not in completeness:
+            if note(completeness, "is_complete_mu_strong", u, v):
+                break
+        if not (bmu - mu > eps and nu_equal) and "is_complete_nu_strong" not in completeness:
+            if note(completeness, "is_complete_nu_strong", u, v):
+                break
 
     witnesses = {**strength, **completeness}
     first = strength.get("is_mu_strong") or strength.get("is_nu_strong")
@@ -112,14 +108,11 @@ class SumIdentityReport(NamedTuple):
 def _sum_report(g: PFGraph, factor: float) -> SumIdentityReport:
     eps = tolerance()
     edge_mu = edge_nu = bound_mu = bound_nu = 0.0
-    try:
-        for _, _, (mu, nu), bmu, bnu in g._pair_scan():
-            edge_mu += mu
-            edge_nu += nu
-            bound_mu += bmu
-            bound_nu += bnu
-    except OverflowError as exc:  # an int degree that float arithmetic cannot convert
-        raise float_range_error((g,), exc) from None
+    for _, _, (mu, nu), bmu, bnu in g._pair_scan():
+        edge_mu += mu
+        edge_nu += nu
+        bound_mu += bmu
+        bound_nu += bnu
     rhs_mu = factor * bound_mu
     rhs_nu = factor * bound_nu
     return SumIdentityReport(
@@ -146,7 +139,14 @@ def strong_sum_identity(g: PFGraph) -> SumIdentityReport:
     return _sum_report(g, 1.0)
 
 
-SELF_COMPLEMENT_VARIANTS = ("general", "strong", "complete")
+# each entry looks its complement up by name when called, so that a wrapper
+# installed on the module's name (the benchmark's tracer) sees the call
+_COMPLEMENTS = {
+    "general": lambda g: complement(g),
+    "strong": lambda g: strong_complement(g),
+    "complete": lambda g: complete_complement(g),
+}
+SELF_COMPLEMENT_VARIANTS = tuple(_COMPLEMENTS)
 
 
 def is_self_complementary(
@@ -159,17 +159,13 @@ def is_self_complementary(
     accordingly (raising NotStrong/NotComplete otherwise).  The returned
     report carries the witness bijection when one exists.
     """
-    if variant == "general":
-        comp = complement(g)
-    elif variant == "strong":
-        comp = strong_complement(g)
-    elif variant == "complete":
-        comp = complete_complement(g)
-    else:
+    try:
+        complement_of = _COMPLEMENTS[variant]
+    except (KeyError, TypeError):  # TypeError: an unhashable variant
         raise ValueError(
             f"unknown variant {variant!r}; expected one of {SELF_COMPLEMENT_VARIANTS}"
-        )
-    return find_morphism(g, comp, MorphismKind.ISOMORPHISM, cap)
+        ) from None
+    return find_morphism(g, complement_of(g), MorphismKind.ISOMORPHISM, cap)
 
 
 @gc_paused

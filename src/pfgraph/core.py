@@ -27,11 +27,12 @@ Design choices baked into this module:
   with the message that :func:`dangling_edge` writes.
 - An edge whose degree is exactly (0, 0) means "no edge" and is removed
   when the graph is built.  ``PFGraph(...)`` is the checking constructor:
-  it copies both maps, makes every key a canonical PairKey and drops (0, 0)
-  edges.  Graphs the library builds (``parse``, ``generate``, the
-  complements, ``half_strong_construction``, the products, ``union`` and
-  ``join``) make every key a PairKey (most write keys and
-  degrees as bare tuples; ``union`` and ``join`` keep their inputs' keys),
+  it copies both maps, makes every key a canonical PairKey and every degree
+  a PFDegree and drops (0, 0) edges.  Graphs the library builds
+  (``parse``, ``generate``, the complements, ``half_strong_construction``,
+  the products, ``union`` and ``join``) make every key a PairKey (most
+  write keys and degrees as bare tuples; ``union`` and ``join`` keep their
+  inputs' keys),
   leave out (0, 0) edges themselves (the test
   ``mu != 0.0 or nu != 0.0`` is ``!= ZERO_DEGREE``, for -0.0 and NaN too)
   and hand their maps to :meth:`PFGraph._adopt` once.
@@ -73,16 +74,21 @@ Design choices baked into this module:
 
 Graphs holding *invalid* data are representable on purpose: :func:`validate`
 turns every broken invariant into a report entry instead of an exception,
-so arbitrary candidate data can be inspected.  It is the one checker of the
-degree rules: one pass tests each vertex's label (a non-empty str that
+so arbitrary candidate data can be inspected, with one exception:
+``PFGraph(...)`` refuses, with ConstraintViolation in ``parse``'s wording,
+a degree that no pass can compute with (not a (mu, nu) pair, a bool, a
+component neither int nor float, or an int that ``float()`` cannot
+convert).  No builder makes one from a checked graph.  :func:`validate` is
+the one checker of the degree rules: one pass tests each vertex's label (a non-empty str that
 encodes as UTF-8, so that the document it renders can be parsed and
 printed), unit range and squared sum, and each edge's endpoints, unit
 range, squared sum and bound (read from the two endpoint tuples), each
 rule once, and every failed test adds its own report entry.  Entries name
 labels, keys and values through :func:`safe_str` and :func:`safe_repr`, so
-an int past CPython's int-string limit is named by its bit length.  A pass
-whose float arithmetic meets an int degree beyond float range raises
-ConstraintViolation with the report, through :func:`float_range_error`.
+an int label past CPython's int-string limit is named by its bit length.
+A degree that fails its one combined test goes to one helper, which adds
+the range and squared-sum entries; an int square beyond float range
+(10**200) is above 1 beside any value but NaN.
 """
 
 from __future__ import annotations
@@ -92,7 +98,6 @@ import math
 import os
 import sys
 from functools import wraps
-from itertools import chain
 from operator import itemgetter, lt
 from typing import Iterator, Mapping, NamedTuple
 
@@ -181,36 +186,6 @@ def safe_str(item) -> str:
         return str(item)
     except ValueError:
         return safe_repr(item)
-
-
-def float_range_error(graphs, error: OverflowError) -> Exception:
-    """What to raise for an OverflowError from float arithmetic on the
-    degrees of ``graphs``: ConstraintViolation, carrying :func:`validate`'s
-    report of the first graph that holds an int degree beyond float range
-    and naming where each one sits, or ``error`` itself if none does.
-    Callers catch the error around a whole loop, so valid graphs pay
-    nothing."""
-    for g in graphs:
-        where = [
-            safe_str(item)
-            for item, degree in chain(g.vertices.items(), g.edges.items())
-            if any(map(_beyond_float, degree))
-        ]
-        if where:
-            return ConstraintViolation(
-                f"int degrees beyond float range: {', '.join(where)}", report=validate(g)
-            )
-    return error
-
-
-def _beyond_float(value) -> bool:
-    try:
-        float(value)
-    except OverflowError:
-        return True
-    except (TypeError, ValueError):
-        pass
-    return False
 
 
 def gc_paused(fn):
@@ -351,7 +326,10 @@ class PFGraph:
     Construction, the checking path for graphs built outside the library,
     copies both maps, accepts edge keys given either as PairKey or as a
     plain (u, v) tuple, and drops edges whose degree is exactly (0, 0).
-    The degree rules are not checked here; use :func:`validate`.  The
+    Each degree becomes a PFDegree with its numbers unchanged; one that no
+    pass can compute with (see the module docstring) and an edge key that is
+    not a pair raise ConstraintViolation, a self-loop ValueError.  The
+    degree rules are not checked here; use :func:`validate`.  The
     library's own builders go through :meth:`_adopt` instead.
     """
 
@@ -359,12 +337,24 @@ class PFGraph:
     edges: Mapping[PairKey, PFDegree]
 
     def __init__(self, vertices, edges=()):
-        object.__setattr__(self, "vertices", dict(vertices))
+        vertices = dict(vertices)
+        for label, degree in vertices.items():
+            if type(degree) is not PFDegree or type(degree[0]) is not float or type(degree[1]) is not float:
+                vertices[label] = _as_degree(degree, "vertex", label)
+        object.__setattr__(self, "vertices", vertices)
         normalized = {}
         edge_items = edges.items() if isinstance(edges, Mapping) else edges
         for key, degree in edge_items:
             if not isinstance(key, PairKey):
-                key = PairKey(*key)
+                try:
+                    u, v = key
+                except (TypeError, ValueError):
+                    raise ConstraintViolation(
+                        f"edge key {safe_repr(key)} is not a pair of vertex labels"
+                    ) from None
+                key = PairKey(u, v)
+            if type(degree) is not PFDegree or type(degree[0]) is not float or type(degree[1]) is not float:
+                degree = _as_degree(degree, "edge", key)
             if degree != ZERO_DEGREE:
                 normalized[key] = degree
         object.__setattr__(self, "edges", normalized)
@@ -454,6 +444,32 @@ class PFGraph:
                 yield u, v, get((u, v), ZERO_DEGREE), bound_mu, bound_nu
 
 
+# float() rounds every int of smaller magnitude to a finite float and
+# converts none from here up (the halfway point to 2**1024 rounds to it)
+_FLOAT_INT_LIMIT = 2**1024 - 2**970
+
+
+def _as_degree(degree, kind: str, item) -> PFDegree:
+    """degree as a PFDegree with its numbers unchanged, for the vertex or edge
+    ``item``; ConstraintViolation, in :func:`~pfgraph.graph_io.parse`'s
+    wording, unless it is a (mu, nu) pair of ints and floats (not bools) that
+    ``float()`` converts."""
+    if not (isinstance(degree, tuple) and len(degree) == 2):
+        problem = "degree must be a (mu, nu) pair"
+    else:
+        for field, value in zip(("mu", "nu"), degree):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                problem = f"{field!r} must be a number"
+                break
+            if isinstance(value, int) and not -_FLOAT_INT_LIMIT < value < _FLOAT_INT_LIMIT:
+                problem = f"{field!r} value {safe_repr(value)} is beyond float range"
+                break
+        else:
+            return degree if type(degree) is PFDegree else tuple.__new__(PFDegree, degree)
+    where = f"vertex {safe_repr(item)}" if kind == "vertex" else f"edge {safe_str(item)}"
+    raise ConstraintViolation(f"{where}: {problem}")
+
+
 class Violation(NamedTuple):
     """One broken invariant: what kind, where, and the offending numbers."""
 
@@ -488,35 +504,22 @@ def validate(g: PFGraph) -> ValidationReport:
     """
     eps = tolerance()
     low, high = -eps, 1.0 + eps
+    # the combined test squares only values up to fast_high; past 2**511 such a
+    # square may leave float range, so a tolerance that large sends every
+    # degree to _degree_violations
+    fast_high = high if high < 2.0**511 else math.nan
     vertices = g.vertices
     found: list[Violation] = []
     add = found.append
     show, name = safe_repr, safe_str
 
-    for label, degree in vertices.items():
-        mu, nu = degree
+    for label, (mu, nu) in vertices.items():
         if not isinstance(label, str) or not label:
             add(Violation("bad_vertex_id", show(label), "vertex ids must be non-empty strings"))
         elif not (label.isascii() or encodes_as_utf8(label)):
             add(Violation("bad_vertex_id", show(label), "vertex ids must encode as UTF-8"))
-        if not low <= mu <= high:
-            add(Violation("bad_vertex_degree", name(label), f"membership {show(mu)} outside [0, 1]"))
-        if not low <= nu <= high:
-            add(
-                Violation("bad_vertex_degree", name(label), f"non-membership {show(nu)} outside [0, 1]")
-            )
-        try:
-            squares_above = mu * mu + nu * nu > high
-        except OverflowError:  # an int square beyond float range is above 1; NaN is not
-            squares_above = mu == mu and nu == nu
-        if squares_above:
-            add(
-                Violation(
-                    "bad_vertex_degree",
-                    name(label),
-                    f"membership {show(mu)} and non-membership {show(nu)} have squared sum > 1",
-                )
-            )
+        if not (low <= mu <= fast_high and low <= nu <= fast_high and mu * mu + nu * nu <= high):
+            _degree_violations(add, "bad_vertex_degree", name(label), mu, nu, low, high)
 
     get = vertices.get
     for key, degree in g.edges.items():
@@ -533,33 +536,12 @@ def validate(g: PFGraph) -> ValidationReport:
             )
             continue
         mu, nu = degree
-        if not low <= mu <= high:
-            add(Violation("bad_edge_degree", name(key), f"membership {show(mu)} outside [0, 1]"))
-        if not low <= nu <= high:
-            add(Violation("bad_edge_degree", name(key), f"non-membership {show(nu)} outside [0, 1]"))
-        try:
-            squares_above = mu * mu + nu * nu > high
-        except OverflowError:
-            squares_above = mu == mu and nu == nu
-        if squares_above:
-            add(
-                Violation(
-                    "bad_edge_degree",
-                    name(key),
-                    f"membership {show(mu)} and non-membership {show(nu)} have squared sum > 1",
-                )
-            )
+        if not (low <= mu <= fast_high and low <= nu <= fast_high and mu * mu + nu * nu <= high):
+            _degree_violations(add, "bad_edge_degree", name(key), mu, nu, low, high)
         (amu, anu), (bmu, bnu) = a, b
         bound_mu = bmu if bmu < amu else amu  # degree_min_max's tie rule: lo's value wins
         bound_nu = bnu if bnu > anu else anu
-        try:
-            mu_above, nu_above = mu > bound_mu + eps, nu > bound_nu + eps
-        except OverflowError:  # an int bound beyond float range, compared exactly
-            from fractions import Fraction
-
-            slack = Fraction(eps)
-            mu_above, nu_above = mu > bound_mu + slack, nu > bound_nu + slack
-        if mu_above:
+        if mu > bound_mu + eps:
             add(
                 Violation(
                     "edge_membership_above_bound",
@@ -567,7 +549,7 @@ def validate(g: PFGraph) -> ValidationReport:
                     f"edge membership {show(mu)} exceeds endpoint minimum {show(bound_mu)}",
                 )
             )
-        if nu_above:
+        if nu > bound_nu + eps:
             add(
                 Violation(
                     "edge_nonmembership_above_bound",
@@ -577,6 +559,23 @@ def validate(g: PFGraph) -> ValidationReport:
             )
 
     return ValidationReport(tuple(found))
+
+
+def _degree_violations(add, kind: str, where: str, mu, nu, low: float, high: float) -> None:
+    """Add the unit-range and squared-sum entries, in report order, for a
+    degree that fails :func:`validate`'s combined test."""
+    show = safe_repr
+    if not low <= mu <= high:
+        add(Violation(kind, where, f"membership {show(mu)} outside [0, 1]"))
+    if not low <= nu <= high:
+        add(Violation(kind, where, f"non-membership {show(nu)} outside [0, 1]"))
+    try:
+        above = mu * mu + nu * nu > high
+    except OverflowError:  # an int square beyond float range is above 1; NaN is not
+        above = mu == mu and nu == nu
+    if above:
+        detail = f"membership {show(mu)} and non-membership {show(nu)} have squared sum > 1"
+        add(Violation(kind, where, detail))
 
 
 def require_valid(g: PFGraph, what: str) -> PFGraph:
@@ -639,9 +638,16 @@ def sorted_edges(g: PFGraph) -> list[PairKey]:
 
 
 def degrees_close(a: PFDegree, b: PFDegree, eps: float | None = None) -> bool:
+    """Whether both components of a and b differ by at most eps (default: the tolerance).
+
+    An int beyond float range is close to no float, for any finite eps.
+    """
     if eps is None:
         eps = tolerance()
-    return abs(a.mu - b.mu) <= eps and abs(a.nu - b.nu) <= eps
+    try:
+        return abs(a.mu - b.mu) <= eps and abs(a.nu - b.nu) <= eps
+    except OverflowError:  # an int beyond float range against a float
+        return False
 
 
 def graphs_close(g1: PFGraph, g2: PFGraph, eps: float | None = None) -> bool:
@@ -658,19 +664,16 @@ def graphs_close(g1: PFGraph, g2: PFGraph, eps: float | None = None) -> bool:
         return False
     edges1, edges2 = g1.edges, g2.edges
     get = edges2.get
-    try:
-        for label, (mu, nu) in vertices1.items():
-            other_mu, other_nu = vertices2[label]
-            if not (abs(mu - other_mu) <= eps and abs(nu - other_nu) <= eps):
-                return False
-        for key, (mu, nu) in edges1.items():
-            other_mu, other_nu = get(key, ZERO_DEGREE)
-            if not (abs(mu - other_mu) <= eps and abs(nu - other_nu) <= eps):
-                return False
-        for key in edges2.keys() - edges1.keys():
-            other_mu, other_nu = edges2[key]
-            if not (abs(other_mu) <= eps and abs(other_nu) <= eps):  # against an absent (0, 0)
-                return False
-    except OverflowError as exc:  # an int degree that float arithmetic cannot convert
-        raise float_range_error((g1, g2), exc) from None
+    for label, (mu, nu) in vertices1.items():
+        other_mu, other_nu = vertices2[label]
+        if not (abs(mu - other_mu) <= eps and abs(nu - other_nu) <= eps):
+            return False
+    for key, (mu, nu) in edges1.items():
+        other_mu, other_nu = get(key, ZERO_DEGREE)
+        if not (abs(mu - other_mu) <= eps and abs(nu - other_nu) <= eps):
+            return False
+    for key in edges2.keys() - edges1.keys():
+        other_mu, other_nu = edges2[key]
+        if not (abs(other_mu) <= eps and abs(other_nu) <= eps):  # against an absent (0, 0)
+            return False
     return True

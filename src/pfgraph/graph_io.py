@@ -244,8 +244,9 @@ def _quote(label) -> str:
 def to_dot(g: PFGraph) -> str:
     """Render the graph as undirected DOT with degree-carrying labels; DanglingEdge as render.
 
-    MalformedDocument for a label or degree that is an int with more digits
-    than CPython converts to a decimal string.
+    MalformedDocument for a label that is an int with more digits than
+    CPython converts to a decimal string (every degree the constructor
+    admits lies within float range, far below that limit).
     """
     lines = ["graph G {"]
     names = {}
@@ -259,6 +260,6 @@ def to_dot(g: PFGraph) -> str:
             mu, nu = degrees[key]
             lines.append(f'  {names[u]} -- {names[v]} [label="({mu!r}, {nu!r})"];')
     except ValueError as exc:  # CPython's int-string limit
-        raise MalformedDocument(f"a label or degree cannot be written as DOT: {exc}") from None
+        raise MalformedDocument(f"a label cannot be written as DOT: {exc}") from None
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -73,7 +73,6 @@ from typing import Mapping, NamedTuple, Optional
 from .core import (
     PFGraph,
     ZERO_DEGREE,
-    float_range_error,
     require_endpoints,
     sorted_edges,
     sorted_labels,
@@ -143,10 +142,7 @@ def find_morphism(
     matching (see the module docstring): sound filters, so found and
     witness are those of the unfiltered search, and ``search_space`` can
     only be smaller.  A source left with no candidate, or lists with no
-    matching, answer not-found after 0 attempts.  An int degree beyond
-    float range that a check meets in float arithmetic raises
-    ConstraintViolation with the validation report of the graph that holds
-    it.
+    matching, answer not-found after 0 attempts.
     """
     n1 = len(g1.vertices)
     if n1 > cap:
@@ -166,79 +162,76 @@ def find_morphism(
     if not iso:
         require_endpoints(g1)
     n2 = len(targets)
-    try:
-        candidates = _vertex_candidates(sources, targets, vertex_equality, eps)
-        if not all(candidates):
+    candidates = _vertex_candidates(sources, targets, vertex_equality, eps)
+    if not all(candidates):
+        return MorphismReport(kind, False, None, 0)
+    if iso and any(len(c) > 1 for c in candidates):
+        # a single path needs neither the refinement nor the matching check,
+        # which also answers for a source the refinement leaves no candidate
+        candidates = _profile_refined(candidates, g1, sources, g2, targets, eps)
+        if not _has_perfect_matching(candidates, n2):
             return MorphismReport(kind, False, None, 0)
-        if iso and any(len(c) > 1 for c in candidates):
-            # a single path needs neither the refinement nor the matching check,
-            # which also answers for a source the refinement leaves no candidate
-            candidates = _profile_refined(candidates, g1, sources, g2, targets, eps)
-            if not _has_perfect_matching(candidates, n2):
-                return MorphismReport(kind, False, None, 0)
 
-        source_edge = g1.edges.get
-        target_edge = g2.edges.get
-        checks: list = [None] * n1  # per depth i: (p, mu, nu) for the earlier sources p
-        cells: list = [None] * n2  # per assigned target x: the pairs (x, v) read so far
-        pending = list(map(iter, candidates))  # per depth: the candidates not yet tried
-        image = [0] * n1
-        used = [False] * n2
-        attempts = 0
-        depth = 0
-        while depth < n1:
-            row = checks[depth]
-            if row is None:
-                u = sources[depth][0]
-                row = checks[depth] = []
-                for p in range(depth):
-                    # p sorts before u, so (p's label, u's label) is the canonical key
-                    s = source_edge((sources[p][0], u))
-                    if s is None:
-                        if not iso:
-                            continue
-                        s = ZERO_DEGREE
-                    smu, snu = s
-                    row.append((p, smu, snu))
-            for v in pending[depth]:
-                if used[v]:
-                    continue
-                attempts += 1
-                for p, smu, snu in row:
-                    x = image[p]
-                    t = cells[x][v]
-                    if t is None:
-                        mirror = cells[v]
-                        t = None if mirror is None else mirror[x]
-                        if t is None:
-                            a, b = targets[x][0], targets[v][0]
-                            # a stored degree is a non-empty tuple; a collapsed pair is never a key
-                            t = target_edge((a, b)) or target_edge((b, a), ZERO_DEGREE)
-                        cells[x][v] = t
-                    tmu, tnu = t
-                    if not (
-                        abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
-                        if edge_equality
-                        else smu <= tmu + eps and snu >= tnu - eps
-                    ):
-                        break
-                else:
-                    break  # v passes every check
-            else:
-                # no candidate left: rewind this depth and undo the one before
-                pending[depth] = iter(candidates[depth])
-                depth -= 1
-                if depth < 0:
-                    return MorphismReport(kind, False, None, attempts)
-                used[image[depth]] = False
+    source_edge = g1.edges.get
+    target_edge = g2.edges.get
+    checks: list = [None] * n1  # per depth i: (p, mu, nu) for the earlier sources p
+    cells: list = [None] * n2  # per assigned target x: the pairs (x, v) read so far
+    pending = list(map(iter, candidates))  # per depth: the candidates not yet tried
+    image = [0] * n1
+    used = [False] * n2
+    attempts = 0
+    depth = 0
+    while depth < n1:
+        row = checks[depth]
+        if row is None:
+            u = sources[depth][0]
+            row = checks[depth] = []
+            for p in range(depth):
+                # p sorts before u, so (p's label, u's label) is the canonical key
+                s = source_edge((sources[p][0], u))
+                if s is None:
+                    if not iso:
+                        continue
+                    s = ZERO_DEGREE
+                smu, snu = s
+                row.append((p, smu, snu))
+        for v in pending[depth]:
+            if used[v]:
                 continue
-            image[depth] = v
-            used[v] = bijective  # a homomorphism may reuse a target
-            if cells[v] is None:
-                cells[v] = [None] * n2
-            depth += 1
-    except OverflowError as exc:  # an int degree that float arithmetic cannot convert
-        raise float_range_error((g1, g2), exc) from None
+            attempts += 1
+            for p, smu, snu in row:
+                x = image[p]
+                t = cells[x][v]
+                if t is None:
+                    mirror = cells[v]
+                    t = None if mirror is None else mirror[x]
+                    if t is None:
+                        a, b = targets[x][0], targets[v][0]
+                        # a stored degree is a non-empty tuple; a collapsed pair is never a key
+                        t = target_edge((a, b)) or target_edge((b, a), ZERO_DEGREE)
+                    cells[x][v] = t
+                tmu, tnu = t
+                if not (
+                    abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
+                    if edge_equality
+                    else smu <= tmu + eps and snu >= tnu - eps
+                ):
+                    break
+            else:
+                break  # v passes every check
+        else:
+            # no candidate left: rewind this depth and undo the one before
+            pending[depth] = iter(candidates[depth])
+            depth -= 1
+            if depth < 0:
+                return MorphismReport(kind, False, None, attempts)
+            used[image[depth]] = False
+            continue
+        image[depth] = v
+        used[v] = bijective  # a homomorphism may reuse a target
+        if cells[v] is None:
+            cells[v] = [None] * n2
+        depth += 1
 
     witness = {u: targets[v][0] for (u, _), v in zip(sources, image)}
     return MorphismReport(kind, True, witness, attempts)
@@ -400,30 +393,27 @@ def verify_morphism(
     edge_equality = kind.edge_equality
     target_vertices = g2.vertices
     target_edge = g2.edges.get
-    try:
-        for u, (smu, snu) in sorted_vertices(g1):
-            tmu, tnu = target_vertices[mapping[u]]
-            if not (
-                abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
-                if vertex_equality
-                else smu <= tmu + eps and snu >= tnu - eps
-            ):
-                violations.append(f"vertex condition fails at {u!r} -> {mapping[u]!r}")
+    for u, (smu, snu) in sorted_vertices(g1):
+        tmu, tnu = target_vertices[mapping[u]]
+        if not (
+            abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
+            if vertex_equality
+            else smu <= tmu + eps and snu >= tnu - eps
+        ):
+            violations.append(f"vertex condition fails at {u!r} -> {mapping[u]!r}")
 
-        if kind is MorphismKind.ISOMORPHISM:
-            checked = g1._pair_scan()  # every pair, an absent edge read as (0, 0)
-        else:
-            checked = ((*key, g1.edges[key], None, None) for key in sorted_edges(g1))
-        for u, w, (smu, snu), _, _ in checked:
-            tu, tw = mapping[u], mapping[w]
-            tmu, tnu = target_edge((tu, tw)) or target_edge((tw, tu), ZERO_DEGREE)
-            if not (
-                abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
-                if edge_equality
-                else smu <= tmu + eps and snu >= tnu - eps
-            ):
-                violations.append(f"edge condition fails at pair {u}-{w} -> {tu}-{tw}")
-    except OverflowError as exc:  # an int degree that float arithmetic cannot convert
-        raise float_range_error((g1, g2), exc) from None
+    if kind is MorphismKind.ISOMORPHISM:
+        checked = g1._pair_scan()  # every pair, an absent edge read as (0, 0)
+    else:
+        checked = ((*key, g1.edges[key], None, None) for key in sorted_edges(g1))
+    for u, w, (smu, snu), _, _ in checked:
+        tu, tw = mapping[u], mapping[w]
+        tmu, tnu = target_edge((tu, tw)) or target_edge((tw, tu), ZERO_DEGREE)
+        if not (
+            abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
+            if edge_equality
+            else smu <= tmu + eps and snu >= tnu - eps
+        ):
+            violations.append(f"edge condition fails at pair {u}-{w} -> {tu}-{tw}")
 
     return MorphismCheck(not violations, tuple(violations))

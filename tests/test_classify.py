@@ -4,6 +4,7 @@ import pytest
 
 from pfgraph import (
     GenConfig,
+    NotComplete,
     NotStrong,
     PFDegree,
     SearchCapExceeded,
@@ -20,6 +21,8 @@ from pfgraph import (
     validate,
     verify_morphism,
 )
+
+from pfgraph.classify import SELF_COMPLEMENT_VARIANTS
 
 from conftest import build
 
@@ -233,9 +236,25 @@ class TestSelfComplementarity:
             is_self_complementary(g, cap=1)
         assert is_self_complementary(g, cap=2).found
 
-    def test_unknown_variant_rejected(self, square_cycle):
-        with pytest.raises(ValueError):
-            is_self_complementary(square_cycle, "sideways")
+    @pytest.mark.parametrize("variant", ["sideways", None, ["general"]], ids=repr)
+    def test_unknown_variant_rejected(self, square_cycle, variant):
+        # an unhashable variant is unknown too
+        with pytest.raises(ValueError) as raised:
+            is_self_complementary(square_cycle, variant)
+        assert str(raised.value) == (
+            f"unknown variant {variant!r}; expected one of ('general', 'strong', 'complete')"
+        )
+
+    def test_variants_name_the_complements_in_order(self):
+        assert SELF_COMPLEMENT_VARIANTS == ("general", "strong", "complete")
+        # each variant runs its own complement: a half-bound graph is
+        # self-complementary, but neither strong nor complete
+        g = half_strong_construction({v: PFDegree(0.6, 0.3) for v in "abc"})
+        assert is_self_complementary(g, "general").found
+        with pytest.raises(NotStrong):
+            is_self_complementary(g, "strong")
+        with pytest.raises(NotComplete):
+            is_self_complementary(g, "complete")
 
     def test_self_complementary_without_half_bound_degrees(self):
         # a path at full bound maps onto its complement by permuting labels,

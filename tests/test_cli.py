@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from pfgraph import DEFAULT_EPSILON, set_tolerance, tolerance
-from pfgraph.cli import main
+from pfgraph import DEFAULT_EPSILON, GenConfig, generate, render, set_tolerance, tolerance
+from pfgraph.cli import _BINARY_OPS, _UNARY_OPS, main
 
 from test_graph_io import SQUARE_CYCLE_DOC
 
@@ -253,6 +253,55 @@ class TestIso:
         code, _, err = run_cli(["iso", *quad_files, "--kind", "iso", "--cap", "2"], capsys)
         assert code == 1
         assert json.loads(err)["error"] == "SearchCapExceeded"
+
+
+# the input files of each op name, which the op accepts: join's two graphs
+# share no label, and each complement variant gets a graph meeting its precondition
+OP_INPUTS = {
+    "cartesian": ["square", "general"],
+    "compose": ["square", "general"],
+    "union": ["square", "square"],
+    "join": ["square", "general"],
+    "complement": ["square"],
+    "strong-complement": ["strong"],
+    "complete-complement": ["complete"],
+}
+
+
+class TestQuietStderr:
+    """Every subcommand that succeeds writes its result to stdout and nothing to stderr."""
+
+    @pytest.fixture
+    def files(self, tmp_path, square_cycle_file):
+        paths = {"square": square_cycle_file}
+        for family in ("general", "strong", "complete"):
+            path = tmp_path / f"{family}.json"
+            path.write_text(render(generate(GenConfig(seed=1, n_vertices=4, family=family))))
+            paths[family] = str(path)
+        return paths
+
+    def test_every_op_name_has_inputs(self):
+        assert set(OP_INPUTS) == set(_BINARY_OPS) | set(_UNARY_OPS)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "square"],
+            *(["op", name, *inputs] for name, inputs in OP_INPUTS.items()),
+            ["classify", "square"],
+            ["sums", "square"],
+            ["sums", "square", "--strong"],
+            ["iso", "square", "square"],
+            ["selfcomp", "square"],
+            ["gen", "--seed", "1", "--n", "5"],
+            ["dot", "square"],
+        ],
+        ids=" ".join,
+    )
+    def test_success_leaves_stderr_empty(self, argv, files, capsys):
+        code, out, err = run_cli([files.get(arg, arg) for arg in argv], capsys)
+        assert (code, err) == (0, "")
+        assert out
 
 
 class TestSearchCapFlag:

@@ -38,7 +38,7 @@ from pfgraph import (
     validate,
     verify_morphism,
 )
-from pfgraph.core import sorted_edges
+from pfgraph.core import _FLOAT_INT_LIMIT, sorted_edges
 
 from conftest import build
 from reference_codec import boundary_specs, one_break_specs, reference_validate
@@ -206,23 +206,19 @@ class TestValidate:
                     checked += 1
         assert checked == 25 * 25 * 24
 
-    def test_int_past_the_int_string_limit_is_reported_without_its_digits(self):
+    def test_int_past_the_int_string_limit_is_refused_without_its_digits(self):
+        # such an int is beyond float range, so the constructor refuses it
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if not limit:
             pytest.skip("this interpreter has no int-string limit")
         huge, d = 10**limit, PFDegree(0.5, 0.5)
         bits = f"<int of {huge.bit_length()} bits>"
-        vertex = validate(PFGraph({"a": PFDegree(huge, 0.5)}))
-        assert [(v.kind, v.detail) for v in vertex.violations] == [
-            ("bad_vertex_degree", f"membership {bits} outside [0, 1]"),
-            ("bad_vertex_degree", f"membership {bits} and non-membership 0.5 have squared sum > 1"),
-        ]
-        edge = validate(PFGraph({"a": d, "b": d}, {("a", "b"): PFDegree(0.5, huge)}))
-        assert [(v.kind, v.detail) for v in edge.violations] == [
-            ("bad_edge_degree", f"non-membership {bits} outside [0, 1]"),
-            ("bad_edge_degree", f"membership 0.5 and non-membership {bits} have squared sum > 1"),
-            ("edge_nonmembership_above_bound", f"edge non-membership {bits} exceeds endpoint maximum 0.5"),
-        ]
+        with pytest.raises(ConstraintViolation) as vertex:
+            PFGraph({"a": PFDegree(huge, 0.5)})
+        assert str(vertex.value) == f"vertex 'a': 'mu' value {bits} is beyond float range"
+        with pytest.raises(ConstraintViolation) as edge:
+            PFGraph({"a": d, "b": d}, {("a", "b"): PFDegree(0.5, huge)})
+        assert str(edge.value) == f"edge a-b: 'nu' value {bits} is beyond float range"
 
     def test_int_label_past_the_int_string_limit_is_named_by_its_bit_length(self):
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -254,68 +250,61 @@ class TestValidate:
         with pytest.raises(DanglingEdge, match=f"edge 3-{bits} uses undeclared vertex {bits}"):
             find_morphism(PFGraph({3: d}, {(3, huge): d}), PFGraph({3: d}), MorphismKind.HOMOMORPHISM)
 
-    @pytest.mark.parametrize(
-        "call, on_vertex",
-        [
-            pytest.param(complement, False, id="complement"),
-            pytest.param(strong_complement, False, id="strong_complement"),
-            pytest.param(complete_complement, False, id="complete_complement"),
-            pytest.param(classify, False, id="classify"),
-            pytest.param(sum_identity, False, id="sum_identity"),
-            pytest.param(
-                lambda g: graphs_close(g, PFGraph(g.vertices, {("a", "b"): PFDegree(0.5, 0.5)})),
-                False,
-                id="graphs_close",
-            ),
-            pytest.param(
-                lambda g: verify_morphism(
-                    g, PFGraph(g.vertices, {("a", "b"): PFDegree(0.5, 0.5)}), MorphismKind.ISOMORPHISM,
-                    {"a": "a", "b": "b"},
-                ),
-                False,
-                id="verify_morphism",
-            ),
-            pytest.param(
-                lambda g: find_morphism(g, PFGraph({"b": PFDegree(0.5, 0.5)}), MorphismKind.ISOMORPHISM),
-                True,
-                id="find_morphism_source",
-            ),
-            pytest.param(
-                lambda g: find_morphism(PFGraph({"b": PFDegree(0.5, 0.5)}), g, MorphismKind.ISOMORPHISM),
-                True,
-                id="find_morphism_target",
-            ),
-        ],
-    )
-    def test_int_degree_beyond_float_range_raises_constraint_violation(self, call, on_vertex):
-        d, big = PFDegree(0.5, 0.5), 10**400
-        if on_vertex:
-            g, where = PFGraph({"a": PFDegree(big, 0.5)}), "a"
-        else:
-            g, where = PFGraph({"a": d, "b": d}, {("a", "b"): PFDegree(big, 0.5)}), "a-b"
-        with pytest.raises(ConstraintViolation, match=f"int degrees beyond float range: {where}$") as info:
-            call(g)
-        assert info.value.report == validate(g)
-        assert not info.value.report.ok
+    @pytest.mark.parametrize("big", [10**400, -(10**400), 2**1024, _FLOAT_INT_LIMIT], ids=repr)
+    @pytest.mark.parametrize("on_vertex", [True, False], ids=["vertex", "edge"])
+    def test_int_degree_beyond_float_range_is_refused_at_construction(self, big, on_vertex):
+        # no pass but validate could compute with it, so no graph holds one
+        d = PFDegree(0.5, 0.5)
+        with pytest.raises(ConstraintViolation) as refused:
+            if on_vertex:
+                PFGraph({"a": PFDegree(big, 0.5)})
+            else:
+                PFGraph({"a": d, "b": d}, {("a", "b"): PFDegree(big, 0.5)})
+        where = "vertex 'a'" if on_vertex else "edge a-b"
+        assert str(refused.value) == f"{where}: 'mu' value {big!r} is beyond float range"
+        with pytest.raises(OverflowError):
+            float(big)
 
     @pytest.mark.parametrize("eps", [1e-9, 3.0])
-    def test_ints_beyond_float_range_are_compared_exactly(self, eps):
-        """An int square or bound past float range cannot meet a float in
-        arithmetic; the squared sum is then above 1 and the bound is compared
-        exactly, at any tolerance."""
-        big = 10**400
-        d = PFDegree(0.5, 0.5)
+    def test_ints_beyond_float_range_are_refused_and_squares_beyond_it_are_reported(self, eps):
+        """The inputs an int bound past float range was compared on are
+        refused; an int inside float range whose square is not (10**200)
+        has a squared sum above 1, and NaN beside it has none, at any
+        tolerance."""
+        big, d = 10**400, PFDegree(0.5, 0.5)
         saved = tolerance()
         set_tolerance(eps)
         try:
-            for slack, above in ((int(eps), False), (int(eps) + 1, True)):
-                g = PFGraph({"a": PFDegree(0.5, big), "b": d}, {("a", "b"): PFDegree(0.5, big + slack)})
-                kinds = [v.kind for v in validate(g).violations]
-                assert kinds == ["bad_vertex_degree"] * 2 + ["bad_edge_degree"] * 2 + (
-                    ["edge_nonmembership_above_bound"] if above else []
-                ), slack
-            nan_beside = validate(PFGraph({"a": PFDegree(big, math.nan)})).violations
+            for slack in (int(eps), int(eps) + 1):
+                with pytest.raises(ConstraintViolation, match="is beyond float range"):
+                    PFGraph({"a": PFDegree(0.5, big), "b": d}, {("a", "b"): PFDegree(0.5, big + slack)})
+            with pytest.raises(ConstraintViolation, match="is beyond float range"):
+                PFGraph({"a": PFDegree(big, math.nan)})
+            wide = 10**200
+            found = validate(
+                PFGraph({"a": PFDegree(0.5, 10 * wide), "b": d}, {("a", "b"): PFDegree(0.5, wide)})
+            )
+            assert [v.kind for v in found.violations] == ["bad_vertex_degree"] * 2 + ["bad_edge_degree"] * 2
+            assert [v.detail.endswith("squared sum > 1") for v in found.violations] == [False, True] * 2
+            nan_beside = validate(PFGraph({"a": PFDegree(wide, math.nan)})).violations
             assert [v.detail.endswith("squared sum > 1") for v in nan_beside] == [False, False]
+        finally:
+            set_tolerance(saved)
+
+    def test_tolerance_past_the_squares_float_range_still_reports(self):
+        # 10**180 lies inside [0, 1 + eps] at eps = 2**600, and its square does
+        # not convert to a float: the squared sum is above 1 all the same
+        saved = tolerance()
+        set_tolerance(2.0**600)
+        try:
+            big = 10**180
+            assert [v.detail for v in validate(PFGraph({"a": PFDegree(big, 0.5)})).violations] == [
+                f"membership {big} and non-membership 0.5 have squared sum > 1"
+            ]
+            assert [v.detail for v in validate(PFGraph({"a": PFDegree(big, math.nan)})).violations] == [
+                "non-membership nan outside [0, 1]"
+            ]
+            assert validate(PFGraph({"a": PFDegree(0.5, 0.5)})).ok
         finally:
             set_tolerance(saved)
 

@@ -79,6 +79,11 @@ FAILURES = {
     "parse_malformed": (MalformedDocument, lambda: parse("{}")),
     "parse_dangling": (DanglingEdge, lambda: parse(DANGLING_DOCUMENT)),
     "half_strong_construction": (ConstraintViolation, lambda: half_strong_construction({1: D, "a": D})),
+    # the constructor the builder calls refuses the degree
+    "half_strong_construction_bool_degree": (
+        ConstraintViolation,
+        lambda: half_strong_construction({"a": PFDegree(True, 0.5)}),
+    ),
 }
 
 

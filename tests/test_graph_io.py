@@ -363,12 +363,13 @@ def test_parse_and_validate_agree_with_the_references_on_a_grid():
 # every code point, lone surrogates and control characters included
 ANY_TEXT = st.text(st.characters(blacklist_categories=()), max_size=6)
 RENDER_LABELS = st.sampled_from(['"', "\\", 'a"b', "c\\d", "\x00", "\x1f", "\ud800", "é", "\u2028"]) | ANY_TEXT
+# every value the constructor accepts: a bool, or an int float() cannot
+# convert, is refused there (see test_bool_degree_is_refused_at_construction)
 RENDER_VALUES = st.one_of(
     st.floats(),
     st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308, 1e16]),
     st.floats(1e15, 1e17),
-    st.integers(),
-    st.booleans(),
+    st.integers(-(2**1023), 2**1023),
 )
 RENDER_DEGREES = st.builds(PFDegree, RENDER_VALUES, RENDER_VALUES)
 
@@ -442,16 +443,12 @@ class TestRender:
             ({1: (0.5, 0.5)}, {}, "vertex 'id' must be a non-empty string"),
             ({"": (0.5, 0.5)}, {}, "vertex 'id' must be a non-empty string"),
             ({"\ud800": (0.5, 0.5)}, {}, "vertex 'id' '\\ud800' does not encode as UTF-8"),
-            ({"a": (True, 0.5)}, {}, "vertex 'a': 'mu' must be a number"),
             ({"a": (0.5, 1.5)}, {}, "vertex 'a': 'nu' value 1.5 outside [0, 1]"),
             ({"a": (-0.2, 0.5)}, {}, "vertex 'a': 'mu' value -0.2 outside [0, 1]"),
-            ({"a": (0.5, 0.5), "b": (0.5, 0.5)}, {("a", "b"): (0.2, False)},
-             "edge a-b: 'nu' must be a number"),
             ({"a": (0.5, 0.5), "b": (0.5, 0.5)}, {("a", "b"): (1.5, 0.5)},
              "edge a-b: 'mu' value 1.5 outside [0, 1]"),
         ],
-        ids=["int-id", "empty-id", "surrogate-id", "bool-vertex", "above-one",
-             "below-zero", "bool-edge", "edge-above-one"],
+        ids=["int-id", "empty-id", "surrogate-id", "above-one", "below-zero", "edge-above-one"],
     )
     def test_entry_that_parse_rejects_raises_what_parse_raises(self, vertices, edges, message):
         g = PFGraph(
@@ -480,22 +477,53 @@ class TestRender:
             message = f"edge a-b: 'nu' value {value!r} outside [0, 1]"
         assert_render_raises_what_parse_raises(g, message)
 
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            ({"a": (True, 0.5)}, {}, "vertex 'a': 'mu' must be a number"),
+            ({"a": (0.5, 0.5), "b": (0.5, 0.5)}, {("a", "b"): (0.2, False)},
+             "edge a-b: 'nu' must be a number"),
+        ],
+        ids=["bool-vertex", "bool-edge"],
+    )
+    def test_bool_degree_is_refused_at_construction(self, vertices, edges, message):
+        # with parse's message for the text json.dumps writes for the entry
+        with pytest.raises(ConstraintViolation) as refused:
+            PFGraph(
+                {v: PFDegree(*d) for v, d in vertices.items()},
+                {key: PFDegree(*d) for key, d in edges.items()},
+            )
+        doc = {
+            "format_version": 1,
+            "vertices": [{"id": v, "mu": mu, "nu": nu} for v, (mu, nu) in vertices.items()],
+            "edges": [{"u": u, "v": v, "mu": mu, "nu": nu} for (u, v), (mu, nu) in edges.items()],
+        }
+        with pytest.raises(MalformedDocument) as parsed:
+            parse(json.dumps(doc), check=False)
+        assert str(refused.value) == str(parsed.value) == message
+
     @pytest.mark.parametrize("entry", ["vertex", "edge"])
-    def test_int_past_the_int_string_limit_is_malformed_for_both_writers(self, entry):
+    def test_int_past_the_int_string_limit_is_refused_as_a_degree_and_malformed_as_a_label(self, entry):
+        # as a degree it is beyond float range; as a label, render rejects it
+        # as parse would and to_dot cannot write its digits
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if not limit:
             pytest.skip("this interpreter has no int-string limit")
         huge, d = 10**limit, PFDegree(0.5, 0.5)
         bits = f"<int of {huge.bit_length()} bits>"
+        with pytest.raises(ConstraintViolation) as refused:
+            if entry == "vertex":
+                PFGraph({"a": PFDegree(huge, 0.5)})
+            else:
+                PFGraph({"a": d, "b": d}, {("b", "a"): PFDegree(0.2, huge)})
+        where = "vertex 'a': 'mu'" if entry == "vertex" else "edge a-b: 'nu'"
+        assert str(refused.value) == f"{where} value {bits} is beyond float range"
         if entry == "vertex":
-            g = PFGraph({"a": PFDegree(huge, 0.5)})
-            message = f"vertex 'a': 'mu' value {bits} outside [0, 1]"
+            g = PFGraph({huge: d})
         else:
-            g = PFGraph({"a": d, "b": d}, {("b", "a"): PFDegree(0.2, huge)})
-            message = f"edge a-b: 'nu' value {bits} outside [0, 1]"
-        with pytest.raises(MalformedDocument) as rendered:
+            g = PFGraph({huge: d, 3: d}, {(3, huge): PFDegree(0.2, 0.5)})
+        with pytest.raises(MalformedDocument, match="^vertex 'id' must be a non-empty string$"):
             render(g)
-        assert str(rendered.value) == message
         with pytest.raises(MalformedDocument, match="cannot be written as DOT"):
             to_dot(g)
 

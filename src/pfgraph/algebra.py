@@ -215,40 +215,78 @@ def _bound_minus(bound: float, value: float, eps: float) -> float:
     return result
 
 
+def _keys_by_row(g: PFGraph) -> dict:
+    """{lo: {hi: key}} over g's edges, each key g's own object.
+
+    A pair (u, v) of the pair scan finds its edge key as ``rows[u][v]``, by
+    two lookups of labels, whose hashes are cached for str; a dangling
+    edge's key is never found, since one of its labels is no row or column.
+    """
+    rows: dict = {}
+    for key in g.edges:
+        lo, hi = key
+        row = rows.get(lo)
+        if row is None:
+            row = rows[lo] = {}
+        row[hi] = key
+    return rows
+
+
 @gc_paused
 def complement(g: PFGraph) -> PFGraph:
     """General complement over all vertex pairs; an involution on valid graphs."""
     eps = tolerance()
     new = tuple.__new__
-    stored = dict(zip(g.edges, g.edges)).get  # an edge pair keeps g's own key object
+    degree_of = g.edges.__getitem__
+    rows = _keys_by_row(g)
+    no_edges: dict = {}
     edges = {}
-    for u, v, degree, mu, nu in g._pair_scan():  # mu, nu start as the bound: no edge's complement
-        if degree is ZERO_DEGREE:
-            key = new(PairKey, (u, v))
-        else:
-            key = stored((u, v))
-            emu, enu = degree
-            # _bound_minus's common case inline: a result above eps is returned as it is
-            if not emu <= eps:
-                rest = mu - emu
-                mu = rest if rest > eps else _bound_minus(mu, emu, eps)
-            if not enu <= eps:
-                rest = nu - enu
-                nu = rest if rest > eps else _bound_minus(nu, enu, eps)
-        if mu != 0.0 or nu != 0.0:
-            edges[key] = new(PFDegree, (mu, nu))
+    for u, (umu, unu), tail in g._pair_scan():
+        key_of = rows.get(u, no_edges).get
+        for v, (vmu, vnu) in tail:
+            # the bound, degree_min_max's rule inline: no edge's complement
+            mu = vmu if vmu < umu else umu
+            nu = vnu if vnu > unu else unu
+            key = key_of(v)  # an edge pair keeps g's own key object
+            if key is None:
+                key = new(PairKey, (u, v))
+            else:
+                emu, enu = degree_of(key)
+                # _bound_minus inline, which is left to raise (or pass a NaN on)
+                if not emu <= eps:
+                    rest = mu - emu
+                    if rest > eps:
+                        mu = rest
+                    elif rest >= -eps:
+                        mu = 0.0
+                    else:
+                        mu = _bound_minus(mu, emu, eps)
+                if not enu <= eps:
+                    rest = nu - enu
+                    if rest > eps:
+                        nu = rest
+                    elif rest >= -eps:
+                        nu = 0.0
+                    else:
+                        nu = _bound_minus(nu, enu, eps)
+            if mu != 0.0 or nu != 0.0:
+                edges[key] = new(PFDegree, (mu, nu))
     return PFGraph._adopt(dict(g.vertices), edges)
 
 
 def _zero_or_bound_complement(g: PFGraph) -> PFGraph:
     eps = tolerance()
     new = tuple.__new__
+    get = g.edges.get
     edges = {}
-    for u, v, (mu, nu), bmu, bnu in g._pair_scan():
-        mu = 0.0 if mu > eps else bmu
-        nu = 0.0 if nu > eps else bnu
-        if mu != 0.0 or nu != 0.0:
-            edges[new(PairKey, (u, v))] = new(PFDegree, (mu, nu))
+    for u, (umu, unu), tail in g._pair_scan():
+        for v, (vmu, vnu) in tail:
+            mu, nu = get((u, v), ZERO_DEGREE)
+            # the bound, degree_min_max's rule inline, only where it is kept
+            mu = 0.0 if mu > eps else (vmu if vmu < umu else umu)
+            nu = 0.0 if nu > eps else (vnu if vnu > unu else unu)
+            if mu != 0.0 or nu != 0.0:
+                edges[new(PairKey, (u, v))] = new(PFDegree, (mu, nu))
     return PFGraph._adopt(dict(g.vertices), edges)
 
 
@@ -281,7 +319,7 @@ def complete_complement(g: PFGraph, force: bool = False) -> PFGraph:
     eps = tolerance()
     complete = force or all(
         abs(mu - bmu) <= eps and abs(nu - bnu) <= eps
-        for _, _, (mu, nu), bmu, bnu in g._pair_scan()
+        for _, _, (mu, nu), bmu, bnu in g._flat_pairs()
     )
     if not complete:
         raise NotComplete("input graph is not complete; pass force=True to override")

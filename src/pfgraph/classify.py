@@ -14,6 +14,7 @@ complement, under the complement variant matching how the graph classifies.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .algebra import complement, complete_complement, strong_complement
@@ -48,33 +49,8 @@ def classify(g: PFGraph) -> Classification:
     # witnesses keep the strength flags ahead of the completeness flags
     strength: dict[str, tuple[str, str]] = {}
     completeness: dict[str, tuple[str, str]] = {}
-
-    def note(found: dict, flag: str, u, v) -> bool:
-        """Record (u, v) as the witness of flag; whether all five flags now have one."""
-        found[flag] = (u, v)
-        return len(strength) + len(completeness) == 5
-
-    # the scan stops once every flag has its witness: later pairs change nothing
-    for u, v, degree, bmu, bnu in g._pair_scan():
-        mu, nu = degree
-        mu_equal = abs(mu - bmu) <= eps
-        nu_equal = abs(nu - bnu) <= eps
-        if degree is not ZERO_DEGREE:  # a stored degree is never that object
-            if not mu_equal and "is_mu_strong" not in strength:
-                if note(strength, "is_mu_strong", u, v):
-                    break
-            if not nu_equal and "is_nu_strong" not in strength:
-                if note(strength, "is_nu_strong", u, v):
-                    break
-        if not (mu_equal and nu_equal) and "is_complete" not in completeness:
-            if note(completeness, "is_complete", u, v):
-                break
-        if not (mu_equal and bnu - nu > eps) and "is_complete_mu_strong" not in completeness:
-            if note(completeness, "is_complete_mu_strong", u, v):
-                break
-        if not (bmu - mu > eps and nu_equal) and "is_complete_nu_strong" not in completeness:
-            if note(completeness, "is_complete_nu_strong", u, v):
-                break
+    if _scan_witnesses(g, eps, strength, completeness) and len(strength) < 2:
+        _walk_strength_witnesses(g, eps, strength)
 
     witnesses = {**strength, **completeness}
     first = strength.get("is_mu_strong") or strength.get("is_nu_strong")
@@ -89,6 +65,79 @@ def classify(g: PFGraph) -> Classification:
         is_complete_nu_strong="is_complete_nu_strong" not in witnesses,
         witnesses=witnesses,
     )
+
+
+def _scan_witnesses(g: PFGraph, eps: float, strength: dict, completeness: dict) -> bool:
+    """Fill in each flag's first failing pair in key order, until all five
+    flags have one or the row in which the three completeness flags all have
+    one ends; whether the scan stopped before the end.
+
+    Later pairs change none of the flags that have a witness, and an edge
+    the scan did not reach is left to :func:`_walk_strength_witnesses`.
+    Finishing the row costs at most n pairs, and on a graph whose edges miss
+    their bounds it finds the strength witnesses, so that the walk over
+    every edge is left for graphs that need it (a strong graph has none to
+    find)."""
+    get = g.edges.get
+    for u, (umu, unu), tail in g._pair_scan():
+        for v, (vmu, vnu) in tail:
+            degree = get((u, v), ZERO_DEGREE)
+            mu, nu = degree
+            bmu = vmu if vmu < umu else umu  # degree_min_max's tie rule: u's value wins
+            bnu = vnu if vnu > unu else unu
+            mu_equal = abs(mu - bmu) <= eps
+            nu_equal = abs(nu - bnu) <= eps
+            if degree is not ZERO_DEGREE:  # a stored degree is never that object
+                if not mu_equal and "is_mu_strong" not in strength:
+                    strength["is_mu_strong"] = (u, v)
+                if not nu_equal and "is_nu_strong" not in strength:
+                    strength["is_nu_strong"] = (u, v)
+            if not (mu_equal and nu_equal) and "is_complete" not in completeness:
+                completeness["is_complete"] = (u, v)
+            if not (mu_equal and bnu - nu > eps) and "is_complete_mu_strong" not in completeness:
+                completeness["is_complete_mu_strong"] = (u, v)
+            if not (bmu - mu > eps and nu_equal) and "is_complete_nu_strong" not in completeness:
+                completeness["is_complete_nu_strong"] = (u, v)
+            if len(strength) + len(completeness) == 5:
+                return True
+        if len(completeness) == 3:
+            return True
+    return False
+
+
+def _walk_strength_witnesses(g: PFGraph, eps: float, strength: dict) -> None:
+    """Add each strength flag that has no witness yet, at its least failing
+    edge key, by one walk over the edges in any order.
+
+    Every edge below the key where the pair scan stopped has been tested,
+    so a failing edge found here lies past it; a dangling edge is no pair
+    of the scan and is skipped.  A witness names the vertex label objects,
+    as the scan does, and two found here are added in key order, mu first
+    on a tie, as the scan would have found them.
+    """
+    vertices = g.vertices
+    get = vertices.get
+    test_mu = "is_mu_strong" not in strength
+    test_nu = "is_nu_strong" not in strength
+    least_mu = least_nu = None
+    for key, (mu, nu) in g.edges.items():
+        lo, hi = key
+        a, b = get(lo), get(hi)
+        if a is None or b is None:
+            continue
+        (amu, anu), (bmu, bnu) = a, b
+        bound_mu = bmu if bmu < amu else amu  # degree_min_max's tie rule: lo's value wins
+        bound_nu = bnu if bnu > anu else anu
+        if test_mu and not abs(mu - bound_mu) <= eps and (least_mu is None or key < least_mu):
+            least_mu = key
+        if test_nu and not abs(nu - bound_nu) <= eps and (least_nu is None or key < least_nu):
+            least_nu = key
+    found = [(key, flag) for key, flag in ((least_mu, "is_mu_strong"), (least_nu, "is_nu_strong"))
+             if key is not None]
+    if found:
+        label = dict(zip(vertices, vertices))  # a key's label as the vertex's own object
+        for (lo, hi), flag in sorted(found, key=itemgetter(0)):  # stable: mu first on a tie
+            strength[flag] = (label[lo], label[hi])
 
 
 class SumIdentityReport(NamedTuple):
@@ -107,12 +156,16 @@ class SumIdentityReport(NamedTuple):
 
 def _sum_report(g: PFGraph, factor: float) -> SumIdentityReport:
     eps = tolerance()
+    get = g.edges.get
     edge_mu = edge_nu = bound_mu = bound_nu = 0.0
-    for _, _, (mu, nu), bmu, bnu in g._pair_scan():
-        edge_mu += mu
-        edge_nu += nu
-        bound_mu += bmu
-        bound_nu += bnu
+    # one addition per pair in key order, an absent edge's (0, 0) too
+    for u, (umu, unu), tail in g._pair_scan():
+        for v, (vmu, vnu) in tail:
+            mu, nu = get((u, v), ZERO_DEGREE)
+            edge_mu += mu
+            edge_nu += nu
+            bound_mu += vmu if vmu < umu else umu
+            bound_nu += vnu if vnu > unu else unu
     rhs_mu = factor * bound_mu
     rhs_nu = factor * bound_nu
     return SumIdentityReport(
@@ -179,8 +232,10 @@ def half_strong_construction(p: Mapping[str, PFDegree]) -> PFGraph:
     g = PFGraph(p)
     new = tuple.__new__
     edges = {}
-    for u, v, _, bmu, bnu in g._pair_scan():
-        mu, nu = 0.5 * bmu, 0.5 * bnu
-        if mu != 0.0 or nu != 0.0:
-            edges[new(PairKey, (u, v))] = new(PFDegree, (mu, nu))
+    for u, (umu, unu), tail in g._pair_scan():
+        for v, (vmu, vnu) in tail:
+            mu = 0.5 * (vmu if vmu < umu else umu)
+            nu = 0.5 * (vnu if vnu > unu else unu)
+            if mu != 0.0 or nu != 0.0:
+                edges[new(PairKey, (u, v))] = new(PFDegree, (mu, nu))
     return PFGraph._adopt(g.vertices, edges)  # g, and so its copy of p, goes no further

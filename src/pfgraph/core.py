@@ -20,7 +20,7 @@ Design choices baked into this module:
   structural; self-loops are rejected at key construction.  PairKey and
   :class:`PFDegree` (mu, nu) are tuples and compare, hash and sort as such.
 - A dangling edge names an undeclared vertex.  One rule covers it:
-  :func:`validate` reports it, :meth:`PFGraph._pair_scan` skips it, the
+  :func:`validate` reports it, the passes over all pairs skip it, the
   products, ``union`` and ``join`` carry it, :func:`graphs_close` compares
   it, and every pass that walks the edge list raises DanglingEdge through
   :func:`require_endpoints`, for the first such edge in insertion order,
@@ -37,21 +37,29 @@ Design choices baked into this module:
   ``mu != 0.0 or nu != 0.0`` is ``!= ZERO_DEGREE``, for -0.0 and NaN too)
   and hand their maps to :meth:`PFGraph._adopt` once.
 - Every pass over all unordered vertex pairs goes through
-  :meth:`PFGraph._pair_scan`, which yields each pair as a flat row: its two
-  labels in sorted order, its edge degree (an absent edge reads as
-  ZERO_DEGREE) and the two components of its attainable bound.  It sorts
-  the labels once and makes one C-level ``get`` per pair; it builds no key,
-  no map and no bound tuple, so each pass builds only what it keeps.
-  :meth:`PFGraph.pairs` and :meth:`PFGraph.pair_rows` are the public views
-  of the same rows, keyed by PairKey; no pass in the package calls them.
+  :meth:`PFGraph._pair_scan`, which sorts the labels once and yields one row
+  per vertex u: u, its degree and the sorted items of the labels above it.
+  The hot passes (the complements, ``classify``, the sum identities and
+  ``half_strong_construction``) run their own loop over a row, read the
+  edges they need and compute the attainable bound inline, so a pair costs
+  no generator step, no row tuple and no bound tuple, and each pass builds
+  only what it keeps.  ``classify`` stops once its five flags have
+  witnesses, or at the end of the row in which its three completeness flags
+  have them, and then finds a strength witness still missing by one walk
+  over the edges; ``verify_morphism`` reads the rows as one (u, v,
+  degree) generator.  :meth:`PFGraph._flat_pairs` projects the rows onto
+  one (u, v, degree, bound) row per pair, an absent edge read as
+  ZERO_DEGREE, for ``complete_complement``'s check; :meth:`PFGraph.pairs`
+  and :meth:`PFGraph.pair_rows` are its public views, keyed by PairKey.
 - PairKey and PFDegree are tuple subclasses, and CPython's cyclic garbage
   collector tracks such an object for its whole life (it untracks only
   plain tuples of untracked items).  Each one a pass builds and keeps, and
   each (key, degree) pair it holds in a list, counts towards the next
-  collection, so the passes reuse the objects a graph already holds: the
-  pair scan yields stored degrees, ``complement``, the one pass that keeps
-  edge pairs' keys, fetches the stored keys itself, and :func:`sorted_edges`
-  returns the bare keys, whose degrees the writers read from the map.  The
+  collection, so the passes reuse the objects a graph already holds: they
+  read the stored degrees, ``complement``, the one pass that keeps
+  edge pairs' keys, finds each stored key by one lookup of a label in a
+  per-row map of the keys, and :func:`sorted_edges` returns the bare keys,
+  whose degrees the writers read from the map.  The
   builders that keep such objects in bulk (the complements, the products,
   ``union``, ``join``, ``parse``, ``generate`` and
   ``half_strong_construction``) are wrapped in :func:`gc_paused`: while one
@@ -168,12 +176,16 @@ ZERO_DEGREE = PFDegree(0.0, 0.0)
 
 
 def safe_repr(value) -> str:
-    """repr(value), or, for an int with more digits than CPython converts to
-    a decimal string, its bit length, so that a message can name it."""
+    """repr(value), so that a message can name it, or, where repr raises
+    ValueError (an int with more digits than CPython converts to a decimal
+    string, or a container holding one), a stand-in: an int's bit length,
+    any other value's type."""
     try:
         return repr(value)
     except ValueError:
-        return f"<int of {value.bit_length()} bits>"
+        if isinstance(value, int):
+            return f"<int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} whose repr is too long>"
 
 
 def safe_str(item) -> str:
@@ -396,7 +408,7 @@ class PFGraph:
 
     def pairs(self) -> Iterator[PairKey]:
         """All unordered pairs of distinct vertices, edge or not, as new PairKeys in key order."""
-        return (tuple.__new__(PairKey, (u, v)) for u, v, _, _, _ in self._pair_scan())
+        return (tuple.__new__(PairKey, (u, v)) for u, v, _, _, _ in self._flat_pairs())
 
     def pair_bound(self, u: str, v: str) -> PFDegree:
         """The largest degree an edge between u and v may carry.
@@ -415,33 +427,42 @@ class PFGraph:
 
         ``degree`` is ZERO_DEGREE when the pair has no edge and ``bound`` is
         :meth:`pair_bound` of the pair.  These are the rows of
-        :meth:`_pair_scan`, keyed by a new PairKey, the bound as a PFDegree.
+        :meth:`_flat_pairs`, keyed by a new PairKey, the bound as a PFDegree.
         """
         new = tuple.__new__
-        for u, v, degree, bound_mu, bound_nu in self._pair_scan():
+        for u, v, degree, bound_mu, bound_nu in self._flat_pairs():
             yield new(PairKey, (u, v)), degree, new(PFDegree, (bound_mu, bound_nu))
 
-    def _pair_scan(self) -> Iterator[tuple[str, str, PFDegree, float, float]]:
+    def _pair_scan(self) -> Iterator[tuple[str, PFDegree, list[tuple[str, PFDegree]]]]:
+        """(u, degree, tail) for every vertex u, in sorted label order.
+
+        The labels are sorted once by :func:`sorted_vertices`; ``degree`` is
+        u's stored degree and ``tail`` the sorted (v, degree) items of the
+        labels above u, so the pairs (u, v) of one row are the keys (lo, hi)
+        with lo u, in key order, and the rows together give every unordered
+        pair once.  The scan reads no edge and builds no key: each pass runs
+        its own loop over a row's tail, reads the edges it needs and computes
+        the bound inline, by :func:`degree_min_max`'s rule (u's value wins
+        ties).
+        """
+        items = sorted_vertices(self)
+        for i, (u, degree) in enumerate(items, 1):
+            yield u, degree, items[i:]
+
+    def _flat_pairs(self) -> Iterator[tuple[str, str, PFDegree, float, float]]:
         """(u, v, degree, bound_mu, bound_nu) for every unordered pair, in sorted key order.
 
-        The labels are sorted once by :func:`sorted_vertices`; strictly
-        increasing labels are already in PairKey's canonical order, so (u, v)
-        is the key's (lo, hi).  ``degree`` is the stored degree object, read
-        with one ``get`` of the plain tuple (u, v) (a PairKey hashes and
-        compares as its tuple), or ZERO_DEGREE itself for a pair with no
-        edge; a stored degree is never that object, since (0, 0) edges are
-        dropped on construction.  The scan builds no key: each pass builds
-        the keys it keeps.  The bound follows :func:`degree_min_max`'s rule
-        exactly (the lower label's value wins ties), with no per-pair call
-        and no bound tuple.
+        The rows of :meth:`_pair_scan`, one pair at a time: (u, v) is the
+        key's (lo, hi) as the vertex label objects, ``degree`` the stored
+        degree object, read with one ``get`` of the plain tuple (u, v) (a
+        PairKey hashes and compares as its tuple), or ZERO_DEGREE itself for
+        a pair with no edge; a stored degree is never that object, since
+        (0, 0) edges are dropped on construction.
         """
         get = self.edges.get
-        items = sorted_vertices(self)
-        for i, (u, (umu, unu)) in enumerate(items, 1):
-            for v, (vmu, vnu) in items[i:]:
-                bound_mu = vmu if vmu < umu else umu
-                bound_nu = vnu if vnu > unu else unu
-                yield u, v, get((u, v), ZERO_DEGREE), bound_mu, bound_nu
+        for u, (umu, unu), tail in self._pair_scan():
+            for v, (vmu, vnu) in tail:
+                yield u, v, get((u, v), ZERO_DEGREE), vmu if vmu < umu else umu, vnu if vnu > unu else unu
 
 
 # float() rounds every int of smaller magnitude to a finite float and
@@ -536,27 +557,15 @@ def validate(g: PFGraph) -> ValidationReport:
             )
             continue
         mu, nu = degree
-        if not (low <= mu <= fast_high and low <= nu <= fast_high and mu * mu + nu * nu <= high):
-            _degree_violations(add, "bad_edge_degree", name(key), mu, nu, low, high)
         (amu, anu), (bmu, bnu) = a, b
         bound_mu = bmu if bmu < amu else amu  # degree_min_max's tie rule: lo's value wins
         bound_nu = bnu if bnu > anu else anu
-        if mu > bound_mu + eps:
-            add(
-                Violation(
-                    "edge_membership_above_bound",
-                    name(key),
-                    f"edge membership {show(mu)} exceeds endpoint minimum {show(bound_mu)}",
-                )
-            )
-        if nu > bound_nu + eps:
-            add(
-                Violation(
-                    "edge_nonmembership_above_bound",
-                    name(key),
-                    f"edge non-membership {show(nu)} exceeds endpoint maximum {show(bound_nu)}",
-                )
-            )
+        if low <= mu <= fast_high and low <= nu <= fast_high and mu * mu + nu * nu <= high:
+            if mu > bound_mu + eps or nu > bound_nu + eps:
+                _bound_violations(add, name(key), mu, nu, bound_mu, bound_nu, eps)
+        else:
+            _degree_violations(add, "bad_edge_degree", name(key), mu, nu, low, high)
+            _bound_violations(add, name(key), mu, nu, bound_mu, bound_nu, eps)
 
     return ValidationReport(tuple(found))
 
@@ -576,6 +585,32 @@ def _degree_violations(add, kind: str, where: str, mu, nu, low: float, high: flo
     if above:
         detail = f"membership {show(mu)} and non-membership {show(nu)} have squared sum > 1"
         add(Violation(kind, where, detail))
+
+
+def _bound_violations(add, where: str, mu, nu, bound_mu, bound_nu, eps: float) -> None:
+    """Add the entries, in report order, for an edge component above its bound.
+
+    :func:`validate` tests ``value > bound + eps`` inline and comes here
+    when a component fails it, or when the degree fails its combined test.
+    ``bound + eps`` is a float, which rounds an int past 2**53, so two ints
+    are compared exactly here, by ``value - bound > eps``.  The squares of a
+    degree that passes the combined test sum to at most 1 + eps, so, short
+    of an absurd tolerance, its ints are far smaller than that.  A float on
+    either side keeps the float test, so no float verdict changes.
+    """
+
+    def above(value, bound) -> bool:
+        if type(value) is int and type(bound) is int:
+            return value - bound > eps
+        return value > bound + eps
+
+    show = safe_repr
+    if above(mu, bound_mu):
+        detail = f"edge membership {show(mu)} exceeds endpoint minimum {show(bound_mu)}"
+        add(Violation("edge_membership_above_bound", where, detail))
+    if above(nu, bound_nu):
+        detail = f"edge non-membership {show(nu)} exceeds endpoint maximum {show(bound_nu)}"
+        add(Violation("edge_nonmembership_above_bound", where, detail))
 
 
 def require_valid(g: PFGraph, what: str) -> PFGraph:

@@ -402,11 +402,14 @@ def verify_morphism(
         ):
             violations.append(f"vertex condition fails at {u!r} -> {mapping[u]!r}")
 
-    if kind is MorphismKind.ISOMORPHISM:
-        checked = g1._pair_scan()  # every pair, an absent edge read as (0, 0)
+    if kind is MorphismKind.ISOMORPHISM:  # every pair, an absent edge read as (0, 0)
+        source_edge = g1.edges.get
+        checked = (
+            (u, w, source_edge((u, w), ZERO_DEGREE)) for u, _, tail in g1._pair_scan() for w, _ in tail
+        )
     else:
-        checked = ((*key, g1.edges[key], None, None) for key in sorted_edges(g1))
-    for u, w, (smu, snu), _, _ in checked:
+        checked = ((*key, g1.edges[key]) for key in sorted_edges(g1))
+    for u, w, (smu, snu) in checked:
         tu, tw = mapping[u], mapping[w]
         tmu, tnu = target_edge((tu, tw)) or target_edge((tw, tu), ZERO_DEGREE)
         if not (

@@ -3,9 +3,11 @@
 ``generate``, the complements, ``half_strong_construction`` and the
 products write keys and degrees as bare tuples, ``union`` and ``join`` keep
 their inputs' keys, and all of them hand their maps over once; ``classify``
-stops at its fifth witness; the complements, the classification, the sum
-identities and ``graphs_close`` read flat pair
-rows and compare inline.  Each must give what the reference gives: the
+stops its pair scan after the row that settles the completeness flags and
+walks the edges for a strength witness still missing; the complements, the
+classification, the sum identities and ``half_strong_construction`` loop
+over the rows of the pair scan, and they and ``graphs_close`` compare
+inline.  Each must give what the reference gives: the
 same vertices and edges (compared by repr, so NaN, -0.0 and the key and
 degree types count), the same edge order, the same rendered bytes, the
 same sum report to the bit, the same verdict, or the same exception class
@@ -14,6 +16,7 @@ and message.
 
 import hashlib
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 import reference_builders as ref
 from pfgraph import (
     FAMILIES,
+    ConstraintViolation,
     DanglingEdge,
     GenConfig,
     LabelClash,
@@ -251,6 +255,154 @@ def test_classify_matches_reference(g):
     got, want = classify(g), ref.classify(g)
     assert got == want
     assert list(got.witnesses) == list(want.witnesses)
+
+
+_HALF = PFDegree(0.5, 0.5)
+
+
+def _late_strength_failures(mu_pair, nu_pair):
+    """Vertices a-e at (0.5, 0.5): the absent pair a-b gives the three
+    completeness witnesses in the first row, every other pair is an edge at
+    its bound except mu_pair (mu 0.25) and nu_pair (nu 0.25), either None."""
+    edges = {}
+    for u, v in (("a", "c"), ("a", "d"), ("a", "e"), ("b", "c"), ("b", "d"), ("b", "e"),
+                 ("c", "d"), ("c", "e"), ("d", "e")):
+        mu = 0.25 if (u, v) == mu_pair else 0.5
+        nu = 0.25 if (u, v) == nu_pair else 0.5
+        edges[(u, v)] = PFDegree(mu, nu)
+    return PFGraph(dict.fromkeys("abcde", _HALF), edges)
+
+
+@pytest.mark.parametrize(
+    "mu_pair, nu_pair, order",
+    [
+        # both failures lie past the first row, where the scan stops
+        (("b", "d"), ("b", "c"), ["is_nu_strong", "is_mu_strong"]),
+        (("b", "c"), ("c", "e"), ["is_mu_strong", "is_nu_strong"]),
+        (("c", "d"), ("c", "d"), ["is_mu_strong", "is_nu_strong"]),
+        (None, ("d", "e"), ["is_nu_strong"]),
+        # one in the first row, found by the scan, one past it
+        (("c", "e"), ("a", "d"), ["is_nu_strong", "is_mu_strong"]),
+        (("a", "e"), ("b", "c"), ["is_mu_strong", "is_nu_strong"]),
+        (None, None, []),
+    ],
+)
+def test_classify_finds_strength_witnesses_past_the_completeness_witnesses(mu_pair, nu_pair, order):
+    g = _late_strength_failures(mu_pair, nu_pair)
+    got, want = classify(g), ref.classify(g)
+    assert got == want
+    assert list(got.witnesses) == list(want.witnesses)
+    completeness = ["is_complete", "is_complete_mu_strong", "is_complete_nu_strong"]
+    assert list(got.witnesses) == order + completeness + (["is_strong"] if order else [])
+    if mu_pair is not None:
+        assert got.witnesses["is_mu_strong"] == got.witnesses["is_strong"] == mu_pair
+    if nu_pair is not None:
+        assert got.witnesses["is_nu_strong"] == nu_pair
+
+
+def test_classify_names_the_vertex_label_objects_of_a_late_witness():
+    # 1.0 == 1, so the edge keyed (1.0, 2) is the pair of vertices 1 and 2; the
+    # first row (vertex 0, no edges) stops the scan, and the edge walk names
+    # the pair by the vertex labels, as the scan would have
+    g = PFGraph(dict.fromkeys(range(4), _HALF),
+                {(1.0, 2): PFDegree(0.25, 0.5), (1, 3): _HALF, (2, 3): PFDegree(0.5, 0.25)})
+    got, want = classify(g), ref.classify(g)
+    assert got == want and list(got.witnesses) == list(want.witnesses)
+    assert got.witnesses["is_mu_strong"] == (1, 2) and got.witnesses["is_nu_strong"] == (2, 3)
+    labels = {label: label for label in g.vertices}
+    for flag in ("is_mu_strong", "is_nu_strong", "is_strong"):
+        assert all(type(label) is int and label is labels[label] for label in got.witnesses[flag])
+    assert got.as_dict()["witnesses"]["is_mu_strong"] == [1, 2]
+
+
+def test_classify_skips_dangling_edges_in_the_edge_walk():
+    # each dangling edge fails both strength tests, and one of them has a
+    # label no declared label compares with; the scan stops after row a
+    g = PFGraph(dict.fromkeys("acd", _HALF),
+                {("a", "b"): PFDegree(0.1, 0.1), (5, "a"): PFDegree(0.1, 0.1), ("c", "d"): _HALF})
+    got, want = classify(g), ref.classify(g)
+    assert got == want and got.is_strong
+    assert list(got.witnesses) == ["is_complete", "is_complete_mu_strong", "is_complete_nu_strong"]
+    off = PFGraph(g.vertices, {**g.edges, ("c", "d"): PFDegree(0.25, 0.5)})
+    assert classify(off).witnesses["is_mu_strong"] == ("c", "d") == ref.classify(off).witnesses["is_mu_strong"]
+
+
+def test_classify_walks_the_edges_only_after_a_scan_that_stopped_early(monkeypatch):
+    # a complete graph has no completeness witness, so the scan reads every
+    # pair, strength included, and leaves nothing to the walk
+    def walk(*args):
+        raise AssertionError("the edge walk ran")
+
+    monkeypatch.setattr(sys.modules["pfgraph.classify"], "_walk_strength_witnesses", walk)
+    g = generate(GenConfig(seed=3, n_vertices=20, family="complete"))
+    assert classify(g) == ref.classify(g) and classify(g).is_complete
+    with pytest.raises(AssertionError, match="the edge walk ran"):
+        classify(_late_strength_failures(("c", "d"), None))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_classify_matches_reference_on_strong_graphs_moved_off_their_bounds(seed):
+    # a strong graph stops the scan at its first absent pair; edges moved off
+    # their bounds late in key order leave the strength witnesses to the walk
+    g = generate(GenConfig(seed=seed, n_vertices=30, edge_probability=0.5, family="strong"))
+    keys = sorted(g.edges)
+    for moved in ([keys[-1]], [keys[-3], keys[-7]], keys[len(keys) // 2:]):
+        edges = dict(g.edges)
+        for i, key in enumerate(moved):
+            mu, nu = edges[key]
+            edges[key] = PFDegree(mu / 2, nu) if (i + seed) % 3 else PFDegree(mu, nu / 2)
+        h = PFGraph(g.vertices, edges)
+        got, want = classify(h), ref.classify(h)
+        assert got == want and list(got.witnesses) == list(want.witnesses)
+    assert classify(g) == ref.classify(g) and classify(g).is_strong
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [
+        PFDegree(0.5, 0.5),  # at its bound in both components: the pair drops out
+        PFDegree(0.5 - 1e-12, 0.5 + 1e-12),  # within the tolerance of it: clamped, dropped
+        PFDegree(0.5, 0.2),  # mu clamped to exact zero, nu kept
+        PFDegree(0.2, 0.5 + 1e-12),
+        PFDegree(0.0, 0.5),  # a zero component reads as absent: its bound comes back
+        PFDegree(1e-12, 0.3),
+    ],
+)
+def test_complement_clamps_an_edge_at_its_bound(edge):
+    g = PFGraph({"a": _HALF, "b": _HALF, "c": PFDegree(0.8, 0.1)}, {("a", "b"): edge, ("a", "c"): _HALF})
+    assert_same(complement, ref.complement, g)
+    h = complement(g)
+    if edge[0] >= 0.5 - 1e-9 and edge[1] >= 0.5 - 1e-9:
+        assert ("a", "b") not in h.edges
+    else:
+        assert repr(h.edges[("a", "b")]) == repr(ref.complement(g).edges[("a", "b")])
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        (PFDegree(0.9, 0.1), "edge degree 0.9 exceeds its bound 0.2; complement of an invalid graph"),
+        (PFDegree(0.1, 0.75), "edge degree 0.75 exceeds its bound 0.5; complement of an invalid graph"),
+    ],
+)
+def test_complement_raises_for_an_edge_past_its_bound(edge, message):
+    g = PFGraph({"a": PFDegree(0.2, 0.5), "b": PFDegree(0.2, 0.5)}, {("a", "b"): edge})
+    with pytest.raises(ConstraintViolation) as raised:
+        complement(g)
+    assert str(raised.value) == message
+    assert_same(complement, ref.complement, g)
+
+
+def test_sum_totals_equal_the_reference_totals():
+    # == on the floats themselves, at sizes where any change in the order of
+    # the additions moves the last bits
+    for seed in range(12):
+        g = generate(GenConfig(seed=seed, n_vertices=20 + 5 * seed, family=FAMILIES[seed % 4]))
+        for got, want in ((sum_identity(g), ref.sum_identity(g)),
+                          (strong_sum_identity(g), ref.strong_sum_identity(g))):
+            assert got == want
+            assert (got.lhs_mu, got.lhs_nu, got.rhs_mu, got.rhs_nu) == (
+                want.lhs_mu, want.lhs_nu, want.rhs_mu, want.rhs_nu)
 
 
 # "a" is a prefix of "a " and "a!b", and " " and "!" sort below ")" and ",", so

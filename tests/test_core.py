@@ -35,6 +35,7 @@ from pfgraph import (
     sum_identity,
     to_dot,
     tolerance,
+    Violation,
     validate,
     verify_morphism,
 )
@@ -249,6 +250,43 @@ class TestValidate:
         assert [(v.kind, v.where) for v in mixed.violations] == [("bad_vertex_id", bits)]
         with pytest.raises(DanglingEdge, match=f"edge 3-{bits} uses undeclared vertex {bits}"):
             find_morphism(PFGraph({3: d}, {(3, huge): d}), PFGraph({3: d}), MorphismKind.HOMOMORPHISM)
+
+    def test_a_tuple_holding_an_int_past_the_int_string_limit_is_named_by_its_type(self):
+        # repr raises for the tuple as it does for the int inside it
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no int-string limit")
+        huge, d = 10**limit, PFDegree(0.5, 0.5)
+        named = "<tuple whose repr is too long>"
+        report = validate(PFGraph({("x", huge): d}))
+        assert report.violations == (
+            Violation("bad_vertex_id", named, "vertex ids must be non-empty strings"),
+        )
+        with pytest.raises(ConstraintViolation) as refused:
+            PFGraph({"a": d}, {("a", "b", huge): d})
+        assert str(refused.value) == f"edge key {named} is not a pair of vertex labels"
+
+    @pytest.mark.parametrize(
+        "vertex_nu, edge_nu, above",
+        [
+            (10**200, 10**200, False),  # float(10**200) is below 10**200
+            (2**60 - 1, 2**60, True),  # float(2**60 - 1) is 2**60
+            (2**60 + 1, 2**60, False),
+            (10**200, 10**200 + 1, True),
+        ],
+    )
+    def test_bound_test_is_exact_for_ints(self, vertex_nu, edge_nu, above):
+        d = PFDegree(0.5, 0.5)
+        g = PFGraph({"a": PFDegree(0.5, vertex_nu), "b": d}, {("a", "b"): PFDegree(0.5, edge_nu)})
+        kinds = [v.kind for v in validate(g).violations]
+        assert ("edge_nonmembership_above_bound" in kinds) is above
+        assert "edge_membership_above_bound" not in kinds
+        assert kinds.count("bad_edge_degree") == 2
+        # the same values as floats keep the float test
+        as_floats = PFGraph(
+            {"a": PFDegree(0.5, float(vertex_nu)), "b": d}, {("a", "b"): PFDegree(0.5, float(edge_nu))}
+        )
+        assert validate(as_floats) == reference_validate(as_floats)
 
     @pytest.mark.parametrize("big", [10**400, -(10**400), 2**1024, _FLOAT_INT_LIMIT], ids=repr)
     @pytest.mark.parametrize("on_vertex", [True, False], ids=["vertex", "edge"])
@@ -513,9 +551,9 @@ class TestGraphConstruction:
             assert degree == g.edge_degree(*key)
             assert repr(bound) == repr(g.pair_bound(*key))
 
-        # the flat rows every pass reads are the same rows, element for element:
-        # the key's two labels, the same degree object and the bound's components
-        scan = list(g._pair_scan())
+        # the flat pairs are the same rows, element for element: the key's two
+        # labels, the same degree object and the bound's components
+        scan = list(g._flat_pairs())
         assert len(scan) == len(rows)
         for (u, v, degree, bound_mu, bound_nu), (row_key, row_degree, bound) in zip(scan, rows):
             assert (u, v) == tuple(row_key)
@@ -523,24 +561,32 @@ class TestGraphConstruction:
             assert repr(PFDegree(bound_mu, bound_nu)) == repr(bound)
 
     def test_pair_scan_yields_the_label_objects_and_the_stored_degree(self, square_cycle):
-        # a row is the sorted pair of vertex label objects, with no key built;
-        # an edge pair gives the edge's own degree object, every other pair
-        # ZERO_DEGREE itself.  1.0 == 1, so the edge keyed (1.0, 2) is the pair
-        # of vertices 1 and 2, whose row carries the vertex label 1
+        # a row is one vertex label object with its stored degree and the sorted
+        # items above it, with no key built; a flat pair gives the edge's own
+        # degree object, every other pair ZERO_DEGREE itself.  1.0 == 1, so the
+        # edge keyed (1.0, 2) is the pair of vertices 1 and 2, whose row
+        # carries the vertex label 1
         d, e = PFDegree(0.5, 0.5), PFDegree(0.2, 0.3)
         spelled = PFGraph({1: d, 2: d, 3: d}, {(1.0, 2): e})
         for g in (square_cycle, generate(GenConfig(seed=3, n_vertices=12)), spelled):
-            labels = sorted(g.vertices)
-            scan = list(g._pair_scan())
-            assert len(scan) == len(labels) * (len(labels) - 1) // 2
-            for (u, v, degree, _, _), (a, b) in zip(scan, itertools.combinations(labels, 2)):
+            items = sorted(g.vertices.items())
+            rows = list(g._pair_scan())
+            assert len(rows) == len(items)
+            for i, ((u, degree, tail), (label, stored)) in enumerate(zip(rows, items), 1):
+                assert u is label and degree is stored
+                assert [(v, vd) for v, vd in tail] == items[i:]
+                assert all(v is w and vd is wd for (v, vd), (w, wd) in zip(tail, items[i:]))
+            flat = list(g._flat_pairs())
+            assert len(flat) == len(items) * (len(items) - 1) // 2
+            labels = [label for label, _ in items]
+            for (u, v, degree, _, _), (a, b) in zip(flat, itertools.combinations(labels, 2)):
                 assert u is a and v is b
                 key = PairKey(u, v)
                 if key in g.edges:
                     assert degree is g.edges[key]
                 else:
                     assert degree is ZERO_DEGREE
-        assert [row[:3] for row in spelled._pair_scan()] == [
+        assert [row[:3] for row in spelled._flat_pairs()] == [
             (1, 2, e), (1, 3, ZERO_DEGREE), (2, 3, ZERO_DEGREE)
         ]
 

@@ -53,22 +53,35 @@ cell still empty in one row is looked up in its mirror before the graph;
 so per-call set-up grows with the target's size, not its square.
 
 Each call reads the kind's vertex relation and edge relation once, as two
-booleans (equality within eps, or s maps into t), and every check then
-compares bare (mu, nu) floats inline: NaN relates to nothing, as in the
-two relations' definitions.  Under isomorphism :func:`verify_morphism`
-reads each source pair's labels and degree from the pair scan's rows, with
-no key built.  Under the other kinds every source edge is checked, so
-:func:`find_morphism` (before it searches) and :func:`verify_morphism`
-raise DanglingEdge for the first dangling source edge in insertion order,
-through :func:`~pfgraph.core.require_endpoints`, as the writers do.
+booleans (equality within eps, or s maps into t).  A pair check compares
+the source's (mu, nu) with the floats in the target pair's cell, and NaN
+relates to nothing, as in the two relations' definitions.  Under equality
+(isomorphism, co-weak isomorphism) a cell holds the stored degree, and a
+check tests ``abs(smu - tmu) <= eps`` and the same for nu.  Under
+maps-into (homomorphism, weak isomorphism) a cell holds the bounds
+``(tmu + eps, tnu - eps)``, computed once when the pair is read, and a
+check is ``smu <= high and snu >= low``, which builds no float.  Those
+bounds are the floats that ``smu <= tmu + eps and snu >= tnu - eps`` (the
+form the vertex test and :func:`verify_morphism` keep) builds on every
+check, from the same operands by the same operation: an int component is
+converted as it is there, and a NaN or an infinity carries through the
+shift.  So every verdict, and with it every attempt, is the same.
+
+Under isomorphism :func:`verify_morphism` reads each source pair's labels
+and degree from the pair scan's rows, with no key built.  Under the other
+kinds every source edge is checked, so :func:`find_morphism` (before it
+searches) and :func:`verify_morphism` raise DanglingEdge for the first
+dangling source edge in insertion order, through
+:func:`~pfgraph.core.require_endpoints`, as the writers do.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from itertools import repeat
 from operator import le, sub
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     PFGraph,
@@ -142,8 +155,11 @@ def find_morphism(
     matching (see the module docstring): sound filters, so found and
     witness are those of the unfiltered search, and ``search_space`` can
     only be smaller.  A source left with no candidate, or lists with no
-    matching, answer not-found after 0 attempts.
+    matching, answer not-found after 0 attempts.  A ``kind`` that is not a
+    MorphismKind raises TypeError.
     """
+    if not isinstance(kind, MorphismKind):
+        raise TypeError(f"kind must be a MorphismKind, not {type(kind).__name__}")
     n1 = len(g1.vertices)
     if n1 > cap:
         raise SearchCapExceeded(
@@ -175,7 +191,9 @@ def find_morphism(
     source_edge = g1.edges.get
     target_edge = g2.edges.get
     checks: list = [None] * n1  # per depth i: (p, mu, nu) for the earlier sources p
-    cells: list = [None] * n2  # per assigned target x: the pairs (x, v) read so far
+    # per assigned target x: the pairs (x, v) read so far, as stored or, under
+    # maps-into, as (mu + eps, nu - eps)
+    cells: list = [None] * n2
     pending = list(map(iter, candidates))  # per depth: the candidates not yet tried
     image = [0] * n1
     used = [False] * n2
@@ -209,12 +227,15 @@ def find_morphism(
                         a, b = targets[x][0], targets[v][0]
                         # a stored degree is a non-empty tuple; a collapsed pair is never a key
                         t = target_edge((a, b)) or target_edge((b, a), ZERO_DEGREE)
+                        if not edge_equality:  # maps-into: the cell holds the bounds
+                            tmu, tnu = t
+                            t = (tmu + eps, tnu - eps)
                     cells[x][v] = t
-                tmu, tnu = t
+                tmu, tnu = t  # under maps-into, already shifted by eps
                 if not (
                     abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
                     if edge_equality
-                    else smu <= tmu + eps and snu >= tnu - eps
+                    else smu <= tmu and snu >= tnu
                 ):
                     break
             else:
@@ -363,8 +384,14 @@ def verify_morphism(
 
     The mapping must be total on g1's vertices and stay inside g2's;
     anything else raises UnknownVertex.  Condition failures are returned
-    as violations, one entry per failing vertex or pair.
+    as violations, one entry per failing vertex or pair.  A ``kind`` that
+    is not a MorphismKind, or a ``mapping`` that is not a Mapping, raises
+    TypeError.
     """
+    if not isinstance(kind, MorphismKind):
+        raise TypeError(f"kind must be a MorphismKind, not {type(kind).__name__}")
+    if not isinstance(mapping, Mapping):
+        raise TypeError(f"mapping must be a Mapping, not {type(mapping).__name__}")
     for message, labels, known in (
         ("mapping keys not in the source graph", mapping, g1.vertices),
         ("mapping values not in the target graph", mapping.values(), g2.vertices),

@@ -151,6 +151,14 @@ class TestFindMorphism:
         assert (report.found, report.witness, report.search_space) == (True, {"a": "a"}, 1)
         assert verify_morphism(g, g, ISO, report.witness).ok
 
+    def test_kind_given_by_name_raises_type_error_before_any_other_check(self):
+        # the check comes before the cap, so a source above it gets the same error
+        g = build({"a": (0.5, 0.5)})
+        big = build({f"x{i}": (0.5, 0.5) for i in range(10)})
+        for source in (g, big):
+            with pytest.raises(TypeError, match=r"^kind must be a MorphismKind, not str$"):
+                find_morphism(source, source, "isomorphism")
+
     def test_least_witness_returned(self):
         g1 = build({"a": (0.5, 0.5), "b": (0.5, 0.5)})
         g2 = build({"x": (0.5, 0.5), "y": (0.5, 0.5)})
@@ -232,6 +240,24 @@ class TestVerifyMorphism:
         g = build({"a": (0.5, 0.5)})
         with pytest.raises(UnknownVertex, match=r"^mapping keys not in the source graph: \[\['a'\]\]$"):
             verify_morphism(g, g, ISO, PairList([("a", "a"), (["a"], "a")]))
+
+    def test_swapped_kind_and_mapping_raise_type_error(self, square_cycle):
+        identity = {v: v for v in square_cycle.vertices}
+        with pytest.raises(TypeError, match=r"^kind must be a MorphismKind, not dict$"):
+            verify_morphism(square_cycle, square_cycle, identity, ISO)
+
+    @pytest.mark.parametrize(
+        "kind, mapping, message",
+        [
+            ("isomorphism", {"a": "a"}, r"^kind must be a MorphismKind, not str$"),
+            (ISO, [("a", "a")], r"^mapping must be a Mapping, not list$"),
+            (HOMO, None, r"^mapping must be a Mapping, not NoneType$"),
+        ],
+    )
+    def test_kind_and_mapping_types_are_checked(self, kind, mapping, message):
+        g = build({"a": (0.5, 0.5)})
+        with pytest.raises(TypeError, match=message):
+            verify_morphism(g, g, kind, mapping)
 
     def test_dangling_edge_raises(self):
         g = PFGraph({"a": PFDegree(0.5, 0.5)}, {("a", "z"): PFDegree(0.2, 0.3)})

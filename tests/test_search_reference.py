@@ -125,6 +125,64 @@ def test_same_reports_on_hypothesis_graphs(pair):
     assert_same_reports(*pair)
 
 
+# Exact boundaries of the maps-into relation: source components equal to a
+# target's ``mu + eps`` or ``nu - eps`` and one float step either side, at a
+# power-of-two tolerance (the bound is exact) and at 1e-9 (the bound rounds),
+# with int, signed-zero, NaN and infinite components on either side.
+BOUNDARY_TARGET_VALUES = (0.5, 0.3, 0, 1, 2**53 + 1, -0.0, math.nan, math.inf, -math.inf)
+
+
+def _boundary_values(c, eps):
+    """c, its two maps-into bounds, and one float step either side of each."""
+    values = [c]
+    for bound in (c + eps, c - eps):
+        values += [bound, math.nextafter(bound, math.inf), math.nextafter(bound, -math.inf)]
+    return values
+
+
+def _path(names, degrees):
+    """The path through ``names`` in order, its edges at ``degrees`` and
+    every vertex at (0.5, 0.5)."""
+    return PFGraph(dict.fromkeys(names, PFDegree(0.5, 0.5)), dict(zip(zip(names, names[1:]), degrees)))
+
+
+def _exact_boundary_pairs(eps, rng):
+    """P2 into P2 with one component of the edge at or beside a bound and the
+    other equal on both sides, then P3 into P3 with every edge component drawn
+    from the bounds of the target values or the target values themselves."""
+    pairs = []
+    for c in BOUNDARY_TARGET_VALUES:
+        for b in _boundary_values(c, eps):
+            pairs.append((_path("ab", [PFDegree(b, 0.25)]), _path("xy", [PFDegree(c, 0.25)])))
+            pairs.append((_path("ab", [PFDegree(0.25, b)]), _path("xy", [PFDegree(0.25, c)])))
+    pool = [b for c in BOUNDARY_TARGET_VALUES for b in _boundary_values(c, eps)]
+    for _ in range(150):
+        s = [PFDegree(rng.choice(pool), rng.choice(pool)) for _ in range(2)]
+        t = [PFDegree(*rng.choices(BOUNDARY_TARGET_VALUES, k=2)) for _ in range(2)]
+        pairs.append((_path("abc", s), _path("xyz", t)))
+    return pairs
+
+
+def test_same_reports_and_checks_at_exact_maps_into_boundaries():
+    saved = tolerance()
+    rng = random.Random(22)
+    found = collections.Counter()
+    try:
+        for eps in (2.0**-20, 1e-9):
+            set_tolerance(eps)
+            for g1, g2 in _exact_boundary_pairs(eps, rng):
+                assert_same_reports(g1, g2)
+                for kind in (HOMO, WEAK):
+                    witness = find_morphism(g1, g2, kind).witness
+                    found[kind, witness is not None] += 1
+                    if witness is not None:
+                        assert_same_checks(g1, g2, witness)
+    finally:
+        set_tolerance(saved)
+    # the corpus has maps on both sides of the bounds under both kinds
+    assert min(found.values()) >= 20 and len(found) == 4, found
+
+
 # --- the verifier against the one it replaced ---------------------------------
 
 def _checked(verify, g1, g2, kind, mapping):

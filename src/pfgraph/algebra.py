@@ -24,12 +24,12 @@ from .core import (
     PFGraph,
     PairKey,
     ZERO_DEGREE,
+    _require_label_order,
     dangling_edge,
     degree_max_min,
     degree_min_max,
     gc_paused,
     safe_repr,
-    sorted_labels,
     tolerance,
 )
 from .errors import ConstraintViolation, JoinOverlap, LabelClash, NotComplete, NotStrong
@@ -48,7 +48,7 @@ def _require_composable(graphs: Iterable[PFGraph]) -> None:
         for label in chain(g.vertices, *g.edges):
             if not isinstance(label, str):
                 raise LabelClash(
-                    f"vertex label {label!r} is not a string and cannot be composed "
+                    f"vertex label {safe_repr(label)} is not a string and cannot be composed "
                     "into a product label"
                 )
             if any(ch in label for ch in _FORBIDDEN_LABEL_CHARS):
@@ -171,9 +171,12 @@ def union(g1: PFGraph, g2: PFGraph) -> PFGraph:
     smaller non-membership.  Overlapping unions are always defined but are
     not guaranteed to satisfy the edge bounds, because raising a shared
     vertex's membership can strand an edge copied from one side; validate
-    the result when the vertex sets overlap.
+    the result when the vertex sets overlap.  Labels that break the label
+    rule together raise ConstraintViolation, as in ``PFGraph(...)``.
     """
-    return PFGraph._adopt(*_union_maps(g1, g2))
+    vertices, edges = _union_maps(g1, g2)
+    _require_label_order(vertices, edges)
+    return PFGraph._adopt(vertices, edges)
 
 
 @gc_paused
@@ -182,14 +185,15 @@ def join(g1: PFGraph, g2: PFGraph) -> PFGraph:
 
     Every cross edge carries the largest degree it may: the endpoint
     minimum membership and maximum non-membership.  A cross edge that comes
-    out as exactly (0, 0) is no edge and is left out.
+    out as exactly (0, 0) is no edge and is left out.  Labels that break
+    the label rule together raise ConstraintViolation, as in ``union``.
     """
     overlap = set(g1.vertices) & set(g2.vertices)
-    if overlap:
-        raise JoinOverlap(
-            f"join requires disjoint vertex sets; shared: {sorted_labels(overlap)}"
-        )
+    if overlap:  # a subset of g1's labels, which the label rule orders
+        shared = ", ".join(map(safe_repr, sorted(overlap)))
+        raise JoinOverlap(f"join requires disjoint vertex sets; shared: [{shared}]")
     vertices, edges = _union_maps(g1, g2)
+    _require_label_order(vertices, edges)
     for u, du in g1.vertices.items():
         for v, dv in g2.vertices.items():
             degree = degree_min_max(du, dv)

@@ -17,8 +17,9 @@ Design choices baked into this module:
   :func:`apply_env_tolerance` reports it.
 - Graphs are simple and undirected.  Edges are keyed by :class:`PairKey`,
   the label pair (lo, hi) in canonical order, which makes symmetry
-  structural; self-loops are rejected at key construction.  PairKey and
-  :class:`PFDegree` (mu, nu) are tuples and compare, hash and sort as such.
+  structural; self-loops, and pairs that ``<`` orders neither way, are
+  rejected at key construction.  PairKey and :class:`PFDegree` (mu, nu)
+  are tuples and compare, hash and sort as such.
 - A dangling edge names an undeclared vertex.  One rule covers it:
   :func:`validate` reports it, the passes over all pairs skip it, the
   products, ``union`` and ``join`` carry it, :func:`graphs_close` compares
@@ -68,11 +69,10 @@ Design choices baked into this module:
   due runs once, as the call returns.  A call made with the GC off leaves it
   off.  The pause reads the GC's state only as a call starts, so another
   thread's ``gc.enable`` or ``gc.disable`` during a paused call is not
-  seen: the call enables the GC as it returns either way.  Every
-  pass that sorts vertex labels goes through :func:`sorted_vertices`, so
-  labels that ``<`` cannot put in a strict order (an int beside a str,
-  NaN) raise ConstraintViolation with the validation report rather than
-  TypeError or a silently wrong order.
+  seen: the call enables the GC as it returns either way.
+- Every pass that sorts vertex labels or edge keys sorts them by plain
+  ``<``: the label rule below guarantees a strict order, so no sort can
+  raise TypeError or come out in a silently wrong order.
 - Values are immutable after construction.  Operations elsewhere in the
   package return new graphs and never mutate their inputs.  Every record
   type (:class:`Violation`, :class:`ValidationReport`, and the reports and
@@ -82,21 +82,27 @@ Design choices baked into this module:
 
 Graphs holding *invalid* data are representable on purpose: :func:`validate`
 turns every broken invariant into a report entry instead of an exception,
-so arbitrary candidate data can be inspected, with one exception:
-``PFGraph(...)`` refuses, with ConstraintViolation in ``parse``'s wording,
-a degree that no pass can compute with (not a (mu, nu) pair, a bool, a
-component neither int nor float, or an int that ``float()`` cannot
-convert).  No builder makes one from a checked graph.  :func:`validate` is
-the one checker of the degree rules: one pass tests each vertex's label (a non-empty str that
-encodes as UTF-8, so that the document it renders can be parsed and
-printed), unit range and squared sum, and each edge's endpoints, unit
-range, squared sum and bound (read from the two endpoint tuples), each
-rule once, and every failed test adds its own report entry.  Entries name
-labels, keys and values through :func:`safe_str` and :func:`safe_repr`, so
-an int label past CPython's int-string limit is named by its bit length.
-A degree that fails its one combined test goes to one helper, which adds
-the range and squared-sum entries; an int square beyond float range
-(10**200) is above 1 beside any value but NaN.
+so arbitrary candidate data can be inspected, with two exceptions, which
+no pass can compute with.  ``PFGraph(...)`` refuses with ConstraintViolation
+a degree that is not a (mu, nu) pair, has a bool or a component neither
+int nor float, or holds an int that ``float()`` cannot convert (the value
+rule, in ``parse``'s wording), and labels, vertex labels and edge endpoints
+together, that ``<`` cannot put in a strict order (the label rule: an int
+beside a str, NaN beside another label, frozensets neither of which
+contains the other; str-only, int-only and tuple labels pass, and a lone
+label needs no order).  ``union`` and ``join`` apply the label rule to their
+combined labels; no builder makes what either rule refuses from checked
+graphs.  :func:`validate` is the one checker of the degree rules: one pass
+tests each vertex's label (a non-empty str that encodes as UTF-8, so that
+the document it renders can be parsed and printed), unit range and squared
+sum, and each edge's endpoints, unit range, squared sum and bound (read
+from the two endpoint tuples), each rule once, and every failed test adds
+its own report entry.  Entries, and every other message, name labels, keys
+and values through :func:`safe_str` and :func:`safe_repr`, so an int label
+past CPython's int-string limit is named by its bit length.  A degree that
+fails its one combined test goes to one helper, which adds the range and
+squared-sum entries; an int square beyond float range (10**200) is above 1
+beside any value but NaN.
 """
 
 from __future__ import annotations
@@ -106,6 +112,7 @@ import math
 import os
 import sys
 from functools import wraps
+from itertools import chain
 from operator import itemgetter, lt
 from typing import Iterator, Mapping, NamedTuple
 
@@ -277,40 +284,30 @@ def encodes_as_utf8(label: str) -> bool:
     return True
 
 
-def _tie_order(label) -> tuple[str, str, int]:
-    """Order for labels that ``<`` cannot compare: by type name, then repr, then
-    ``id()`` for labels those cannot tell apart (two NaNs).  It is stable within
-    a process, which is all an edge key or a message needs."""
-    return (type(label).__name__, safe_repr(label), id(label))
-
-
-def sorted_labels(labels) -> list:
-    """labels sorted by ``<``, or by :func:`_tie_order` when ``<`` fails (for messages)."""
-    try:
-        return sorted(labels)
-    except TypeError:
-        return sorted(labels, key=_tie_order)
-
-
 class PairKey(tuple):
     """Canonical unordered pair of vertex labels (the edge key).
 
-    ``PairKey(u, v) == PairKey(v, u)`` by construction; self-loops are
-    rejected because the underlying graphs are simple.  Labels that ``<``
-    cannot order either way (an int and a str, or two frozensets neither of
-    which contains the other) are ordered by :func:`_tie_order`.
+    ``PairKey(u, v) == PairKey(v, u)`` by construction; self-loops raise
+    ValueError because the underlying graphs are simple.  Labels that ``<``
+    orders neither way (an int and a str, two NaNs, frozensets neither of
+    which contains the other) raise ConstraintViolation, as in PFGraph.
     """
 
     __slots__ = ()
 
     def __new__(cls, u: str, v: str) -> PairKey:
-        if u is v or u == v:  # one NaN object is one label, though not equal to itself
-            raise ValueError(f"self-loop on vertex {u!r} is not allowed")
         try:
-            ordered = u < v or not v < u and _tie_order(u) < _tie_order(v)
+            if u < v:
+                return tuple.__new__(cls, (u, v))
+            if v < u:
+                return tuple.__new__(cls, (v, u))
         except TypeError:  # an int and a str label, say
-            ordered = _tie_order(u) < _tie_order(v)
-        return tuple.__new__(cls, (u, v) if ordered else (v, u))
+            pass
+        if u is v or u == v:  # one NaN object is one label, though not equal to itself
+            raise ValueError(f"self-loop on vertex {safe_repr(u)} is not allowed")
+        raise ConstraintViolation(
+            f"vertex labels cannot be put in a strict order: {safe_repr(u)} and {safe_repr(v)}"
+        )
 
     lo = property(itemgetter(0))
     hi = property(itemgetter(1))
@@ -332,16 +329,32 @@ class PairKey(tuple):
         return f"{self.lo}-{self.hi}"
 
 
+def _require_label_order(vertices: Mapping, edges: Mapping) -> None:
+    """ConstraintViolation unless ``<`` puts a graph's vertex labels and edge
+    endpoints, together, in a strict order: the label rule of the module
+    docstring, which every pass that sorts labels or keys relies on."""
+    try:
+        ordered = sorted({*vertices, *chain.from_iterable(edges)})
+    except TypeError as exc:  # an int beside a str, say
+        problem = str(exc)
+    else:
+        if all(map(lt, ordered, ordered[1:])):
+            return
+        a, b = next((a, b) for a, b in zip(ordered, ordered[1:]) if not a < b)  # NaN, say
+        problem = f"{safe_repr(a)} and {safe_repr(b)}"
+    raise ConstraintViolation(f"vertex labels cannot be put in a strict order: {problem}")
+
+
 class PFGraph:
     """An immutable Pythagorean fuzzy graph: vertex degrees plus edge degrees.
 
     Construction, the checking path for graphs built outside the library,
     copies both maps, accepts edge keys given either as PairKey or as a
     plain (u, v) tuple, and drops edges whose degree is exactly (0, 0).
-    Each degree becomes a PFDegree with its numbers unchanged; one that no
-    pass can compute with (see the module docstring) and an edge key that is
-    not a pair raise ConstraintViolation, a self-loop ValueError.  The
-    degree rules are not checked here; use :func:`validate`.  The
+    Each degree becomes a PFDegree with its numbers unchanged; what breaks
+    the value or the label rule (see the module docstring) and an edge key
+    that is not a pair raise ConstraintViolation, a self-loop ValueError.
+    The degree rules are not checked here; use :func:`validate`.  The
     library's own builders go through :meth:`_adopt` instead.
     """
 
@@ -369,6 +382,7 @@ class PFGraph:
                 degree = _as_degree(degree, "edge", key)
             if degree != ZERO_DEGREE:
                 normalized[key] = degree
+        _require_label_order(vertices, normalized)
         object.__setattr__(self, "edges", normalized)
 
     @classmethod
@@ -436,7 +450,7 @@ class PFGraph:
     def _pair_scan(self) -> Iterator[tuple[str, PFDegree, list[tuple[str, PFDegree]]]]:
         """(u, degree, tail) for every vertex u, in sorted label order.
 
-        The labels are sorted once by :func:`sorted_vertices`; ``degree`` is
+        The labels are sorted once, by ``<``; ``degree`` is
         u's stored degree and ``tail`` the sorted (v, degree) items of the
         labels above u, so the pairs (u, v) of one row are the keys (lo, hi)
         with lo u, in key order, and the rows together give every unordered
@@ -445,7 +459,7 @@ class PFGraph:
         the bound inline, by :func:`degree_min_max`'s rule (u's value wins
         ties).
         """
-        items = sorted_vertices(self)
+        items = sorted(self.vertices.items())
         for i, (u, degree) in enumerate(items, 1):
             yield u, degree, items[i:]
 
@@ -625,26 +639,6 @@ def require_valid(g: PFGraph, what: str) -> PFGraph:
     return g
 
 
-def sorted_vertices(g: PFGraph) -> list[tuple[str, PFDegree]]:
-    """g's (label, degree) items in strictly increasing label order.
-
-    Labels that ``<`` cannot compare, or that do not come out strictly
-    increasing (NaN), raise ConstraintViolation carrying :func:`validate`'s
-    report, which names them as ``bad_vertex_id``.
-    """
-    items = list(g.vertices.items())
-    try:
-        items.sort()
-        labels = list(map(itemgetter(0), items))
-        if all(map(lt, labels, labels[1:])):
-            return items
-    except TypeError:
-        pass
-    report = validate(g)
-    bad = ", ".join(v.where for v in report.violations if v.kind == "bad_vertex_id")
-    raise ConstraintViolation(f"vertex labels cannot be put in a strict order: {bad}", report=report)
-
-
 def dangling_edge(u, v, vertices) -> DanglingEdge:
     """The DanglingEdge for edge u-v: it names u if vertices lacks u, and v otherwise."""
     missing = u if u not in vertices else v
@@ -660,11 +654,11 @@ def require_endpoints(g: PFGraph) -> None:
 
 
 def sorted_edges(g: PFGraph) -> list[PairKey]:
-    """g's edge keys in key order, for use after :func:`sorted_vertices`.
+    """g's edge keys in key order.
 
     :func:`require_endpoints` runs first.  Every endpoint is then a declared
-    label, the declared labels are known to compare and keys are unique, so
-    the sort cannot fail.  The list holds g's own key objects; a caller reads
+    label, the labels compare by the label rule and keys are unique, so the
+    sort cannot fail.  The list holds g's own key objects; a caller reads
     each degree as ``g.edges[key]``, so the walk builds no (key, degree)
     tuple, which the cyclic GC would track as it tracks the key inside it.
     """

@@ -55,7 +55,6 @@ from .core import (
     require_valid,
     safe_repr,
     sorted_edges,
-    sorted_vertices,
     tolerance,
 )
 from .errors import (
@@ -206,7 +205,7 @@ def render(g: PFGraph) -> str:
         if type(label) is str and label and (label.isascii() or encodes_as_utf8(label))
         and type(mu) is float and type(nu) is float and low <= mu <= high and low <= nu <= high
         else _entry({"id": label, "mu": mu, "nu": nu})
-        for label, (mu, nu) in sorted_vertices(g)
+        for label, (mu, nu) in sorted(g.vertices.items())
     ]
     degrees = g.edges
     edges = []
@@ -251,7 +250,7 @@ def to_dot(g: PFGraph) -> str:
     lines = ["graph G {"]
     names = {}
     try:
-        for label, (mu, nu) in sorted_vertices(g):
+        for label, (mu, nu) in sorted(g.vertices.items()):
             names[label] = name = _quote(label)
             lines.append(f'  {name} [label="{_escape(str(label))} ({mu!r}, {nu!r})"];')
         degrees = g.edges

@@ -47,7 +47,7 @@ is tested against, built the first time the search enters the depth:
 every earlier source under isomorphism, an absent edge read as (0, 0),
 and only the ends of source edges under the other kinds.  A target pair's
 degree is read from ``edges`` at most once per call, in either
-orientation, so no target label is ordered.  It is kept in a row per
+orientation, without ordering the two labels.  It is kept in a row per
 assigned target, allocated on first use and filled cell by cell, and a
 cell still empty in one row is looked up in its mirror before the graph;
 so per-call set-up grows with the target's size, not its square.
@@ -87,9 +87,9 @@ from .core import (
     PFGraph,
     ZERO_DEGREE,
     require_endpoints,
+    safe_repr,
+    safe_str,
     sorted_edges,
-    sorted_labels,
-    sorted_vertices,
     tolerance,
 )
 from .errors import SearchCapExceeded, UnknownVertex
@@ -173,8 +173,8 @@ def find_morphism(
     vertex_equality = kind.vertex_equality
     edge_equality = kind.edge_equality
     iso = kind is MorphismKind.ISOMORPHISM
-    sources = sorted_vertices(g1)
-    targets = sorted_vertices(g2)
+    sources = sorted(g1.vertices.items())
+    targets = sorted(g2.vertices.items())
     if not iso:
         require_endpoints(g1)
     n2 = len(targets)
@@ -406,7 +406,7 @@ def verify_morphism(
                 pass
             unknown.append(v)
         if unknown:
-            raise UnknownVertex(f"{message}: {sorted_labels(unknown)}")
+            raise UnknownVertex(f"{message}: [{', '.join(map(safe_repr, unknown))}]")
 
     violations: list[str] = []
     if kind.bijective:
@@ -420,14 +420,14 @@ def verify_morphism(
     edge_equality = kind.edge_equality
     target_vertices = g2.vertices
     target_edge = g2.edges.get
-    for u, (smu, snu) in sorted_vertices(g1):
+    for u, (smu, snu) in sorted(g1.vertices.items()):
         tmu, tnu = target_vertices[mapping[u]]
         if not (
             abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
             if vertex_equality
             else smu <= tmu + eps and snu >= tnu - eps
         ):
-            violations.append(f"vertex condition fails at {u!r} -> {mapping[u]!r}")
+            violations.append(f"vertex condition fails at {safe_repr(u)} -> {safe_repr(mapping[u])}")
 
     if kind is MorphismKind.ISOMORPHISM:  # every pair, an absent edge read as (0, 0)
         source_edge = g1.edges.get
@@ -444,6 +444,7 @@ def verify_morphism(
             if edge_equality
             else smu <= tmu + eps and snu >= tnu - eps
         ):
-            violations.append(f"edge condition fails at pair {u}-{w} -> {tu}-{tw}")
+            names = map(safe_str, (u, w, tu, tw))
+            violations.append("edge condition fails at pair {}-{} -> {}-{}".format(*names))
 
     return MorphismCheck(not violations, tuple(violations))

@@ -45,7 +45,6 @@ from pfgraph import (
     degrees_close,
     tolerance,
 )
-from pfgraph.core import sorted_labels
 
 
 def _draw_vertex_degree(rng: random.Random, quantize: Optional[int]) -> PFDegree:
@@ -189,7 +188,7 @@ def join(g1: PFGraph, g2: PFGraph) -> PFGraph:
     overlap = set(g1.vertices) & set(g2.vertices)
     if overlap:
         raise JoinOverlap(
-            f"join requires disjoint vertex sets; shared: {sorted_labels(overlap)}"
+            f"join requires disjoint vertex sets; shared: {sorted(overlap)}"
         )
     joined = union(g1, g2)
     edges = dict(joined.edges)

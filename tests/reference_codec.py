@@ -181,17 +181,18 @@ OFFSETS = st.sampled_from([0.0, EPS / 2, -EPS / 2, 2 * EPS, -2 * EPS, 0.1])
 
 
 @st.composite
-def boundary_specs(draw, labels):
+def boundary_specs(draw, labels, dangling="zz"):
     """(vertices, edges) as plain tuples, with values at and near every limit.
 
     Values straddle 0 and 1 by fractions and multiples of the tolerance;
     half the edges are drawn as their endpoint bound shifted in the same
-    way; in half the graphs one extra label, "zz", is never declared, so
-    edges on it dangle.
+    way; in half the graphs one extra label, ``dangling`` (of the type of
+    ``labels``, so that ``<`` orders them all), is never declared, so edges
+    on it dangle.
     """
     degrees = st.tuples(BOUNDARY_VALUES, BOUNDARY_VALUES)
     vertices = draw(st.dictionaries(labels, degrees, max_size=5))
-    ends = [*vertices, "zz"] if draw(st.booleans()) else [*vertices]
+    ends = [*vertices, dangling] if draw(st.booleans()) else [*vertices]
     pairs = [(u, v) for u in ends for v in ends if u != v]
     chosen = st.lists(st.sampled_from(pairs), max_size=8, unique_by=frozenset) if pairs else st.just([])
     edges = []

@@ -37,7 +37,7 @@ from pfgraph import (
     degrees_close,
     tolerance,
 )
-from pfgraph.core import require_endpoints, sorted_labels, sorted_vertices
+from pfgraph.core import require_endpoints
 from reference_builders import pair_rows
 
 
@@ -69,10 +69,10 @@ def find_morphism(
         return MorphismReport(kind, False, None, 0)
 
     eps = tolerance()
-    targets = sorted_vertices(g2)
+    targets = sorted(g2.vertices.items())
     candidates = {
         u: [v for v, dv in targets if _related(kind.vertex_equality, du, dv, eps)]
-        for u, du in sorted_vertices(g1)
+        for u, du in sorted(g1.vertices.items())
     }
     if not all(candidates.values()):
         return MorphismReport(kind, False, None, 0)
@@ -139,13 +139,13 @@ def verify_morphism(
     """
     unknown_sources = [u for u in mapping if u not in g1.vertices]
     if unknown_sources:
-        raise UnknownVertex(f"mapping keys not in the source graph: {sorted_labels(unknown_sources)}")
+        raise UnknownVertex(f"mapping keys not in the source graph: {unknown_sources}")
     unknown_targets = [v for v in mapping.values() if v not in g2.vertices]
     if unknown_targets:
-        raise UnknownVertex(f"mapping values not in the target graph: {sorted_labels(unknown_targets)}")
+        raise UnknownVertex(f"mapping values not in the target graph: {unknown_targets}")
     missing = [u for u in g1.vertices if u not in mapping]
     if missing:
-        raise UnknownVertex(f"mapping is not total on the source graph: {sorted_labels(missing)}")
+        raise UnknownVertex(f"mapping is not total on the source graph: {missing}")
 
     violations: list[str] = []
     if kind.bijective:
@@ -158,7 +158,7 @@ def verify_morphism(
     vertex_equality = kind.vertex_equality
     edge_equality = kind.edge_equality
     target_vertices = g2.vertices
-    for u, (smu, snu) in sorted_vertices(g1):
+    for u, (smu, snu) in sorted(g1.vertices.items()):
         tmu, tnu = target_vertices[mapping[u]]
         if not (
             abs(smu - tmu) <= eps and abs(snu - tnu) <= eps

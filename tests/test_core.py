@@ -19,7 +19,6 @@ from pfgraph import (
     PFGraph,
     PairKey,
     ZERO_DEGREE,
-    classify,
     complement,
     complete_complement,
     degree_max_min,
@@ -32,12 +31,11 @@ from pfgraph import (
     render,
     set_tolerance,
     strong_complement,
-    sum_identity,
-    to_dot,
     tolerance,
+    union,
     Violation,
+    join,
     validate,
-    verify_morphism,
 )
 from pfgraph.core import _FLOAT_INT_LIMIT, sorted_edges
 
@@ -106,45 +104,67 @@ class TestValidate:
             ("bad_vertex_id", repr(label), "vertex ids must encode as UTF-8")
         ]
 
-    def test_labels_without_order_reach_the_report(self):
-        # 1 < "a" raises TypeError; the graph must still be built and described
+    def test_int_labels_reach_the_report(self):
+        # < orders them, so the graph is built and described
         d = PFDegree(0.5, 0.5)
-        g = PFGraph({1: d, "a": d}, {(1, "a"): PFDegree(0.2, 0.3)})
+        g = PFGraph({1: d, 2: d}, {(2, 1): PFDegree(0.2, 0.3)})
         report = validate(g)
-        assert [(v.kind, v.where) for v in report.violations] == [("bad_vertex_id", "1")]
-        assert PairKey("a", 1) == PairKey(1, "a") == (1, "a")
+        assert [(v.kind, v.where) for v in report.violations] == [
+            ("bad_vertex_id", "1"), ("bad_vertex_id", "2")
+        ]
+        assert PairKey(2, 1) == (1, 2)
+        # the rule covers edge endpoints too: an int vertex beside str dangling endpoints
+        with pytest.raises(ConstraintViolation, match="strict order"):
+            PFGraph({1: d}, {("a", "b"): d})
 
     @pytest.mark.parametrize(
-        "labels", [(1, "a"), (math.nan, 0.5, 0.25)], ids=["int-and-str", "nan"]
+        "labels",
+        [(1, "a"), (math.nan, 0.5, 0.25), (frozenset({1}), frozenset({2}))],
+        ids=["int-and-str", "nan", "frozensets"],
     )
-    @pytest.mark.parametrize(
-        "call",
-        [
-            complement,
-            classify,
-            sum_identity,
-            render,
-            to_dot,
-            lambda m: find_morphism(m, m, MorphismKind.ISOMORPHISM),
-            lambda m: verify_morphism(m, m, MorphismKind.ISOMORPHISM, {v: v for v in m.vertices}),
-        ],
-        ids=["complement", "classify", "sum_identity", "render", "to_dot",
-             "find_morphism", "verify_morphism"],
-    )
-    def test_sorted_passes_reject_labels_without_strict_order(self, labels, call):
+    def test_labels_without_strict_order_are_refused_at_the_door(self, labels):
         # NaN sorts without an error but not into a strict order, which would
-        # build non-canonical pair keys and miss edges
+        # build non-canonical pair keys and miss edges; 1 < "a" raises
+        # TypeError; neither frozenset is below the other.  No pass sees them.
         d = PFDegree(0.5, 0.5)
-        m = PFGraph(dict.fromkeys(labels, d), {labels[:2]: PFDegree(0.2, 0.3)})
-        with pytest.raises(ConstraintViolation, match="strict order") as raised:
-            call(m)
-        assert "bad_vertex_id" in {v.kind for v in raised.value.report.violations}
+        for vertices, edges in (
+            (dict.fromkeys(labels, d), {labels[:2]: PFDegree(0.2, 0.3)}),
+            (dict.fromkeys(labels, d), {}),
+            ({}, {labels[:2]: PFDegree(0.2, 0.3)}),
+        ):
+            with pytest.raises(ConstraintViolation, match="strict order"):
+                PFGraph(vertices, edges)
+        for u, v in (labels[:2], labels[1::-1]):
+            with pytest.raises(ConstraintViolation, match="strict order"):
+                PairKey(u, v)
+        one, other = PFGraph({labels[0]: d}), PFGraph({labels[1]: d})
+        for combine in (union, join):
+            for a, b in ((one, other), (other, one)):
+                with pytest.raises(ConstraintViolation, match="strict order"):
+                    combine(a, b)
 
-    @given(boundary_specs(st.sampled_from(["a", "b", "c", "", 1, 2])) | one_break_specs())
+    @pytest.mark.parametrize(
+        "labels",
+        [("b", "a", "c"), (3, 1, 2), (2.5, 1, -0.5), (("x", 2), ("x", 1), ("w", 9)),
+         (frozenset({1, 2}), frozenset({1}), frozenset())],
+        ids=["str", "int", "numbers", "tuples", "frozenset-chain"],
+    )
+    def test_labels_in_strict_order_are_accepted(self, labels):
+        d, e = PFDegree(0.5, 0.5), PFDegree(0.2, 0.3)
+        g = PFGraph(dict.fromkeys(labels, d), {labels[:2]: e})
+        assert list(g.edges) == [tuple(sorted(labels[:2]))]
+        assert [label for label, _, _ in g._pair_scan()] == sorted(labels)
+
+    @given(
+        boundary_specs(st.sampled_from(["a", "b", "c", ""]))
+        | boundary_specs(st.sampled_from([1, 2, 3]), dangling=9)
+        | one_break_specs()
+    )
     def test_agrees_with_the_reference_on_boundary_values(self, spec):
         # NaN, -0.0, ints, values within the tolerance of 0, 1 and the edge
-        # bound, non-str labels and dangling edges: same kinds, places,
-        # details and order as the plain per-item check
+        # bound, labels that are not non-empty strs (an empty str, ints) and
+        # dangling edges: same kinds, places, details and order as the plain
+        # per-item check
         vertices, edges = spec
         g = PFGraph(
             {label: PFDegree(*d) for label, d in vertices.items()},
@@ -153,19 +173,19 @@ class TestValidate:
         assert validate(g) == reference_validate(g)
 
     def test_one_item_breaking_every_rule_reports_in_the_reference_order(self):
-        # a non-str label with both values out of range and a squared sum
+        # an empty label with both values out of range and a squared sum
         # over 1, and an edge out of range, over 1 and above both bounds
         g = PFGraph(
-            {7: PFDegree(1.5, -0.5), "a": PFDegree(0.5, 0.5), "b": PFDegree(0.8, 0.3)},
+            {"": PFDegree(1.5, -0.5), "a": PFDegree(0.5, 0.5), "b": PFDegree(0.8, 0.3)},
             {("a", "b"): PFDegree(1.2, 1.1)},
         )
         found = [tuple(v) for v in validate(g).violations]
         assert found == [tuple(v) for v in reference_validate(g).violations]
         assert found == [
-            ("bad_vertex_id", "7", "vertex ids must be non-empty strings"),
-            ("bad_vertex_degree", "7", "membership 1.5 outside [0, 1]"),
-            ("bad_vertex_degree", "7", "non-membership -0.5 outside [0, 1]"),
-            ("bad_vertex_degree", "7",
+            ("bad_vertex_id", "''", "vertex ids must be non-empty strings"),
+            ("bad_vertex_degree", "", "membership 1.5 outside [0, 1]"),
+            ("bad_vertex_degree", "", "non-membership -0.5 outside [0, 1]"),
+            ("bad_vertex_degree", "",
              "membership 1.5 and non-membership -0.5 have squared sum > 1"),
             ("bad_edge_degree", "a-b", "membership 1.2 outside [0, 1]"),
             ("bad_edge_degree", "a-b", "non-membership 1.1 outside [0, 1]"),
@@ -245,9 +265,12 @@ class TestValidate:
         assert dangling.violations[-1] == (
             "dangling_edge", f"3-{bits}", f"endpoint(s) {bits} not in the vertex set"
         )
-        # beside a str label, whose order with an int comes from the type name
-        mixed = validate(PFGraph({huge: d, "a": d}, {("a", huge): d}))
-        assert [(v.kind, v.where) for v in mixed.violations] == [("bad_vertex_id", bits)]
+        # beside a str label it is refused at the door, and named there too
+        with pytest.raises(ConstraintViolation) as refused:
+            PFGraph({huge: d, "a": d}, {("a", huge): d})
+        assert str(refused.value) == f"vertex labels cannot be put in a strict order: 'a' and {bits}"
+        with pytest.raises(ConstraintViolation, match="strict order: '<' not supported between"):
+            PFGraph({huge: d, "a": d})
         with pytest.raises(DanglingEdge, match=f"edge 3-{bits} uses undeclared vertex {bits}"):
             find_morphism(PFGraph({3: d}, {(3, huge): d}), PFGraph({3: d}), MorphismKind.HOMOMORPHISM)
 
@@ -428,28 +451,38 @@ class TestPairKey:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             PairKey("a", "a")
+        with pytest.raises(ValueError, match="^self-loop on vertex None is not allowed$"):
+            PairKey(None, None)  # < raises TypeError for None, but this is a self-loop
 
-    def test_canonical_for_partially_ordered_labels(self):
+    def test_partially_ordered_labels_are_refused(self):
         # neither frozenset contains the other, so < is False both ways
         a, b = frozenset({1}), frozenset({2})
-        assert PairKey(a, b) == PairKey(b, a) == (a, b)
+        for u, v in ((a, b), (b, a)):
+            with pytest.raises(ConstraintViolation, match="^vertex labels cannot be put in a strict order: "):
+                PairKey(u, v)
         d, first, later = PFDegree(0.5, 0.5), PFDegree(0.1, 0.2), PFDegree(0.3, 0.4)
-        g = PFGraph({a: d, b: d}, {(a, b): first, (b, a): later})
-        assert list(g.edges.items()) == [(PairKey(a, b), later)]
-        # the later degree wins, as it does for str labels
+        with pytest.raises(ConstraintViolation, match="strict order"):
+            PFGraph({a: d, b: d}, {(a, b): first, (b, a): later})
+        # a key given both ways keeps the later degree
         h = PFGraph({"a": d, "b": d}, {("a", "b"): first, ("b", "a"): later})
         assert list(h.edges.values()) == [later]
 
-    def test_canonical_for_labels_nothing_tells_apart(self):
-        # two NaNs: < is False both ways, and type and repr are the same
+    def test_labels_nothing_tells_apart_are_refused(self):
+        # two NaNs: < is False both ways
         a, b = float("nan"), float("nan")
-        assert PairKey(a, b) == PairKey(b, a)
+        refusal = "^vertex labels cannot be put in a strict order: nan and nan$"
+        with pytest.raises(ConstraintViolation, match=refusal):
+            PairKey(a, b)
         d, first, later = PFDegree(0.5, 0.5), PFDegree(0.1, 0.2), PFDegree(0.3, 0.4)
-        g = PFGraph({a: d, b: d}, {(a, b): first, (b, a): later})
-        assert list(g.edges.values()) == [later]
-        # one NaN object is one label, so a pair of it is a self-loop
-        with pytest.raises(ValueError):
+        with pytest.raises(ConstraintViolation, match="strict order"):
+            PFGraph({a: d, b: d}, {(a, b): first, (b, a): later})
+        with pytest.raises(ConstraintViolation, match=refusal):
+            PFGraph({a: d, b: d})
+        # one NaN object is one label, so a pair of it is a self-loop, and a
+        # lone label needs no order
+        with pytest.raises(ValueError, match="^self-loop on vertex nan is not allowed$"):
             PairKey(a, a)
+        assert list(PFGraph({a: d}).vertices) == [a]
 
     def test_tuple_behaviour(self):
         key = PairKey("b", "a")

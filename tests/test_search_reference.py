@@ -27,7 +27,6 @@ from pfgraph import (
     verify_morphism,
 )
 
-from pfgraph.core import sorted_vertices
 from pfgraph.morphism import _has_perfect_matching, _profile_refined, _vertex_candidates
 from reference_search import find_morphism as reference_find_morphism
 from reference_search import verify_morphism as reference_verify_morphism
@@ -226,12 +225,8 @@ def test_same_checks_on_a_slice_of_the_grid_corpora():
             assert_same_checks(g1, g2, mapping)
 
 
-# a target may mix int and str labels, which ``<`` cannot order
-mixed_label_lists = st.lists(
-    st.one_of(st.text(alphabet="abcd", min_size=1, max_size=2), st.integers(-3, 5)),
-    unique=True,
-    max_size=5,
-)
+# a target may hold int labels, which do not compare with the source's strs
+int_label_lists = st.lists(st.integers(-3, 5), unique=True, max_size=5)
 
 
 
@@ -239,16 +234,13 @@ mixed_label_lists = st.lists(
 def mapped_pairs(draw):
     """Two graphs and a map between them: a witness of some kind, a total
     map (for homomorphism, often not injective) or an injective one."""
-    g1, g2 = draw(st.one_of(graph_pairs(), st.tuples(graphs(), graphs(mixed_label_lists))))
+    g1, g2 = draw(st.one_of(graph_pairs(), st.tuples(graphs(), graphs(int_label_lists))))
     targets = list(g2.vertices)
     if not targets:
         return g1, g2, {}
     how = draw(st.sampled_from(("witness", "total", "injective")))
     if how == "witness":
-        try:
-            witness = find_morphism(g1, g2, draw(st.sampled_from(KINDS))).witness
-        except PFGError:  # mixed target labels cannot be searched
-            witness = None
+        witness = find_morphism(g1, g2, draw(st.sampled_from(KINDS))).witness
         if witness is not None:
             return g1, g2, witness
     if how == "injective" and len(targets) >= len(g1.vertices):
@@ -329,8 +321,8 @@ def test_k8_to_k7_homomorphism_attempts_are_pinned():
 # --- guards on the integer-indexed search -----------------------------------
 
 def test_same_reports_for_a_target_with_a_dangling_edge():
-    """Target pairs are read by label, so an edge to an undeclared vertex,
-    str or int, is never read and never ordered."""
+    """Target pairs are read by label, so an edge to an undeclared vertex is
+    never read, in a target with str labels or with int labels."""
     d, e = PFDegree(0.5, 0.5), PFDegree(0.3, 0.4)
     names = ("a", "b", "c")
     paths = ({}, {("a", "b"): e}, {("a", "b"): e, ("b", "c"): e})
@@ -338,7 +330,7 @@ def test_same_reports_for_a_target_with_a_dangling_edge():
     sources = [PFGraph({v: d for v in names}, edges) for edges in (*paths, triangle)]
     targets = [
         PFGraph({v: d for v in ("x", "y", "z")}, {("x", "y"): e, ("y", "z"): e, ("x", "w"): e}),
-        PFGraph({v: d for v in ("x", "y", "z")}, {("x", "y"): e, ("z", 7): e}),
+        PFGraph({v: d for v in (1, 2, 3)}, {(1, 2): e, (3, 7): e}),
         PFGraph({v: d for v in ("x", "y", "z", "zz")}, {("w", "x"): e, ("x", "zz"): e, ("y", "z"): e}),
     ]
     for g1, g2 in itertools.product(sources, targets):
@@ -586,7 +578,7 @@ def test_path_plus_two_against_path_plus_one_makes_no_attempt():
     g1 = _uniform("abcde", [("a", "b"), ("b", "c")])
     g2 = _uniform("vwxyz", [("v", "w"), ("w", "x"), ("x", "y")])
     eps = tolerance()
-    sources, targets = sorted_vertices(g1), sorted_vertices(g2)
+    sources, targets = sorted(g1.vertices.items()), sorted(g2.vertices.items())
     candidates = _vertex_candidates(sources, targets, True, eps)
     refined = _profile_refined(candidates, g1, sources, g2, targets, eps)
     assert refined == [[0, 3], [1, 2], [0, 3], [4], [4]]

@@ -1,13 +1,19 @@
-"""One value rule at the door: what ``PFGraph(...)`` holds, and every pass on it.
+"""The value and label rules at the door: what ``PFGraph(...)`` holds, and every pass on it.
 
 The checking constructor refuses four kinds of degree with
 ConstraintViolation: one that is not a (mu, nu) pair, one with a bool
 component, one with a component that is neither an int nor a float, and one
-with an int that ``float()`` cannot convert.  Everything else stays as given,
-and every public pass on a graph it accepts answers or raises a PFGError.
+with an int that ``float()`` cannot convert.  It also refuses labels (vertex
+labels and edge endpoints together) that ``<`` cannot put in a strict order,
+and ``union`` and ``join`` refuse them in their combined labels.  Everything
+else stays as given, and every public pass on a graph it accepts answers or
+raises a PFGError; one that renders it writes a document that reads back to
+the same graph.
 """
 
+import itertools
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -16,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from pfgraph import (
     ConstraintViolation,
+    JoinOverlap,
+    LabelClash,
     MorphismKind,
     PFDegree,
     PFGError,
@@ -33,17 +41,19 @@ from pfgraph import (
     hesitation,
     is_self_complementary,
     join,
+    parse,
     render,
     strong_complement,
     strong_sum_identity,
     sum_identity,
     to_dot,
     union,
+    UnknownVertex,
     validate,
     verify_morphism,
 )
 from pfgraph.classify import SELF_COMPLEMENT_VARIANTS
-from pfgraph.core import _FLOAT_INT_LIMIT, sorted_labels
+from pfgraph.core import _FLOAT_INT_LIMIT
 
 D = PFDegree(0.5, 0.5)
 
@@ -201,7 +211,7 @@ def test_constructor_refuses_exactly_the_four_kinds(vertex, edge):
                 PFGraph(vertices, edges)
 
 
-NAN_LABEL = float("nan")
+HUGE = 10**5000  # past CPython's default int-string limit: repr and str raise for it
 # every value the constructor accepts, the ends of float range included
 ACCEPTED = st.one_of(
     st.floats(),
@@ -212,26 +222,76 @@ ACCEPTED = st.one_of(
     ),
 )
 IN_RANGE = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 1.0, 0, 1]))
-LABELS = ["a", "b", "c", "d", "e", "", "\ud800", "x(y", 1, 2.5, NAN_LABEL]
+# label pools: plain strs; odd strs (empty, a lone surrogate, one products
+# cannot compose); numbers with NaN (two objects) and an int past the
+# int-string limit; tuples, some holding that int; frozensets, some of which
+# neither contains the other; and one of each kind
+LABEL_POOLS = [
+    ["a", "b", "c", "d", "e"],
+    ["a", "b", "", "\ud800", "x(y"],
+    [1, 2, -3, 2.5, HUGE, float("nan"), float("nan")],
+    [("x", 1), ("x", 2), ("y", HUGE), ("x", HUGE), ("y",)],
+    [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})],
+    ["a", 1, 2.5, float("nan"), ("x", HUGE), frozenset({1})],
+]
+
+
+def labels_of(vertices, edges) -> set:
+    return {*vertices, *(label for key in edges for label in key)}
+
+
+def in_strict_order(labels) -> bool:
+    """The label rule, written from its statement: ``<`` orders every two
+    distinct labels one way."""
+    try:
+        return all(a < b or b < a for a, b in itertools.combinations(labels, 2))
+    except TypeError:
+        return False
+
+
+def accepted_labels(vertices, edges) -> bool:
+    """Whether ``PFGraph(vertices, edges)`` passes the label rule: the two
+    labels of every edge key given are ordered, and so are the graph's own
+    labels, its vertex labels and the endpoints of the edges it keeps (an
+    exactly (0, 0) edge is no edge)."""
+    kept = [key for key, degree in edges.items() if degree != (0.0, 0.0)]
+    return all(map(in_strict_order, edges)) and in_strict_order(labels_of(vertices, kept))
 
 
 @st.composite
-def accepted_graphs(draw):
-    """A graph the constructor accepts: in half of them every value lies in
-    [0, 1], and labels are mostly plain strs, with an odd one (empty, a lone
-    surrogate, one products cannot compose, an int, a float, NaN) now and
-    then; edges may dangle."""
+def graph_specs(draw):
+    """(vertices, edges) for ``PFGraph(...)``: in half of them every value
+    lies in [0, 1], labels come from one pool, mostly the plain strs, and
+    edges may dangle."""
     values = draw(st.sampled_from([IN_RANGE, ACCEPTED]))
-    pool = LABELS[:5] if draw(st.booleans()) else LABELS
+    pool = LABEL_POOLS[0] if draw(st.booleans()) else draw(st.sampled_from(LABEL_POOLS))
     chosen = draw(st.lists(st.sampled_from(range(len(pool))), unique=True, max_size=5))
     declared = chosen if draw(st.integers(0, 3)) else chosen[:-1]  # the last one may only be an endpoint
     pairs = [(i, j) for i in chosen for j in chosen if i < j]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6)) if pairs else []
     degree = st.builds(PFDegree, values, values)
-    return PFGraph(
+    return (
         {pool[i]: draw(degree) for i in declared},
         {(pool[i], pool[j]): draw(degree) for i, j in edges},
     )
+
+
+@settings(max_examples=300)
+@given(graph_specs())
+def test_constructor_refuses_exactly_the_labels_lt_cannot_order(spec):
+    vertices, edges = spec
+    if accepted_labels(vertices, edges):
+        g = PFGraph(vertices, edges)
+        assert list(g.vertices) == list(vertices)
+    else:
+        with pytest.raises(ConstraintViolation, match="^vertex labels cannot be put in a strict order: "):
+            PFGraph(vertices, edges)
+
+
+def accepted_graphs():
+    """A graph the constructor accepts, from :func:`graph_specs`."""
+    specs = graph_specs().filter(lambda spec: accepted_labels(*spec))
+    return specs.map(lambda spec: PFGraph(*spec))
 
 
 def quietly(call, *args, **kwargs):
@@ -242,33 +302,42 @@ def quietly(call, *args, **kwargs):
         return None
 
 
-@settings(deadline=None, max_examples=150)
+@settings(deadline=None, max_examples=200)
 @given(accepted_graphs(), accepted_graphs())
 def test_every_public_pass_raises_nothing_but_pfg_errors(g, h):
-    disjoint = PFGraph(
-        {("j", v): d for v, d in h.vertices.items()},
-        {(("j", u), ("j", v)): d for (u, v), d in h.edges.items()},
+    # h without g's vertices (and the edges on them), so that join has no overlap
+    apart = PFGraph(
+        {v: d for v, d in h.vertices.items() if v not in g.vertices},
+        {key: d for key, d in h.edges.items() if not any(v in g.vertices for v in key)},
     )
-    mapping = dict(zip(sorted_labels(g.vertices), sorted_labels(h.vertices)))
+    mapping = dict(zip(sorted(g.vertices), sorted(h.vertices)))
     built = [
         quietly(complement, g),
         quietly(strong_complement, g),
         quietly(strong_complement, g, force=True),
         quietly(complete_complement, g),
         quietly(complete_complement, g, force=True),
-        quietly(union, g, h),
-        quietly(join, g, disjoint),
         quietly(cartesian_product, g, h),
         quietly(composition, g, h),
         quietly(half_strong_construction, g.vertices),
     ]
+    for combine, other in ((union, h), (join, apart)):
+        # union and join apply the label rule to the two graphs' labels together
+        if in_strict_order(labels_of(g.vertices, g.edges) | labels_of(other.vertices, other.edges)):
+            built.append(quietly(combine, g, other))
+        else:
+            with pytest.raises(ConstraintViolation, match="^vertex labels cannot be put in a strict order: "):
+                combine(g, other)
     for result in filter(None, built):
-        # no builder makes a degree the constructor would refuse
+        # no builder makes a graph the constructor would refuse
         assert PFGraph(result.vertices, result.edges) == result
         for write in (validate, render, to_dot):
             quietly(write, result)
-    for call in (validate, classify, sum_identity, strong_sum_identity, render, to_dot):
+    for call in (validate, classify, sum_identity, strong_sum_identity, to_dot):
         quietly(call, g)
+    text = quietly(render, g)
+    if text is not None:
+        assert parse(text, check=False) == g
     quietly(graphs_close, g, h)
     quietly(graphs_close, g, g)
     for kind in MorphismKind:
@@ -281,6 +350,52 @@ def test_every_public_pass_raises_nothing_but_pfg_errors(g, h):
         degrees_close(a, b)
     for d in degrees:
         quietly(hesitation, d)
+
+
+INT_STRING_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+PAST = 10**INT_STRING_LIMIT if INT_STRING_LIMIT else 0  # one digit past the limit
+HOMO = MorphismKind.HOMOMORPHISM
+SELF_LOOP = "self-loop on vertex {} is not allowed"
+
+
+def first_violation(g1, g2, mapping) -> str:
+    return verify_morphism(g1, g2, HOMO, mapping).violations[0]
+
+
+@pytest.mark.skipif(not INT_STRING_LIMIT, reason="this interpreter has no int-string limit")
+@pytest.mark.parametrize(
+    "call, raises, message",
+    [
+        (lambda: cartesian_product(PFGraph({PAST: D}), PFGraph({"a": D})), LabelClash,
+         "vertex label {} is not a string and cannot be composed into a product label"),
+        (lambda: composition(PFGraph({"a": D}), PFGraph({PAST: D})), LabelClash,
+         "vertex label {} is not a string and cannot be composed into a product label"),
+        (lambda: join(PFGraph({PAST: D}), PFGraph({PAST: D})), JoinOverlap,
+         "join requires disjoint vertex sets; shared: [{}]"),
+        (lambda: first_violation(PFGraph({PAST: (0.9, 0.1)}), PFGraph({PAST: (0.1, 0.9)}), {PAST: PAST}),
+         None, "vertex condition fails at {0} -> {0}"),
+        (lambda: first_violation(PFGraph({PAST: D, 3: D}, {(PAST, 3): (0.2, 0.3)}), PFGraph({PAST: D, 3: D}),
+                                 {PAST: PAST, 3: 3}),
+         None, "edge condition fails at pair 3-{0} -> 3-{0}"),
+        (lambda: verify_morphism(PFGraph({"a": D}), PFGraph({"b": D}), HOMO, {"a": PAST}), UnknownVertex,
+         "mapping values not in the target graph: [{}]"),
+        (lambda: PFGraph({PAST: D}, {(PAST, PAST): D}), ValueError, SELF_LOOP),
+        (lambda: PFGraph({PAST: D}).edge_degree(PAST, PAST), ValueError, SELF_LOOP),
+        (lambda: PFGraph({PAST: D}).has_edge(PAST, PAST), ValueError, SELF_LOOP),
+        (lambda: PFGraph({PAST: D}).pair_bound(PAST, PAST), ValueError, SELF_LOOP),
+    ],
+    ids=["cartesian_product", "composition", "join-overlap", "verify-vertex", "verify-edge",
+         "verify-unknown", "self-loop", "edge_degree", "has_edge", "pair_bound"],
+)
+def test_labels_past_the_int_string_limit_are_named_by_their_bit_length(call, raises, message):
+    # formatting such a label with repr or str raises a bare ValueError
+    expected = message.format(f"<int of {PAST.bit_length()} bits>")
+    if raises is None:
+        assert call() == expected
+    else:
+        with pytest.raises(raises) as raised:
+            call()
+        assert str(raised.value) == expected
 
 
 class TestDegreesClose:

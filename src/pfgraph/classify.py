@@ -210,8 +210,11 @@ def is_self_complementary(
     ``variant`` picks the complement flavor: "general" works on any valid
     graph, "strong" and "complete" require the graph to classify
     accordingly (raising NotStrong/NotComplete otherwise).  The returned
-    report carries the witness bijection when one exists.
+    report carries the witness bijection when one exists.  A ``g`` that is
+    not a PFGraph raises TypeError.
     """
+    if not isinstance(g, PFGraph):
+        raise TypeError(f"g must be a PFGraph, not {type(g).__name__}")
     try:
         complement_of = _COMPLEMENTS[variant]
     except (KeyError, TypeError):  # TypeError: an unhashable variant

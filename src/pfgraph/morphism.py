@@ -28,7 +28,20 @@ does two more things before the search:
   0), match elementwise within eps.  An isomorphism matches every pair
   within eps, so it matches each vertex's incident values to its image's,
   and two lists matched that way still match position by position once
-  both are sorted.
+  both are sorted.  Target vertices are grouped by exact profile tuple.
+  When the values a profile can hold (0.0 for an absent pair, and every
+  edge mu and nu of both graphs) are free of NaN and infinities and
+  pairwise more than eps apart, "within eps at every position" is tuple
+  equality, and each source takes its class from one dict lookup.  One
+  sort of the distinct values decides that: every adjacent gap must be
+  above eps and finite.  No gap between two sorted values is smaller
+  than a gap between adjacent values inside it, because rounding is
+  monotone (a larger exact difference never rounds to a smaller float),
+  so checking the adjacent gaps checks every pair.  A NaN fails the check
+  (0.0 is always there as a neighbour to fail with), and so does an
+  infinity, which equals itself as a key but is not within eps of itself.
+  Otherwise each distinct source profile is compared with each target
+  class, position by position.
 - It looks for a perfect matching of sources to distinct candidate targets
   (Hall's condition, by augmenting paths), and answers not-found after 0
   attempts when there is none.  Every isomorphism is such a matching.
@@ -46,11 +59,13 @@ Depth i has a check row of (p, mu, nu) for the earlier sources p that it
 is tested against, built the first time the search enters the depth:
 every earlier source under isomorphism, an absent edge read as (0, 0),
 and only the ends of source edges under the other kinds.  A target pair's
-degree is read from ``edges`` at most once per call, in either
-orientation, without ordering the two labels.  It is kept in a row per
-assigned target, allocated on first use and filled cell by cell, and a
-cell still empty in one row is looked up in its mirror before the graph;
-so per-call set-up grows with the target's size, not its square.
+degree is read from ``edges`` at most once per call, by one lookup of its
+two labels in ``<`` order, which the label rule guarantees; a collapsed
+pair (a, a), which only a homomorphism can meet, is never a key and
+reads as (0, 0).  It is kept in a row per assigned target, allocated on
+first use and filled cell by cell, and a cell still empty in one row is
+looked up in its mirror before the graph; so per-call set-up grows with
+the target's size, not its square.
 
 Each call reads the kind's vertex relation and edge relation once, as two
 booleans (equality within eps, or s maps into t).  A pair check compares
@@ -79,7 +94,8 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
-from itertools import repeat
+from itertools import chain, repeat
+from math import inf
 from operator import le, sub
 from typing import NamedTuple, Optional
 
@@ -135,6 +151,14 @@ class MorphismCheck(NamedTuple):
     violations: tuple[str, ...]
 
 
+def _type_error(name: str, value, cls: type) -> TypeError:
+    """The error for an argument that is not an instance of ``cls``: it
+    names the parameter, the type expected and the type received.  Callers
+    test with inline ``isinstance`` calls, the cheapest form on every call."""
+    article = "an" if cls.__name__[0] in "aeiou" else "a"
+    return TypeError(f"{name} must be {article} {cls.__name__}, not {type(value).__name__}")
+
+
 def find_morphism(
     g1: PFGraph,
     g2: PFGraph,
@@ -156,10 +180,17 @@ def find_morphism(
     witness are those of the unfiltered search, and ``search_space`` can
     only be smaller.  A source left with no candidate, or lists with no
     matching, answer not-found after 0 attempts.  A ``kind`` that is not a
-    MorphismKind raises TypeError.
+    MorphismKind, a graph that is not a PFGraph or a ``cap`` that is not an
+    int raises TypeError naming the parameter.
     """
     if not isinstance(kind, MorphismKind):
-        raise TypeError(f"kind must be a MorphismKind, not {type(kind).__name__}")
+        raise _type_error("kind", kind, MorphismKind)
+    if not isinstance(g1, PFGraph):
+        raise _type_error("g1", g1, PFGraph)
+    if not isinstance(g2, PFGraph):
+        raise _type_error("g2", g2, PFGraph)
+    if not isinstance(cap, int):
+        raise _type_error("cap", cap, int)
     n1 = len(g1.vertices)
     if n1 > cap:
         raise SearchCapExceeded(
@@ -225,8 +256,8 @@ def find_morphism(
                     t = None if mirror is None else mirror[x]
                     if t is None:
                         a, b = targets[x][0], targets[v][0]
-                        # a stored degree is a non-empty tuple; a collapsed pair is never a key
-                        t = target_edge((a, b)) or target_edge((b, a), ZERO_DEGREE)
+                        # a collapsed pair (a, a), a homomorphism's, is never a key
+                        t = target_edge((a, b) if a < b else (b, a), ZERO_DEGREE)
                         if not edge_equality:  # maps-into: the cell holds the bounds
                             tmu, tnu = t
                             t = (tmu + eps, tnu - eps)
@@ -315,23 +346,39 @@ def _profile_refined(candidates, g1, sources, g2, targets, eps) -> list[list[int
     """The candidate lists without the targets whose degree profile differs
     from their source's by more than eps at some position (sound, as the
     module docstring shows); NaN matches nothing, as in the search's pair
-    check.  Each distinct source profile is compared once with each
-    distinct target profile, in one C-level chain, and vertices with equal
-    profiles share the verdict."""
+    check.  When the values a profile can hold are finite and pairwise more
+    than eps apart, that relation is tuple equality: each source takes the
+    targets whose profile equals its own from one dict lookup, and a source
+    whose list holds every target takes that class list itself.  Otherwise
+    each distinct source profile is compared once with each distinct
+    target profile, in one C-level chain, and vertices with equal profiles
+    share the verdict."""
     by_profile: dict[tuple, list[int]] = {}
     for j, q in enumerate(_incident_profiles(g2, targets)):
         by_profile.setdefault(q, []).append(j)
+    # the module docstring has the argument; 0.0 gives a NaN a neighbour
+    values = {0.0}
+    values.update(chain.from_iterable(g1.edges.values()), chain.from_iterable(g2.edges.values()))
+    values = sorted(values)
+    exact = all(eps < b - a < inf for a, b in zip(values, values[1:]))
+    n2 = len(targets)
     classes = by_profile.items()
     within = repeat(eps)
     fits: dict[tuple, set[int]] = {}
     refined = []
     for c, p in zip(candidates, _incident_profiles(g1, sources)):
-        fit = fits.get(p)
-        if fit is None:
-            fit = fits[p] = set()
-            for q, js in classes:
-                if all(map(le, map(abs, map(sub, p, q)), within)):
-                    fit.update(js)
+        if exact:
+            fit = by_profile.get(p, [])
+            if len(c) == n2:
+                refined.append(fit)
+                continue
+        else:
+            fit = fits.get(p)
+            if fit is None:
+                fit = fits[p] = set()
+                for q, js in classes:
+                    if all(map(le, map(abs, map(sub, p, q)), within)):
+                        fit.update(js)
         refined.append([j for j in c if j in fit])
     return refined
 
@@ -385,13 +432,17 @@ def verify_morphism(
     The mapping must be total on g1's vertices and stay inside g2's;
     anything else raises UnknownVertex.  Condition failures are returned
     as violations, one entry per failing vertex or pair.  A ``kind`` that
-    is not a MorphismKind, or a ``mapping`` that is not a Mapping, raises
-    TypeError.
+    is not a MorphismKind, a ``mapping`` that is not a Mapping or a graph
+    that is not a PFGraph raises TypeError naming the parameter.
     """
     if not isinstance(kind, MorphismKind):
-        raise TypeError(f"kind must be a MorphismKind, not {type(kind).__name__}")
+        raise _type_error("kind", kind, MorphismKind)
     if not isinstance(mapping, Mapping):
-        raise TypeError(f"mapping must be a Mapping, not {type(mapping).__name__}")
+        raise _type_error("mapping", mapping, Mapping)
+    if not isinstance(g1, PFGraph):
+        raise _type_error("g1", g1, PFGraph)
+    if not isinstance(g2, PFGraph):
+        raise _type_error("g2", g2, PFGraph)
     for message, labels, known in (
         ("mapping keys not in the source graph", mapping, g1.vertices),
         ("mapping values not in the target graph", mapping.values(), g2.vertices),
@@ -438,6 +489,8 @@ def verify_morphism(
         checked = ((*key, g1.edges[key]) for key in sorted_edges(g1))
     for u, w, (smu, snu) in checked:
         tu, tw = mapping[u], mapping[w]
+        # the caller's values, which need only equal the target's labels (1 + 0j
+        # for 1) and so need not order as they do: either orientation, unordered
         tmu, tnu = target_edge((tu, tw)) or target_edge((tw, tu), ZERO_DEGREE)
         if not (
             abs(smu - tmu) <= eps and abs(snu - tnu) <= eps

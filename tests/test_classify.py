@@ -236,6 +236,13 @@ class TestSelfComplementarity:
             is_self_complementary(g, cap=1)
         assert is_self_complementary(g, cap=2).found
 
+    def test_graph_that_is_not_a_pfgraph_raises_type_error(self):
+        # a dict of degrees used to reach the complement as a bare AttributeError
+        with pytest.raises(TypeError, match=r"^g must be a PFGraph, not dict$"):
+            is_self_complementary({"a": PFDegree(0.5, 0.5)})
+        with pytest.raises(TypeError, match=r"^cap must be an int, not str$"):
+            is_self_complementary(build({"a": (0.5, 0.5)}), cap="9")
+
     @pytest.mark.parametrize("variant", ["sideways", None, ["general"]], ids=repr)
     def test_unknown_variant_rejected(self, square_cycle, variant):
         # an unhashable variant is unknown too

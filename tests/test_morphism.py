@@ -159,6 +159,20 @@ class TestFindMorphism:
             with pytest.raises(TypeError, match=r"^kind must be a MorphismKind, not str$"):
                 find_morphism(source, source, "isomorphism")
 
+    def test_graph_and_cap_types_are_checked(self):
+        # each used to fail deeper down, as a bare AttributeError or TypeError
+        g = build({"a": (0.5, 0.5)})
+        cases = [
+            ((g, {"a": PFDegree(0.5, 0.5)}, ISO), r"^g2 must be a PFGraph, not dict$"),
+            (({"a": PFDegree(0.5, 0.5)}, g, HOMO), r"^g1 must be a PFGraph, not dict$"),
+            ((g, None, WEAK), r"^g2 must be a PFGraph, not NoneType$"),
+            ((g, g, ISO, "9"), r"^cap must be an int, not str$"),
+            ((g, g, HOMO, 9.0), r"^cap must be an int, not float$"),
+        ]
+        for args, message in cases:
+            with pytest.raises(TypeError, match=message):
+                find_morphism(*args)
+
     def test_least_witness_returned(self):
         g1 = build({"a": (0.5, 0.5), "b": (0.5, 0.5)})
         g2 = build({"x": (0.5, 0.5), "y": (0.5, 0.5)})
@@ -258,6 +272,25 @@ class TestVerifyMorphism:
         g = build({"a": (0.5, 0.5)})
         with pytest.raises(TypeError, match=message):
             verify_morphism(g, g, kind, mapping)
+
+    def test_mapping_values_only_equal_to_target_labels_are_read_without_ordering(self):
+        # 1 + 0j is in a graph whose label is 1, but does not order beside 2
+        d = PFDegree(0.5, 0.5)
+        g = PFGraph(dict.fromkeys((1, 2, 3), d), {(1, 2): d})
+        assert verify_morphism(g, g, ISO, {1: 2 + 0j, 2: 1 + 0j, 3: 3}).ok
+        check = verify_morphism(g, g, ISO, {1: 1 + 0j, 2: 3, 3: 2 + 0j})
+        assert check.violations == (
+            "edge condition fails at pair 1-2 -> (1+0j)-3",
+            "edge condition fails at pair 1-3 -> (1+0j)-(2+0j)",
+        )
+
+    def test_graph_types_are_checked(self):
+        # each used to fail as a bare AttributeError
+        g = build({"a": (0.5, 0.5)})
+        with pytest.raises(TypeError, match=r"^g2 must be a PFGraph, not NoneType$"):
+            verify_morphism(g, None, ISO, {"a": "a"})
+        with pytest.raises(TypeError, match=r"^g1 must be a PFGraph, not dict$"):
+            verify_morphism({"a": PFDegree(0.5, 0.5)}, g, HOMO, {"a": "a"})
 
     def test_dangling_edge_raises(self):
         g = PFGraph({"a": PFDegree(0.5, 0.5)}, {("a", "z"): PFDegree(0.2, 0.3)})

@@ -16,7 +16,6 @@ positive component and raise absent components to the bound.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable
 
 from .core import (
@@ -25,7 +24,7 @@ from .core import (
     PairKey,
     ZERO_DEGREE,
     _require_label_order,
-    dangling_edge,
+    _type_error,
     degree_max_min,
     degree_min_max,
     gc_paused,
@@ -42,10 +41,10 @@ def compose_label(left: str, right: str) -> str:
 
 
 def _require_composable(graphs: Iterable[PFGraph]) -> None:
-    # a dangling edge's undeclared endpoint is composed as well, so it is checked
-    # too: then no two composed labels coincide and no composed key is a self-loop
+    # str labels free of '(', ')' and ',': no two composed labels coincide and
+    # no composed key is a self-loop
     for g in graphs:
-        for label in chain(g.vertices, *g.edges):
+        for label in g.vertices:
             if not isinstance(label, str):
                 raise LabelClash(
                     f"vertex label {safe_repr(label)} is not a string and cannot be composed "
@@ -59,13 +58,9 @@ def _require_composable(graphs: Iterable[PFGraph]) -> None:
 
 
 def _label_table(g1: PFGraph, g2: PFGraph) -> dict[str, dict[str, str]]:
-    """table[a][b] is compose_label(a, b), each built once.
-
-    a ranges over g1's labels and b over g2's, each with the endpoints of
-    its graph's edges, so a dangling edge composes as a declared one does.
-    """
-    seconds = set(chain(g2.vertices, *g2.edges))
-    return {a: {b: compose_label(a, b) for b in seconds} for a in set(chain(g1.vertices, *g1.edges))}
+    """table[a][b] is compose_label(a, b), each built once, for a a label of g1
+    and b a label of g2."""
+    return {a: {b: compose_label(a, b) for b in g2.vertices} for a in g1.vertices}
 
 
 def _product(g1: PFGraph, g2: PFGraph, table: dict[str, dict[str, str]]) -> tuple[dict, dict]:
@@ -104,6 +99,10 @@ def _product(g1: PFGraph, g2: PFGraph, table: dict[str, dict[str, str]]) -> tupl
 @gc_paused
 def cartesian_product(g1: PFGraph, g2: PFGraph) -> PFGraph:
     """Cartesian product: grid of both graphs with min/max combined degrees."""
+    if not isinstance(g1, PFGraph):
+        raise _type_error("g1", g1, PFGraph)
+    if not isinstance(g2, PFGraph):
+        raise _type_error("g2", g2, PFGraph)
     _require_composable((g1, g2))
     return PFGraph._adopt(*_product(g1, g2, _label_table(g1, g2)))
 
@@ -116,6 +115,10 @@ def composition(g1: PFGraph, g2: PFGraph) -> PFGraph:
     for every edge u1v1 of g1 and every pair of distinct g2 vertices,
     degree-limited by both g2 endpoints and the g1 edge.  Not commutative.
     """
+    if not isinstance(g1, PFGraph):
+        raise _type_error("g1", g1, PFGraph)
+    if not isinstance(g2, PFGraph):
+        raise _type_error("g2", g2, PFGraph)
     _require_composable((g1, g2))
     table = _label_table(g1, g2)
     vertices, edges = _product(g1, g2, table)
@@ -174,8 +177,12 @@ def union(g1: PFGraph, g2: PFGraph) -> PFGraph:
     the result when the vertex sets overlap.  Labels that break the label
     rule together raise ConstraintViolation, as in ``PFGraph(...)``.
     """
+    if not isinstance(g1, PFGraph):
+        raise _type_error("g1", g1, PFGraph)
+    if not isinstance(g2, PFGraph):
+        raise _type_error("g2", g2, PFGraph)
     vertices, edges = _union_maps(g1, g2)
-    _require_label_order(vertices, edges)
+    _require_label_order(vertices)
     return PFGraph._adopt(vertices, edges)
 
 
@@ -188,12 +195,16 @@ def join(g1: PFGraph, g2: PFGraph) -> PFGraph:
     out as exactly (0, 0) is no edge and is left out.  Labels that break
     the label rule together raise ConstraintViolation, as in ``union``.
     """
+    if not isinstance(g1, PFGraph):
+        raise _type_error("g1", g1, PFGraph)
+    if not isinstance(g2, PFGraph):
+        raise _type_error("g2", g2, PFGraph)
     overlap = set(g1.vertices) & set(g2.vertices)
     if overlap:  # a subset of g1's labels, which the label rule orders
         shared = ", ".join(map(safe_repr, sorted(overlap)))
         raise JoinOverlap(f"join requires disjoint vertex sets; shared: [{shared}]")
     vertices, edges = _union_maps(g1, g2)
-    _require_label_order(vertices, edges)
+    _require_label_order(vertices)
     for u, du in g1.vertices.items():
         for v, dv in g2.vertices.items():
             degree = degree_min_max(du, dv)
@@ -223,8 +234,7 @@ def _keys_by_row(g: PFGraph) -> dict:
     """{lo: {hi: key}} over g's edges, each key g's own object.
 
     A pair (u, v) of the pair scan finds its edge key as ``rows[u][v]``, by
-    two lookups of labels, whose hashes are cached for str; a dangling
-    edge's key is never found, since one of its labels is no row or column.
+    two lookups of labels, whose hashes are cached for str.
     """
     rows: dict = {}
     for key in g.edges:
@@ -239,6 +249,8 @@ def _keys_by_row(g: PFGraph) -> dict:
 @gc_paused
 def complement(g: PFGraph) -> PFGraph:
     """General complement over all vertex pairs; an involution on valid graphs."""
+    if not isinstance(g, PFGraph):
+        raise _type_error("g", g, PFGraph)
     eps = tolerance()
     new = tuple.__new__
     degree_of = g.edges.__getitem__
@@ -298,18 +310,16 @@ def _zero_or_bound_complement(g: PFGraph) -> PFGraph:
 def strong_complement(g: PFGraph, force: bool = False) -> PFGraph:
     """Complement for strong graphs: positive components zeroed, absent ones raised.
 
-    Requires the input to be strong unless ``force`` is set.  The check
-    walks the edges in order: a dangling edge raises DanglingEdge and an
-    edge off its bound raises NotStrong, whichever comes first.
+    Requires the input to be strong unless ``force`` is set: an edge off
+    its bound raises NotStrong.
     """
+    if not isinstance(g, PFGraph):
+        raise _type_error("g", g, PFGraph)
     if not force:
         eps = tolerance()
-        get = g.vertices.get
+        vertices = g.vertices
         for (lo, hi), (mu, nu) in g.edges.items():
-            a, b = get(lo), get(hi)
-            if a is None or b is None:
-                raise dangling_edge(lo, hi, g.vertices)
-            (amu, anu), (bmu, bnu) = a, b
+            (amu, anu), (bmu, bnu) = vertices[lo], vertices[hi]
             bound_mu = bmu if bmu < amu else amu  # degree_min_max's tie rule: lo's value wins
             bound_nu = bnu if bnu > anu else anu
             if not (abs(mu - bound_mu) <= eps and abs(nu - bound_nu) <= eps):
@@ -320,6 +330,8 @@ def strong_complement(g: PFGraph, force: bool = False) -> PFGraph:
 @gc_paused
 def complete_complement(g: PFGraph, force: bool = False) -> PFGraph:
     """Complement for complete graphs; for a genuinely complete input it is edgeless."""
+    if not isinstance(g, PFGraph):
+        raise _type_error("g", g, PFGraph)
     eps = tolerance()
     complete = force or all(
         abs(mu - bmu) <= eps and abs(nu - bnu) <= eps

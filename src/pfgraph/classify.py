@@ -23,6 +23,7 @@ from .core import (
     PFGraph,
     PairKey,
     ZERO_DEGREE,
+    _type_error,
     gc_paused,
     tolerance,
 )
@@ -45,6 +46,8 @@ class Classification(NamedTuple):
 
 
 def classify(g: PFGraph) -> Classification:
+    if not isinstance(g, PFGraph):
+        raise _type_error("g", g, PFGraph)
     eps = tolerance()
     # witnesses keep the strength flags ahead of the completeness flags
     strength: dict[str, tuple[str, str]] = {}
@@ -110,22 +113,17 @@ def _walk_strength_witnesses(g: PFGraph, eps: float, strength: dict) -> None:
     edge key, by one walk over the edges in any order.
 
     Every edge below the key where the pair scan stopped has been tested,
-    so a failing edge found here lies past it; a dangling edge is no pair
-    of the scan and is skipped.  A witness names the vertex label objects,
-    as the scan does, and two found here are added in key order, mu first
-    on a tie, as the scan would have found them.
+    so a failing edge found here lies past it.  A witness names the vertex
+    label objects, as the scan does, and two found here are added in key
+    order, mu first on a tie, as the scan would have found them.
     """
     vertices = g.vertices
-    get = vertices.get
     test_mu = "is_mu_strong" not in strength
     test_nu = "is_nu_strong" not in strength
     least_mu = least_nu = None
     for key, (mu, nu) in g.edges.items():
         lo, hi = key
-        a, b = get(lo), get(hi)
-        if a is None or b is None:
-            continue
-        (amu, anu), (bmu, bnu) = a, b
+        (amu, anu), (bmu, bnu) = vertices[lo], vertices[hi]
         bound_mu = bmu if bmu < amu else amu  # degree_min_max's tie rule: lo's value wins
         bound_nu = bnu if bnu > anu else anu
         if test_mu and not abs(mu - bound_mu) <= eps and (least_mu is None or key < least_mu):
@@ -184,11 +182,15 @@ def sum_identity(g: PFGraph) -> SumIdentityReport:
     Every graph isomorphic to its general complement satisfies both
     equalities; the converse does not hold.
     """
+    if not isinstance(g, PFGraph):
+        raise _type_error("g", g, PFGraph)
     return _sum_report(g, 0.5)
 
 
 def strong_sum_identity(g: PFGraph) -> SumIdentityReport:
     """Edge-degree totals against the full pair-bound totals (no half factor)."""
+    if not isinstance(g, PFGraph):
+        raise _type_error("g", g, PFGraph)
     return _sum_report(g, 1.0)
 
 
@@ -214,7 +216,7 @@ def is_self_complementary(
     not a PFGraph raises TypeError.
     """
     if not isinstance(g, PFGraph):
-        raise TypeError(f"g must be a PFGraph, not {type(g).__name__}")
+        raise _type_error("g", g, PFGraph)
     try:
         complement_of = _COMPLEMENTS[variant]
     except (KeyError, TypeError):  # TypeError: an unhashable variant

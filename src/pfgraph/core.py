@@ -20,12 +20,6 @@ Design choices baked into this module:
   structural; self-loops, and pairs that ``<`` orders neither way, are
   rejected at key construction.  PairKey and :class:`PFDegree` (mu, nu)
   are tuples and compare, hash and sort as such.
-- A dangling edge names an undeclared vertex.  One rule covers it:
-  :func:`validate` reports it, the passes over all pairs skip it, the
-  products, ``union`` and ``join`` carry it, :func:`graphs_close` compares
-  it, and every pass that walks the edge list raises DanglingEdge through
-  :func:`require_endpoints`, for the first such edge in insertion order,
-  with the message that :func:`dangling_edge` writes.
 - An edge whose degree is exactly (0, 0) means "no edge" and is removed
   when the graph is built.  ``PFGraph(...)`` is the checking constructor:
   it copies both maps, makes every key a canonical PairKey and every degree
@@ -59,8 +53,8 @@ Design choices baked into this module:
   collection, so the passes reuse the objects a graph already holds: they
   read the stored degrees, ``complement``, the one pass that keeps
   edge pairs' keys, finds each stored key by one lookup of a label in a
-  per-row map of the keys, and :func:`sorted_edges` returns the bare keys,
-  whose degrees the writers read from the map.  The
+  per-row map of the keys, and the writers sort the bare keys and read
+  each degree from the map.  The
   builders that keep such objects in bulk (the complements, the products,
   ``union``, ``join``, ``parse``, ``generate`` and
   ``half_strong_construction``) are wrapped in :func:`gc_paused`: while one
@@ -71,8 +65,8 @@ Design choices baked into this module:
   thread's ``gc.enable`` or ``gc.disable`` during a paused call is not
   seen: the call enables the GC as it returns either way.
 - Every pass that sorts vertex labels or edge keys sorts them by plain
-  ``<``: the label rule below guarantees a strict order, so no sort can
-  raise TypeError or come out in a silently wrong order.
+  ``<``: the endpoint and label rules below guarantee a strict order, so no
+  sort can raise TypeError or come out in a silently wrong order.
 - Values are immutable after construction.  Operations elsewhere in the
   package return new graphs and never mutate their inputs.  Every record
   type (:class:`Violation`, :class:`ValidationReport`, and the reports and
@@ -82,24 +76,28 @@ Design choices baked into this module:
 
 Graphs holding *invalid* data are representable on purpose: :func:`validate`
 turns every broken invariant into a report entry instead of an exception,
-so arbitrary candidate data can be inspected, with two exceptions, which
+so arbitrary candidate data can be inspected, with three exceptions, which
 no pass can compute with.  ``PFGraph(...)`` refuses with ConstraintViolation
 a degree that is not a (mu, nu) pair, has a bool or a component neither
 int nor float, or holds an int that ``float()`` cannot convert (the value
-rule, in ``parse``'s wording), and labels, vertex labels and edge endpoints
-together, that ``<`` cannot put in a strict order (the label rule: an int
-beside a str, NaN beside another label, frozensets neither of which
-contains the other; str-only, int-only and tuple labels pass, and a lone
-label needs no order).  ``union`` and ``join`` apply the label rule to their
-combined labels; no builder makes what either rule refuses from checked
-graphs.  :func:`validate` is the one checker of the degree rules: one pass
-tests each vertex's label (a non-empty str that encodes as UTF-8, so that
-the document it renders can be parsed and printed), unit range and squared
-sum, and each edge's endpoints, unit range, squared sum and bound (read
-from the two endpoint tuples), each rule once, and every failed test adds
-its own report entry.  Entries, and every other message, name labels, keys
-and values through :func:`safe_str` and :func:`safe_repr`, so an int label
-past CPython's int-string limit is named by its bit length.  A degree that
+rule, in ``parse``'s wording).  It refuses with DanglingEdge an edge kept
+(not exactly (0, 0)) whose endpoint is not a vertex, naming the first in
+insertion order with the message :func:`dangling_edge` writes, as ``parse``
+does (the endpoint rule), so every pass reads an edge's endpoints straight
+from the vertex map.  It refuses with ConstraintViolation vertex labels
+that ``<`` cannot put in a strict order (the label rule: an int beside a
+str, NaN beside another label, frozensets neither of which contains the
+other; str-only, int-only and tuple labels pass, and a lone label needs no
+order).  ``union`` and ``join`` apply the label rule to their combined
+labels; no builder makes what any rule refuses from checked graphs.
+:func:`validate` is the one checker of the degree rules: one pass tests
+each vertex's label (a non-empty str that encodes as UTF-8, so that the
+document it renders can be parsed and printed), unit range and squared
+sum, and each edge's unit range, squared sum and bound (read from the two
+endpoint tuples), each rule once, and every failed test adds its own report
+entry.  Entries, and every other message, name labels, keys and values
+through :func:`safe_str` and :func:`safe_repr`, so an int label past
+CPython's int-string limit is named by its bit length.  A degree that
 fails its one combined test goes to one helper, which adds the range and
 squared-sum entries; an int square beyond float range (10**200) is above 1
 beside any value but NaN.
@@ -329,12 +327,12 @@ class PairKey(tuple):
         return f"{self.lo}-{self.hi}"
 
 
-def _require_label_order(vertices: Mapping, edges: Mapping) -> None:
-    """ConstraintViolation unless ``<`` puts a graph's vertex labels and edge
-    endpoints, together, in a strict order: the label rule of the module
-    docstring, which every pass that sorts labels or keys relies on."""
+def _require_label_order(vertices: Mapping) -> None:
+    """ConstraintViolation unless ``<`` puts a graph's vertex labels in a
+    strict order: the label rule of the module docstring, which every pass
+    that sorts labels or keys relies on."""
     try:
-        ordered = sorted({*vertices, *chain.from_iterable(edges)})
+        ordered = sorted(vertices)
     except TypeError as exc:  # an int beside a str, say
         problem = str(exc)
     else:
@@ -353,7 +351,8 @@ class PFGraph:
     plain (u, v) tuple, and drops edges whose degree is exactly (0, 0).
     Each degree becomes a PFDegree with its numbers unchanged; what breaks
     the value or the label rule (see the module docstring) and an edge key
-    that is not a pair raise ConstraintViolation, a self-loop ValueError.
+    that is not a pair raise ConstraintViolation, a kept edge with an
+    undeclared endpoint DanglingEdge, a self-loop ValueError.
     The degree rules are not checked here; use :func:`validate`.  The
     library's own builders go through :meth:`_adopt` instead.
     """
@@ -382,7 +381,12 @@ class PFGraph:
                 degree = _as_degree(degree, "edge", key)
             if degree != ZERO_DEGREE:
                 normalized[key] = degree
-        _require_label_order(vertices, normalized)
+        # the endpoint rule: the labels gain a member exactly when a kept edge dangles
+        if len({*vertices, *chain.from_iterable(normalized)}) != len(vertices):
+            for u, v in normalized:
+                if u not in vertices or v not in vertices:
+                    raise dangling_edge(u, v, vertices)
+        _require_label_order(vertices)
         object.__setattr__(self, "edges", normalized)
 
     @classmethod
@@ -390,7 +394,8 @@ class PFGraph:
         """A graph that takes over two maps built for it, with no copy and no check.
 
         The caller guarantees what ``__init__`` would establish: both maps
-        are its own, every edge key is a PairKey and no degree is (0, 0).
+        are its own, every edge key is a PairKey of two vertices and no
+        degree is (0, 0).
         """
         g = object.__new__(cls)
         object.__setattr__(g, "vertices", vertices)
@@ -537,6 +542,8 @@ def validate(g: PFGraph) -> ValidationReport:
     Violations are data, not failures: arbitrary candidate graphs are
     accepted and described.
     """
+    if not isinstance(g, PFGraph):
+        raise _type_error("g", g, PFGraph)
     eps = tolerance()
     low, high = -eps, 1.0 + eps
     # the combined test squares only values up to fast_high; past 2**511 such a
@@ -556,22 +563,9 @@ def validate(g: PFGraph) -> ValidationReport:
         if not (low <= mu <= fast_high and low <= nu <= fast_high and mu * mu + nu * nu <= high):
             _degree_violations(add, "bad_vertex_degree", name(label), mu, nu, low, high)
 
-    get = vertices.get
-    for key, degree in g.edges.items():
+    for key, (mu, nu) in g.edges.items():
         lo, hi = key
-        a, b = get(lo), get(hi)
-        if a is None or b is None:
-            missing = [v for v in key if v not in vertices]
-            add(
-                Violation(
-                    "dangling_edge",
-                    name(key),
-                    f"endpoint(s) {', '.join(map(show, missing))} not in the vertex set",
-                )
-            )
-            continue
-        mu, nu = degree
-        (amu, anu), (bmu, bnu) = a, b
+        (amu, anu), (bmu, bnu) = vertices[lo], vertices[hi]
         bound_mu = bmu if bmu < amu else amu  # degree_min_max's tie rule: lo's value wins
         bound_nu = bnu if bnu > anu else anu
         if low <= mu <= fast_high and low <= nu <= fast_high and mu * mu + nu * nu <= high:
@@ -645,25 +639,12 @@ def dangling_edge(u, v, vertices) -> DanglingEdge:
     return DanglingEdge(f"edge {safe_str(u)}-{safe_str(v)} uses undeclared vertex {safe_repr(missing)}")
 
 
-def require_endpoints(g: PFGraph) -> None:
-    """Raise DanglingEdge for g's first edge, in insertion order, with an undeclared endpoint."""
-    vertices = g.vertices
-    for u, v in g.edges:
-        if u not in vertices or v not in vertices:
-            raise dangling_edge(u, v, vertices)
-
-
-def sorted_edges(g: PFGraph) -> list[PairKey]:
-    """g's edge keys in key order.
-
-    :func:`require_endpoints` runs first.  Every endpoint is then a declared
-    label, the labels compare by the label rule and keys are unique, so the
-    sort cannot fail.  The list holds g's own key objects; a caller reads
-    each degree as ``g.edges[key]``, so the walk builds no (key, degree)
-    tuple, which the cyclic GC would track as it tracks the key inside it.
-    """
-    require_endpoints(g)
-    return sorted(g.edges)
+def _type_error(name: str, value, cls: type) -> TypeError:
+    """The error for an argument that is not an instance of ``cls``: it
+    names the parameter, the type expected and the type received.  Callers
+    test with inline ``isinstance`` calls, the cheapest form on every call."""
+    article = "an" if cls.__name__[0] in "aeiou" else "a"
+    return TypeError(f"{name} must be {article} {cls.__name__}, not {type(value).__name__}")
 
 
 def degrees_close(a: PFDegree, b: PFDegree, eps: float | None = None) -> bool:
@@ -686,6 +667,10 @@ def graphs_close(g1: PFGraph, g2: PFGraph, eps: float | None = None) -> bool:
     (0, 0), because absent edges read as exactly (0, 0).  Each test is
     :func:`degrees_close`'s, inline, so NaN is close to nothing.
     """
+    if not isinstance(g1, PFGraph):
+        raise _type_error("g1", g1, PFGraph)
+    if not isinstance(g2, PFGraph):
+        raise _type_error("g2", g2, PFGraph)
     if eps is None:
         eps = tolerance()
     vertices1, vertices2 = g1.vertices, g2.vertices

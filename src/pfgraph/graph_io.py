@@ -11,16 +11,13 @@ The document layout is::
 Edges are undirected: (u, v) and (v, u) name the same edge and declaring
 both is rejected.  Rendering is deterministic, with vertices sorted by id
 and edges by their canonical pair, so equal graphs render byte-identically.
-:func:`render` and :func:`to_dot` raise DanglingEdge for a graph with an
-edge to an undeclared vertex, as :func:`parse` does for such a document.
 :func:`render` raises MalformedDocument for every entry that
 ``parse(text, check=False)`` would reject (a vertex id that is not a
 non-empty UTF-8 str, a bool or other degree that is not a number, a degree
 outside [0, 1], NaN and ±inf included), with the message :func:`parse`
-gives for the text ``json.dumps`` would write.  Both writers walk the edge
-keys that :func:`~pfgraph.core.sorted_edges` returns and read each degree
-from the edge map, so they build no (key, degree) tuple per edge, which
-the cyclic GC would track.
+gives for the text ``json.dumps`` would write.  Both writers walk the
+sorted edge keys and read each degree from the edge map, so they build no
+(key, degree) tuple per edge, which the cyclic GC would track.
 
 :func:`render` writes the exact bytes of ``json.dumps(doc, indent=2)``
 without going through the pure-Python encoder that ``indent`` selects: an
@@ -48,13 +45,13 @@ from .core import (
     PFDegree,
     PFGraph,
     PairKey,
+    _type_error,
     dangling_edge,
     encodes_as_utf8,
     gc_paused,
     in_unit_range,
     require_valid,
     safe_repr,
-    sorted_edges,
     tolerance,
 )
 from .errors import (
@@ -194,9 +191,11 @@ def _entries(lines: list[str]) -> str:
 def render(g: PFGraph) -> str:
     """Serialize a graph to its canonical JSON document text.
 
-    DanglingEdge if an edge dangles; MalformedDocument, with :func:`parse`'s
-    message, for an entry that ``parse(text, check=False)`` would reject.
+    MalformedDocument, with :func:`parse`'s message, for an entry that
+    ``parse(text, check=False)`` would reject.
     """
+    if not isinstance(g, PFGraph):
+        raise _type_error("g", g, PFGraph)
     enc = encode_basestring_ascii
     eps = tolerance()
     low, high = -eps, 1.0 + eps  # in range implies finite: NaN and ±inf fail
@@ -209,7 +208,7 @@ def render(g: PFGraph) -> str:
     ]
     degrees = g.edges
     edges = []
-    for key in sorted_edges(g):
+    for key in sorted(degrees):
         u, v = key
         mu, nu = degrees[key]
         edges.append(
@@ -241,12 +240,14 @@ def _quote(label) -> str:
 
 
 def to_dot(g: PFGraph) -> str:
-    """Render the graph as undirected DOT with degree-carrying labels; DanglingEdge as render.
+    """Render the graph as undirected DOT with degree-carrying labels.
 
     MalformedDocument for a label that is an int with more digits than
     CPython converts to a decimal string (every degree the constructor
     admits lies within float range, far below that limit).
     """
+    if not isinstance(g, PFGraph):
+        raise _type_error("g", g, PFGraph)
     lines = ["graph G {"]
     names = {}
     try:
@@ -254,7 +255,7 @@ def to_dot(g: PFGraph) -> str:
             names[label] = name = _quote(label)
             lines.append(f'  {name} [label="{_escape(str(label))} ({mu!r}, {nu!r})"];')
         degrees = g.edges
-        for key in sorted_edges(g):
+        for key in sorted(degrees):
             u, v = key
             mu, nu = degrees[key]
             lines.append(f'  {names[u]} -- {names[v]} [label="({mu!r}, {nu!r})"];')

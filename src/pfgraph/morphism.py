@@ -83,11 +83,8 @@ converted as it is there, and a NaN or an infinity carries through the
 shift.  So every verdict, and with it every attempt, is the same.
 
 Under isomorphism :func:`verify_morphism` reads each source pair's labels
-and degree from the pair scan's rows, with no key built.  Under the other
-kinds every source edge is checked, so :func:`find_morphism` (before it
-searches) and :func:`verify_morphism` raise DanglingEdge for the first
-dangling source edge in insertion order, through
-:func:`~pfgraph.core.require_endpoints`, as the writers do.
+and degree from the pair scan's rows, with no key built; under the other
+kinds it checks every source edge, in key order.
 """
 
 from __future__ import annotations
@@ -102,10 +99,9 @@ from typing import NamedTuple, Optional
 from .core import (
     PFGraph,
     ZERO_DEGREE,
-    require_endpoints,
+    _type_error,
     safe_repr,
     safe_str,
-    sorted_edges,
     tolerance,
 )
 from .errors import SearchCapExceeded, UnknownVertex
@@ -151,14 +147,6 @@ class MorphismCheck(NamedTuple):
     violations: tuple[str, ...]
 
 
-def _type_error(name: str, value, cls: type) -> TypeError:
-    """The error for an argument that is not an instance of ``cls``: it
-    names the parameter, the type expected and the type received.  Callers
-    test with inline ``isinstance`` calls, the cheapest form on every call."""
-    article = "an" if cls.__name__[0] in "aeiou" else "a"
-    return TypeError(f"{name} must be {article} {cls.__name__}, not {type(value).__name__}")
-
-
 def find_morphism(
     g1: PFGraph,
     g2: PFGraph,
@@ -169,9 +157,7 @@ def find_morphism(
 
     Bijective kinds return not-found immediately when the vertex counts
     differ.  Raises SearchCapExceeded when g1 has more than ``cap``
-    vertices; raise the cap explicitly for larger instances.  The kinds
-    other than isomorphism check every source edge, so a dangling one
-    raises DanglingEdge, as :func:`verify_morphism` does.
+    vertices; raise the cap explicitly for larger instances.
 
     Under isomorphism, when some source keeps more than one candidate
     after the vertex filter, each candidate must also have the source's
@@ -206,8 +192,6 @@ def find_morphism(
     iso = kind is MorphismKind.ISOMORPHISM
     sources = sorted(g1.vertices.items())
     targets = sorted(g2.vertices.items())
-    if not iso:
-        require_endpoints(g1)
     n2 = len(targets)
     candidates = _vertex_candidates(sources, targets, vertex_equality, eps)
     if not all(candidates):
@@ -317,19 +301,17 @@ def _incident_profiles(g: PFGraph, items: list) -> list[tuple]:
     """Per vertex of ``items`` (g's sorted vertex items), its degree profile:
     the incident mu values over the other declared vertices, sorted, then
     the incident nu values, sorted, as one tuple.  An absent pair reads as
-    0.0.  One walk of the edge map, skipping an edge with an undeclared
-    endpoint, which the isomorphism search never reads; each incident list
-    is padded and sorted in place."""
-    index = {label: i for i, (label, _) in enumerate(items)}.get
+    0.0.  One walk of the edge map; each incident list is padded and sorted
+    in place."""
+    index = {label: i for i, (label, _) in enumerate(items)}
     mus: list[list] = [[] for _ in items]
     nus: list[list] = [[] for _ in items]
     for (a, b), (mu, nu) in g.edges.items():
-        i, j = index(a), index(b)
-        if i is not None and j is not None:
-            mus[i].append(mu)
-            mus[j].append(mu)
-            nus[i].append(nu)
-            nus[j].append(nu)
+        i, j = index[a], index[b]
+        mus[i].append(mu)
+        mus[j].append(mu)
+        nus[i].append(nu)
+        nus[j].append(nu)
     zeros = [0.0] * (len(items) - 1)
     profiles = []
     for m, v in zip(mus, nus):
@@ -486,7 +468,7 @@ def verify_morphism(
             (u, w, source_edge((u, w), ZERO_DEGREE)) for u, _, tail in g1._pair_scan() for w, _ in tail
         )
     else:
-        checked = ((*key, g1.edges[key]) for key in sorted_edges(g1))
+        checked = ((*key, g1.edges[key]) for key in sorted(g1.edges))
     for u, w, (smu, snu) in checked:
         tu, tw = mapping[u], mapping[w]
         # the caller's values, which need only equal the target's labels (1 + 0j

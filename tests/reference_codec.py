@@ -8,7 +8,8 @@ through ``PFGraph.pair_bound``, and a parse that reads each degree through
 one helper and then validates the whole graph.  The
 property tests require the library to agree with them exactly: the same
 graph, or the same exception class, message and report.
-:func:`boundary_specs` draws the graphs those tests feed to both sides.
+:func:`boundary_specs` draws the graphs those tests feed to both sides,
+and :func:`door` builds them, holding the constructor to the endpoint rule.
 """
 
 import json
@@ -61,16 +62,6 @@ def reference_validate(g):
             found.append(Violation("bad_vertex_degree", str(label), problem))
 
     for key, degree in g.edges.items():
-        missing = [v for v in key if v not in g.vertices]
-        if missing:
-            found.append(
-                Violation(
-                    "dangling_edge",
-                    str(key),
-                    f"endpoint(s) {', '.join(map(repr, missing))} not in the vertex set",
-                )
-            )
-            continue
         for problem in degree_violations(degree):
             found.append(Violation("bad_edge_degree", str(key), problem))
         bound = g.pair_bound(key.lo, key.hi)
@@ -108,6 +99,36 @@ def _read_degree(entry, where):
         )
         _require(in_unit_range(value), f"{where}: {field!r} value {value!r} outside [0, 1]")
     return PFDegree(float(entry["mu"]), float(entry["nu"]))
+
+
+def _require_endpoints(key, vertices):
+    """DanglingEdge, naming the edge and its first endpoint in key order that
+    is not a vertex, unless both are."""
+    for endpoint in key:
+        if endpoint not in vertices:
+            raise DanglingEdge(f"edge {key} uses undeclared vertex {endpoint!r}")
+
+
+def door(vertices, edges):
+    """``PFGraph(vertices, edges)`` for ``edges`` as (key, degree) items,
+    held to the endpoint rule: it must raise DanglingEdge, with
+    ``parse``'s message for the first kept edge in insertion order with an
+    undeclared endpoint, exactly when there is one (an exactly (0, 0) edge
+    is no edge).  Then the graph without the edges that name an undeclared
+    vertex is returned, so that a caller compares results on it."""
+    try:
+        for key, degree in edges:
+            if degree != (0, 0):
+                _require_endpoints(PairKey(*key), vertices)
+    except DanglingEdge as expected:
+        try:
+            PFGraph(vertices, edges)
+        except DanglingEdge as refused:
+            assert str(refused) == str(expected)
+        else:
+            raise AssertionError(f"the constructor accepted a dangling edge: {expected}")
+        edges = [(key, degree) for key, degree in edges if all(v in vertices for v in key)]
+    return PFGraph(vertices, edges)
 
 
 def reference_parse(text, check=True):
@@ -148,9 +169,7 @@ def reference_parse(text, check=True):
             key = PairKey(u, v)
         except ValueError as exc:
             raise MalformedDocument(str(exc)) from exc
-        for endpoint in key:
-            if endpoint not in vertices:
-                raise DanglingEdge(f"edge {key} uses undeclared vertex {endpoint!r}")
+        _require_endpoints(key, vertices)
         if key in edges:
             raise DuplicateEdge(f"edge {key} declared twice")
         degree = _read_degree(entry, f"edge {key}")
@@ -188,7 +207,7 @@ def boundary_specs(draw, labels, dangling="zz"):
     half the edges are drawn as their endpoint bound shifted in the same
     way; in half the graphs one extra label, ``dangling`` (of the type of
     ``labels``, so that ``<`` orders them all), is never declared, so edges
-    on it dangle.
+    on it dangle and :func:`door` refuses them.
     """
     degrees = st.tuples(BOUNDARY_VALUES, BOUNDARY_VALUES)
     vertices = draw(st.dictionaries(labels, degrees, max_size=5))

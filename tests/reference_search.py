@@ -25,6 +25,7 @@ from typing import Mapping
 
 from pfgraph import (
     DEFAULT_SEARCH_CAP,
+    DanglingEdge,
     MorphismCheck,
     MorphismKind,
     MorphismReport,
@@ -37,7 +38,6 @@ from pfgraph import (
     degrees_close,
     tolerance,
 )
-from pfgraph.core import require_endpoints
 from reference_builders import pair_rows
 
 
@@ -120,8 +120,11 @@ def find_morphism(
 
 def _edges_with_declared_endpoints(g: PFGraph) -> list[tuple[PairKey, PFDegree]]:
     """g's (key, degree) items in key order; DanglingEdge names the first edge,
-    in insertion order, with an undeclared endpoint (``require_endpoints``)."""
-    require_endpoints(g)
+    in insertion order, with an undeclared endpoint."""
+    for key in g.edges:
+        for endpoint in key:
+            if endpoint not in g.vertices:
+                raise DanglingEdge(f"edge {key} uses undeclared vertex {endpoint!r}")
     return sorted(g.edges.items())
 
 

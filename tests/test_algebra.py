@@ -6,7 +6,6 @@ import pytest
 
 from pfgraph import (
     ConstraintViolation,
-    DanglingEdge,
     GenConfig,
     JoinOverlap,
     LabelClash,
@@ -288,11 +287,6 @@ class TestStrongComplement:
             strong_complement(square_cycle)
         forced = strong_complement(square_cycle, force=True)
         assert validate(forced).ok
-
-    def test_dangling_edge_raises(self):
-        g = PFGraph({"a": PFDegree(0.5, 0.5)}, {("a", "z"): PFDegree(0.2, 0.3)})
-        with pytest.raises(DanglingEdge, match="edge a-z uses undeclared vertex 'z'"):
-            strong_complement(g)
 
     def test_complement_of_strong_is_strong(self):
         for seed in range(40):

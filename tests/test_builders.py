@@ -25,7 +25,6 @@ import reference_builders as ref
 from pfgraph import (
     FAMILIES,
     ConstraintViolation,
-    DanglingEdge,
     GenConfig,
     LabelClash,
     MalformedDocument,
@@ -46,15 +45,14 @@ from pfgraph import (
     sum_identity,
     union,
 )
-from reference_codec import boundary_specs
+from reference_codec import boundary_specs, door
 
 
 def outcome(build, *args):
     """("graph", vertices, edges, rendered) or ("raise", class, message) for build(*args).
 
-    ``rendered`` is the text, or ("raise", class, message) for the DanglingEdge
-    that render raises on a product that keeps its inputs' dangling edges, or
-    for the MalformedDocument it raises on an entry that ``parse`` rejects
+    ``rendered`` is the text, or ("raise", class, message) for the
+    MalformedDocument that render raises on an entry that ``parse`` rejects
     unchecked: a degree outside [0, 1] beyond the tolerance, NaN included.
     """
     try:
@@ -64,7 +62,7 @@ def outcome(build, *args):
     assert type(g) is PFGraph and type(g.vertices) is dict and type(g.edges) is dict
     try:
         rendered = render(g)
-    except (DanglingEdge, MalformedDocument) as exc:
+    except MalformedDocument as exc:
         rendered = ("raise", type(exc), str(exc))
     return ("graph", repr(list(g.vertices.items())), repr(list(g.edges.items())), rendered)
 
@@ -75,13 +73,14 @@ def assert_same(build, reference, *args):
 
 @st.composite
 def hand_built(draw, labels=st.sampled_from("abcdef")):
-    """A graph from ``boundary_specs``: values at and near 0, 1 and the edge bounds,
-    NaN, -0.0 and dangling edges; in half the graphs some vertices are (0, 0)."""
+    """A graph from ``boundary_specs`` through ``door``: values at and near 0, 1
+    and the edge bounds, NaN and -0.0, with the dangling edges the constructor
+    refuses left out; in half the graphs some vertices are (0, 0)."""
     vertices, edges = draw(boundary_specs(labels))
     zeroed = draw(st.sets(st.sampled_from(sorted(vertices)))) if vertices and draw(st.booleans()) else ()
-    return PFGraph(
+    return door(
         {v: PFDegree(0.0, 0.0) if v in zeroed else PFDegree(*d) for v, d in vertices.items()},
-        {key: PFDegree(*d) for key, d in edges},
+        [(key, PFDegree(*d)) for key, d in edges],
     )
 
 
@@ -139,19 +138,6 @@ def test_complements_of_generated_graphs_match_reference():
 
 
 @settings(deadline=None, max_examples=300)
-@given(g=hand_built(), data=st.data())
-def test_strong_complement_raises_as_reference_on_non_strong_dangling_graphs(g, data):
-    # the check walks the edges in order, so whichever of the two comes first decides
-    d = PFDegree(0.5, 0.5)
-    edges = list(g.edges.items())
-    for extra in ((("p", "q"), PFDegree(0.25, 0.5)), (("q", "zz"), d)):
-        edges.insert(data.draw(st.integers(0, len(edges))), extra)
-    h = PFGraph({**g.vertices, "p": d, "q": d}, edges)
-    assert outcome(strong_complement, h)[0] == "raise"
-    assert_same(strong_complement, ref.strong_complement, h)
-
-
-@settings(deadline=None, max_examples=300)
 @given(g=hand_built())
 def test_sum_reports_match_reference_to_the_bit(g):
     assert repr(sum_identity(g)) == repr(ref.sum_identity(g))
@@ -177,9 +163,9 @@ NEAR_VALUES = st.sampled_from([CLOSE_EPS, -CLOSE_EPS, CLOSE_EPS / 2, 2 * CLOSE_E
 def near_pairs(draw):
     """(g, h): a hand-built graph and a copy with one change at about the tolerance.
 
-    The copy differs by one vertex, one vertex or edge value moved, one edge
-    dropped, or one new edge (dangling on "zz" or not) whose degree is near
-    (0, 0); a moved value may become NaN.
+    The copy differs by one vertex (a dropped one with its edges), one vertex
+    or edge value moved, one edge dropped, or one new edge whose degree is
+    near (0, 0); a moved value may become NaN.
     """
     g = draw(hand_built())
     vertices, edges = dict(g.vertices), dict(g.edges)
@@ -188,7 +174,9 @@ def near_pairs(draw):
     if change == "add_vertex":
         vertices[draw(st.sampled_from("abcdefg"))] = PFDegree(0.5, 0.5)
     elif change == "drop_vertex" and vertices:
-        del vertices[draw(st.sampled_from(sorted(vertices)))]
+        dropped = draw(st.sampled_from(sorted(vertices)))
+        del vertices[dropped]
+        edges = {key: d for key, d in edges.items() if dropped not in key}
     elif change in ("move_vertex", "move_edge"):
         table = vertices if change == "move_vertex" else edges
         if table:
@@ -199,7 +187,7 @@ def near_pairs(draw):
     elif change == "drop_edge" and edges:
         del edges[draw(st.sampled_from(sorted(edges)))]
     elif change == "new_edge":
-        ends = sorted({*vertices, "zz"})
+        ends = sorted(vertices)
         pairs = [(u, v) for u in ends for v in ends if u < v and (u, v) not in edges]
         if pairs:
             edges[draw(st.sampled_from(pairs))] = PFDegree(draw(NEAR_VALUES), draw(NEAR_VALUES))
@@ -312,18 +300,6 @@ def test_classify_names_the_vertex_label_objects_of_a_late_witness():
     for flag in ("is_mu_strong", "is_nu_strong", "is_strong"):
         assert all(type(label) is int and label is labels[label] for label in got.witnesses[flag])
     assert got.as_dict()["witnesses"]["is_mu_strong"] == [1, 2]
-
-
-def test_classify_skips_dangling_edges_in_the_edge_walk():
-    # each dangling edge fails both strength tests, one on each side of its
-    # declared endpoint; the scan stops after row a
-    g = PFGraph(dict.fromkeys("acd", _HALF),
-                {("a", "b"): PFDegree(0.1, 0.1), ("A", "a"): PFDegree(0.1, 0.1), ("c", "d"): _HALF})
-    got, want = classify(g), ref.classify(g)
-    assert got == want and got.is_strong
-    assert list(got.witnesses) == ["is_complete", "is_complete_mu_strong", "is_complete_nu_strong"]
-    off = PFGraph(g.vertices, {**g.edges, ("c", "d"): PFDegree(0.25, 0.5)})
-    assert classify(off).witnesses["is_mu_strong"] == ("c", "d") == ref.classify(off).witnesses["is_mu_strong"]
 
 
 def test_classify_walks_the_edges_only_after_a_scan_that_stopped_early(monkeypatch):
@@ -446,21 +422,6 @@ def test_product_rejects_non_string_label_by_name(product):
     for g1, g2 in ((PFGraph({1: d}), PFGraph({"a": d})), (PFGraph({"a": d}), PFGraph({1: d}))):
         with pytest.raises(LabelClash, match="vertex label 1 is not a string"):
             product(g1, g2)
-
-
-@pytest.mark.parametrize("product", [cartesian_product, composition])
-def test_product_rejects_uncomposable_dangling_endpoint(product):
-    # a dangling endpoint is composed as well, so it must be a str too; beside
-    # a str label an int is refused at the door, so here every label dangles
-    d = PFDegree(0.5, 0.5)
-    with pytest.raises(ConstraintViolation, match="strict order"):
-        PFGraph({"1": d, "2": d}, {("1", 1): d, ("1", "2"): d})
-    one = PFGraph({}, {(1, 2): d})
-    with pytest.raises(LabelClash, match="vertex label 1 is not a string"):
-        product(PFGraph({"a": d, "b": d}, {("a", "b"): d}), one)
-    comma = PFGraph({"x": d}, {("x", "y,z"): d})
-    with pytest.raises(LabelClash, match="vertex label 'y,z' contains"):
-        product(comma, PFGraph({"a": d}))
 
 
 # an invalid pair whose shared edge combines to exactly (0, 0), and a join whose

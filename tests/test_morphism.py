@@ -8,7 +8,6 @@ import pytest
 
 from pfgraph import (
     FAMILIES,
-    DanglingEdge,
     GenConfig,
     MorphismKind,
     PFDegree,
@@ -122,34 +121,6 @@ class TestFindMorphism:
         with pytest.raises(SearchCapExceeded):
             find_morphism(big, big, ISO)
         assert find_morphism(big, big, ISO, cap=10).found
-
-    @pytest.mark.parametrize("kind", [HOMO, WEAK, COWEAK])
-    def test_dangling_edge_raises_where_verification_would(self, kind):
-        # every source edge is checked under these kinds, so a witness found
-        # past a dangling edge would be one verify_morphism rejects
-        g = PFGraph({"a": PFDegree(0.5, 0.5)}, {("a", "z"): PFDegree(0.2, 0.3)})
-        message = "edge a-z uses undeclared vertex 'z'"
-        with pytest.raises(DanglingEdge, match=message):
-            verify_morphism(g, g, kind, {"a": "a"})
-        with pytest.raises(DanglingEdge, match=message):
-            find_morphism(g, g, kind)
-
-    def test_first_dangling_edge_in_insertion_order_is_named(self):
-        # key order would put a-z first
-        d, e = PFDegree(0.5, 0.5), PFDegree(0.2, 0.3)
-        g = PFGraph({"a": d, "b": d}, {("b", "y"): e, ("a", "b"): e, ("a", "z"): e})
-        message = "^edge b-y uses undeclared vertex 'y'$"
-        with pytest.raises(DanglingEdge, match=message):
-            find_morphism(g, g, HOMO)
-        with pytest.raises(DanglingEdge, match=message):
-            verify_morphism(g, g, HOMO, {"a": "a", "b": "b"})
-
-    def test_dangling_edge_is_skipped_under_isomorphism(self):
-        # both functions compare declared pairs only under isomorphism
-        g = PFGraph({"a": PFDegree(0.5, 0.5)}, {("a", "z"): PFDegree(0.2, 0.3)})
-        report = find_morphism(g, g, ISO)
-        assert (report.found, report.witness, report.search_space) == (True, {"a": "a"}, 1)
-        assert verify_morphism(g, g, ISO, report.witness).ok
 
     def test_kind_given_by_name_raises_type_error_before_any_other_check(self):
         # the check comes before the cap, so a source above it gets the same error
@@ -291,17 +262,6 @@ class TestVerifyMorphism:
             verify_morphism(g, None, ISO, {"a": "a"})
         with pytest.raises(TypeError, match=r"^g1 must be a PFGraph, not dict$"):
             verify_morphism({"a": PFDegree(0.5, 0.5)}, g, HOMO, {"a": "a"})
-
-    def test_dangling_edge_raises(self):
-        g = PFGraph({"a": PFDegree(0.5, 0.5)}, {("a", "z"): PFDegree(0.2, 0.3)})
-        with pytest.raises(DanglingEdge, match="edge a-z uses undeclared vertex 'z'"):
-            verify_morphism(g, g, HOMO, {"a": "a"})
-
-    def test_dangling_edge_with_an_int_endpoint_raises(self):
-        d = PFDegree(0.5, 0.5)
-        g = PFGraph({1: d, 2: d}, {(3, 1): PFDegree(0.2, 0.3), (1, 2): d})
-        with pytest.raises(DanglingEdge, match="^edge 1-3 uses undeclared vertex 3$"):
-            verify_morphism(g, g, HOMO, {1: 1, 2: 2})
 
     @pytest.mark.parametrize(
         "mapping, message",

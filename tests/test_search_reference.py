@@ -321,23 +321,6 @@ def test_k8_to_k7_homomorphism_attempts_are_pinned():
 
 # --- guards on the integer-indexed search -----------------------------------
 
-def test_same_reports_for_a_target_with_a_dangling_edge():
-    """Target pairs are read by label, so an edge to an undeclared vertex is
-    never read, in a target with str labels or with int labels."""
-    d, e = PFDegree(0.5, 0.5), PFDegree(0.3, 0.4)
-    names = ("a", "b", "c")
-    paths = ({}, {("a", "b"): e}, {("a", "b"): e, ("b", "c"): e})
-    triangle = dict.fromkeys(itertools.combinations(names, 2), e)
-    sources = [PFGraph({v: d for v in names}, edges) for edges in (*paths, triangle)]
-    targets = [
-        PFGraph({v: d for v in ("x", "y", "z")}, {("x", "y"): e, ("y", "z"): e, ("x", "w"): e}),
-        PFGraph({v: d for v in (1, 2, 3)}, {(1, 2): e, (3, 7): e}),
-        PFGraph({v: d for v in ("x", "y", "z", "zz")}, {("w", "x"): e, ("x", "zz"): e, ("y", "z"): e}),
-    ]
-    for g1, g2 in itertools.product(sources, targets):
-        assert_same_reports(g1, g2)
-
-
 def _reversed(g):
     """g rebuilt from its edges given (later, earlier)."""
     return PFGraph(g.vertices, [((key.hi, key.lo), degree) for key, degree in g.edges.items()])

@@ -1,16 +1,19 @@
-"""The value and label rules at the door: what ``PFGraph(...)`` holds, and every pass on it.
+"""The value, endpoint and label rules at the door: what ``PFGraph(...)`` holds, and every pass on it.
 
 The checking constructor refuses four kinds of degree with
 ConstraintViolation: one that is not a (mu, nu) pair, one with a bool
 component, one with a component that is neither an int nor a float, and one
-with an int that ``float()`` cannot convert.  It also refuses labels (vertex
-labels and edge endpoints together) that ``<`` cannot put in a strict order,
-and ``union`` and ``join`` refuse them in their combined labels.  Everything
-else stays as given, and every public pass on a graph it accepts answers or
-raises a PFGError; one that renders it writes a document that reads back to
-the same graph.
+with an int that ``float()`` cannot convert.  It refuses with DanglingEdge
+an edge it keeps whose endpoint is not a vertex, and with
+ConstraintViolation vertex labels that ``<`` cannot put in a strict order;
+``union`` and ``join`` refuse such labels in their combined labels.
+Everything else stays as given, and every public pass on a graph it accepts
+answers or raises a PFGError, or a TypeError for an argument that is not a
+graph; one that renders it writes a document that reads back to the same
+graph.
 """
 
+import inspect
 import itertools
 import math
 import sys
@@ -20,8 +23,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pfgraph
 from pfgraph import (
     ConstraintViolation,
+    DanglingEdge,
     JoinOverlap,
     LabelClash,
     MorphismKind,
@@ -236,10 +241,6 @@ LABEL_POOLS = [
 ]
 
 
-def labels_of(vertices, edges) -> set:
-    return {*vertices, *(label for key in edges for label in key)}
-
-
 def in_strict_order(labels) -> bool:
     """The label rule, written from its statement: ``<`` orders every two
     distinct labels one way."""
@@ -249,13 +250,20 @@ def in_strict_order(labels) -> bool:
         return False
 
 
-def accepted_labels(vertices, edges) -> bool:
-    """Whether ``PFGraph(vertices, edges)`` passes the label rule: the two
-    labels of every edge key given are ordered, and so are the graph's own
-    labels, its vertex labels and the endpoints of the edges it keeps (an
-    exactly (0, 0) edge is no edge)."""
-    kept = [key for key, degree in edges.items() if degree != (0.0, 0.0)]
-    return all(map(in_strict_order, edges)) and in_strict_order(labels_of(vertices, kept))
+def refusal(vertices, edges):
+    """The error ``PFGraph(vertices, edges)`` raises for its labels, written
+    from the rules' statements, or None: ConstraintViolation when the two
+    labels of an edge key given are not ordered, then DanglingEdge when an
+    edge it keeps (one not exactly (0, 0)) names a label that is not a
+    vertex, then ConstraintViolation when the vertex labels are not in a
+    strict order."""
+    if not all(map(in_strict_order, edges)):
+        return ConstraintViolation
+    if any(label not in vertices for key, degree in edges.items() if degree != (0.0, 0.0) for label in key):
+        return DanglingEdge
+    if not in_strict_order(vertices):
+        return ConstraintViolation
+    return None
 
 
 @st.composite
@@ -280,9 +288,13 @@ def graph_specs(draw):
 @given(graph_specs())
 def test_constructor_refuses_exactly_the_labels_lt_cannot_order(spec):
     vertices, edges = spec
-    if accepted_labels(vertices, edges):
+    refused = refusal(vertices, edges)
+    if refused is None:
         g = PFGraph(vertices, edges)
         assert list(g.vertices) == list(vertices)
+    elif refused is DanglingEdge:
+        with pytest.raises(DanglingEdge, match=" uses undeclared vertex "):
+            PFGraph(vertices, edges)
     else:
         with pytest.raises(ConstraintViolation, match="^vertex labels cannot be put in a strict order: "):
             PFGraph(vertices, edges)
@@ -290,7 +302,7 @@ def test_constructor_refuses_exactly_the_labels_lt_cannot_order(spec):
 
 def accepted_graphs():
     """A graph the constructor accepts, from :func:`graph_specs`."""
-    specs = graph_specs().filter(lambda spec: accepted_labels(*spec))
+    specs = graph_specs().filter(lambda spec: refusal(*spec) is None)
     return specs.map(lambda spec: PFGraph(*spec))
 
 
@@ -305,6 +317,9 @@ def quietly(call, *args, **kwargs):
 @settings(deadline=None, max_examples=200)
 @given(accepted_graphs(), accepted_graphs())
 def test_every_public_pass_raises_nothing_but_pfg_errors(g, h):
+    # the endpoint rule: every edge of a graph the constructor accepts joins two of its vertices
+    for graph in (g, h):
+        assert all(u in graph.vertices and v in graph.vertices for u, v in graph.edges)
     # h without g's vertices (and the edges on them), so that join has no overlap
     apart = PFGraph(
         {v: d for v, d in h.vertices.items() if v not in g.vertices},
@@ -323,7 +338,7 @@ def test_every_public_pass_raises_nothing_but_pfg_errors(g, h):
     ]
     for combine, other in ((union, h), (join, apart)):
         # union and join apply the label rule to the two graphs' labels together
-        if in_strict_order(labels_of(g.vertices, g.edges) | labels_of(other.vertices, other.edges)):
+        if in_strict_order({*g.vertices, *other.vertices}):
             built.append(quietly(combine, g, other))
         else:
             with pytest.raises(ConstraintViolation, match="^vertex labels cannot be put in a strict order: "):
@@ -350,6 +365,40 @@ def test_every_public_pass_raises_nothing_but_pfg_errors(g, h):
         degrees_close(a, b)
     for d in degrees:
         quietly(hesitation, d)
+
+
+def graph_parameters(function) -> list[str]:
+    """The names of the parameters of ``function`` that take a PFGraph."""
+    return [name for name, p in inspect.signature(function).parameters.items() if p.annotation == "PFGraph"]
+
+
+GRAPH_TAKERS = [
+    function
+    for function in map(pfgraph.__dict__.get, pfgraph.__all__)
+    if inspect.isfunction(function) and graph_parameters(function)
+]
+OTHER_ARGUMENTS = {"kind": MorphismKind.ISOMORPHISM, "mapping": {"a": "a"}}
+
+
+def test_the_public_passes_on_a_graph_are_all_found():
+    assert sorted(function.__name__ for function in GRAPH_TAKERS) == [
+        "cartesian_product", "classify", "complement", "complete_complement", "composition",
+        "find_morphism", "graphs_close", "is_self_complementary", "join", "render",
+        "strong_complement", "strong_sum_identity", "sum_identity", "to_dot", "union",
+        "validate", "verify_morphism",
+    ]
+
+
+@pytest.mark.parametrize("function", GRAPH_TAKERS, ids=lambda function: function.__name__)
+def test_a_graph_argument_that_is_not_a_graph_raises_type_error_naming_it(function):
+    # a dict of degrees, the vertex map of a graph, has none of a graph's attributes
+    g = PFGraph({"a": D})
+    names = graph_parameters(function)
+    others = {p: OTHER_ARGUMENTS[p] for p in inspect.signature(function).parameters if p in OTHER_ARGUMENTS}
+    for name in names:
+        arguments = {**others, **dict.fromkeys(names, g), name: dict(g.vertices)}
+        with pytest.raises(TypeError, match=f"^{name} must be a PFGraph, not dict$"):
+            function(**arguments)
 
 
 INT_STRING_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()

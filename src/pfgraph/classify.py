@@ -27,7 +27,7 @@ from .core import (
     gc_paused,
     tolerance,
 )
-from .morphism import DEFAULT_SEARCH_CAP, MorphismKind, MorphismReport, find_morphism
+from .morphism import DEFAULT_SEARCH_CAP, MorphismKind, MorphismReport, _require_cap, find_morphism
 
 
 class Classification(NamedTuple):
@@ -212,8 +212,13 @@ def is_self_complementary(
     ``variant`` picks the complement flavor: "general" works on any valid
     graph, "strong" and "complete" require the graph to classify
     accordingly (raising NotStrong/NotComplete otherwise).  The returned
-    report carries the witness bijection when one exists.  A ``g`` that is
-    not a PFGraph raises TypeError.
+    report carries the witness bijection when one exists.
+
+    The checks run in this order: a ``g`` that is not a PFGraph raises
+    TypeError, an unknown variant ValueError, a ``cap`` that is not an int
+    (a bool included) TypeError, and a graph with more than ``cap``
+    vertices SearchCapExceeded, all before the complement is built; only
+    then can the complement raise NotStrong or NotComplete.
     """
     if not isinstance(g, PFGraph):
         raise _type_error("g", g, PFGraph)
@@ -223,6 +228,7 @@ def is_self_complementary(
         raise ValueError(
             f"unknown variant {variant!r}; expected one of {SELF_COMPLEMENT_VARIANTS}"
         ) from None
+    _require_cap(len(g.vertices), cap)  # before the O(n^2) complement
     return find_morphism(g, complement_of(g), MorphismKind.ISOMORPHISM, cap)
 
 

@@ -41,10 +41,10 @@ Design choices baked into this module:
   only what it keeps.  ``classify`` stops once its five flags have
   witnesses, or at the end of the row in which its three completeness flags
   have them, and then finds a strength witness still missing by one walk
-  over the edges; ``verify_morphism`` reads the rows as one (u, v,
-  degree) generator.  :meth:`PFGraph._flat_pairs` projects the rows onto
-  one (u, v, degree, bound) row per pair, an absent edge read as
-  ZERO_DEGREE, for ``complete_complement``'s check; :meth:`PFGraph.pairs`
+  over the edges; ``verify_morphism`` runs one nested loop over the rows.
+  :meth:`PFGraph._flat_pairs` projects the rows onto one (u, v, degree,
+  bound) row per pair, an absent edge read as ZERO_DEGREE, for
+  ``complete_complement``'s check; :meth:`PFGraph.pairs`
   and :meth:`PFGraph.pair_rows` are its public views, keyed by PairKey.
 - PairKey and PFDegree are tuple subclasses, and CPython's cyclic garbage
   collector tracks such an object for its whole life (it untracks only

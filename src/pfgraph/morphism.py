@@ -40,6 +40,20 @@ does two more things before the search:
   so checking the adjacent gaps checks every pair.  A NaN fails the check
   (0.0 is always there as a neighbour to fail with), and so does an
   infinity, which equals itself as a key but is not within eps of itself.
+  In that exact case a profile is built as one int, not a sorted tuple,
+  while the D distinct values are no more than the n vertices.  With r(x)
+  a value's rank among them, an edge degree (mu, nu) weighs
+  ``n**r(mu) + n**(D + r(nu))``, less the weight of an absent pair's
+  (0.0, 0.0); one walk of the edge map adds each edge's weight to both
+  ends' codes.  A code is then the base-n numeral whose digit r counts
+  the padded mu list's entries of rank r, and digit D + r the nu list's,
+  less a constant shared by every vertex.  Each list has n - 1 entries,
+  so no digit reaches n and no sum carries: equal codes are equal padded
+  multisets, which are equal sorted tuples, and the classes, the lists
+  and the witnesses are those of the tuples.  Values that compare equal
+  as dict keys (-0.0 and 0.0, 1 and 1.0) are one value, as they are
+  equal tuple elements.  With D above n a code would hold more digits
+  than the tuple holds entries, so the tuples stay.
   Otherwise each distinct source profile is compared with each target
   class, position by position.
 - It looks for a perfect matching of sources to distinct candidate targets
@@ -82,9 +96,10 @@ check, from the same operands by the same operation: an int component is
 converted as it is there, and a NaN or an infinity carries through the
 shift.  So every verdict, and with it every attempt, is the same.
 
-Under isomorphism :func:`verify_morphism` reads each source pair's labels
-and degree from the pair scan's rows, with no key built; under the other
-kinds it checks every source edge, in key order.
+Under isomorphism :func:`verify_morphism` checks every source pair in one
+nested loop over the pair scan's rows, reading each pair's labels from the
+row and its degree by one lookup, with no key built; under the other kinds
+it checks every source edge, in key order.
 """
 
 from __future__ import annotations
@@ -167,7 +182,7 @@ def find_morphism(
     only be smaller.  A source left with no candidate, or lists with no
     matching, answer not-found after 0 attempts.  A ``kind`` that is not a
     MorphismKind, a graph that is not a PFGraph or a ``cap`` that is not an
-    int raises TypeError naming the parameter.
+    int (a bool included) raises TypeError naming the parameter.
     """
     if not isinstance(kind, MorphismKind):
         raise _type_error("kind", kind, MorphismKind)
@@ -175,13 +190,8 @@ def find_morphism(
         raise _type_error("g1", g1, PFGraph)
     if not isinstance(g2, PFGraph):
         raise _type_error("g2", g2, PFGraph)
-    if not isinstance(cap, int):
-        raise _type_error("cap", cap, int)
     n1 = len(g1.vertices)
-    if n1 > cap:
-        raise SearchCapExceeded(
-            f"source graph has {n1} vertices, above the search cap {cap}"
-        )
+    _require_cap(n1, cap)
     bijective = kind.bijective
     if bijective and n1 != len(g2.vertices):
         return MorphismReport(kind, False, None, 0)
@@ -273,6 +283,16 @@ def find_morphism(
     return MorphismReport(kind, True, witness, attempts)
 
 
+def _require_cap(n: int, cap: int) -> None:
+    """Raise TypeError for a ``cap`` that is not an int (a bool is an int to
+    isinstance, but never a cap), and SearchCapExceeded for a source graph
+    of n vertices above it."""
+    if isinstance(cap, bool) or not isinstance(cap, int):
+        raise _type_error("cap", cap, int)
+    if n > cap:
+        raise SearchCapExceeded(f"source graph has {n} vertices, above the search cap {cap}")
+
+
 def _vertex_candidates(sources, targets, vertex_equality, eps) -> list[list[int]]:
     """Per source, the indices of the targets its degree relates to under the
     kind's vertex relation, in target order.  The test runs once per distinct
@@ -324,31 +344,73 @@ def _incident_profiles(g: PFGraph, items: list) -> list[tuple]:
     return profiles
 
 
+def _code_weights(values: list, n: int) -> tuple[dict, dict]:
+    """The mu and nu weight of each of ``values`` (the D sorted distinct
+    values a profile can hold, 0.0 among them) for profile codes over n
+    vertices: n**r for a mu value of rank r and n**(D + r) for a nu value,
+    each less the weight of 0.0, an absent pair's value, in its place.  The
+    powers come from one table of 2D entries."""
+    d = len(values)
+    powers = [n**k for k in range(2 * d)]
+    zero = values.index(0.0)
+    mu_zero, nu_zero = powers[zero], powers[d + zero]
+    return (
+        {x: p - mu_zero for x, p in zip(values, powers)},
+        {x: p - nu_zero for x, p in zip(values, powers[d:])},
+    )
+
+
+def _incident_codes(g: PFGraph, items: list, weights: tuple[dict, dict]) -> list[int]:
+    """Per vertex of ``items`` (g's sorted vertex items), its degree profile
+    as one int: the sum of its incident edges' weights (see
+    :func:`_code_weights`), by one walk of the edge map.  The absent pairs
+    that pad a profile weigh 0, so the code is the padded profile's base-n
+    numeral less the same constant for every vertex."""
+    mu_weight, nu_weight = weights
+    codes = dict.fromkeys(g.vertices, 0)
+    for (a, b), (mu, nu) in g.edges.items():
+        w = mu_weight[mu] + nu_weight[nu]
+        codes[a] += w
+        codes[b] += w
+    return [codes[label] for label, _ in items]
+
+
 def _profile_refined(candidates, g1, sources, g2, targets, eps) -> list[list[int]]:
     """The candidate lists without the targets whose degree profile differs
     from their source's by more than eps at some position (sound, as the
     module docstring shows); NaN matches nothing, as in the search's pair
     check.  When the values a profile can hold are finite and pairwise more
-    than eps apart, that relation is tuple equality: each source takes the
-    targets whose profile equals its own from one dict lookup, and a source
-    whose list holds every target takes that class list itself.  Otherwise
-    each distinct source profile is compared once with each distinct
-    target profile, in one C-level chain, and vertices with equal profiles
-    share the verdict."""
-    by_profile: dict[tuple, list[int]] = {}
-    for j, q in enumerate(_incident_profiles(g2, targets)):
-        by_profile.setdefault(q, []).append(j)
+    than eps apart, that relation is equality of profiles: each source takes
+    the targets whose profile equals its own from one dict lookup, and a
+    source whose list holds every target takes that class list itself.
+    Profiles are then the ints of :func:`_incident_codes`, equal exactly
+    when the sorted tuples are (each base-n digit counts at most n - 1
+    padded entries, so no sum carries), while there are no more distinct
+    values than vertices; above that the tuples stay, which a code would
+    outgrow.  Otherwise each distinct source profile tuple is compared once
+    with each distinct target profile tuple, in one C-level chain, and
+    vertices with equal profiles share the verdict."""
     # the module docstring has the argument; 0.0 gives a NaN a neighbour
     values = {0.0}
     values.update(chain.from_iterable(g1.edges.values()), chain.from_iterable(g2.edges.values()))
     values = sorted(values)
     exact = all(eps < b - a < inf for a, b in zip(values, values[1:]))
     n2 = len(targets)
+    if exact and len(values) <= n2:
+        weights = _code_weights(values, n2)
+        source_profiles = _incident_codes(g1, sources, weights)
+        target_profiles = _incident_codes(g2, targets, weights)
+    else:
+        source_profiles = _incident_profiles(g1, sources)
+        target_profiles = _incident_profiles(g2, targets)
+    by_profile: dict = {}
+    for j, q in enumerate(target_profiles):
+        by_profile.setdefault(q, []).append(j)
     classes = by_profile.items()
     within = repeat(eps)
     fits: dict[tuple, set[int]] = {}
     refined = []
-    for c, p in zip(candidates, _incident_profiles(g1, sources)):
+    for c, p in zip(candidates, source_profiles):
         if exact:
             fit = by_profile.get(p, [])
             if len(c) == n2:
@@ -462,24 +524,34 @@ def verify_morphism(
         ):
             violations.append(f"vertex condition fails at {safe_repr(u)} -> {safe_repr(mapping[u])}")
 
+    def fail(u, w, tu, tw) -> None:
+        names = map(safe_str, (u, w, tu, tw))
+        violations.append("edge condition fails at pair {}-{} -> {}-{}".format(*names))
+
+    # the caller's values, which need only equal the target's labels (1 + 0j for
+    # 1) and so need not order as they do: either orientation, unordered
     if kind is MorphismKind.ISOMORPHISM:  # every pair, an absent edge read as (0, 0)
         source_edge = g1.edges.get
-        checked = (
-            (u, w, source_edge((u, w), ZERO_DEGREE)) for u, _, tail in g1._pair_scan() for w, _ in tail
-        )
+        for u, _, tail in g1._pair_scan():
+            tu = mapping[u]
+            for w, _ in tail:
+                smu, snu = source_edge((u, w), ZERO_DEGREE)
+                tw = mapping[w]
+                tmu, tnu = target_edge((tu, tw)) or target_edge((tw, tu), ZERO_DEGREE)
+                if not (abs(smu - tmu) <= eps and abs(snu - tnu) <= eps):
+                    fail(u, w, tu, tw)
     else:
-        checked = ((*key, g1.edges[key]) for key in sorted(g1.edges))
-    for u, w, (smu, snu) in checked:
-        tu, tw = mapping[u], mapping[w]
-        # the caller's values, which need only equal the target's labels (1 + 0j
-        # for 1) and so need not order as they do: either orientation, unordered
-        tmu, tnu = target_edge((tu, tw)) or target_edge((tw, tu), ZERO_DEGREE)
-        if not (
-            abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
-            if edge_equality
-            else smu <= tmu + eps and snu >= tnu - eps
-        ):
-            names = map(safe_str, (u, w, tu, tw))
-            violations.append("edge condition fails at pair {}-{} -> {}-{}".format(*names))
+        source_edges = g1.edges
+        for key in sorted(source_edges):
+            u, w = key
+            smu, snu = source_edges[key]
+            tu, tw = mapping[u], mapping[w]
+            tmu, tnu = target_edge((tu, tw)) or target_edge((tw, tu), ZERO_DEGREE)
+            if not (
+                abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
+                if edge_equality
+                else smu <= tmu + eps and snu >= tnu - eps
+            ):
+                fail(u, w, tu, tw)
 
     return MorphismCheck(not violations, tuple(violations))

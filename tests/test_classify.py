@@ -22,7 +22,7 @@ from pfgraph import (
     verify_morphism,
 )
 
-from pfgraph.classify import SELF_COMPLEMENT_VARIANTS
+from pfgraph.classify import _COMPLEMENTS, SELF_COMPLEMENT_VARIANTS
 
 from conftest import build
 
@@ -242,6 +242,28 @@ class TestSelfComplementarity:
             is_self_complementary({"a": PFDegree(0.5, 0.5)})
         with pytest.raises(TypeError, match=r"^cap must be an int, not str$"):
             is_self_complementary(build({"a": (0.5, 0.5)}), cap="9")
+        with pytest.raises(TypeError, match=r"^cap must be an int, not bool$"):
+            is_self_complementary(build({"a": (0.5, 0.5)}), cap=True)
+
+    def test_cap_is_checked_before_the_complement_is_built(self, monkeypatch, square_cycle):
+        def unreachable(g):
+            raise AssertionError("complement built for a search the cap refuses")
+
+        for variant in SELF_COMPLEMENT_VARIANTS:
+            monkeypatch.setitem(_COMPLEMENTS, variant, unreachable)
+            with pytest.raises(SearchCapExceeded, match=r"^source graph has 4 vertices, above the search cap 3$"):
+                is_self_complementary(square_cycle, variant, cap=3)
+            with pytest.raises(TypeError, match=r"^cap must be an int, not bool$"):
+                is_self_complementary(square_cycle, variant, cap=False)
+
+    def test_cap_is_checked_before_the_strength_and_completeness_checks(self, square_cycle):
+        # square_cycle is neither strong nor complete: over the cap, the cap
+        # answers first; within it, the complement's own check
+        for variant, error in (("strong", NotStrong), ("complete", NotComplete)):
+            with pytest.raises(SearchCapExceeded):
+                is_self_complementary(square_cycle, variant, cap=3)
+            with pytest.raises(error):
+                is_self_complementary(square_cycle, variant, cap=4)
 
     @pytest.mark.parametrize("variant", ["sideways", None, ["general"]], ids=repr)
     def test_unknown_variant_rejected(self, square_cycle, variant):

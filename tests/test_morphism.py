@@ -139,6 +139,9 @@ class TestFindMorphism:
             ((g, None, WEAK), r"^g2 must be a PFGraph, not NoneType$"),
             ((g, g, ISO, "9"), r"^cap must be an int, not str$"),
             ((g, g, HOMO, 9.0), r"^cap must be an int, not float$"),
+            # a bool is an int to isinstance, but never a cap
+            ((g, g, ISO, True), r"^cap must be an int, not bool$"),
+            ((g, g, HOMO, False), r"^cap must be an int, not bool$"),
         ]
         for args, message in cases:
             with pytest.raises(TypeError, match=message):

@@ -7,6 +7,7 @@ same violations as the verifier it replaced; both are kept verbatim in
 
 import collections
 import itertools
+from decimal import Decimal
 import math
 import random
 import tracemalloc
@@ -28,7 +29,15 @@ from pfgraph import (
     verify_morphism,
 )
 
-from pfgraph.morphism import _has_perfect_matching, _profile_refined, _vertex_candidates
+import pfgraph.morphism as morphism
+from pfgraph.morphism import (
+    _code_weights,
+    _has_perfect_matching,
+    _incident_codes,
+    _incident_profiles,
+    _profile_refined,
+    _vertex_candidates,
+)
 from reference_search import find_morphism as reference_find_morphism
 from reference_search import verify_morphism as reference_verify_morphism
 from test_acceptance import _corpus_n1, _corpus_n2, _corpus_n3, _corpus_n4
@@ -569,6 +578,160 @@ def test_profile_refinement_keeps_exactly_the_targets_within_eps_at_every_positi
     ]
     sources, targets = sorted(g1.vertices.items()), sorted(g2.vertices.items())
     assert _profile_refined(candidates, g1, sources, g2, targets, eps) == expected
+
+
+# --- profile codes: the exact branch's ints stand for its tuples ----------------
+
+# 0.0 to 0.99 by 0.01, as floats read from one- and two-decimal literals: any
+# two are more than eps apart, so every pair drawn from them is exact
+DECIMALS = tuple(float(Decimal(k) / 100) for k in range(100))
+
+
+def _profile_values(g1, g2):
+    """The sorted distinct values the pair's profiles can hold, 0.0 among them."""
+    values = {0.0}
+    for _, d in itertools.chain(g1.edges.items(), g2.edges.items()):
+        values.update(d)
+    return sorted(values)
+
+
+def _tuple_path(candidates, g1, sources, g2, targets):
+    """The exact branch's candidate lists by profile tuple equality."""
+    p1, p2 = _incident_profiles(g1, sources), _incident_profiles(g2, targets)
+    return [[j for j in c if p1[i] == p2[j]] for i, c in enumerate(candidates)]
+
+
+@st.composite
+def exact_code_cases(draw):
+    """Two graphs on n = 2..10 vertices with uniform vertex degrees and edge
+    values either the uniform (0.6, 0.3) (n > 2) or drawn from at most n - 1
+    of the two-decimal values, so at most n distinct values with 0.0; the second
+    graph is often a relabelled copy with some pairs changed."""
+    n = draw(st.integers(2, 10))
+    if n > 2 and draw(st.booleans()):  # 0.0, 0.3 and 0.6
+        edge = st.just(UNIFORM)
+    else:
+        pool = st.sampled_from(draw(st.lists(st.sampled_from(DECIMALS), min_size=1, max_size=n - 1, unique=True)))
+        edge = st.builds(PFDegree, pool, pool)
+    edge = st.one_of(st.none(), edge)
+    names = [f"s{i}" for i in range(n)]
+    pairs = list(itertools.combinations(names, 2))
+    chosen = draw(st.lists(edge, min_size=len(pairs), max_size=len(pairs)))
+    g1 = PFGraph(dict.fromkeys(names, UNIFORM), {p: d for p, d in zip(pairs, chosen) if d is not None})
+    image = dict(zip(names, draw(st.permutations([f"t{i}" for i in range(n)]))))
+    edges = {}
+    for (a, b), d in zip(pairs, chosen):
+        if draw(st.integers(0, 9)) == 0:  # the pair takes a fresh value, or no edge
+            d = draw(edge)
+        if d is not None:
+            edges[image[a], image[b]] = d
+    g2 = PFGraph(dict.fromkeys(image.values(), UNIFORM), edges)
+    if draw(st.booleans()):
+        candidates = [list(range(n)) for _ in range(n)]
+    else:
+        candidates = [[j for j in range(n) if draw(st.booleans())] for _ in range(n)]
+    return g1, g2, candidates
+
+
+@settings(max_examples=400, deadline=None)
+@given(exact_code_cases())
+def test_profile_codes_give_the_candidate_lists_of_profile_tuples(case):
+    g1, g2, candidates = case
+    sources, targets = sorted(g1.vertices.items()), sorted(g2.vertices.items())
+    values = _profile_values(g1, g2)
+    assert len(values) <= len(targets)  # the codes' guard holds on every case
+    refined = _profile_refined(candidates, g1, sources, g2, targets, tolerance())
+    assert refined == _tuple_path(candidates, g1, sources, g2, targets)
+    # equal codes exactly where the profile tuples are equal, within and across the graphs
+    weights = _code_weights(values, len(targets))
+    codes = _incident_codes(g1, sources, weights) + _incident_codes(g2, targets, weights)
+    profiles = _incident_profiles(g1, sources) + _incident_profiles(g2, targets)
+    for (c, p), (d, q) in itertools.combinations(zip(codes, profiles), 2):
+        assert (c == d) is (p == q), (p, q)
+
+
+@pytest.fixture
+def profile_paths(monkeypatch):
+    """Counts the calls of the two profile builders, by name."""
+    calls = collections.Counter()
+    for name in ("_incident_codes", "_incident_profiles"):
+        def counted(*args, _name=name, _f=getattr(morphism, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(morphism, name, counted)
+    return calls
+
+
+def _assert_code_path_as_tuples(g1, g2, expected_refined, calls):
+    """The refinement of every candidate list runs on codes and gives the
+    tuple path's lists, which are ``expected_refined``."""
+    sources, targets = sorted(g1.vertices.items()), sorted(g2.vertices.items())
+    everything = [list(range(len(targets))) for _ in sources]
+    refined = _profile_refined(everything, g1, sources, g2, targets, tolerance())
+    assert calls == {"_incident_codes": 2}
+    assert refined == _tuple_path(everything, g1, sources, g2, targets) == expected_refined
+
+
+def test_explicit_zero_components_pad_like_a_single_edge(profile_paths):
+    """(0.0, 0.3) and (0.3, 0.0) at a, padded with an absent pair's zeros,
+    sort to the mu list (0.0, 0.3) and the nu list (0.0, 0.3), as one
+    (0.3, 0.3) edge and an absent pair do at x and y."""
+    g1 = PFGraph(dict.fromkeys("abc", UNIFORM), {("a", "b"): PFDegree(0.0, 0.3), ("a", "c"): PFDegree(0.3, 0.0)})
+    g2 = PFGraph(dict.fromkeys("xyz", UNIFORM), {("x", "y"): PFDegree(0.3, 0.3)})
+    _assert_code_path_as_tuples(g1, g2, [[0, 1], [], []], profile_paths)
+    assert find_morphism(g1, g2, ISO) == (ISO, False, None, 0)
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    [
+        (PFDegree(-0.0, 0.3), PFDegree(0.0, 0.3)),
+        (PFDegree(0.5, -0.0), PFDegree(0.5, 0.0)),
+        (PFDegree(1, 0), PFDegree(1.0, 0.0)),
+        (PFDegree(0, 1), PFDegree(0.0, 1.0)),
+    ],
+    ids=repr,
+)
+def test_equal_values_of_another_sign_or_type_take_one_code(source, target, profile_paths):
+    """-0.0 beside 0.0 and an int beside its float are one value as dict
+    keys and as tuple elements, so they take one rank and one weight."""
+    half = PFDegree(0.5, 0.5)
+    g1 = PFGraph(dict.fromkeys("abc", UNIFORM), {("a", "b"): source, ("b", "c"): half})
+    g2 = PFGraph(dict.fromkeys("xyz", UNIFORM), {("y", "z"): target, ("x", "y"): half})
+    _assert_code_path_as_tuples(g1, g2, [[2], [1], [0]], profile_paths)
+    report = find_morphism(g1, g2, ISO)
+    assert report == (ISO, True, {"a": "z", "b": "y", "c": "x"}, 3)
+    assert report[:3] == reference_find_morphism(g1, g2, ISO)[:3]
+
+
+@pytest.mark.parametrize(
+    "edges, expected",
+    [({}, [[0, 1], [0, 1]]), ({("a", "b"): PFDegree(0.5, 0.5)}, [[0, 1], [0, 1]])],
+    ids=["no edge", "one edge"],
+)
+def test_two_vertices_take_the_code_path(edges, expected, profile_paths):
+    """n = 2 holds one or two distinct values, 0.0 with at most one more."""
+    g1 = PFGraph(dict.fromkeys("ab", UNIFORM), edges)
+    g2 = PFGraph(dict.fromkeys("xy", UNIFORM), {("x", "y"): d for d in edges.values()})
+    _assert_code_path_as_tuples(g1, g2, expected, profile_paths)
+    assert find_morphism(g1, g2, ISO) == (ISO, True, {"a": "x", "b": "y"}, 2)
+
+
+def test_more_distinct_values_than_vertices_take_the_tuple_path(profile_paths):
+    """Five distinct values on four vertices: the codes would be longer than
+    the tuples they stand for, so the exact branch keeps the tuples, and the
+    reports are those the tuple lookup gave before the codes."""
+    path = {("a", "b"): 0.1, ("b", "c"): 0.2, ("c", "d"): 0.4}
+    g1 = PFGraph(dict.fromkeys("abcd", UNIFORM), {k: PFDegree(mu, 0.3) for k, mu in path.items()})
+    copy = {("y", "w"): 0.1, ("w", "x"): 0.2, ("x", "z"): 0.4}
+    g2 = PFGraph(dict.fromkeys("wxyz", UNIFORM), {k: PFDegree(mu, 0.3) for k, mu in copy.items()})
+    copy[("x", "z")] = 0.5
+    g3 = PFGraph(dict.fromkeys("wxyz", UNIFORM), {k: PFDegree(mu, 0.3) for k, mu in copy.items()})
+    assert len(_profile_values(g1, g2)) == 5
+    assert find_morphism(g1, g2, ISO) == (ISO, True, {"a": "y", "b": "w", "c": "x", "d": "z"}, 4)
+    assert find_morphism(g1, g3, ISO) == (ISO, False, None, 0)
+    assert profile_paths == {"_incident_profiles": 4}
 
 
 # --- the set-up: shared vertex tests and the root matching check --------------

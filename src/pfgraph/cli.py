@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every subcommand is a thin shell over the library: it reads graph documents
-(from files or stdin via ``-``), calls one library operation, and prints the
+(from files or stdin via ``-``; every ``-`` of one command reads the same
+stdin document), calls one library operation, and prints the
 serialized result on stdout.  Diagnostics and error objects go to stderr so
 stdout always carries a clean document.  Exit codes: 0 success, 1 domain
 error (invalid graph, overlap on join, an overlapping union that breaks the
@@ -73,8 +74,21 @@ def _read_text(path: str) -> str:
         raise MalformedDocument(f"not UTF-8 text: {exc}") from None
 
 
-def _read_graph(path: str, check: bool = True):
-    return parse(_read_text(path), check=check)
+def _graph_reader():
+    """A ``read_graph(path, check=True)`` for one command.  Stdin is read at
+    most once, by the first ``-``, and every ``-`` parses that text, so
+    ``iso - -`` takes the piped document on both sides."""
+    stdin = None
+
+    def read_graph(path: str, check: bool = True):
+        nonlocal stdin
+        if path != "-":
+            return parse(_read_text(path), check=check)
+        if stdin is None:
+            stdin = _read_text(path)
+        return parse(stdin, check=check)
+
+    return read_graph
 
 
 def _emit(text: str) -> None:
@@ -150,8 +164,9 @@ def _search_cap(args: argparse.Namespace) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
+    read_graph = _graph_reader()
     if args.command == "validate":
-        graph = _read_graph(args.graph, check=False)
+        graph = read_graph(args.graph, check=False)
         report = validate(graph)
         _emit_json(report.as_dict())
         return 0 if report.ok else 1
@@ -160,11 +175,11 @@ def _run(args: argparse.Namespace) -> int:
         if args.name in _UNARY_OPS:
             if len(args.graphs) != 1:
                 raise SystemExit(f"op {args.name} takes exactly one graph")
-            result = _UNARY_OPS[args.name](_read_graph(args.graphs[0]), args.force)
+            result = _UNARY_OPS[args.name](read_graph(args.graphs[0]), args.force)
         else:
             if len(args.graphs) != 2:
                 raise SystemExit(f"op {args.name} takes exactly two graphs")
-            g1, g2 = _read_graph(args.graphs[0]), _read_graph(args.graphs[1])
+            g1, g2 = read_graph(args.graphs[0]), read_graph(args.graphs[1])
             result = _BINARY_OPS[args.name](g1, g2)
             if args.name == "union" and g1.vertices.keys() & g2.vertices.keys():
                 # raising a shared vertex can strand an edge copied from the other side
@@ -173,11 +188,11 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "classify":
-        _emit_json(classify(_read_graph(args.graph)).as_dict())
+        _emit_json(classify(read_graph(args.graph)).as_dict())
         return 0
 
     if args.command == "sums":
-        graph = _read_graph(args.graph)
+        graph = read_graph(args.graph)
         report = strong_sum_identity(graph) if args.strong else sum_identity(graph)
         _emit_json(report.as_dict())
         return 0
@@ -185,8 +200,8 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "iso":
         cap = _search_cap(args)
         report = find_morphism(
-            _read_graph(args.graph1),
-            _read_graph(args.graph2),
+            read_graph(args.graph1),
+            read_graph(args.graph2),
             _KIND_NAMES[args.kind],
             cap=cap,
         )
@@ -197,7 +212,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "selfcomp":
         cap = _search_cap(args)
-        report = is_self_complementary(_read_graph(args.graph), args.variant, cap=cap)
+        report = is_self_complementary(read_graph(args.graph), args.variant, cap=cap)
         _emit_json(
             {
                 "variant": args.variant,
@@ -223,7 +238,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "dot":
-        _emit(to_dot(_read_graph(args.graph)))
+        _emit(to_dot(read_graph(args.graph)))
         return 0
 
     raise SystemExit(f"unknown command {args.command!r}")

@@ -41,7 +41,7 @@ Design choices baked into this module:
   only what it keeps.  ``classify`` stops once its five flags have
   witnesses, or at the end of the row in which its three completeness flags
   have them, and then finds a strength witness still missing by one walk
-  over the edges; ``verify_morphism`` runs one nested loop over the rows.
+  over the edges.
   :meth:`PFGraph._flat_pairs` projects the rows onto one (u, v, degree,
   bound) row per pair, an absent edge read as ZERO_DEGREE, for
   ``complete_complement``'s check; :meth:`PFGraph.pairs`

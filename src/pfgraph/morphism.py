@@ -96,10 +96,23 @@ check, from the same operands by the same operation: an int component is
 converted as it is there, and a NaN or an infinity carries through the
 shift.  So every verdict, and with it every attempt, is the same.
 
-Under isomorphism :func:`verify_morphism` checks every source pair in one
-nested loop over the pair scan's rows, reading each pair's labels from the
-row and its degree by one lookup, with no key built; under the other kinds
-it checks every source edge, in key order.
+:func:`verify_morphism` does work in proportion to n + m (vertices plus
+both graphs' edges) and sorts only the checks that fail.  Every kind walks
+the source edges once, in any order, and reads each one's image pair in
+either orientation, a collapsed pair or a miss as (0, 0), counting the
+hits: the source edges whose image is a stored target edge.  Isomorphism
+also checks the source pairs without an edge, (0, 0) on the source side.
+Such a pair fails exactly when its image is a target edge that is not
+within eps of (0, 0), which a NaN never is.  When the map is injective
+and every target edge was hit, distinct pairs have distinct images and
+every target edge is a source edge's image, so no pair without an edge
+meets a target edge and nothing is left to check.  Otherwise one walk of
+the target edges, with each target value's source preimages, names every
+such pair: per target edge (x, y) away from (0, 0), each pair of a
+preimage of x and a preimage of y that is not a source edge.  That walk
+costs n + m plus one step per failing pair.  The failing vertices and the
+failing pairs are each sorted, the pairs in key order, which is the pair
+scan's order, so the messages come in the order of a check of every pair.
 """
 
 from __future__ import annotations
@@ -475,7 +488,14 @@ def verify_morphism(
 
     The mapping must be total on g1's vertices and stay inside g2's;
     anything else raises UnknownVertex.  Condition failures are returned
-    as violations, one entry per failing vertex or pair.  A ``kind`` that
+    as violations, one entry per failing vertex or pair: the bijection
+    failures, then the failing vertices in label order, then the failing
+    pairs in key order.  The check takes O(n + m) time on a map that
+    passes, and one more step per failing pair: one walk of the source
+    edges, and under isomorphism, only when the map is not injective or
+    some target edge is no source edge's image, one walk of the target
+    edges (see the module docstring for why that covers every pair).  A
+    ``kind`` that
     is not a MorphismKind, a ``mapping`` that is not a Mapping or a graph
     that is not a PFGraph raises TypeError naming the parameter.
     """
@@ -505,7 +525,8 @@ def verify_morphism(
 
     violations: list[str] = []
     if kind.bijective:
-        if len(set(mapping.values())) != len(g1.vertices):
+        injective = len(set(mapping.values())) == len(g1.vertices)
+        if not injective:
             violations.append("mapping is not injective")
         if len(g1.vertices) != len(g2.vertices):
             violations.append("vertex counts differ, mapping cannot be a bijection")
@@ -514,44 +535,62 @@ def verify_morphism(
     vertex_equality = kind.vertex_equality
     edge_equality = kind.edge_equality
     target_vertices = g2.vertices
-    target_edge = g2.edges.get
-    for u, (smu, snu) in sorted(g1.vertices.items()):
+    failed_vertices = []
+    for u, (smu, snu) in g1.vertices.items():
         tmu, tnu = target_vertices[mapping[u]]
         if not (
             abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
             if vertex_equality
             else smu <= tmu + eps and snu >= tnu - eps
         ):
-            violations.append(f"vertex condition fails at {safe_repr(u)} -> {safe_repr(mapping[u])}")
+            failed_vertices.append(u)
+    for u in sorted(failed_vertices):
+        violations.append(f"vertex condition fails at {safe_repr(u)} -> {safe_repr(mapping[u])}")
 
-    def fail(u, w, tu, tw) -> None:
-        names = map(safe_str, (u, w, tu, tw))
+    # every kind checks each source edge against its image pair, read in either
+    # orientation: the caller's values need only equal the target's labels
+    # (1 + 0j for 1), so need not order as they do; a collapsed pair (t, t) is
+    # never a key and reads as (0, 0), as a miss does
+    source_edges = g1.edges
+    target_edges = g2.edges
+    target_edge = target_edges.get
+    failed_pairs = []
+    hits = 0  # source edges whose image is a stored target edge
+    for key, (smu, snu) in source_edges.items():
+        u, w = key
+        tu, tw = mapping[u], mapping[w]
+        t = target_edge((tu, tw)) or target_edge((tw, tu))
+        if t is None:
+            t = ZERO_DEGREE
+        else:
+            hits += 1
+        tmu, tnu = t
+        if not (
+            abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
+            if edge_equality
+            else smu <= tmu + eps and snu >= tnu - eps
+        ):
+            failed_pairs.append(key)
+    # Under isomorphism a source pair with no edge, (0, 0), fails exactly when
+    # its image is a target edge not within eps of (0, 0).  When the map is
+    # injective and every target edge is some source edge's image, no pair
+    # without an edge maps onto a target edge, and nothing is left to check.
+    if kind is MorphismKind.ISOMORPHISM and not (injective and hits == len(target_edges)):
+        preimages: dict = {}  # keyed by the caller's values: 1 + 0j finds label 1
+        for u in g1.vertices:
+            preimages.setdefault(mapping[u], []).append(u)
+        zmu, znu = ZERO_DEGREE
+        for (x, y), (tmu, tnu) in target_edges.items():
+            if abs(zmu - tmu) <= eps and abs(znu - tnu) <= eps:
+                continue
+            for u in preimages.get(x, ()):
+                for w in preimages.get(y, ()):
+                    key = (u, w) if u < w else (w, u)
+                    if key not in source_edges:
+                        failed_pairs.append(key)
+    # the label rule orders g1's labels, and key order is the pair scan's order
+    for u, w in sorted(failed_pairs):
+        names = map(safe_str, (u, w, mapping[u], mapping[w]))
         violations.append("edge condition fails at pair {}-{} -> {}-{}".format(*names))
-
-    # the caller's values, which need only equal the target's labels (1 + 0j for
-    # 1) and so need not order as they do: either orientation, unordered
-    if kind is MorphismKind.ISOMORPHISM:  # every pair, an absent edge read as (0, 0)
-        source_edge = g1.edges.get
-        for u, _, tail in g1._pair_scan():
-            tu = mapping[u]
-            for w, _ in tail:
-                smu, snu = source_edge((u, w), ZERO_DEGREE)
-                tw = mapping[w]
-                tmu, tnu = target_edge((tu, tw)) or target_edge((tw, tu), ZERO_DEGREE)
-                if not (abs(smu - tmu) <= eps and abs(snu - tnu) <= eps):
-                    fail(u, w, tu, tw)
-    else:
-        source_edges = g1.edges
-        for key in sorted(source_edges):
-            u, w = key
-            smu, snu = source_edges[key]
-            tu, tw = mapping[u], mapping[w]
-            tmu, tnu = target_edge((tu, tw)) or target_edge((tw, tu), ZERO_DEGREE)
-            if not (
-                abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
-                if edge_equality
-                else smu <= tmu + eps and snu >= tnu - eps
-            ):
-                fail(u, w, tu, tw)
 
     return MorphismCheck(not violations, tuple(violations))

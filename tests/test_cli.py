@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from pfgraph import DEFAULT_EPSILON, GenConfig, generate, render, set_tolerance, tolerance
+from pfgraph import DEFAULT_EPSILON, GenConfig, generate, parse, render, set_tolerance, tolerance
 from pfgraph.cli import _BINARY_OPS, _UNARY_OPS, main
 
 from test_graph_io import SQUARE_CYCLE_DOC
@@ -417,6 +417,34 @@ class TestStdinPiping:
                 ["validate", "-"], capsys, stdin_text=comp, monkeypatch=monkeypatch
             )
             assert code == 0
+
+    def test_dash_twice_compares_the_stdin_document_with_itself(self, capsys, monkeypatch):
+        # each call reads its own stdin: nothing is kept from the call before
+        for seed, n in ((1, 4), (2, 6)):
+            doc = render(generate(GenConfig(seed=seed, n_vertices=n)))
+            code, out, err = run_cli(
+                ["iso", "-", "-", "--require"], capsys, stdin_text=doc, monkeypatch=monkeypatch
+            )
+            assert (code, err) == (0, "")
+            report = json.loads(out)
+            assert report["found"] is True
+            assert report["witness"] == {v["id"]: v["id"] for v in json.loads(doc)["vertices"]}
+
+    def test_union_of_stdin_with_itself_is_the_stdin_graph(self, capsys, monkeypatch):
+        doc = render(generate(GenConfig(seed=1, n_vertices=4)))
+        code, out, err = run_cli(
+            ["op", "union", "-", "-"], capsys, stdin_text=doc, monkeypatch=monkeypatch
+        )
+        assert (code, err) == (0, "")
+        assert out == render(parse(doc))
+
+    def test_join_of_stdin_with_itself_is_an_overlap(self, capsys, monkeypatch):
+        doc = render(generate(GenConfig(seed=1, n_vertices=4)))
+        code, out, err = run_cli(
+            ["op", "join", "-", "-"], capsys, stdin_text=doc, monkeypatch=monkeypatch
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "JoinOverlap"
 
 
 class TestEpsilonOverride:

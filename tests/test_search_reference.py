@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pfgraph import (
+    GenConfig,
     MorphismKind,
     PFDegree,
     PFGError,
@@ -23,6 +24,7 @@ from pfgraph import (
     ZERO_DEGREE,
     complement,
     find_morphism,
+    generate,
     is_self_complementary,
     set_tolerance,
     tolerance,
@@ -391,6 +393,116 @@ def test_each_target_pair_is_read_once_per_call():
         assert report == find_morphism(g1, g2, kind, cap=cap)
         assert report.search_space > len(g2.vertices)
         assert max(edges.gets.values()) == 1, (kind, edges.gets.most_common(1))
+
+
+# --- the verifier's reads and its walk of the target edges ------------------
+
+def test_verifier_reads_at_most_two_target_pairs_per_source_edge():
+    """A sparse witness is checked by one walk of the source edges: no read of
+    the n(n - 1)/2 pairs an isomorphism is defined on."""
+    g1 = generate(GenConfig(seed=5, n_vertices=60, edge_probability=0.045))
+    rng = random.Random(5)
+    image = dict(zip(g1.vertices, rng.sample([f"t{k:02d}" for k in range(60)], 60)))
+    g2 = PFGraph(
+        {image[v]: d for v, d in g1.vertices.items()},
+        {(image[k.lo], image[k.hi]): d for k, d in g1.edges.items()},
+    )
+    witness = find_morphism(g1, g2, ISO, cap=60).witness
+    m = len(g1.edges)
+    assert witness is not None and 60 < m < 120
+    for kind in KINDS:
+        edges = _CountedEdges(g2.edges)
+        check = verify_morphism(g1, PFGraph._adopt(dict(g2.vertices), edges), kind, witness)
+        assert check.ok, (kind, check)
+        reads = sum(edges.gets.values())
+        assert reads <= 2 * m, (kind, reads, m)
+
+
+# the explicit cases' vertex degree D and edge degree E
+D = PFDegree(0.5, 0.3)
+E = PFDegree(0.4, 0.3)
+
+
+def test_injective_map_with_an_unhit_target_edge_within_eps_of_zero_passes():
+    g1 = PFGraph(dict.fromkeys("abc", D), {("a", "b"): E})
+    g2 = PFGraph(dict.fromkeys("xyz", D), {("x", "y"): E, ("y", "z"): PFDegree(5e-10, 0.0)})
+    mapping = {"a": "x", "b": "y", "c": "z"}
+    assert verify_morphism(g1, g2, ISO, mapping).ok
+    assert_same_checks(g1, g2, mapping)
+
+
+def test_unhit_target_edges_interleave_with_failing_source_edges_in_key_order():
+    g1 = PFGraph(dict.fromkeys("abcdef", D), {("a", "f"): E, ("c", "d"): E, ("a", "b"): E})
+    g2 = PFGraph(
+        dict.fromkeys("abcdef", D),
+        {
+            ("a", "f"): D,  # a failing source edge
+            ("a", "b"): E,  # a passing one
+            ("b", "c"): E,  # no source edge: fails
+            ("c", "d"): PFDegree(0.4, 0.3 + 2e-9),  # failing, just beyond eps
+            ("d", "e"): PFDegree(math.nan, 0.0),  # NaN is within eps of nothing
+            ("e", "f"): PFDegree(0.0, -5e-10),  # within eps of (0, 0): passes
+        },
+    )
+    mapping = {v: v for v in g1.vertices}
+    assert verify_morphism(g1, g2, ISO, mapping).violations == tuple(
+        f"edge condition fails at pair {p}-{q} -> {p}-{q}" for p, q in ("af", "bc", "cd", "de")
+    )
+    assert_same_checks(g1, g2, mapping)
+
+
+def test_map_that_is_not_injective_checks_every_pair_onto_a_target_edge():
+    # a-b, c-b and a-d, c-d all land on x-y, and the source edge a-c collapses onto x
+    g1 = PFGraph(dict.fromkeys("abcde", D), {("a", "b"): E, ("a", "c"): E, ("d", "e"): E})
+    g2 = PFGraph(dict.fromkeys("wxyz", D), {("x", "y"): E, ("w", "z"): E, ("y", "z"): E})
+    mapping = {"a": "x", "b": "y", "c": "x", "d": "y", "e": "w"}
+    assert verify_morphism(g1, g2, ISO, mapping).violations == (
+        "mapping is not injective",
+        "vertex counts differ, mapping cannot be a bijection",
+        "edge condition fails at pair a-c -> x-x",
+        "edge condition fails at pair a-d -> x-y",
+        "edge condition fails at pair b-c -> y-x",
+        "edge condition fails at pair c-d -> x-y",
+        "edge condition fails at pair d-e -> y-w",
+    )
+    assert_same_checks(g1, g2, mapping)
+
+
+def test_injective_map_into_a_larger_target():
+    g1 = PFGraph(dict.fromkeys("abc", D), {("a", "b"): E})
+    # z is no image: the edges from it and from image vertices to it are never read
+    g2 = PFGraph(
+        dict.fromkeys("wxyz", D),
+        {("w", "x"): E, ("x", "y"): E, ("y", "z"): E, ("w", "z"): E},
+    )
+    for mapping in ({"a": "w", "b": "x", "c": "y"}, {"a": "x", "b": "w", "c": "z"}):
+        assert_same_checks(g1, g2, mapping)
+    assert verify_morphism(g1, g2, ISO, {"a": "w", "b": "x", "c": "y"}).violations == (
+        "vertex counts differ, mapping cannot be a bijection",
+        "edge condition fails at pair b-c -> x-y",
+    )
+
+
+def test_mapping_values_equal_to_int_labels_find_their_preimages():
+    g2 = PFGraph(dict.fromkeys(range(4), D), {(0, 1): E, (1, 2): E, (2, 3): E})
+    g1 = PFGraph(dict.fromkeys("abcd", D), {("a", "b"): E, ("c", "d"): E})
+    # True stands for 1, and the unhit target edge 1-2 finds b through it
+    mapping = {"a": 0, "b": True, "c": 2, "d": 3}
+    assert verify_morphism(g1, g2, ISO, mapping).violations == (
+        "edge condition fails at pair b-c -> True-2",
+    )
+    assert_same_checks(g1, g2, mapping)
+    # 2 + 0j stands for 2; the reference orders target labels with <, which
+    # refuses a complex, so it checks the int map and the names are swapped back
+    g1 = PFGraph(dict.fromkeys(range(4), D), {(0, 1): E, (1, 2): E})
+    for kind in KINDS:
+        check = verify_morphism(g1, g2, kind, {0: 0, 1: 1, 2: 2 + 0j, 3: 3})
+        expected = reference_verify_morphism(g1, g2, kind, {v: v for v in range(4)})
+        assert check.ok == expected.ok
+        assert tuple(m.replace("(2+0j)", "2") for m in check.violations) == expected.violations
+    assert verify_morphism(g1, g2, ISO, {0: 0, 1: 1, 2: 2 + 0j, 3: 3}).violations == (
+        "edge condition fails at pair 2-3 -> (2+0j)-3",
+    )
 
 
 # --- the degree-profile refinement under isomorphism --------------------------

@@ -23,7 +23,6 @@ from .core import (
     PFGraph,
     PairKey,
     ZERO_DEGREE,
-    _require_label_order,
     _type_error,
     degree_max_min,
     degree_min_max,
@@ -41,15 +40,10 @@ def compose_label(left: str, right: str) -> str:
 
 
 def _require_composable(graphs: Iterable[PFGraph]) -> None:
-    # str labels free of '(', ')' and ',': no two composed labels coincide and
-    # no composed key is a self-loop
+    # labels free of '(', ')' and ',': no two composed labels coincide and no
+    # composed key is a self-loop
     for g in graphs:
         for label in g.vertices:
-            if not isinstance(label, str):
-                raise LabelClash(
-                    f"vertex label {safe_repr(label)} is not a string and cannot be composed "
-                    "into a product label"
-                )
             if any(ch in label for ch in _FORBIDDEN_LABEL_CHARS):
                 raise LabelClash(
                     f"vertex label {label!r} contains '(', ')' or ',' and cannot "
@@ -174,16 +168,13 @@ def union(g1: PFGraph, g2: PFGraph) -> PFGraph:
     smaller non-membership.  Overlapping unions are always defined but are
     not guaranteed to satisfy the edge bounds, because raising a shared
     vertex's membership can strand an edge copied from one side; validate
-    the result when the vertex sets overlap.  Labels that break the label
-    rule together raise ConstraintViolation, as in ``PFGraph(...)``.
+    the result when the vertex sets overlap.
     """
     if not isinstance(g1, PFGraph):
         raise _type_error("g1", g1, PFGraph)
     if not isinstance(g2, PFGraph):
         raise _type_error("g2", g2, PFGraph)
-    vertices, edges = _union_maps(g1, g2)
-    _require_label_order(vertices)
-    return PFGraph._adopt(vertices, edges)
+    return PFGraph._adopt(*_union_maps(g1, g2))
 
 
 @gc_paused
@@ -192,19 +183,17 @@ def join(g1: PFGraph, g2: PFGraph) -> PFGraph:
 
     Every cross edge carries the largest degree it may: the endpoint
     minimum membership and maximum non-membership.  A cross edge that comes
-    out as exactly (0, 0) is no edge and is left out.  Labels that break
-    the label rule together raise ConstraintViolation, as in ``union``.
+    out as exactly (0, 0) is no edge and is left out.
     """
     if not isinstance(g1, PFGraph):
         raise _type_error("g1", g1, PFGraph)
     if not isinstance(g2, PFGraph):
         raise _type_error("g2", g2, PFGraph)
     overlap = set(g1.vertices) & set(g2.vertices)
-    if overlap:  # a subset of g1's labels, which the label rule orders
-        shared = ", ".join(map(safe_repr, sorted(overlap)))
+    if overlap:
+        shared = ", ".join(map(repr, sorted(overlap)))
         raise JoinOverlap(f"join requires disjoint vertex sets; shared: [{shared}]")
     vertices, edges = _union_maps(g1, g2)
-    _require_label_order(vertices)
     for u, du in g1.vertices.items():
         for v, dv in g2.vertices.items():
             degree = degree_min_max(du, dv)
@@ -332,11 +321,14 @@ def complete_complement(g: PFGraph, force: bool = False) -> PFGraph:
     """Complement for complete graphs; for a genuinely complete input it is edgeless."""
     if not isinstance(g, PFGraph):
         raise _type_error("g", g, PFGraph)
-    eps = tolerance()
-    complete = force or all(
-        abs(mu - bmu) <= eps and abs(nu - bnu) <= eps
-        for _, _, (mu, nu), bmu, bnu in g._flat_pairs()
-    )
-    if not complete:
-        raise NotComplete("input graph is not complete; pass force=True to override")
+    if not force:
+        eps = tolerance()
+        get = g.edges.get
+        for u, (umu, unu), tail in g._pair_scan():
+            for v, (vmu, vnu) in tail:
+                mu, nu = get((u, v), ZERO_DEGREE)
+                # the pair's bound, degree_min_max's rule inline
+                if not (abs(mu - (vmu if vmu < umu else umu)) <= eps
+                        and abs(nu - (vnu if vnu > unu else unu)) <= eps):
+                    raise NotComplete("input graph is not complete; pass force=True to override")
     return _zero_or_bound_complement(g)

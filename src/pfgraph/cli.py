@@ -7,7 +7,9 @@ serialized result on stdout.  Diagnostics and error objects go to stderr so
 stdout always carries a clean document.  Exit codes: 0 success, 1 domain
 error (invalid graph, overlap on join, an overlapping union that breaks the
 edge bounds, morphism not found under --require, and similar), 2 usage or
-document-syntax error.
+document-syntax error.  A reader of stdout that has gone (``pfgraph gen ...
+| true``) is no error: the command returns its own status, and stderr stays
+empty.
 
 The PFG_EPSILON environment variable overrides the global comparison
 tolerance (decimal, default 1e-9); a value that is not a positive finite
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -92,9 +95,18 @@ def _graph_reader():
 
 
 def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+    try:
+        sys.stdout.write(text)
+        if not text.endswith("\n"):
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone, which is no failure of the command:
+        # stdout now writes to os.devnull, so the flush at exit stays quiet,
+        # and the command returns its own status
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _emit_json(payload: dict) -> None:

@@ -17,9 +17,8 @@ Design choices baked into this module:
   :func:`apply_env_tolerance` reports it.
 - Graphs are simple and undirected.  Edges are keyed by :class:`PairKey`,
   the label pair (lo, hi) in canonical order, which makes symmetry
-  structural; self-loops, and pairs that ``<`` orders neither way, are
-  rejected at key construction.  PairKey and :class:`PFDegree` (mu, nu)
-  are tuples and compare, hash and sort as such.
+  structural; self-loops are rejected at key construction.  PairKey and
+  :class:`PFDegree` (mu, nu) are tuples and compare, hash and sort as such.
 - An edge whose degree is exactly (0, 0) means "no edge" and is removed
   when the graph is built.  ``PFGraph(...)`` is the checking constructor:
   it copies both maps, makes every key a canonical PairKey and every degree
@@ -42,10 +41,6 @@ Design choices baked into this module:
   witnesses, or at the end of the row in which its three completeness flags
   have them, and then finds a strength witness still missing by one walk
   over the edges.
-  :meth:`PFGraph._flat_pairs` projects the rows onto one (u, v, degree,
-  bound) row per pair, an absent edge read as ZERO_DEGREE, for
-  ``complete_complement``'s check; :meth:`PFGraph.pairs`
-  and :meth:`PFGraph.pair_rows` are its public views, keyed by PairKey.
 - PairKey and PFDegree are tuple subclasses, and CPython's cyclic garbage
   collector tracks such an object for its whole life (it untracks only
   plain tuples of untracked items).  Each one a pass builds and keeps, and
@@ -65,8 +60,9 @@ Design choices baked into this module:
   thread's ``gc.enable`` or ``gc.disable`` during a paused call is not
   seen: the call enables the GC as it returns either way.
 - Every pass that sorts vertex labels or edge keys sorts them by plain
-  ``<``: the endpoint and label rules below guarantee a strict order, so no
-  sort can raise TypeError or come out in a silently wrong order.
+  ``<``: the label rule below makes every label a str, and ``<`` orders
+  strs totally, so no sort can raise TypeError or come out in a silently
+  wrong order.
 - Values are immutable after construction.  Operations elsewhere in the
   package return new graphs and never mutate their inputs.  Every record
   type (:class:`Violation`, :class:`ValidationReport`, and the reports and
@@ -78,26 +74,25 @@ Graphs holding *invalid* data are representable on purpose: :func:`validate`
 turns every broken invariant into a report entry instead of an exception,
 so arbitrary candidate data can be inspected, with three exceptions, which
 no pass can compute with.  ``PFGraph(...)`` refuses with ConstraintViolation
-a degree that is not a (mu, nu) pair, has a bool or a component neither
-int nor float, or holds an int that ``float()`` cannot convert (the value
-rule, in ``parse``'s wording).  It refuses with DanglingEdge an edge kept
-(not exactly (0, 0)) whose endpoint is not a vertex, naming the first in
+a vertex label or an edge endpoint that is not an exact str, is empty, or
+does not encode as UTF-8 (the label rule: a label is a name, and a
+document names a vertex by such a str, as ``parse`` requires).  A str
+subclass is refused too, since it could override ``<`` or ``__hash__``,
+and a document would bring it back as a plain str.  It refuses with
+ConstraintViolation a degree that is not a (mu, nu) pair, has a bool or a
+component neither int nor float, or holds an int that ``float()`` cannot
+convert (the value rule).  It refuses with DanglingEdge an edge kept (not
+exactly (0, 0)) whose endpoint is not a vertex, naming the first in
 insertion order with the message :func:`dangling_edge` writes, as ``parse``
 does (the endpoint rule), so every pass reads an edge's endpoints straight
-from the vertex map.  It refuses with ConstraintViolation vertex labels
-that ``<`` cannot put in a strict order (the label rule: an int beside a
-str, NaN beside another label, frozensets neither of which contains the
-other; str-only, int-only and tuple labels pass, and a lone label needs no
-order).  ``union`` and ``join`` apply the label rule to their combined
-labels; no builder makes what any rule refuses from checked graphs.
-:func:`validate` is the one checker of the degree rules: one pass tests
-each vertex's label (a non-empty str that encodes as UTF-8, so that the
-document it renders can be parsed and printed), unit range and squared
-sum, and each edge's unit range, squared sum and bound (read from the two
-endpoint tuples), each rule once, and every failed test adds its own report
-entry.  Entries, and every other message, name labels, keys and values
-through :func:`safe_str` and :func:`safe_repr`, so an int label past
-CPython's int-string limit is named by its bit length.  A degree that
+from the vertex map.  No builder makes what any rule refuses from checked
+graphs.  :func:`validate` is the one checker of the degree rules: one pass
+tests each vertex's unit range and squared sum, and each edge's unit
+range, squared sum and bound (read from the two endpoint tuples), each
+rule once, and every failed test adds its own report entry.  A message
+that names a caller's own value (a query label, a mapping value, a degree
+number) names it through :func:`safe_str` and :func:`safe_repr`, so an int
+past CPython's int-string limit is named by its bit length.  A degree that
 fails its one combined test goes to one helper, which adds the range and
 squared-sum entries; an int square beyond float range (10**200) is above 1
 beside any value but NaN.
@@ -111,7 +106,7 @@ import os
 import sys
 from functools import wraps
 from itertools import chain
-from operator import itemgetter, lt
+from operator import itemgetter
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import ConstraintViolation, DanglingEdge
@@ -170,12 +165,6 @@ class PFDegree(NamedTuple):
     mu: float
     nu: float
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.mu, self.nu)
-
-    def is_zero(self) -> bool:
-        return self.mu == 0.0 and self.nu == 0.0
-
 
 ZERO_DEGREE = PFDegree(0.0, 0.0)
 
@@ -194,11 +183,9 @@ def safe_repr(value) -> str:
 
 
 def safe_str(item) -> str:
-    """str(item), as the validation report names a vertex label or an edge
-    key (a PairKey reads lo-hi), with an int label past CPython's int-string
-    limit named as :func:`safe_repr` names it."""
-    if isinstance(item, PairKey):
-        return f"{safe_str(item.lo)}-{safe_str(item.hi)}"
+    """str(item), so that a message can name a caller's value as a label,
+    with an int past CPython's int-string limit named as :func:`safe_repr`
+    names it."""
     try:
         return str(item)
     except ValueError:
@@ -286,21 +273,19 @@ class PairKey(tuple):
     """Canonical unordered pair of vertex labels (the edge key).
 
     ``PairKey(u, v) == PairKey(v, u)`` by construction; self-loops raise
-    ValueError because the underlying graphs are simple.  Labels that ``<``
-    orders neither way (an int and a str, two NaNs, frozensets neither of
-    which contains the other) raise ConstraintViolation, as in PFGraph.
+    ValueError because the underlying graphs are simple.  Labels are strs,
+    which ``<`` orders totally; a caller's values that ``<`` cannot compare
+    raise its TypeError, and values it orders neither way (two NaNs, say)
+    ConstraintViolation.
     """
 
     __slots__ = ()
 
     def __new__(cls, u: str, v: str) -> PairKey:
-        try:
-            if u < v:
-                return tuple.__new__(cls, (u, v))
-            if v < u:
-                return tuple.__new__(cls, (v, u))
-        except TypeError:  # an int and a str label, say
-            pass
+        if u < v:
+            return tuple.__new__(cls, (u, v))
+        if v < u:
+            return tuple.__new__(cls, (v, u))
         if u is v or u == v:  # one NaN object is one label, though not equal to itself
             raise ValueError(f"self-loop on vertex {safe_repr(u)} is not allowed")
         raise ConstraintViolation(
@@ -313,13 +298,6 @@ class PairKey(tuple):
     def __getnewargs__(self) -> tuple[str, str]:
         return tuple(self)
 
-    def other(self, v: str) -> str:
-        if v == self.lo:
-            return self.hi
-        if v == self.hi:
-            return self.lo
-        raise KeyError(v)
-
     def __repr__(self) -> str:
         return f"PairKey(lo={self.lo!r}, hi={self.hi!r})"
 
@@ -327,20 +305,15 @@ class PairKey(tuple):
         return f"{self.lo}-{self.hi}"
 
 
-def _require_label_order(vertices: Mapping) -> None:
-    """ConstraintViolation unless ``<`` puts a graph's vertex labels in a
-    strict order: the label rule of the module docstring, which every pass
-    that sorts labels or keys relies on."""
-    try:
-        ordered = sorted(vertices)
-    except TypeError as exc:  # an int beside a str, say
-        problem = str(exc)
-    else:
-        if all(map(lt, ordered, ordered[1:])):
-            return
-        a, b = next((a, b) for a, b in zip(ordered, ordered[1:]) if not a < b)  # NaN, say
-        problem = f"{safe_repr(a)} and {safe_repr(b)}"
-    raise ConstraintViolation(f"vertex labels cannot be put in a strict order: {problem}")
+def _require_label(label, what: str) -> None:
+    """ConstraintViolation unless label is a vertex label: an exact str,
+    non-empty, that encodes as UTF-8 (the label rule)."""
+    if type(label) is not str:
+        raise ConstraintViolation(f"{what} {safe_repr(label)} must be a str, not {type(label).__name__}")
+    if not label:
+        raise ConstraintViolation(f"{what} '' must be non-empty")
+    if not (label.isascii() or encodes_as_utf8(label)):
+        raise ConstraintViolation(f"{what} {label!r} does not encode as UTF-8")
 
 
 class PFGraph:
@@ -350,7 +323,7 @@ class PFGraph:
     copies both maps, accepts edge keys given either as PairKey or as a
     plain (u, v) tuple, and drops edges whose degree is exactly (0, 0).
     Each degree becomes a PFDegree with its numbers unchanged; what breaks
-    the value or the label rule (see the module docstring) and an edge key
+    the label or the value rule (see the module docstring) and an edge key
     that is not a pair raise ConstraintViolation, a kept edge with an
     undeclared endpoint DanglingEdge, a self-loop ValueError.
     The degree rules are not checked here; use :func:`validate`.  The
@@ -363,20 +336,26 @@ class PFGraph:
     def __init__(self, vertices, edges=()):
         vertices = dict(vertices)
         for label, degree in vertices.items():
+            _require_label(label, "vertex label")
             if type(degree) is not PFDegree or type(degree[0]) is not float or type(degree[1]) is not float:
                 vertices[label] = _as_degree(degree, "vertex", label)
         object.__setattr__(self, "vertices", vertices)
         normalized = {}
         edge_items = edges.items() if isinstance(edges, Mapping) else edges
         for key, degree in edge_items:
-            if not isinstance(key, PairKey):
-                try:
-                    u, v = key
-                except (TypeError, ValueError):
-                    raise ConstraintViolation(
-                        f"edge key {safe_repr(key)} is not a pair of vertex labels"
-                    ) from None
-                key = PairKey(u, v)
+            try:
+                u, v = key
+            except (TypeError, ValueError):
+                raise ConstraintViolation(
+                    f"edge key {safe_repr(key)} is not a pair of vertex labels"
+                ) from None
+            if not (type(u) is str and type(v) is str and u.isascii() and v.isascii() and u and v):
+                _require_label(u, "edge endpoint")
+                _require_label(v, "edge endpoint")
+            if not isinstance(key, PairKey):  # two strs, which < orders unless they are equal
+                if u == v:
+                    PairKey(u, v)  # raises the self-loop ValueError
+                key = tuple.__new__(PairKey, (u, v) if u < v else (v, u))
             if type(degree) is not PFDegree or type(degree[0]) is not float or type(degree[1]) is not float:
                 degree = _as_degree(degree, "edge", key)
             if degree != ZERO_DEGREE:
@@ -386,7 +365,6 @@ class PFGraph:
             for u, v in normalized:
                 if u not in vertices or v not in vertices:
                     raise dangling_edge(u, v, vertices)
-        _require_label_order(vertices)
         object.__setattr__(self, "edges", normalized)
 
     @classmethod
@@ -425,10 +403,6 @@ class PFGraph:
         """Degree of the edge between u and v, or (0, 0) when absent."""
         return self.edges.get(PairKey(u, v), ZERO_DEGREE)
 
-    def pairs(self) -> Iterator[PairKey]:
-        """All unordered pairs of distinct vertices, edge or not, as new PairKeys in key order."""
-        return (tuple.__new__(PairKey, (u, v)) for u, v, _, _, _ in self._flat_pairs())
-
     def pair_bound(self, u: str, v: str) -> PFDegree:
         """The largest degree an edge between u and v may carry.
 
@@ -440,17 +414,6 @@ class PFGraph:
             return degree_min_max(self.vertices[u], self.vertices[v])
         except KeyError:
             raise dangling_edge(u, v, self.vertices) from None
-
-    def pair_rows(self) -> Iterator[tuple[PairKey, PFDegree, PFDegree]]:
-        """(key, degree, bound) for every unordered pair, in sorted key order.
-
-        ``degree`` is ZERO_DEGREE when the pair has no edge and ``bound`` is
-        :meth:`pair_bound` of the pair.  These are the rows of
-        :meth:`_flat_pairs`, keyed by a new PairKey, the bound as a PFDegree.
-        """
-        new = tuple.__new__
-        for u, v, degree, bound_mu, bound_nu in self._flat_pairs():
-            yield new(PairKey, (u, v)), degree, new(PFDegree, (bound_mu, bound_nu))
 
     def _pair_scan(self) -> Iterator[tuple[str, PFDegree, list[tuple[str, PFDegree]]]]:
         """(u, degree, tail) for every vertex u, in sorted label order.
@@ -467,21 +430,6 @@ class PFGraph:
         items = sorted(self.vertices.items())
         for i, (u, degree) in enumerate(items, 1):
             yield u, degree, items[i:]
-
-    def _flat_pairs(self) -> Iterator[tuple[str, str, PFDegree, float, float]]:
-        """(u, v, degree, bound_mu, bound_nu) for every unordered pair, in sorted key order.
-
-        The rows of :meth:`_pair_scan`, one pair at a time: (u, v) is the
-        key's (lo, hi) as the vertex label objects, ``degree`` the stored
-        degree object, read with one ``get`` of the plain tuple (u, v) (a
-        PairKey hashes and compares as its tuple), or ZERO_DEGREE itself for
-        a pair with no edge; a stored degree is never that object, since
-        (0, 0) edges are dropped on construction.
-        """
-        get = self.edges.get
-        for u, (umu, unu), tail in self._pair_scan():
-            for v, (vmu, vnu) in tail:
-                yield u, v, get((u, v), ZERO_DEGREE), vmu if vmu < umu else umu, vnu if vnu > unu else unu
 
 
 # float() rounds every int of smaller magnitude to a finite float and
@@ -506,7 +454,7 @@ def _as_degree(degree, kind: str, item) -> PFDegree:
                 break
         else:
             return degree if type(degree) is PFDegree else tuple.__new__(PFDegree, degree)
-    where = f"vertex {safe_repr(item)}" if kind == "vertex" else f"edge {safe_str(item)}"
+    where = f"vertex {item!r}" if kind == "vertex" else f"edge {item}"
     raise ConstraintViolation(f"{where}: {problem}")
 
 
@@ -553,15 +501,10 @@ def validate(g: PFGraph) -> ValidationReport:
     vertices = g.vertices
     found: list[Violation] = []
     add = found.append
-    show, name = safe_repr, safe_str
 
     for label, (mu, nu) in vertices.items():
-        if not isinstance(label, str) or not label:
-            add(Violation("bad_vertex_id", show(label), "vertex ids must be non-empty strings"))
-        elif not (label.isascii() or encodes_as_utf8(label)):
-            add(Violation("bad_vertex_id", show(label), "vertex ids must encode as UTF-8"))
         if not (low <= mu <= fast_high and low <= nu <= fast_high and mu * mu + nu * nu <= high):
-            _degree_violations(add, "bad_vertex_degree", name(label), mu, nu, low, high)
+            _degree_violations(add, "bad_vertex_degree", label, mu, nu, low, high)
 
     for key, (mu, nu) in g.edges.items():
         lo, hi = key
@@ -570,10 +513,10 @@ def validate(g: PFGraph) -> ValidationReport:
         bound_nu = bnu if bnu > anu else anu
         if low <= mu <= fast_high and low <= nu <= fast_high and mu * mu + nu * nu <= high:
             if mu > bound_mu + eps or nu > bound_nu + eps:
-                _bound_violations(add, name(key), mu, nu, bound_mu, bound_nu, eps)
+                _bound_violations(add, f"{lo}-{hi}", mu, nu, bound_mu, bound_nu, eps)
         else:
-            _degree_violations(add, "bad_edge_degree", name(key), mu, nu, low, high)
-            _bound_violations(add, name(key), mu, nu, bound_mu, bound_nu, eps)
+            _degree_violations(add, "bad_edge_degree", f"{lo}-{hi}", mu, nu, low, high)
+            _bound_violations(add, f"{lo}-{hi}", mu, nu, bound_mu, bound_nu, eps)
 
     return ValidationReport(tuple(found))
 

@@ -12,17 +12,17 @@ Edges are undirected: (u, v) and (v, u) name the same edge and declaring
 both is rejected.  Rendering is deterministic, with vertices sorted by id
 and edges by their canonical pair, so equal graphs render byte-identically.
 :func:`render` raises MalformedDocument for every entry that
-``parse(text, check=False)`` would reject (a vertex id that is not a
-non-empty UTF-8 str, a bool or other degree that is not a number, a degree
-outside [0, 1], NaN and ±inf included), with the message :func:`parse`
-gives for the text ``json.dumps`` would write.  Both writers walk the
+``parse(text, check=False)`` would reject (a degree outside [0, 1], NaN and
+±inf included; a label is always a vertex id, by the constructor's label
+rule), with the message :func:`parse` gives for the text ``json.dumps``
+would write.  Both writers walk the
 sorted edge keys and read each degree from the edge map, so they build no
 (key, degree) tuple per edge, which the cyclic GC would track.
 
 :func:`render` writes the exact bytes of ``json.dumps(doc, indent=2)``
 without going through the pure-Python encoder that ``indent`` selects: an
-entry whose label is a non-empty UTF-8 str and whose degrees are floats in
-[0, 1] up to the tolerance is formatted directly (``encode_basestring_ascii``
+entry whose degrees are floats in [0, 1] up to the tolerance is formatted
+directly (``encode_basestring_ascii``
 for the label, ``float.__repr__`` for the numbers), and any other entry is
 checked by parse's own readers and then handed to ``json.dumps`` itself.
 :func:`parse` checks the schema: one loop reads every entry and checks its
@@ -170,15 +170,13 @@ def _entry(fields: dict) -> str:
     """One list entry exactly as ``json.dumps(doc, indent=2)`` writes it.
 
     An entry that :func:`parse` would reject even with ``check=False`` (a
-    vertex id that is not a non-empty UTF-8 str; a degree that is not a
-    number, such as a bool, or lies outside [0, 1], NaN and ±inf included)
-    raises MalformedDocument with the message :func:`parse` gives for the
-    text ``json.dumps`` would write, instead of that text.
+    degree outside [0, 1], NaN and ±inf included) raises MalformedDocument
+    with the message :func:`parse` gives for the text ``json.dumps`` would
+    write, instead of that text.
     """
     if "id" in fields:
-        _read_id(fields["id"])
         where = f"vertex {fields['id']!r}"
-    else:  # the endpoints were read as vertex ids first
+    else:
         where = f"edge {fields['u']}-{fields['v']}"
     _read_degree(fields, where)
     return "    " + json.dumps(fields, indent=2).replace("\n", "\n    ")
@@ -201,8 +199,7 @@ def render(g: PFGraph) -> str:
     low, high = -eps, 1.0 + eps  # in range implies finite: NaN and ±inf fail
     vertices = [
         f'    {{\n      "id": {enc(label)},\n      "mu": {mu!r},\n      "nu": {nu!r}\n    }}'
-        if type(label) is str and label and (label.isascii() or encodes_as_utf8(label))
-        and type(mu) is float and type(nu) is float and low <= mu <= high and low <= nu <= high
+        if type(mu) is float and type(nu) is float and low <= mu <= high and low <= nu <= high
         else _entry({"id": label, "mu": mu, "nu": nu})
         for label, (mu, nu) in sorted(g.vertices.items())
     ]
@@ -214,8 +211,7 @@ def render(g: PFGraph) -> str:
         edges.append(
             f'    {{\n      "u": {enc(u)},\n      "v": {enc(v)},\n'
             f'      "mu": {mu!r},\n      "nu": {nu!r}\n    }}'
-            if type(u) is str and type(v) is str and type(mu) is float and type(nu) is float
-            and low <= mu <= high and low <= nu <= high
+            if type(mu) is float and type(nu) is float and low <= mu <= high and low <= nu <= high
             else _entry({"u": u, "v": v, "mu": mu, "nu": nu})
         )
     return (
@@ -232,34 +228,26 @@ def _escape(label: str) -> str:
     return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _quote(label) -> str:
-    """A DOT id for label; a label that is not a str is quoted as its str()."""
-    if isinstance(label, str) and _BARE_DOT_ID.match(label):
+def _quote(label: str) -> str:
+    """A DOT id for label: bare where DOT allows, quoted otherwise."""
+    if _BARE_DOT_ID.match(label):
         return label
-    return '"' + _escape(str(label)) + '"'
+    return '"' + _escape(label) + '"'
 
 
 def to_dot(g: PFGraph) -> str:
-    """Render the graph as undirected DOT with degree-carrying labels.
-
-    MalformedDocument for a label that is an int with more digits than
-    CPython converts to a decimal string (every degree the constructor
-    admits lies within float range, far below that limit).
-    """
+    """Render the graph as undirected DOT with degree-carrying labels."""
     if not isinstance(g, PFGraph):
         raise _type_error("g", g, PFGraph)
     lines = ["graph G {"]
     names = {}
-    try:
-        for label, (mu, nu) in sorted(g.vertices.items()):
-            names[label] = name = _quote(label)
-            lines.append(f'  {name} [label="{_escape(str(label))} ({mu!r}, {nu!r})"];')
-        degrees = g.edges
-        for key in sorted(degrees):
-            u, v = key
-            mu, nu = degrees[key]
-            lines.append(f'  {names[u]} -- {names[v]} [label="({mu!r}, {nu!r})"];')
-    except ValueError as exc:  # CPython's int-string limit
-        raise MalformedDocument(f"a label cannot be written as DOT: {exc}") from None
+    for label, (mu, nu) in sorted(g.vertices.items()):
+        names[label] = name = _quote(label)
+        lines.append(f'  {name} [label="{_escape(label)} ({mu!r}, {nu!r})"];')
+    degrees = g.edges
+    for key in sorted(degrees):
+        u, v = key
+        mu, nu = degrees[key]
+        lines.append(f'  {names[u]} -- {names[v]} [label="({mu!r}, {nu!r})"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -548,9 +548,9 @@ def verify_morphism(
         violations.append(f"vertex condition fails at {safe_repr(u)} -> {safe_repr(mapping[u])}")
 
     # every kind checks each source edge against its image pair, read in either
-    # orientation: the caller's values need only equal the target's labels
-    # (1 + 0j for 1), so need not order as they do; a collapsed pair (t, t) is
-    # never a key and reads as (0, 0), as a miss does
+    # orientation: the caller's values need only equal the target's labels (a
+    # str subclass may, and may override <), so need not order as they do; a
+    # collapsed pair (t, t) is never a key and reads as (0, 0), as a miss does
     source_edges = g1.edges
     target_edges = g2.edges
     target_edge = target_edges.get
@@ -576,7 +576,7 @@ def verify_morphism(
     # injective and every target edge is some source edge's image, no pair
     # without an edge maps onto a target edge, and nothing is left to check.
     if kind is MorphismKind.ISOMORPHISM and not (injective and hits == len(target_edges)):
-        preimages: dict = {}  # keyed by the caller's values: 1 + 0j finds label 1
+        preimages: dict = {}  # keyed by the caller's values, equal to the target's labels
         for u in g1.vertices:
             preimages.setdefault(mapping[u], []).append(u)
         zmu, znu = ZERO_DEGREE
@@ -588,7 +588,7 @@ def verify_morphism(
                     key = (u, w) if u < w else (w, u)
                     if key not in source_edges:
                         failed_pairs.append(key)
-    # the label rule orders g1's labels, and key order is the pair scan's order
+    # g1's labels are strs, which < orders totally, and key order is the pair scan's order
     for u, w in sorted(failed_pairs):
         names = map(safe_str, (u, w, mapping[u], mapping[w]))
         violations.append("edge condition fails at pair {}-{} -> {}-{}".format(*names))

@@ -21,6 +21,16 @@ def build(vertices, edges=()):
     return PFGraph(vs, es)
 
 
+class Unordered(str):
+    """A str that equals and hashes as its text, but that ``<`` cannot order:
+    a caller's mapping value that stands for a label."""
+
+    def __lt__(self, other):
+        raise TypeError("an Unordered value has no order")
+
+    __gt__ = __le__ = __ge__ = __lt__
+
+
 def relabel(g, prefix):
     """Copy of g with every label prefixed; keeps all degrees unchanged."""
     mapping = {v: prefix + v for v in g.vertices}

@@ -214,8 +214,8 @@ def _bound_minus(bound: float, value: float, eps: float) -> float:
 
 
 def pair_rows(g: PFGraph) -> Iterator[tuple[PairKey, PFDegree, PFDegree]]:
-    """(key, degree, bound) for every unordered pair in sorted key order, as
-    ``PFGraph.pair_rows`` gives them, read through the per-pair methods."""
+    """(key, degree, bound) for every unordered pair in sorted key order,
+    read through the per-pair methods."""
     for u, v in itertools.combinations(sorted(g.vertices), 2):
         yield PairKey(u, v), g.edge_degree(u, v), g.pair_bound(u, v)
 

@@ -8,8 +8,7 @@ two earlier bodies verbatim.  Its ``find_morphism`` is the search before
 its pair checks were inlined: every pair check builds its ``PairKey``s
 through ``has_edge`` and ``edge_degree`` and tests the relation through
 ``_related`` and ``degrees_close``.  Its ``verify_morphism`` orders each
-target pair with ``<``, reads a collapsed pair as (0, 0) and falls back to
-``PairKey`` for labels that ``<`` cannot order; under isomorphism it reads
+target pair with ``<`` and reads a collapsed pair as (0, 0); under isomorphism it reads
 the source pairs through ``reference_builders.pair_rows``, not through the
 library's pair scan.  The tests in
 ``test_search_reference.py`` require the library's ``MorphismReport`` and
@@ -180,10 +179,7 @@ def verify_morphism(
         if tu == tw:
             tmu = tnu = 0.0
         else:
-            try:
-                key = (tu, tw) if tu < tw else (tw, tu)
-            except TypeError:  # g2's labels were never sorted; PairKey orders any two
-                key = PairKey(tu, tw)
+            key = (tu, tw) if tu < tw else (tw, tu)
             tmu, tnu = target_edge(key, ZERO_DEGREE)
         if not (
             abs(smu - tmu) <= eps and abs(snu - tnu) <= eps

@@ -522,6 +522,42 @@ class TestEpsilonOverride:
         assert code == 2 and tolerance() == 1e-7
 
 
+class TestClosedStdout:
+    """A reader of stdout that has gone, as in ``pfgraph gen ... | true``, is
+    no failure of the command: it returns its own status and writes nothing
+    to stderr."""
+
+    @staticmethod
+    def run_into_closed_pipe(argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "pfgraph.cli", *argv], stdout=write_end, stderr=subprocess.PIPE
+            )
+        finally:
+            os.close(write_end)
+
+    def test_gen_exits_zero(self):
+        for n in ("4", "300"):  # one write into the buffer, and writes past it
+            cli = self.run_into_closed_pipe(["gen", "--seed", "1", "--n", n])
+            assert (cli.returncode, cli.stderr) == (0, b"")
+
+    def test_iso_require_without_a_map_exits_one(self, tmp_path):
+        paths = []
+        for n in (3, 4):
+            path = tmp_path / f"g{n}.json"
+            path.write_text(render(generate(GenConfig(seed=1, n_vertices=n))))
+            paths.append(str(path))
+        cli = self.run_into_closed_pipe(["iso", *paths, "--require"])
+        assert (cli.returncode, cli.stderr) == (1, b"")
+
+    def test_an_unreadable_input_file_is_still_an_io_error(self, tmp_path):
+        cli = self.run_into_closed_pipe(["validate", str(tmp_path / "missing.json")])
+        assert cli.returncode == 2
+        assert json.loads(cli.stderr)["error"] == "IOError"
+
+
 class TestInstalledEntryPoint:
     def test_subprocess_pipeline(self):
         gen = subprocess.run(

@@ -1,7 +1,6 @@
 """Core value types: degree arithmetic, pair keys, and graph validation."""
 
 import copy
-import itertools
 import json
 import math
 import pickle
@@ -29,14 +28,12 @@ from pfgraph import (
     render,
     set_tolerance,
     tolerance,
-    union,
-    Violation,
-    join,
     validate,
 )
 from pfgraph.core import _FLOAT_INT_LIMIT
 
 from conftest import build
+from reference_builders import pair_rows
 from reference_codec import boundary_specs, door, one_break_specs, reference_validate
 
 
@@ -84,62 +81,8 @@ class TestValidate:
         kinds = [v.kind for v in validate(g).violations]
         assert "bad_vertex_degree" in kinds
 
-    def test_empty_vertex_id_reported(self):
-        g = PFGraph({"": PFDegree(0.5, 0.5)})
-        assert validate(g).violations[0].kind == "bad_vertex_id"
-
-    @pytest.mark.parametrize("label", ["\ud800", "\udc80", "a\udfff"])
-    def test_vertex_id_that_does_not_encode_as_utf8_reported(self, label):
-        # render would write it as a JSON escape that parse rejects
-        g = PFGraph({label: PFDegree(0.5, 0.5), "é": PFDegree(0.5, 0.5)})
-        assert [tuple(v) for v in validate(g).violations] == [
-            ("bad_vertex_id", repr(label), "vertex ids must encode as UTF-8")
-        ]
-
-    def test_int_labels_reach_the_report(self):
-        # < orders them, so the graph is built and described
-        d = PFDegree(0.5, 0.5)
-        g = PFGraph({1: d, 2: d}, {(2, 1): PFDegree(0.2, 0.3)})
-        report = validate(g)
-        assert [(v.kind, v.where) for v in report.violations] == [
-            ("bad_vertex_id", "1"), ("bad_vertex_id", "2")
-        ]
-        assert PairKey(2, 1) == (1, 2)
-        # str endpoints beside an int vertex name no vertex: the endpoint rule refuses them
-        with pytest.raises(DanglingEdge, match="^edge a-b uses undeclared vertex 'a'$"):
-            PFGraph({1: d}, {("a", "b"): d})
-
     @pytest.mark.parametrize(
-        "labels",
-        [(1, "a"), (math.nan, 0.5, 0.25), (frozenset({1}), frozenset({2}))],
-        ids=["int-and-str", "nan", "frozensets"],
-    )
-    def test_labels_without_strict_order_are_refused_at_the_door(self, labels):
-        # NaN sorts without an error but not into a strict order, which would
-        # build non-canonical pair keys and miss edges; 1 < "a" raises
-        # TypeError; neither frozenset is below the other.  No pass sees them.
-        d = PFDegree(0.5, 0.5)
-        for vertices, edges in (
-            (dict.fromkeys(labels, d), {labels[:2]: PFDegree(0.2, 0.3)}),
-            (dict.fromkeys(labels, d), {}),
-            ({}, {labels[:2]: PFDegree(0.2, 0.3)}),
-        ):
-            with pytest.raises(ConstraintViolation, match="strict order"):
-                PFGraph(vertices, edges)
-        for u, v in (labels[:2], labels[1::-1]):
-            with pytest.raises(ConstraintViolation, match="strict order"):
-                PairKey(u, v)
-        one, other = PFGraph({labels[0]: d}), PFGraph({labels[1]: d})
-        for combine in (union, join):
-            for a, b in ((one, other), (other, one)):
-                with pytest.raises(ConstraintViolation, match="strict order"):
-                    combine(a, b)
-
-    @pytest.mark.parametrize(
-        "labels",
-        [("b", "a", "c"), (3, 1, 2), (2.5, 1, -0.5), (("x", 2), ("x", 1), ("w", 9)),
-         (frozenset({1, 2}), frozenset({1}), frozenset())],
-        ids=["str", "int", "numbers", "tuples", "frozenset-chain"],
+        "labels", [("b", "a", "c"), ("é", "z", "B", "a")], ids=["str", "non-ascii"]
     )
     def test_labels_in_strict_order_are_accepted(self, labels):
         d, e = PFDegree(0.5, 0.5), PFDegree(0.2, 0.3)
@@ -147,16 +90,11 @@ class TestValidate:
         assert list(g.edges) == [tuple(sorted(labels[:2]))]
         assert [label for label, _, _ in g._pair_scan()] == sorted(labels)
 
-    @given(
-        boundary_specs(st.sampled_from(["a", "b", "c", ""]))
-        | boundary_specs(st.sampled_from([1, 2, 3]), dangling=9)
-        | one_break_specs()
-    )
+    @given(boundary_specs(st.sampled_from(["a", "b", "c"])) | one_break_specs())
     def test_agrees_with_the_reference_on_boundary_values(self, spec):
-        # NaN, -0.0, ints, values within the tolerance of 0, 1 and the edge
-        # bound and labels that are not non-empty strs (an empty str, ints):
-        # same kinds, places, details and order as the plain per-item check.
-        # A dangling edge is refused at the door, and left out here
+        # NaN, -0.0, ints and values within the tolerance of 0, 1 and the edge
+        # bound: same kinds, places, details and order as the plain per-item
+        # check.  A dangling edge is refused at the door, and left out here
         vertices, edges = spec
         g = door(
             {label: PFDegree(*d) for label, d in vertices.items()},
@@ -165,19 +103,18 @@ class TestValidate:
         assert validate(g) == reference_validate(g)
 
     def test_one_item_breaking_every_rule_reports_in_the_reference_order(self):
-        # an empty label with both values out of range and a squared sum
-        # over 1, and an edge out of range, over 1 and above both bounds
+        # a vertex with both values out of range and a squared sum over 1,
+        # and an edge out of range, over 1 and above both bounds
         g = PFGraph(
-            {"": PFDegree(1.5, -0.5), "a": PFDegree(0.5, 0.5), "b": PFDegree(0.8, 0.3)},
+            {"c": PFDegree(1.5, -0.5), "a": PFDegree(0.5, 0.5), "b": PFDegree(0.8, 0.3)},
             {("a", "b"): PFDegree(1.2, 1.1)},
         )
         found = [tuple(v) for v in validate(g).violations]
         assert found == [tuple(v) for v in reference_validate(g).violations]
         assert found == [
-            ("bad_vertex_id", "''", "vertex ids must be non-empty strings"),
-            ("bad_vertex_degree", "", "membership 1.5 outside [0, 1]"),
-            ("bad_vertex_degree", "", "non-membership -0.5 outside [0, 1]"),
-            ("bad_vertex_degree", "",
+            ("bad_vertex_degree", "c", "membership 1.5 outside [0, 1]"),
+            ("bad_vertex_degree", "c", "non-membership -0.5 outside [0, 1]"),
+            ("bad_vertex_degree", "c",
              "membership 1.5 and non-membership -0.5 have squared sum > 1"),
             ("bad_edge_degree", "a-b", "membership 1.2 outside [0, 1]"),
             ("bad_edge_degree", "a-b", "non-membership 1.1 outside [0, 1]"),
@@ -233,37 +170,6 @@ class TestValidate:
             PFGraph({"a": d, "b": d}, {("a", "b"): PFDegree(0.5, huge)})
         assert str(edge.value) == f"edge a-b: 'nu' value {bits} is beyond float range"
 
-    def test_int_label_past_the_int_string_limit_is_named_by_its_bit_length(self):
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if not limit:
-            pytest.skip("this interpreter has no int-string limit")
-        huge, d = 10**limit, PFDegree(0.5, 0.5)
-        bits = f"<int of {huge.bit_length()} bits>"
-        vertex = validate(PFGraph({huge: PFDegree(2.0, 0.5)}))
-        assert [(v.kind, v.where) for v in vertex.violations] == [
-            ("bad_vertex_id", bits),
-            ("bad_vertex_degree", bits),
-            ("bad_vertex_degree", bits),
-        ]
-        edge = validate(PFGraph({huge: d, 3: d}, {(3, huge): PFDegree(2.0, 0.5)}))
-        assert [(v.kind, v.where) for v in edge.violations] == [
-            ("bad_vertex_id", bits),
-            ("bad_vertex_id", "3"),
-            ("bad_edge_degree", f"3-{bits}"),
-            ("bad_edge_degree", f"3-{bits}"),
-            ("edge_membership_above_bound", f"3-{bits}"),
-        ]
-        # an undeclared one is refused at the door, and named there too
-        with pytest.raises(DanglingEdge) as dangling:
-            PFGraph({3: d}, {(3, huge): d})
-        assert str(dangling.value) == f"edge 3-{bits} uses undeclared vertex {bits}"
-        # beside a str label it is refused at the door, and named there too
-        with pytest.raises(ConstraintViolation) as refused:
-            PFGraph({huge: d, "a": d}, {("a", huge): d})
-        assert str(refused.value) == f"vertex labels cannot be put in a strict order: 'a' and {bits}"
-        with pytest.raises(ConstraintViolation, match="strict order: '<' not supported between"):
-            PFGraph({huge: d, "a": d})
-
     def test_a_tuple_holding_an_int_past_the_int_string_limit_is_named_by_its_type(self):
         # repr raises for the tuple as it does for the int inside it
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -271,10 +177,9 @@ class TestValidate:
             pytest.skip("this interpreter has no int-string limit")
         huge, d = 10**limit, PFDegree(0.5, 0.5)
         named = "<tuple whose repr is too long>"
-        report = validate(PFGraph({("x", huge): d}))
-        assert report.violations == (
-            Violation("bad_vertex_id", named, "vertex ids must be non-empty strings"),
-        )
+        with pytest.raises(ConstraintViolation) as label:
+            PFGraph({("x", huge): d})
+        assert str(label.value) == f"vertex label {named} must be a str, not tuple"
         with pytest.raises(ConstraintViolation) as refused:
             PFGraph({"a": d}, {("a", "b", huge): d})
         assert str(refused.value) == f"edge key {named} is not a pair of vertex labels"
@@ -417,7 +322,7 @@ class TestDegreeCombine:
     def test_degree_is_a_named_pair(self):
         d = PFDegree(mu=0.5, nu=0.7)
         assert repr(d) == "PFDegree(mu=0.5, nu=0.7)"
-        assert d == (0.5, 0.7) and d.as_tuple() == (0.5, 0.7)
+        assert d == (0.5, 0.7) and tuple(d) == (0.5, 0.7)
         assert hash(d) == hash((0.5, 0.7))
 
     def test_extremes(self):
@@ -441,8 +346,12 @@ class TestPairKey:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             PairKey("a", "a")
-        with pytest.raises(ValueError, match="^self-loop on vertex None is not allowed$"):
-            PairKey(None, None)  # < raises TypeError for None, but this is a self-loop
+        # a caller's values that < cannot compare raise its TypeError, even
+        # as a self-loop: only str labels reach a graph
+        with pytest.raises(TypeError):
+            PairKey(None, None)
+        with pytest.raises(TypeError):
+            PairKey(1, "a")
 
     def test_partially_ordered_labels_are_refused(self):
         # neither frozenset contains the other, so < is False both ways
@@ -451,8 +360,6 @@ class TestPairKey:
             with pytest.raises(ConstraintViolation, match="^vertex labels cannot be put in a strict order: "):
                 PairKey(u, v)
         d, first, later = PFDegree(0.5, 0.5), PFDegree(0.1, 0.2), PFDegree(0.3, 0.4)
-        with pytest.raises(ConstraintViolation, match="strict order"):
-            PFGraph({a: d, b: d}, {(a, b): first, (b, a): later})
         # a key given both ways keeps the later degree
         h = PFGraph({"a": d, "b": d}, {("a", "b"): first, ("b", "a"): later})
         assert list(h.edges.values()) == [later]
@@ -463,16 +370,9 @@ class TestPairKey:
         refusal = "^vertex labels cannot be put in a strict order: nan and nan$"
         with pytest.raises(ConstraintViolation, match=refusal):
             PairKey(a, b)
-        d, first, later = PFDegree(0.5, 0.5), PFDegree(0.1, 0.2), PFDegree(0.3, 0.4)
-        with pytest.raises(ConstraintViolation, match="strict order"):
-            PFGraph({a: d, b: d}, {(a, b): first, (b, a): later})
-        with pytest.raises(ConstraintViolation, match=refusal):
-            PFGraph({a: d, b: d})
-        # one NaN object is one label, so a pair of it is a self-loop, and a
-        # lone label needs no order
+        # one NaN object is one label, so a pair of it is a self-loop
         with pytest.raises(ValueError, match="^self-loop on vertex nan is not allowed$"):
             PairKey(a, a)
-        assert list(PFGraph({a: d}).vertices) == [a]
 
     def test_tuple_behaviour(self):
         key = PairKey("b", "a")
@@ -480,7 +380,6 @@ class TestPairKey:
         assert str(key) == "a-b"
         assert tuple(key) == key == ("a", "b")
         assert hash(key) == hash(("a", "b"))
-        assert (key.other("a"), key.other("b")) == ("b", "a")
         keys = [PairKey("c", "b"), PairKey("b", "a"), PairKey("c", "a"), PairKey("a", "b10")]
         assert [(k.lo, k.hi) for k in sorted(keys)] == [
             ("a", "b"), ("a", "b10"), ("a", "c"), ("b", "c")
@@ -549,26 +448,8 @@ class TestGraphConstruction:
         vs["b"] = PFDegree(0.1, 0.1)
         assert set(g.vertices) == {"a"}
 
-    def test_pairs_cover_all_unordered_pairs(self):
-        g = build({"a": (0.5, 0.5), "b": (0.5, 0.5), "c": (0.5, 0.5)})
-        assert {str(k) for k in g.pairs()} == {"a-b", "a-c", "b-c"}
-
-    def test_pair_rows_give_every_pair_in_key_order(self, square_cycle):
-        # n=12 labels v0..v11 sort v10 before v2, unlike their index order
-        for g in (square_cycle, generate(GenConfig(seed=3, n_vertices=12))):
-            rows = list(g.pair_rows())
-            keys = [key for key, _, _ in rows]
-            n = len(g.vertices)
-            assert len(rows) == n * (n - 1) // 2
-            assert keys == sorted(keys) == list(g.pairs())
-            for key, degree, bound in rows:
-                assert degree == g.edges.get(key, ZERO_DEGREE)
-                assert bound == g.pair_bound(key.lo, key.hi)
-        absent = {key for key, degree, _ in square_cycle.pair_rows() if degree == ZERO_DEGREE}
-        assert absent == {PairKey("a", "c"), PairKey("b", "d")}
-
     @given(st.data())
-    def test_pair_rows_agree_with_the_per_pair_methods(self, data):
+    def test_pair_scan_agrees_with_the_per_pair_methods(self, data):
         # unicode labels whose sort order is not their insertion order; vertex
         # values with ties, -0.0 and NaN exercise the bound's tie rule
         labels = data.draw(st.lists(st.text(min_size=1), min_size=1, max_size=8, unique=True))
@@ -578,35 +459,25 @@ class TestGraphConstruction:
         chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         g = PFGraph(vertices, {pair: data.draw(valid_degrees()) for pair in chosen})
 
-        rows = list(g.pair_rows())
-        n = len(labels)
-        assert len(rows) == n * (n - 1) // 2
-        keys = [key for key, _, _ in rows]
-        assert all(a < b for a, b in zip(keys, keys[1:]))
-        for key, degree, bound in rows:
-            assert type(key) is PairKey
-            assert key == PairKey(*key)
-            assert degree == g.edge_degree(*key)
-            assert repr(bound) == repr(g.pair_bound(*key))
-
-        # the flat pairs are the same rows, element for element: the key's two
-        # labels, the same degree object and the bound's components
-        scan = list(g._flat_pairs())
-        assert len(scan) == len(rows)
-        for (u, v, degree, bound_mu, bound_nu), (row_key, row_degree, bound) in zip(scan, rows):
-            assert (u, v) == tuple(row_key)
-            assert degree is row_degree
-            assert repr(PFDegree(bound_mu, bound_nu)) == repr(bound)
+        # the scan's pairs, each with its stored degree and the bound by
+        # degree_min_max's rule inline, are the reference rows in key order
+        scan = [
+            ((u, v), g.edges.get((u, v), ZERO_DEGREE), (vmu if vmu < umu else umu, vnu if vnu > unu else unu))
+            for u, (umu, unu), tail in g._pair_scan()
+            for v, (vmu, vnu) in tail
+        ]
+        rows = list(pair_rows(g))
+        assert len(scan) == len(rows) == len(labels) * (len(labels) - 1) // 2
+        for (pair, degree, bound), (key, row_degree, row_bound) in zip(scan, rows):
+            assert pair == tuple(key)
+            assert degree is row_degree or degree == row_degree == ZERO_DEGREE
+            assert repr(PFDegree(*bound)) == repr(row_bound)
 
     def test_pair_scan_yields_the_label_objects_and_the_stored_degree(self, square_cycle):
         # a row is one vertex label object with its stored degree and the sorted
-        # items above it, with no key built; a flat pair gives the edge's own
-        # degree object, every other pair ZERO_DEGREE itself.  1.0 == 1, so the
-        # edge keyed (1.0, 2) is the pair of vertices 1 and 2, whose row
-        # carries the vertex label 1
-        d, e = PFDegree(0.5, 0.5), PFDegree(0.2, 0.3)
-        spelled = PFGraph({1: d, 2: d, 3: d}, {(1.0, 2): e})
-        for g in (square_cycle, generate(GenConfig(seed=3, n_vertices=12)), spelled):
+        # items above it, with no key built; n=12 labels v0..v11 sort v10
+        # before v2, unlike their index order
+        for g in (square_cycle, generate(GenConfig(seed=3, n_vertices=12))):
             items = sorted(g.vertices.items())
             rows = list(g._pair_scan())
             assert len(rows) == len(items)
@@ -614,19 +485,6 @@ class TestGraphConstruction:
                 assert u is label and degree is stored
                 assert [(v, vd) for v, vd in tail] == items[i:]
                 assert all(v is w and vd is wd for (v, vd), (w, wd) in zip(tail, items[i:]))
-            flat = list(g._flat_pairs())
-            assert len(flat) == len(items) * (len(items) - 1) // 2
-            labels = [label for label, _ in items]
-            for (u, v, degree, _, _), (a, b) in zip(flat, itertools.combinations(labels, 2)):
-                assert u is a and v is b
-                key = PairKey(u, v)
-                if key in g.edges:
-                    assert degree is g.edges[key]
-                else:
-                    assert degree is ZERO_DEGREE
-        assert [row[:3] for row in spelled._flat_pairs()] == [
-            (1, 2, e), (1, 3, ZERO_DEGREE), (2, 3, ZERO_DEGREE)
-        ]
 
     def test_complement_keeps_the_keys_of_edges_inside_their_bound(self):
         # every pair is an edge strictly inside its bound, so every pair is an
@@ -640,15 +498,6 @@ class TestGraphConstruction:
         for h in (complement(g), complement(complement(g))):
             assert list(h.edges) == list(g.edges)
             assert all(key is stored[key] for key in h.edges)
-
-    def test_complement_keys_an_edge_pair_by_the_edge_key(self):
-        # 1.0 == 1, so the edge keyed (1.0, 2) is the pair of vertices 1 and 2:
-        # the complement keeps that edge's key, with the label as the key spells it
-        d, e = PFDegree(0.5, 0.5), PFDegree(0.2, 0.3)
-        h = complement(PFGraph({1: d, 2: d, 3: d}, {(1.0, 2): e}))
-        assert repr(list(h.edges)) == (
-            "[PairKey(lo=1.0, hi=2), PairKey(lo=1, hi=3), PairKey(lo=2, hi=3)]"
-        )
 
     @pytest.mark.parametrize(
         "clone",
@@ -695,12 +544,7 @@ _D = PFDegree(0.5, 0.5)
         (lambda: PFGraph({"b": _D}, {("b", "a"): _D}), "edge a-b uses undeclared vertex 'a'"),
         (lambda: PFGraph({"a": _D}, {("a", "z"): _D}), "edge a-z uses undeclared vertex 'z'"),
         (lambda: PFGraph({}, {("z", "y"): _D}), "edge y-z uses undeclared vertex 'y'"),
-        (lambda: PFGraph({1: _D, 2: _D}, {(3, 1): _D, (1, 2): _D}), "edge 1-3 uses undeclared vertex 3"),
-        (lambda: PFGraph({}, {(3, 1): _D, (2, 1): _D}), "edge 1-3 uses undeclared vertex 1"),
-        (
-            lambda: PFGraph({("a",): _D}, {(("a",), ("x", 'y"')): _D}),
-            "edge ('a',)-('x', 'y\"') uses undeclared vertex ('x', 'y\"')",
-        ),
+        (lambda: PFGraph({"é": _D}, {("é", 'x"'): _D}), "edge x\"-é uses undeclared vertex 'x\"'"),
         (lambda: parse(_document(["b"], [("b", "a")])), "edge a-b uses undeclared vertex 'a'"),
         (lambda: parse(_document(["a"], [("a", "z")])), "edge a-z uses undeclared vertex 'z'"),
         (lambda: parse(_document([], [("z", "y")])), "edge y-z uses undeclared vertex 'y'"),

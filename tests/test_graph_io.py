@@ -359,9 +359,10 @@ def test_parse_and_validate_agree_with_the_references_on_a_grid():
                         assert _outcome(parse, text, True) == _outcome(reference_parse, text, True)
 
 
-# every code point, lone surrogates and control characters included
-ANY_TEXT = st.text(st.characters(blacklist_categories=()), max_size=6)
-RENDER_LABELS = st.sampled_from(['"', "\\", 'a"b', "c\\d", "\x00", "\x1f", "\ud800", "é", "\u2028"]) | ANY_TEXT
+# every code point but a lone surrogate, which the label rule refuses,
+# control characters included
+LABEL_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+RENDER_LABELS = st.sampled_from(['"', "\\", 'a"b', "c\\d", "\x00", "\x1f", "é", "\U0001d11e", "\u2028"]) | LABEL_TEXT
 # every value the constructor accepts: a bool, or an int float() cannot
 # convert, is refused there (see test_bool_degree_is_refused_at_construction)
 RENDER_VALUES = st.one_of(
@@ -375,14 +376,8 @@ RENDER_DEGREES = st.builds(PFDegree, RENDER_VALUES, RENDER_VALUES)
 
 @st.composite
 def render_graphs(draw):
-    """Graphs with str, int or tuple labels (one kind per graph, so they sort)."""
-    labels = draw(
-        st.one_of(
-            st.lists(RENDER_LABELS, unique=True, max_size=6),
-            st.lists(st.integers(), unique=True, max_size=6),
-            st.lists(st.tuples(st.integers(0, 2), ANY_TEXT), unique=True, max_size=6),
-        )
-    )
+    """Graphs with labels that JSON escapes and every value the constructor accepts."""
+    labels = draw(st.lists(RENDER_LABELS, unique=True, max_size=6))
     pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
     return PFGraph(
@@ -439,15 +434,12 @@ class TestRender:
     @pytest.mark.parametrize(
         "vertices, edges, message",
         [
-            ({1: (0.5, 0.5)}, {}, "vertex 'id' must be a non-empty string"),
-            ({"": (0.5, 0.5)}, {}, "vertex 'id' must be a non-empty string"),
-            ({"\ud800": (0.5, 0.5)}, {}, "vertex 'id' '\\ud800' does not encode as UTF-8"),
             ({"a": (0.5, 1.5)}, {}, "vertex 'a': 'nu' value 1.5 outside [0, 1]"),
             ({"a": (-0.2, 0.5)}, {}, "vertex 'a': 'mu' value -0.2 outside [0, 1]"),
             ({"a": (0.5, 0.5), "b": (0.5, 0.5)}, {("a", "b"): (1.5, 0.5)},
              "edge a-b: 'mu' value 1.5 outside [0, 1]"),
         ],
-        ids=["int-id", "empty-id", "surrogate-id", "above-one", "below-zero", "edge-above-one"],
+        ids=["above-one", "below-zero", "edge-above-one"],
     )
     def test_entry_that_parse_rejects_raises_what_parse_raises(self, vertices, edges, message):
         g = PFGraph(
@@ -500,31 +492,6 @@ class TestRender:
         with pytest.raises(MalformedDocument) as parsed:
             parse(json.dumps(doc), check=False)
         assert str(refused.value) == str(parsed.value) == message
-
-    @pytest.mark.parametrize("entry", ["vertex", "edge"])
-    def test_int_past_the_int_string_limit_is_refused_as_a_degree_and_malformed_as_a_label(self, entry):
-        # as a degree it is beyond float range; as a label, render rejects it
-        # as parse would and to_dot cannot write its digits
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if not limit:
-            pytest.skip("this interpreter has no int-string limit")
-        huge, d = 10**limit, PFDegree(0.5, 0.5)
-        bits = f"<int of {huge.bit_length()} bits>"
-        with pytest.raises(ConstraintViolation) as refused:
-            if entry == "vertex":
-                PFGraph({"a": PFDegree(huge, 0.5)})
-            else:
-                PFGraph({"a": d, "b": d}, {("b", "a"): PFDegree(0.2, huge)})
-        where = "vertex 'a': 'mu'" if entry == "vertex" else "edge a-b: 'nu'"
-        assert str(refused.value) == f"{where} value {bits} is beyond float range"
-        if entry == "vertex":
-            g = PFGraph({huge: d})
-        else:
-            g = PFGraph({huge: d, 3: d}, {(3, huge): PFDegree(0.2, 0.5)})
-        with pytest.raises(MalformedDocument, match="^vertex 'id' must be a non-empty string$"):
-            render(g)
-        with pytest.raises(MalformedDocument, match="cannot be written as DOT"):
-            to_dot(g)
 
     @settings(deadline=None)
     @given(spec=boundary_specs(st.sampled_from("abcdef")))
@@ -600,23 +567,6 @@ class TestDot:
         assert to_dot(g).splitlines()[1:3] == [
             '  "a\\"b" [label="a\\"b (0.5, 0.5)"];',
             '  "c\\\\d" [label="c\\\\d (0.25, 0.5)"];',
-        ]
-
-    def test_labels_that_are_not_str_are_quoted(self):
-        # render writes this graph; to_dot quotes and escapes each label's str()
-        d = PFDegree(0.5, 0.5)
-        assert to_dot(PFGraph({1: d, 2: d}, {(1, 2): PFDegree(0.25, 0.5)})) == (
-            'graph G {\n'
-            '  "1" [label="1 (0.5, 0.5)"];\n'
-            '  "2" [label="2 (0.5, 0.5)"];\n'
-            '  "1" -- "2" [label="(0.25, 0.5)"];\n'
-            '}\n'
-        )
-        tuples = PFGraph({("a",): d, ("x", 'y"'): d}, {(("a",), ("x", 'y"')): PFDegree(0.25, 0.5)})
-        assert to_dot(tuples).splitlines()[1:4] == [
-            '  "(\'a\',)" [label="(\'a\',) (0.5, 0.5)"];',
-            '  "(\'x\', \'y\\"\')" [label="(\'x\', \'y\\"\') (0.5, 0.5)"];',
-            '  "(\'a\',)" -- "(\'x\', \'y\\"\')" [label="(0.25, 0.5)"];',
         ]
 
     def test_composite_labels_are_quoted(self):

@@ -1,20 +1,18 @@
-"""The value, endpoint and label rules at the door: what ``PFGraph(...)`` holds, and every pass on it.
+"""The label, value and endpoint rules at the door: what ``PFGraph(...)`` holds, and every pass on it.
 
-The checking constructor refuses four kinds of degree with
-ConstraintViolation: one that is not a (mu, nu) pair, one with a bool
-component, one with a component that is neither an int nor a float, and one
-with an int that ``float()`` cannot convert.  It refuses with DanglingEdge
-an edge it keeps whose endpoint is not a vertex, and with
-ConstraintViolation vertex labels that ``<`` cannot put in a strict order;
-``union`` and ``join`` refuse such labels in their combined labels.
-Everything else stays as given, and every public pass on a graph it accepts
+The checking constructor refuses with ConstraintViolation a vertex label or
+an edge endpoint that is not an exact str, is empty, or does not encode as
+UTF-8.  It refuses four kinds of degree with ConstraintViolation: one that
+is not a (mu, nu) pair, one with a bool component, one with a component
+that is neither an int nor a float, and one with an int that ``float()``
+cannot convert.  It refuses with DanglingEdge an edge it keeps whose
+endpoint is not a vertex.  Everything else stays as given, and every public pass on a graph it accepts
 answers or raises a PFGError, or a TypeError for an argument that is not a
 graph; one that renders it writes a document that reads back to the same
 graph.
 """
 
 import inspect
-import itertools
 import math
 import sys
 from decimal import Decimal
@@ -27,8 +25,6 @@ import pfgraph
 from pfgraph import (
     ConstraintViolation,
     DanglingEdge,
-    JoinOverlap,
-    LabelClash,
     MorphismKind,
     PFDegree,
     PFGError,
@@ -126,12 +122,6 @@ class TestRefusal:
             assert converts(big)
             assert PFGraph({"a": PFDegree(big, 0.5)}).vertices["a"].mu is big
 
-    def test_labels_are_named_safely(self):
-        with pytest.raises(ConstraintViolation, match=r"^vertex \('x', 1\): 'nu' must be a number$"):
-            PFGraph({("x", 1): (0.5, True)})
-        with pytest.raises(ConstraintViolation, match=r"^edge 1-2: degree must be a \(mu, nu\) pair$"):
-            PFGraph({1: D, 2: D}, {(2, 1): None})
-
     @pytest.mark.parametrize("key", [("a",), ("a", "b", "c"), 5, ()], ids=repr)
     def test_edge_key_that_is_not_a_pair_is_refused(self, key):
         with pytest.raises(ConstraintViolation) as refused:
@@ -216,6 +206,62 @@ def test_constructor_refuses_exactly_the_four_kinds(vertex, edge):
                 PFGraph(vertices, edges)
 
 
+INT_STRING_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+PAST = 10**INT_STRING_LIMIT if INT_STRING_LIMIT else 0  # one digit past the limit
+
+
+class Label(str):
+    """A str subclass: it could override ``<`` or ``__hash__``, and a
+    document would bring it back as a plain str."""
+
+
+# each label the label rule refuses, and how the refusal names it
+REFUSED_LABELS = [
+    pytest.param(1, "1 must be a str, not int", id="int"),
+    pytest.param(True, "True must be a str, not bool", id="bool"),
+    pytest.param(math.nan, "nan must be a str, not float", id="nan"),
+    pytest.param(("a", "b"), "('a', 'b') must be a str, not tuple", id="tuple"),
+    pytest.param(frozenset({"a"}), "frozenset({'a'}) must be a str, not frozenset", id="frozenset"),
+    pytest.param(None, "None must be a str, not NoneType", id="None"),
+    pytest.param("", "'' must be non-empty", id="empty"),
+    pytest.param("\ud800", "'\\ud800' does not encode as UTF-8", id="lone-surrogate"),
+    pytest.param(Label("a"), "'a' must be a str, not Label", id="str-subclass"),
+    pytest.param(
+        PAST, f"<int of {PAST.bit_length()} bits> must be a str, not int", id="past-int-string-limit",
+        marks=pytest.mark.skipif(not INT_STRING_LIMIT, reason="this interpreter has no int-string limit"),
+    ),
+]
+
+
+@pytest.mark.parametrize("label, named", REFUSED_LABELS)
+def test_a_vertex_label_that_is_not_a_non_empty_utf8_str_is_refused(label, named):
+    for vertices in ({label: D}, {"z": D, label: D}, {label: D, "z": D}):
+        with pytest.raises(ConstraintViolation) as refused:
+            PFGraph(vertices)
+        assert str(refused.value) == f"vertex label {named}"
+
+
+@pytest.mark.parametrize("label, named", REFUSED_LABELS)
+def test_an_edge_endpoint_that_is_not_a_non_empty_utf8_str_is_refused(label, named):
+    # the endpoints are checked before the key is built, so < never sees a
+    # label it cannot compare, and an edge that is no edge (0, 0) is no exception
+    for key in (("a", label), (label, "a")):
+        for degree in (D, PFDegree(0.0, 0.0)):
+            with pytest.raises(ConstraintViolation) as refused:
+                PFGraph({"a": D}, [(key, degree)])
+            assert str(refused.value) == f"edge endpoint {named}"
+
+
+def test_an_edge_endpoint_is_checked_in_any_key_form():
+    # an unhashable endpoint, in an edge given as an item, and a PairKey the caller built
+    with pytest.raises(ConstraintViolation, match=r"^edge endpoint \['b'\] must be a str, not list$"):
+        PFGraph({"a": D}, [(("a", ["b"]), D)])
+    with pytest.raises(ConstraintViolation, match="^edge endpoint 1 must be a str, not int$"):
+        PFGraph({"a": D}, {PairKey(1, 2): D})
+    with pytest.raises(PFGError):
+        PFGraph({"a": D}, {("a", 5): D})
+
+
 HUGE = 10**5000  # past CPython's default int-string limit: repr and str raise for it
 # every value the constructor accepts, the ends of float range included
 ACCEPTED = st.one_of(
@@ -227,52 +273,55 @@ ACCEPTED = st.one_of(
     ),
 )
 IN_RANGE = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 1.0, 0, 1]))
-# label pools: plain strs; odd strs (empty, a lone surrogate, one products
-# cannot compose); numbers with NaN (two objects) and an int past the
-# int-string limit; tuples, some holding that int; frozensets, some of which
-# neither contains the other; and one of each kind
-LABEL_POOLS = [
-    ["a", "b", "c", "d", "e"],
+# text label pools, which the label rule accepts: plain strs; strs that
+# products cannot compose, that sort apart from their index order, or that
+# are not ASCII; and five drawn strs, surrogates left out
+TEXT_POOLS = st.sampled_from([["a", "b", "c", "d", "e"], ["x(y", "v10", "v2", "é", "\U0001d11e"]]) | st.lists(
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1), min_size=5, max_size=5, unique=True
+)
+# pools with labels the label rule refuses: odd strs (empty, a lone
+# surrogate); numbers with NaN and an int past the int-string limit; tuples,
+# some holding that int; frozensets; and one of each kind, a str subclass too
+REFUSED_POOLS = st.sampled_from([
     ["a", "b", "", "\ud800", "x(y"],
     [1, 2, -3, 2.5, HUGE, float("nan"), float("nan")],
     [("x", 1), ("x", 2), ("y", HUGE), ("x", HUGE), ("y",)],
     [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})],
-    ["a", 1, 2.5, float("nan"), ("x", HUGE), frozenset({1})],
-]
+    ["a", 1, 2.5, float("nan"), ("x", HUGE), frozenset({1}), Label("b"), None],
+])
 
 
-def in_strict_order(labels) -> bool:
-    """The label rule, written from its statement: ``<`` orders every two
-    distinct labels one way."""
-    try:
-        return all(a < b or b < a for a, b in itertools.combinations(labels, 2))
-    except TypeError:
+def is_label(label) -> bool:
+    """The label rule, written from its statement: a non-empty exact str
+    that encodes as UTF-8."""
+    if type(label) is not str or not label:
         return False
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def refusal(vertices, edges):
     """The error ``PFGraph(vertices, edges)`` raises for its labels, written
-    from the rules' statements, or None: ConstraintViolation when the two
-    labels of an edge key given are not ordered, then DanglingEdge when an
-    edge it keeps (one not exactly (0, 0)) names a label that is not a
-    vertex, then ConstraintViolation when the vertex labels are not in a
-    strict order."""
-    if not all(map(in_strict_order, edges)):
+    from the rules' statements, or None: ConstraintViolation for a vertex
+    label, then for an edge endpoint, that is not a label; then DanglingEdge
+    when an edge it keeps (one not exactly (0, 0)) names a label that is not
+    a vertex."""
+    if not all(map(is_label, vertices)) or not all(is_label(label) for key in edges for label in key):
         return ConstraintViolation
     if any(label not in vertices for key, degree in edges.items() if degree != (0.0, 0.0) for label in key):
         return DanglingEdge
-    if not in_strict_order(vertices):
-        return ConstraintViolation
     return None
 
 
 @st.composite
-def graph_specs(draw):
+def graph_specs(draw, pools=TEXT_POOLS):
     """(vertices, edges) for ``PFGraph(...)``: in half of them every value
-    lies in [0, 1], labels come from one pool, mostly the plain strs, and
-    edges may dangle."""
+    lies in [0, 1], labels come from one pool, and edges may dangle."""
     values = draw(st.sampled_from([IN_RANGE, ACCEPTED]))
-    pool = LABEL_POOLS[0] if draw(st.booleans()) else draw(st.sampled_from(LABEL_POOLS))
+    pool = draw(pools)
     chosen = draw(st.lists(st.sampled_from(range(len(pool))), unique=True, max_size=5))
     declared = chosen if draw(st.integers(0, 3)) else chosen[:-1]  # the last one may only be an endpoint
     pairs = [(i, j) for i in chosen for j in chosen if i < j]
@@ -285,8 +334,8 @@ def graph_specs(draw):
 
 
 @settings(max_examples=300)
-@given(graph_specs())
-def test_constructor_refuses_exactly_the_labels_lt_cannot_order(spec):
+@given(graph_specs(TEXT_POOLS | REFUSED_POOLS))
+def test_constructor_refuses_exactly_what_breaks_the_label_rule(spec):
     vertices, edges = spec
     refused = refusal(vertices, edges)
     if refused is None:
@@ -296,7 +345,7 @@ def test_constructor_refuses_exactly_the_labels_lt_cannot_order(spec):
         with pytest.raises(DanglingEdge, match=" uses undeclared vertex "):
             PFGraph(vertices, edges)
     else:
-        with pytest.raises(ConstraintViolation, match="^vertex labels cannot be put in a strict order: "):
+        with pytest.raises(ConstraintViolation, match="^(vertex label|edge endpoint) "):
             PFGraph(vertices, edges)
 
 
@@ -335,14 +384,9 @@ def test_every_public_pass_raises_nothing_but_pfg_errors(g, h):
         quietly(cartesian_product, g, h),
         quietly(composition, g, h),
         quietly(half_strong_construction, g.vertices),
+        quietly(union, g, h),
+        quietly(join, g, apart),
     ]
-    for combine, other in ((union, h), (join, apart)):
-        # union and join apply the label rule to the two graphs' labels together
-        if in_strict_order({*g.vertices, *other.vertices}):
-            built.append(quietly(combine, g, other))
-        else:
-            with pytest.raises(ConstraintViolation, match="^vertex labels cannot be put in a strict order: "):
-                combine(g, other)
     for result in filter(None, built):
         # no builder makes a graph the constructor would refuse
         assert PFGraph(result.vertices, result.edges) == result
@@ -401,43 +445,27 @@ def test_a_graph_argument_that_is_not_a_graph_raises_type_error_naming_it(functi
             function(**arguments)
 
 
-INT_STRING_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-PAST = 10**INT_STRING_LIMIT if INT_STRING_LIMIT else 0  # one digit past the limit
 HOMO = MorphismKind.HOMOMORPHISM
 SELF_LOOP = "self-loop on vertex {} is not allowed"
-
-
-def first_violation(g1, g2, mapping) -> str:
-    return verify_morphism(g1, g2, HOMO, mapping).violations[0]
 
 
 @pytest.mark.skipif(not INT_STRING_LIMIT, reason="this interpreter has no int-string limit")
 @pytest.mark.parametrize(
     "call, raises, message",
     [
-        (lambda: cartesian_product(PFGraph({PAST: D}), PFGraph({"a": D})), LabelClash,
-         "vertex label {} is not a string and cannot be composed into a product label"),
-        (lambda: composition(PFGraph({"a": D}), PFGraph({PAST: D})), LabelClash,
-         "vertex label {} is not a string and cannot be composed into a product label"),
-        (lambda: join(PFGraph({PAST: D}), PFGraph({PAST: D})), JoinOverlap,
-         "join requires disjoint vertex sets; shared: [{}]"),
-        (lambda: first_violation(PFGraph({PAST: (0.9, 0.1)}), PFGraph({PAST: (0.1, 0.9)}), {PAST: PAST}),
-         None, "vertex condition fails at {0} -> {0}"),
-        (lambda: first_violation(PFGraph({PAST: D, 3: D}, {(PAST, 3): (0.2, 0.3)}), PFGraph({PAST: D, 3: D}),
-                                 {PAST: PAST, 3: 3}),
-         None, "edge condition fails at pair 3-{0} -> 3-{0}"),
         (lambda: verify_morphism(PFGraph({"a": D}), PFGraph({"b": D}), HOMO, {"a": PAST}), UnknownVertex,
          "mapping values not in the target graph: [{}]"),
-        (lambda: PFGraph({PAST: D}, {(PAST, PAST): D}), ValueError, SELF_LOOP),
-        (lambda: PFGraph({PAST: D}).edge_degree(PAST, PAST), ValueError, SELF_LOOP),
-        (lambda: PFGraph({PAST: D}).has_edge(PAST, PAST), ValueError, SELF_LOOP),
-        (lambda: PFGraph({PAST: D}).pair_bound(PAST, PAST), ValueError, SELF_LOOP),
+        (lambda: PairKey(PAST, PAST), ValueError, SELF_LOOP),
+        (lambda: PFGraph({"a": D}).edge_degree(PAST, PAST), ValueError, SELF_LOOP),
+        (lambda: PFGraph({"a": D}).has_edge(PAST, PAST), ValueError, SELF_LOOP),
+        (lambda: PFGraph({"a": D}).pair_bound(PAST, PAST), ValueError, SELF_LOOP),
+        (lambda: PFGraph({"a": D}).pair_bound(PAST, PAST + 1), DanglingEdge, "edge {0}-{0} uses undeclared vertex {0}"),
     ],
-    ids=["cartesian_product", "composition", "join-overlap", "verify-vertex", "verify-edge",
-         "verify-unknown", "self-loop", "edge_degree", "has_edge", "pair_bound"],
+    ids=["verify-unknown", "self-loop", "edge_degree", "has_edge", "pair_bound", "pair_bound-dangling"],
 )
 def test_labels_past_the_int_string_limit_are_named_by_their_bit_length(call, raises, message):
-    # formatting such a label with repr or str raises a bare ValueError
+    # a caller's own value, not a label of a graph: formatting it with repr
+    # or str raises a bare ValueError
     expected = message.format(f"<int of {PAST.bit_length()} bits>")
     if raises is None:
         assert call() == expected

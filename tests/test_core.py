@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from pfgraph import (
     ConstraintViolation,
     DanglingEdge,
+    MalformedDocument,
     PFDegree,
     GenConfig,
     PFGraph,
@@ -80,6 +81,48 @@ class TestValidate:
         g = build({"a": (1.2, 0.0)})
         kinds = [v.kind for v in validate(g).violations]
         assert "bad_vertex_degree" in kinds
+
+    def test_empty_vertex_id_reported(self):
+        # the constructor refuses it, as parse refuses it in a document, so
+        # no graph holds one for validate to see
+        with pytest.raises(ConstraintViolation, match="^vertex label '' must be non-empty$"):
+            PFGraph({"": PFDegree(0.5, 0.5)})
+        with pytest.raises(MalformedDocument, match="^vertex 'id' must be a non-empty string$"):
+            parse(_document([""], []))
+
+    @pytest.mark.parametrize("label", ["\ud800", "\udc80", "a\udfff"])
+    def test_vertex_id_that_does_not_encode_as_utf8_reported(self, label):
+        # render would write it as a JSON escape that parse rejects, so the
+        # constructor refuses it, in parse's wording, beside a label that encodes
+        with pytest.raises(ConstraintViolation) as refused:
+            PFGraph({label: PFDegree(0.5, 0.5), "é": PFDegree(0.5, 0.5)})
+        assert str(refused.value) == f"vertex label {label!r} does not encode as UTF-8"
+        with pytest.raises(MalformedDocument) as parsed:
+            parse(_document([label, "é"], []))
+        assert str(parsed.value) == f"vertex 'id' {label!r} does not encode as UTF-8"
+
+    @pytest.mark.parametrize(
+        "labels, key_raises",
+        [((1, "a"), TypeError), ((math.nan, 0.5, 0.25), ConstraintViolation),
+         ((frozenset({1}), frozenset({2})), ConstraintViolation)],
+        ids=["int-and-str", "nan", "frozensets"],
+    )
+    def test_labels_without_strict_order_are_refused_at_the_door(self, labels, key_raises):
+        # each holds a label that is not a str, so the constructor refuses it
+        # as a vertex or an endpoint before < sees it; a PairKey the caller
+        # builds of them lets 1 < "a"'s TypeError out, and refuses two labels
+        # that < orders neither way (NaN, two disjoint frozensets)
+        d = PFDegree(0.5, 0.5)
+        for vertices, edges in (
+            (dict.fromkeys(labels, d), {labels[:2]: PFDegree(0.2, 0.3)}),
+            (dict.fromkeys(labels, d), {}),
+            ({}, {labels[:2]: PFDegree(0.2, 0.3)}),
+        ):
+            with pytest.raises(ConstraintViolation, match=r"^(vertex label|edge endpoint) .* must be a str, not "):
+                PFGraph(vertices, edges)
+        for u, v in (labels[:2], labels[1::-1]):
+            with pytest.raises(key_raises):
+                PairKey(u, v)
 
     @pytest.mark.parametrize(
         "labels", [("b", "a", "c"), ("é", "z", "B", "a")], ids=["str", "non-ascii"]
@@ -448,6 +491,25 @@ class TestGraphConstruction:
         vs["b"] = PFDegree(0.1, 0.1)
         assert set(g.vertices) == {"a"}
 
+    def test_pairs_cover_all_unordered_pairs(self):
+        g = build({"a": (0.5, 0.5), "b": (0.5, 0.5), "c": (0.5, 0.5)})
+        assert {f"{u}-{v}" for u, _, tail in g._pair_scan() for v, _ in tail} == {"a-b", "a-c", "b-c"}
+
+    def test_pair_rows_give_every_pair_in_key_order(self, square_cycle):
+        # the scan's pairs are the reference rows, in key order; n=12 labels
+        # v0..v11 sort v10 before v2, unlike their index order
+        for g in (square_cycle, generate(GenConfig(seed=3, n_vertices=12))):
+            rows = list(pair_rows(g))
+            keys = [key for key, _, _ in rows]
+            n = len(g.vertices)
+            assert len(rows) == n * (n - 1) // 2
+            assert keys == sorted(keys) == [(u, v) for u, _, tail in g._pair_scan() for v, _ in tail]
+            for key, degree, bound in rows:
+                assert degree == g.edges.get(key, ZERO_DEGREE)
+                assert bound == g.pair_bound(key.lo, key.hi)
+        absent = {key for key, degree, _ in pair_rows(square_cycle) if degree == ZERO_DEGREE}
+        assert absent == {PairKey("a", "c"), PairKey("b", "d")}
+
     @given(st.data())
     def test_pair_scan_agrees_with_the_per_pair_methods(self, data):
         # unicode labels whose sort order is not their insertion order; vertex
@@ -498,6 +560,22 @@ class TestGraphConstruction:
         for h in (complement(g), complement(complement(g))):
             assert list(h.edges) == list(g.edges)
             assert all(key is stored[key] for key in h.edges)
+
+    def test_complement_keys_an_edge_pair_by_the_edge_key(self):
+        # the vertex labels are built at run time, so each is another object
+        # than the equal literal in the edge key: the complement keeps that
+        # edge's key, with the labels as the key spells them, and keys every
+        # other pair by the vertex label objects
+        d, e = PFDegree(0.5, 0.5), PFDegree(0.2, 0.3)
+        v1, v2, v3 = ("".join(("v", str(i))) for i in (1, 2, 3))
+        g = PFGraph({v1: d, v2: d, v3: d}, {("v1", "v2"): e})
+        (edge_key,) = g.edges
+        h = complement(g)
+        assert list(h.edges) == [("v1", "v2"), ("v1", "v3"), ("v2", "v3")]
+        first, *others = h.edges
+        assert first is edge_key and first.lo is not v1 and first.hi is not v2
+        assert [(k.lo, k.hi) for k in others] == [(v1, v3), (v2, v3)]
+        assert all(k.lo is u and k.hi is w for k, (u, w) in zip(others, ((v1, v3), (v2, v3))))
 
     @pytest.mark.parametrize(
         "clone",

@@ -285,6 +285,20 @@ class TestVerifyMorphism:
         with pytest.raises(UnknownVertex, match=r"not total on the source graph: \['c', 'a'\]$"):
             verify_morphism(g, g, HOMO, {"b": "b"})
 
+    @pytest.mark.parametrize("kind", [HOMO, ISO, WEAK, COWEAK])
+    def test_target_labels_that_do_not_compare(self, kind):
+        # the mapping values stand for the target's labels but < cannot order
+        # them, and the image of x-y is 2-1, against key order; a source edge
+        # still finds its image
+        d, e = PFDegree(0.5, 0.5), PFDegree(0.4, 0.6)
+        g1 = PFGraph({"x": d, "y": d}, {("x", "y"): e})
+        g2 = PFGraph({"2": d, "1": d}, {("2", "1"): e})
+        mapping = {"x": Unordered("2"), "y": Unordered("1")}
+        assert verify_morphism(g1, g2, kind, mapping).ok
+        assert find_morphism(g1, g2, kind).witness == {"x": "1", "y": "2"}
+        check = verify_morphism(g1, PFGraph(g2.vertices), kind, mapping)
+        assert check.violations == ("edge condition fails at pair x-y -> 2-1",)
+
     def test_non_injective_map_rejected_for_bijective_kinds(self):
         g = build({"a": (0.5, 0.5), "b": (0.5, 0.5)})
         check = verify_morphism(g, g, ISO, {"a": "a", "b": "a"})

@@ -121,15 +121,22 @@ def tolerance() -> float:
     return _epsilon
 
 
-def set_tolerance(eps: float) -> None:
-    """Override the global tolerance: a small positive int or float, not a bool."""
-    global _epsilon
+def _checked_tolerance(eps) -> float:
+    """``eps`` as a float, if it is a tolerance: an int or a float, not a
+    bool, positive and finite.  Raises ValueError otherwise.  The one rule
+    for the global tolerance and for an explicit ``eps`` argument."""
     # a bool is an int to isinstance, but never a tolerance
     if isinstance(eps, bool) or not isinstance(eps, (int, float)):
         raise ValueError(f"tolerance must be an int or a float, got {eps!r}")
     if not 0.0 < eps <= sys.float_info.max:  # NaN fails both comparisons
         raise ValueError(f"tolerance must be a positive finite number, got {eps!r}")
-    _epsilon = float(eps)
+    return float(eps)
+
+
+def set_tolerance(eps: float) -> None:
+    """Override the global tolerance: a small positive int or float, not a bool."""
+    global _epsilon
+    _epsilon = _checked_tolerance(eps)
 
 
 def apply_env_tolerance() -> None:
@@ -593,10 +600,10 @@ def _type_error(name: str, value, cls: type) -> TypeError:
 def degrees_close(a: PFDegree, b: PFDegree, eps: float | None = None) -> bool:
     """Whether both components of a and b differ by at most eps (default: the tolerance).
 
-    An int beyond float range is close to no float, for any finite eps.
+    An int beyond float range is close to no float, for any finite eps.  An
+    explicit eps follows :func:`set_tolerance`'s rule, or raises ValueError.
     """
-    if eps is None:
-        eps = tolerance()
+    eps = tolerance() if eps is None else _checked_tolerance(eps)
     try:
         return abs(a.mu - b.mu) <= eps and abs(a.nu - b.nu) <= eps
     except OverflowError:  # an int beyond float range against a float
@@ -608,14 +615,14 @@ def graphs_close(g1: PFGraph, g2: PFGraph, eps: float | None = None) -> bool:
 
     Edge presence may differ only where the present degree is within eps of
     (0, 0), because absent edges read as exactly (0, 0).  Each test is
-    :func:`degrees_close`'s, inline, so NaN is close to nothing.
+    :func:`degrees_close`'s, inline, so NaN is close to nothing.  An explicit
+    eps follows :func:`set_tolerance`'s rule, or raises ValueError.
     """
     if not isinstance(g1, PFGraph):
         raise _type_error("g1", g1, PFGraph)
     if not isinstance(g2, PFGraph):
         raise _type_error("g2", g2, PFGraph)
-    if eps is None:
-        eps = tolerance()
+    eps = tolerance() if eps is None else _checked_tolerance(eps)
     vertices1, vertices2 = g1.vertices, g2.vertices
     if vertices1.keys() != vertices2.keys():
         return False

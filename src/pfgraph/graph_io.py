@@ -157,7 +157,7 @@ def parse(text: str, check: bool = True) -> PFGraph:
         if mu == 0.0 and nu == 0.0:  # the raw values: an int 0 equals 0.0
             warnings.warn(
                 f"edge {key} has degree (0, 0) and was dropped: a zero degree means no edge",
-                stacklevel=2,
+                stacklevel=3,  # parse's caller, past the gc_paused wrapper
             )
             continue
         edges[key] = degree

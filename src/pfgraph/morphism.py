@@ -60,10 +60,30 @@ does two more things before the search:
   (Hall's condition, by augmenting paths), and answers not-found after 0
   attempts when there is none.  Every isomorphism is such a matching.
 
+Under all three bijective kinds, when the filters above leave every source
+every target as a candidate, so that the search would start blind, one
+more check compares connected components, in O(n + m).  A source edge is
+forced when its degree fails the kind's edge relation against (0, 0), the
+degree an absent target pair reads as: not within eps of it under
+equality, not ``mu <= eps and nu >= -eps`` under maps-into.  NaN relates
+to nothing, so an edge holding one is forced.  A map of a bijective kind
+sends each forced source edge onto a stored target edge, and distinct
+pairs onto distinct pairs, so it maps the graph of the forced edges into
+the graph of the target's stored edges, one vertex bijection for both.
+Each component of the first lies inside one component of the second, so
+its largest component is no larger.  When the two edge counts are equal,
+the forced edges map onto every stored edge, the bijection is an
+isomorphism of the two edge graphs, and their sorted component sizes are
+equal.  Under isomorphism the inverse is an isomorphism too, so both rules
+hold with the graphs swapped.  A broken rule answers not-found after 0
+attempts.  Only a blind search takes the check: one with a shorter list,
+which mostly finds its map, would pay for it and gain nothing.
+
 None of this pruning can exclude a valid witness, and it leaves the
 variable and value order alone, so the same witness comes back, after as
-many attempts or fewer; the other kinds make the same attempts as without
-it.
+many attempts or fewer.  The component check removes attempts only where
+no map exists, and a homomorphism search makes the same attempts as
+without any of it.
 
 The search runs on integer indices: sources and targets are numbered by
 their positions in sorted label order, candidate lists hold target
@@ -190,12 +210,17 @@ def find_morphism(
     Under isomorphism, when some source keeps more than one candidate
     after the vertex filter, each candidate must also have the source's
     degree profile within eps, and the candidate lists must admit a perfect
-    matching (see the module docstring): sound filters, so found and
+    matching.  Under every bijective kind, when every source still takes
+    every target, the connected components of the source's forced edges
+    (those an absent target pair cannot take) must fit those of the
+    target's stored edges, and under isomorphism the other way round too
+    (see the module docstring).  These are sound filters, so found and
     witness are those of the unfiltered search, and ``search_space`` can
-    only be smaller.  A source left with no candidate, or lists with no
-    matching, answer not-found after 0 attempts.  A ``kind`` that is not a
-    MorphismKind, a graph that is not a PFGraph or a ``cap`` that is not an
-    int (a bool included) raises TypeError naming the parameter.
+    only be smaller.  A source left with no candidate, lists with no
+    matching, or components that do not fit answer not-found after 0
+    attempts.  A ``kind`` that is not a MorphismKind, a graph that is not a
+    PFGraph or a ``cap`` that is not an int (a bool included) raises
+    TypeError naming the parameter.
     """
     if not isinstance(kind, MorphismKind):
         raise _type_error("kind", kind, MorphismKind)
@@ -225,6 +250,13 @@ def find_morphism(
         candidates = _profile_refined(candidates, g1, sources, g2, targets, eps)
         if not _has_perfect_matching(candidates, n2):
             return MorphismReport(kind, False, None, 0)
+    if (
+        bijective
+        and all(len(c) == n2 for c in candidates)
+        and not _components_admit(g1, g2, edge_equality, eps, iso)
+    ):
+        # the filters above leave the search blind: every source takes every target
+        return MorphismReport(kind, False, None, 0)
 
     source_edge = g1.edges.get
     target_edge = g2.edges.get
@@ -438,6 +470,57 @@ def _profile_refined(candidates, g1, sources, g2, targets, eps) -> list[list[int
                         fit.update(js)
         refined.append([j for j in c if j in fit])
     return refined
+
+
+def _forced_keys(edges: dict, edge_equality: bool, eps: float) -> list:
+    """The keys of ``edges`` whose degree fails the kind's edge relation
+    against an absent pair's (0, 0), by the search's own pair check: not
+    within eps of it under equality, not ``mu <= eps and nu >= -eps`` under
+    maps-into.  NaN relates to nothing, so an edge holding one is forced."""
+    zmu, znu = ZERO_DEGREE
+    if edge_equality:
+        return [k for k, (mu, nu) in edges.items() if not (abs(mu - zmu) <= eps and abs(nu - znu) <= eps)]
+    high, low = zmu + eps, znu - eps
+    return [k for k, (mu, nu) in edges.items() if not (mu <= high and nu >= low)]
+
+
+def _component_sizes(vertices, keys) -> list[int]:
+    """The sizes of the connected components of the graph on ``vertices``
+    with the edges ``keys`` (label pairs), sorted; a vertex that no edge
+    meets is a component of its own.  Each merge relabels the smaller
+    component's members, so a vertex moves at most log2(n) times."""
+    root = {v: v for v in vertices}  # per vertex: a label naming its component
+    members = {v: [v] for v in vertices}  # per component label: its vertices
+    for a, b in keys:
+        small, large = root[a], root[b]
+        if small == large:
+            continue
+        if len(members[small]) > len(members[large]):
+            small, large = large, small
+        moved = members.pop(small)
+        for v in moved:
+            root[v] = large
+        members[large] += moved
+    return sorted(map(len, members.values()))
+
+
+def _components_admit(g1: PFGraph, g2: PFGraph, edge_equality: bool, eps: float, iso: bool) -> bool:
+    """Whether the connected components leave room for a bijection that
+    sends each forced edge of g1 (see :func:`_forced_keys`) to a distinct
+    stored edge of g2, and under isomorphism each forced edge of g2 back to
+    a distinct stored edge of g1, as every map of a bijective kind does (the
+    module docstring has the argument).  False when the largest component
+    of the forced edges outgrows the other side's largest, or when the two
+    edge counts are equal and the sorted component sizes differ."""
+    for g, h in ((g1, g2), (g2, g1)) if iso else ((g1, g2),):
+        forced = _forced_keys(g.edges, edge_equality, eps)
+        sizes = _component_sizes(g.vertices, forced)
+        room = _component_sizes(h.vertices, h.edges)
+        if sizes[-1:] > room[-1:]:  # the largest; [] for no vertices
+            return False
+        if len(forced) == len(h.edges) and sizes != room:
+            return False
+    return True
 
 
 def _has_perfect_matching(candidates: list[list[int]], n2: int) -> bool:

@@ -22,6 +22,7 @@ from pfgraph import (
     complete_complement,
     degree_max_min,
     degree_min_max,
+    degrees_close,
     generate,
     graphs_close,
     hesitation,
@@ -453,6 +454,11 @@ class TestSetTolerance:
         assert tolerance() == 1.0 and type(tolerance()) is float
         set_tolerance(1e-6)
         assert tolerance() == 1e-6
+        # so does an explicit eps; None is the global tolerance
+        a, b = PFDegree(0.5, 0.5), PFDegree(0.5, 0.75)
+        g, h = PFGraph({"a": a}), PFGraph({"a": b})
+        assert degrees_close(a, b, 1) and graphs_close(g, h, 0.5)
+        assert not degrees_close(a, b, None) and not graphs_close(g, h, None)
 
     @pytest.mark.parametrize(
         "value",
@@ -463,6 +469,18 @@ class TestSetTolerance:
         with pytest.raises(ValueError):
             set_tolerance(value)
         assert tolerance() == before
+        if value is None:  # an explicit eps of None is the global tolerance
+            return
+        # an explicit eps follows the same rule, on an empty graph as on any
+        d = PFDegree(0.5, 0.5)
+        g = build({"a": d, "b": d}, {("a", "b"): d})
+        for check in (
+            lambda: degrees_close(d, d, value),
+            lambda: graphs_close(g, g, value),
+            lambda: graphs_close(PFGraph({}), PFGraph({}), value),
+        ):
+            with pytest.raises(ValueError, match="^tolerance must be"):
+                check()
 
 
 class TestGraphConstruction:

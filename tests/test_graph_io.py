@@ -1,5 +1,6 @@
 """JSON document parsing/rendering and DOT export."""
 
+import gc
 import json
 import math
 import sys
@@ -197,9 +198,18 @@ class TestParse:
                 "edges": [{"u": "a", "v": "b", "mu": 0.0, "nu": 0.0}],
             }
         )
-        with pytest.warns(UserWarning, match="zero degree means no edge"):
-            g = parse(doc)
-        assert g.edges == {}
+        # the warning names the caller's line, through either branch of the
+        # gc_paused wrapper: the GC on, or already off
+        for paused in (False, True):
+            if paused:
+                gc.disable()
+            try:
+                with pytest.warns(UserWarning, match="zero degree means no edge") as caught:
+                    g = parse(doc)
+            finally:
+                gc.enable()
+            assert g.edges == {}
+            assert [w.filename for w in caught] == [__file__]
 
     @pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
     def test_format_version_must_be_the_int_1(self, version):

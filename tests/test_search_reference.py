@@ -1,9 +1,11 @@
 """The morphism search finds the same witnesses as the search it replaced,
-with the same attempts (at most as many under isomorphism, whose candidate
-lists the degree-profile refinement shortens and the matching check can
-rule out before the first attempt), and the verifier reports the
-same violations as the verifier it replaced; both are kept verbatim in
-``reference_search.py``."""
+with the same attempts under homomorphism and at most as many under the
+bijective kinds: under isomorphism the degree-profile refinement shortens
+the candidate lists and the matching check can rule them out before the
+first attempt, and under all three the component check can answer a search
+that every source would start with every target as a candidate.  The
+verifier reports the same violations as the verifier it replaced; both are
+kept verbatim in ``reference_search.py``."""
 
 import collections
 import itertools
@@ -58,10 +60,12 @@ def assert_same_reports(g1, g2):
         report = find_morphism(g1, g2, kind)
         expected = reference_find_morphism(g1, g2, kind)
         # kind, found and witness, field for field; search_space too, except
-        # under isomorphism, whose degree-profile refinement can only remove
-        # attempts from the same search order
+        # under the bijective kinds, whose root checks (the degree-profile
+        # refinement and the matching check under isomorphism, the component
+        # check under all three) can only remove attempts from the same
+        # search order
         assert report[:3] == expected[:3], (kind, g1, g2)
-        if kind is ISO:
+        if kind.bijective:
             assert report.search_space <= expected.search_space, (kind, g1, g2)
         else:
             assert report.search_space == expected.search_space, (kind, g1, g2)
@@ -289,6 +293,16 @@ def _cycles(count, length):
     return _uniform(names, pairs)
 
 
+def _k33():
+    """K3,3: 3-regular, connected, 9 edges, no triangle."""
+    return _uniform("abcxyz", itertools.product("abc", "xyz"))
+
+
+def _prism():
+    """The triangular prism: 3-regular, connected, 9 edges, two triangles."""
+    return _uniform("abcxyz", map(tuple, "ab bc ac xy yz xz ax by cz".split()))
+
+
 def _paley9():
     cells = [(r, c) for r in range(3) for c in range(3)]
     pairs = [
@@ -308,14 +322,13 @@ def test_clique_homomorphism_attempts_are_pinned():
 
 def test_cycle_union_attempts_are_pinned():
     c12, c3x4 = _cycles(1, 12), _cycles(4, 3)
-    expected = {
-        (ISO, False): 384, (WEAK, False): 600, (COWEAK, False): 600,
-        (ISO, True): 384, (WEAK, True): 384, (COWEAK, True): 384,
-    }
-    for (kind, backwards), attempts in expected.items():
+    # the component check answers all six at the root; the search it spares
+    # made 384 attempts under isomorphism, and 600 under the other two kinds
+    # from C12 into the triangles
+    for kind, backwards in itertools.product((ISO, WEAK, COWEAK), (False, True)):
         g1, g2 = (c3x4, c12) if backwards else (c12, c3x4)
         report = find_morphism(g1, g2, kind, cap=12)
-        assert (report.found, report.search_space) == (False, attempts), (kind, backwards)
+        assert (report.found, report.search_space) == (False, 0), (kind, backwards)
 
 
 def test_paley9_self_complementarity_attempts_are_pinned():
@@ -382,8 +395,8 @@ def test_each_target_pair_is_read_once_per_call():
     orientation, however often the search checks the pair."""
     cases = [
         (_clique(6), _clique(5), HOMO, 9),
-        (_cycles(1, 12), _cycles(4, 3), WEAK, 12),
-        (_cycles(4, 3), _cycles(1, 12), ISO, 12),
+        (_k33(), _prism(), WEAK, 6),
+        (_k33(), _prism(), ISO, 6),
         (_paley9(), complement(_paley9()), ISO, 9),
     ]
     for g1, g2, kind, cap in cases:
@@ -934,3 +947,138 @@ def test_path_plus_two_against_path_plus_one_makes_no_attempt():
     report = find_morphism(g1, g2, ISO)
     assert report == (ISO, False, None, 0)
     assert report[:3] == expected[:3]
+
+
+# --- the component check at the root of the bijective searches ---------------
+
+BIJECTIVE = (ISO, WEAK, COWEAK)
+
+
+def _blocks(pieces, rng):
+    """A disjoint union of uniform pieces on v0, v1, ...: per (k, cycle), a
+    cycle or a clique on k vertices, with the labels shuffled by ``rng`` so
+    that a piece's vertices do not sit together in label order."""
+    n = sum(k for k, _ in pieces)
+    names = [f"v{i}" for i in rng.sample(range(n), n)]
+    pairs, start = [], 0
+    for k, cycle in pieces:
+        piece = names[start:start + k]
+        start += k
+        if cycle:
+            pairs += zip(piece, piece[1:] + piece[:1])
+        else:
+            pairs += itertools.combinations(piece, 2)
+    return _uniform(names, pairs)
+
+
+def _piece(most):
+    """One piece of at most ``most`` vertices: its size k, and whether it is
+    a cycle (only from three vertices up) or a clique."""
+    return st.integers(1, most).flatmap(
+        lambda k: st.tuples(st.just(k), st.booleans() if k >= 3 else st.just(False))
+    )
+
+
+@st.composite
+def block_unions(draw):
+    """Two unions of uniform cycles and cliques on the same number of
+    vertices, at most 8: the second has the first's pieces under other
+    labels, or, as often, pieces of its own."""
+
+    def pieces(left):
+        drawn = []
+        while left:
+            drawn.append(draw(_piece(left)))
+            left -= drawn[-1][0]
+        return drawn
+
+    n = draw(st.integers(0, 8))
+    first = pieces(n)
+    second = first if draw(st.booleans()) else pieces(n)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return _blocks(first, rng), _blocks(second, rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_unions())
+def test_cycle_and_clique_unions_match_the_reference(pair):
+    g1, g2 = pair
+    for kind in BIJECTIVE:
+        report = find_morphism(g1, g2, kind)
+        expected = reference_find_morphism(g1, g2, kind)
+        assert report[:3] == expected[:3], (kind, g1, g2)
+        assert report.search_space <= expected.search_space, (kind, g1, g2)
+
+
+def test_cycle_against_triangles_is_answered_at_the_root():
+    """C6 against two triangles.  From C6 the forced component outgrows the
+    triangles; from the triangles, no component outgrows C6, but the six
+    forced edges must then cover C6's six, and the component sizes differ.
+    Under isomorphism both directions run both ways round."""
+    c6, two_c3 = _cycles(1, 6), _cycles(2, 3)
+    assert morphism._component_sizes(c6.vertices, c6.edges) == [6]
+    assert morphism._component_sizes(two_c3.vertices, two_c3.edges) == [3, 3]
+    for g1, g2 in ((c6, two_c3), (two_c3, c6)):
+        for kind in BIJECTIVE:
+            expected = reference_find_morphism(g1, g2, kind)
+            assert not expected.found and expected.search_space > 0
+            assert find_morphism(g1, g2, kind) == (kind, False, None, 0)
+
+
+def _triangles_joined_by(degree):
+    """Two triangles and one edge at ``degree`` between them."""
+    g = _cycles(2, 3)
+    return PFGraph(g.vertices, {**g.edges, ("c0_00", "c1_00"): degree})
+
+
+def test_an_edge_within_eps_of_zero_is_not_forced():
+    """The joining edge is stored but relates to an absent pair under every
+    bijective kind, so it may map onto one: the map onto two triangles
+    exists, in both directions, though the stored edges form one component."""
+    tiny = PFDegree(5e-10, 0.0)
+    joined, two_c3 = _triangles_joined_by(tiny), _cycles(2, 3)
+    assert morphism._forced_keys(joined.edges, True, tolerance()) == list(two_c3.edges)
+    assert morphism._forced_keys(joined.edges, False, tolerance()) == list(two_c3.edges)
+    for g1, g2 in ((joined, two_c3), (two_c3, joined)):
+        for kind in BIJECTIVE:
+            report = find_morphism(g1, g2, kind)
+            assert report.found, (kind, g1, g2)
+            assert report == reference_find_morphism(g1, g2, kind)
+
+
+def test_an_edge_holding_nan_is_forced():
+    """NaN relates to nothing, so the joining edge needs a stored target
+    edge: its component of six outgrows the triangles under every kind, and
+    under isomorphism a NaN edge in the target rules the search out too."""
+    for degree in (PFDegree(math.nan, 0.3), PFDegree(0.0, math.nan)):
+        joined, two_c3 = _triangles_joined_by(degree), _cycles(2, 3)
+        assert len(morphism._forced_keys(joined.edges, True, tolerance())) == 7
+        assert len(morphism._forced_keys(joined.edges, False, tolerance())) == 7
+        for kind in BIJECTIVE:
+            expected = reference_find_morphism(joined, two_c3, kind)
+            assert not expected.found and expected.search_space > 0
+            assert find_morphism(joined, two_c3, kind) == (kind, False, None, 0)
+        expected = reference_find_morphism(two_c3, joined, ISO)
+        assert not expected.found and expected.search_space > 0
+        assert find_morphism(two_c3, joined, ISO) == (ISO, False, None, 0)
+
+
+def test_isomorphism_checks_the_components_both_ways():
+    """C6 against two triangles joined by an edge within eps of (0, 0): C6's
+    six edges fit the joined graph's component of six, and the edge counts
+    differ, six against seven; but the triangles' six forced edges must
+    cover C6's six, and the component sizes differ.  The profiles match
+    within eps, so only the rule with the graphs swapped answers."""
+    c6, joined = _cycles(1, 6), _triangles_joined_by(PFDegree(5e-10, 0.0))
+    expected = reference_find_morphism(c6, joined, ISO)
+    assert not expected.found and expected.search_space > 0
+    assert find_morphism(c6, joined, ISO) == (ISO, False, None, 0)
+
+
+@pytest.mark.parametrize("names", ["", "a"])
+def test_graphs_of_no_vertex_or_one_pass_the_component_check(names):
+    g1, g2 = _uniform(names, []), _uniform(names.upper(), [])
+    for kind in BIJECTIVE:
+        report = find_morphism(g1, g2, kind)
+        assert report.found and report == reference_find_morphism(g1, g2, kind)
+        assert report.witness == dict(zip(names, names.upper()))

@@ -27,7 +27,6 @@ from .core import (
     degree_max_min,
     degree_min_max,
     gc_paused,
-    safe_repr,
     tolerance,
 )
 from .errors import ConstraintViolation, JoinOverlap, LabelClash, NotComplete, NotStrong
@@ -211,7 +210,7 @@ def _bound_minus(bound: float, value: float, eps: float) -> float:
     result = bound - value
     if result < -eps:
         raise ConstraintViolation(
-            f"edge degree {safe_repr(value)} exceeds its bound {safe_repr(bound)}; "
+            f"edge degree {value!r} exceeds its bound {bound!r}; "
             "complement of an invalid graph"
         )
     if abs(result) <= eps:

@@ -81,7 +81,9 @@ subclass is refused too, since it could override ``<`` or ``__hash__``,
 and a document would bring it back as a plain str.  It refuses with
 ConstraintViolation a degree that is not a (mu, nu) pair, has a bool or a
 component neither int nor float, or holds an int that ``float()`` cannot
-convert (the value rule).  It refuses with DanglingEdge an edge kept (not
+convert, and it stores each component it accepts as ``float()`` of it, as
+``parse`` reads a JSON number (the value rule), so every stored degree
+number is an exact float.  It refuses with DanglingEdge an edge kept (not
 exactly (0, 0)) whose endpoint is not a vertex, naming the first in
 insertion order with the message :func:`dangling_edge` writes, as ``parse``
 does (the endpoint rule), so every pass reads an edge's endpoints straight
@@ -94,8 +96,7 @@ that names a caller's own value (a query label, a mapping value, a degree
 number) names it through :func:`safe_str` and :func:`safe_repr`, so an int
 past CPython's int-string limit is named by its bit length.  A degree that
 fails its one combined test goes to one helper, which adds the range and
-squared-sum entries; an int square beyond float range (10**200) is above 1
-beside any value but NaN.
+squared-sum entries.
 """
 
 from __future__ import annotations
@@ -235,18 +236,23 @@ def in_unit_range(value: float) -> bool:
 def hesitation(d: PFDegree) -> float:
     """Residual indeterminacy sqrt(1 - mu^2 - nu^2) of a valid degree pair.
 
-    Raises ConstraintViolation when a component fails :func:`in_unit_range`
-    (NaN does) or the squared sum exceeds 1 beyond tolerance.  A radicand
-    within tolerance of zero clamps to exactly 0.
+    ``d`` is a PFDegree or a plain (mu, nu) tuple, read by position; any
+    other argument raises TypeError.  Raises ConstraintViolation when a
+    component fails :func:`in_unit_range` (NaN does) or the squared sum
+    exceeds 1 beyond tolerance.  A radicand within tolerance of zero clamps
+    to exactly 0.
     """
-    if not (in_unit_range(d.mu) and in_unit_range(d.nu)):
+    if not (isinstance(d, tuple) and len(d) == 2):
+        raise _type_error("d", d, PFDegree)
+    mu, nu = d
+    if not (in_unit_range(mu) and in_unit_range(nu)):
         raise ConstraintViolation(
-            f"degree ({safe_repr(d.mu)}, {safe_repr(d.nu)}) has a component outside [0, 1]"
+            f"degree ({safe_repr(mu)}, {safe_repr(nu)}) has a component outside [0, 1]"
         )
-    radicand = 1.0 - d.mu * d.mu - d.nu * d.nu
+    radicand = 1.0 - mu * mu - nu * nu
     if radicand < -tolerance():
         raise ConstraintViolation(
-            f"degree ({d.mu!r}, {d.nu!r}) violates the Pythagorean constraint"
+            f"degree ({mu!r}, {nu!r}) violates the Pythagorean constraint"
         )
     if radicand <= tolerance():
         return 0.0
@@ -329,7 +335,8 @@ class PFGraph:
     Construction, the checking path for graphs built outside the library,
     copies both maps, accepts edge keys given either as PairKey or as a
     plain (u, v) tuple, and drops edges whose degree is exactly (0, 0).
-    Each degree becomes a PFDegree with its numbers unchanged; what breaks
+    Each degree becomes a PFDegree of two exact floats, ``float()`` of its
+    numbers (a PFDegree of exact floats is kept as it is); what breaks
     the label or the value rule (see the module docstring) and an edge key
     that is not a pair raise ConstraintViolation, a kept edge with an
     undeclared endpoint DanglingEdge, a self-loop ValueError.
@@ -439,28 +446,26 @@ class PFGraph:
             yield u, degree, items[i:]
 
 
-# float() rounds every int of smaller magnitude to a finite float and
-# converts none from here up (the halfway point to 2**1024 rounds to it)
-_FLOAT_INT_LIMIT = 2**1024 - 2**970
-
-
 def _as_degree(degree, kind: str, item) -> PFDegree:
-    """degree as a PFDegree with its numbers unchanged, for the vertex or edge
-    ``item``; ConstraintViolation, in :func:`~pfgraph.graph_io.parse`'s
+    """degree as a PFDegree of ``float()`` of its numbers, for the vertex or
+    edge ``item``; ConstraintViolation, in :func:`~pfgraph.graph_io.parse`'s
     wording, unless it is a (mu, nu) pair of ints and floats (not bools) that
     ``float()`` converts."""
     if not (isinstance(degree, tuple) and len(degree) == 2):
         problem = "degree must be a (mu, nu) pair"
     else:
+        numbers = []
         for field, value in zip(("mu", "nu"), degree):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 problem = f"{field!r} must be a number"
                 break
-            if isinstance(value, int) and not -_FLOAT_INT_LIMIT < value < _FLOAT_INT_LIMIT:
+            try:
+                numbers.append(float(value))
+            except OverflowError:  # an int past float range
                 problem = f"{field!r} value {safe_repr(value)} is beyond float range"
                 break
         else:
-            return degree if type(degree) is PFDegree else tuple.__new__(PFDegree, degree)
+            return tuple.__new__(PFDegree, numbers)
     where = f"vertex {item!r}" if kind == "vertex" else f"edge {item}"
     raise ConstraintViolation(f"{where}: {problem}")
 
@@ -501,16 +506,12 @@ def validate(g: PFGraph) -> ValidationReport:
         raise _type_error("g", g, PFGraph)
     eps = tolerance()
     low, high = -eps, 1.0 + eps
-    # the combined test squares only values up to fast_high; past 2**511 such a
-    # square may leave float range, so a tolerance that large sends every
-    # degree to _degree_violations
-    fast_high = high if high < 2.0**511 else math.nan
     vertices = g.vertices
     found: list[Violation] = []
     add = found.append
 
     for label, (mu, nu) in vertices.items():
-        if not (low <= mu <= fast_high and low <= nu <= fast_high and mu * mu + nu * nu <= high):
+        if not (low <= mu <= high and low <= nu <= high and mu * mu + nu * nu <= high):
             _degree_violations(add, "bad_vertex_degree", label, mu, nu, low, high)
 
     for key, (mu, nu) in g.edges.items():
@@ -518,7 +519,7 @@ def validate(g: PFGraph) -> ValidationReport:
         (amu, anu), (bmu, bnu) = vertices[lo], vertices[hi]
         bound_mu = bmu if bmu < amu else amu  # degree_min_max's tie rule: lo's value wins
         bound_nu = bnu if bnu > anu else anu
-        if low <= mu <= fast_high and low <= nu <= fast_high and mu * mu + nu * nu <= high:
+        if low <= mu <= high and low <= nu <= high and mu * mu + nu * nu <= high:
             if mu > bound_mu + eps or nu > bound_nu + eps:
                 _bound_violations(add, f"{lo}-{hi}", mu, nu, bound_mu, bound_nu, eps)
         else:
@@ -531,17 +532,12 @@ def validate(g: PFGraph) -> ValidationReport:
 def _degree_violations(add, kind: str, where: str, mu, nu, low: float, high: float) -> None:
     """Add the unit-range and squared-sum entries, in report order, for a
     degree that fails :func:`validate`'s combined test."""
-    show = safe_repr
     if not low <= mu <= high:
-        add(Violation(kind, where, f"membership {show(mu)} outside [0, 1]"))
+        add(Violation(kind, where, f"membership {mu!r} outside [0, 1]"))
     if not low <= nu <= high:
-        add(Violation(kind, where, f"non-membership {show(nu)} outside [0, 1]"))
-    try:
-        above = mu * mu + nu * nu > high
-    except OverflowError:  # an int square beyond float range is above 1; NaN is not
-        above = mu == mu and nu == nu
-    if above:
-        detail = f"membership {show(mu)} and non-membership {show(nu)} have squared sum > 1"
+        add(Violation(kind, where, f"non-membership {nu!r} outside [0, 1]"))
+    if mu * mu + nu * nu > high:  # NaN is not above
+        detail = f"membership {mu!r} and non-membership {nu!r} have squared sum > 1"
         add(Violation(kind, where, detail))
 
 
@@ -550,24 +546,12 @@ def _bound_violations(add, where: str, mu, nu, bound_mu, bound_nu, eps: float) -
 
     :func:`validate` tests ``value > bound + eps`` inline and comes here
     when a component fails it, or when the degree fails its combined test.
-    ``bound + eps`` is a float, which rounds an int past 2**53, so two ints
-    are compared exactly here, by ``value - bound > eps``.  The squares of a
-    degree that passes the combined test sum to at most 1 + eps, so, short
-    of an absurd tolerance, its ints are far smaller than that.  A float on
-    either side keeps the float test, so no float verdict changes.
     """
-
-    def above(value, bound) -> bool:
-        if type(value) is int and type(bound) is int:
-            return value - bound > eps
-        return value > bound + eps
-
-    show = safe_repr
-    if above(mu, bound_mu):
-        detail = f"edge membership {show(mu)} exceeds endpoint minimum {show(bound_mu)}"
+    if mu > bound_mu + eps:
+        detail = f"edge membership {mu!r} exceeds endpoint minimum {bound_mu!r}"
         add(Violation("edge_membership_above_bound", where, detail))
-    if above(nu, bound_nu):
-        detail = f"edge non-membership {show(nu)} exceeds endpoint maximum {show(bound_nu)}"
+    if nu > bound_nu + eps:
+        detail = f"edge non-membership {nu!r} exceeds endpoint maximum {bound_nu!r}"
         add(Violation("edge_nonmembership_above_bound", where, detail))
 
 
@@ -600,12 +584,19 @@ def _type_error(name: str, value, cls: type) -> TypeError:
 def degrees_close(a: PFDegree, b: PFDegree, eps: float | None = None) -> bool:
     """Whether both components of a and b differ by at most eps (default: the tolerance).
 
-    An int beyond float range is close to no float, for any finite eps.  An
-    explicit eps follows :func:`set_tolerance`'s rule, or raises ValueError.
+    ``a`` and ``b`` are PFDegrees or plain (mu, nu) tuples, read by
+    position; any other argument raises TypeError naming it.  An int beyond
+    float range is close to no float, for any finite eps.  An explicit eps
+    follows :func:`set_tolerance`'s rule, or raises ValueError.
     """
+    if not (isinstance(a, tuple) and len(a) == 2):
+        raise _type_error("a", a, PFDegree)
+    if not (isinstance(b, tuple) and len(b) == 2):
+        raise _type_error("b", b, PFDegree)
     eps = tolerance() if eps is None else _checked_tolerance(eps)
+    (amu, anu), (bmu, bnu) = a, b
     try:
-        return abs(a.mu - b.mu) <= eps and abs(a.nu - b.nu) <= eps
+        return abs(amu - bmu) <= eps and abs(anu - bnu) <= eps
     except OverflowError:  # an int beyond float range against a float
         return False
 

@@ -20,11 +20,14 @@ sorted edge keys and read each degree from the edge map, so they build no
 (key, degree) tuple per edge, which the cyclic GC would track.
 
 :func:`render` writes the exact bytes of ``json.dumps(doc, indent=2)``
-without going through the pure-Python encoder that ``indent`` selects: an
-entry whose degrees are floats in [0, 1] up to the tolerance is formatted
-directly (``encode_basestring_ascii``
-for the label, ``float.__repr__`` for the numbers), and any other entry is
-checked by parse's own readers and then handed to ``json.dumps`` itself.
+without going through the pure-Python encoder that ``indent`` selects.
+Every stored degree number is an exact float (the constructor's value
+rule, which reads an int as ``float()`` does, as :func:`parse` reads a
+JSON int), so an entry whose degrees lie in [0, 1] up to the tolerance is
+formatted directly (``encode_basestring_ascii`` for the label,
+``float.__repr__`` for the numbers), and any other entry raises parse's
+message, from parse's own reader.  A graph holding an int and one holding
+its float are equal, and they render, and write DOT, byte-identically.
 :func:`parse` checks the schema: one loop reads every entry and checks its
 labels (a vertex id must encode as UTF-8, which a lone surrogate escaped
 in JSON does not), declarations and the type and unit range of each
@@ -40,6 +43,7 @@ import json
 import re
 import warnings
 from json.encoder import encode_basestring_ascii
+from typing import NoReturn
 
 from .core import (
     PFDegree,
@@ -166,20 +170,16 @@ def parse(text: str, check: bool = True) -> PFGraph:
     return require_valid(graph, "document") if check else graph
 
 
-def _entry(fields: dict) -> str:
-    """One list entry exactly as ``json.dumps(doc, indent=2)`` writes it.
-
-    An entry that :func:`parse` would reject even with ``check=False`` (a
-    degree outside [0, 1], NaN and ±inf included) raises MalformedDocument
-    with the message :func:`parse` gives for the text ``json.dumps`` would
-    write, instead of that text.
-    """
+def _refuse_entry(fields: dict) -> NoReturn:
+    """Raise, for an entry whose degree lies outside [0, 1] (NaN and ±inf
+    included), the MalformedDocument that :func:`parse` gives for the text
+    ``json.dumps`` would write: :func:`render`'s range test is
+    :func:`_read_degree`'s, which raises on it."""
     if "id" in fields:
         where = f"vertex {fields['id']!r}"
     else:
         where = f"edge {fields['u']}-{fields['v']}"
     _read_degree(fields, where)
-    return "    " + json.dumps(fields, indent=2).replace("\n", "\n    ")
 
 
 def _entries(lines: list[str]) -> str:
@@ -199,8 +199,8 @@ def render(g: PFGraph) -> str:
     low, high = -eps, 1.0 + eps  # in range implies finite: NaN and ±inf fail
     vertices = [
         f'    {{\n      "id": {enc(label)},\n      "mu": {mu!r},\n      "nu": {nu!r}\n    }}'
-        if type(mu) is float and type(nu) is float and low <= mu <= high and low <= nu <= high
-        else _entry({"id": label, "mu": mu, "nu": nu})
+        if low <= mu <= high and low <= nu <= high
+        else _refuse_entry({"id": label, "mu": mu, "nu": nu})
         for label, (mu, nu) in sorted(g.vertices.items())
     ]
     degrees = g.edges
@@ -211,8 +211,8 @@ def render(g: PFGraph) -> str:
         edges.append(
             f'    {{\n      "u": {enc(u)},\n      "v": {enc(v)},\n'
             f'      "mu": {mu!r},\n      "nu": {nu!r}\n    }}'
-            if type(mu) is float and type(nu) is float and low <= mu <= high and low <= nu <= high
-            else _entry({"u": u, "v": v, "mu": mu, "nu": nu})
+            if low <= mu <= high and low <= nu <= high
+            else _refuse_entry({"u": u, "v": v, "mu": mu, "nu": nu})
         )
     return (
         f'{{\n  "format_version": {FORMAT_VERSION},\n'

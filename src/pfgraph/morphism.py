@@ -51,9 +51,9 @@ does two more things before the search:
   so no digit reaches n and no sum carries: equal codes are equal padded
   multisets, which are equal sorted tuples, and the classes, the lists
   and the witnesses are those of the tuples.  Values that compare equal
-  as dict keys (-0.0 and 0.0, 1 and 1.0) are one value, as they are
-  equal tuple elements.  With D above n a code would hold more digits
-  than the tuple holds entries, so the tuples stay.
+  as dict keys (-0.0 and 0.0) are one value, as they are equal tuple
+  elements.  With D above n a code would hold more digits than the tuple
+  holds entries, so the tuples stay.
   Otherwise each distinct source profile is compared with each target
   class, position by position.
 - It looks for a perfect matching of sources to distinct candidate targets
@@ -112,16 +112,18 @@ maps-into (homomorphism, weak isomorphism) a cell holds the bounds
 check is ``smu <= high and snu >= low``, which builds no float.  Those
 bounds are the floats that ``smu <= tmu + eps and snu >= tnu - eps`` (the
 form the vertex test and :func:`verify_morphism` keep) builds on every
-check, from the same operands by the same operation: an int component is
-converted as it is there, and a NaN or an infinity carries through the
-shift.  So every verdict, and with it every attempt, is the same.
+check, from the same operands by the same operation, and a NaN or an
+infinity carries through the shift.  So every verdict, and with it every
+attempt, is the same.
 
 :func:`verify_morphism` does work in proportion to n + m (vertices plus
-both graphs' edges) and sorts only the checks that fail.  Every kind walks
-the source edges once, in any order, and reads each one's image pair in
-either orientation, a collapsed pair or a miss as (0, 0), counting the
-hits: the source edges whose image is a stored target edge.  Isomorphism
-also checks the source pairs without an edge, (0, 0) on the source side.
+both graphs' edges) and sorts only the checks that fail.  It first takes
+each mapping value as the target's own label object, which the value
+equals.  Every kind walks the source edges once, in any order, and reads
+each one's image pair by one lookup, its two labels in ``<`` order, a
+collapsed pair or a miss as (0, 0), counting the hits: the source edges
+whose image is a stored target edge.  Isomorphism also checks the source
+pairs without an edge, (0, 0) on the source side.
 Such a pair fails exactly when its image is a target edge that is not
 within eps of (0, 0), which a NaN never is.  When the map is injective
 and every target edge was hit, distinct pairs have distinct images and
@@ -342,7 +344,7 @@ def _vertex_candidates(sources, targets, vertex_equality, eps) -> list[list[int]
     """Per source, the indices of the targets its degree relates to under the
     kind's vertex relation, in target order.  The test runs once per distinct
     source degree, and sources whose degrees are equal (as dict keys: -0.0
-    beside 0.0, 1 beside 1.0, a NaN beside itself) share one list."""
+    beside 0.0, a NaN beside itself) share one list."""
     lists: dict = {}
     candidates = []
     for _, degree in sources:
@@ -606,9 +608,13 @@ def verify_morphism(
         if unknown:
             raise UnknownVertex(f"{message}: [{', '.join(map(safe_repr, unknown))}]")
 
+    # each image as the target's own label object: a mapping value need only
+    # equal it (a str subclass may, and may override <)
+    label = dict(zip(g2.vertices, g2.vertices))
+    image = {u: label[mapping[u]] for u in g1.vertices}
     violations: list[str] = []
     if kind.bijective:
-        injective = len(set(mapping.values())) == len(g1.vertices)
+        injective = len(set(image.values())) == len(g1.vertices)
         if not injective:
             violations.append("mapping is not injective")
         if len(g1.vertices) != len(g2.vertices):
@@ -620,7 +626,7 @@ def verify_morphism(
     target_vertices = g2.vertices
     failed_vertices = []
     for u, (smu, snu) in g1.vertices.items():
-        tmu, tnu = target_vertices[mapping[u]]
+        tmu, tnu = target_vertices[image[u]]
         if not (
             abs(smu - tmu) <= eps and abs(snu - tnu) <= eps
             if vertex_equality
@@ -630,10 +636,8 @@ def verify_morphism(
     for u in sorted(failed_vertices):
         violations.append(f"vertex condition fails at {safe_repr(u)} -> {safe_repr(mapping[u])}")
 
-    # every kind checks each source edge against its image pair, read in either
-    # orientation: the caller's values need only equal the target's labels (a
-    # str subclass may, and may override <), so need not order as they do; a
-    # collapsed pair (t, t) is never a key and reads as (0, 0), as a miss does
+    # every kind checks each source edge against its image pair; a collapsed
+    # pair (t, t) is never a key and reads as (0, 0), as a miss does
     source_edges = g1.edges
     target_edges = g2.edges
     target_edge = target_edges.get
@@ -641,8 +645,8 @@ def verify_morphism(
     hits = 0  # source edges whose image is a stored target edge
     for key, (smu, snu) in source_edges.items():
         u, w = key
-        tu, tw = mapping[u], mapping[w]
-        t = target_edge((tu, tw)) or target_edge((tw, tu))
+        tu, tw = image[u], image[w]
+        t = target_edge((tu, tw) if tu < tw else (tw, tu))
         if t is None:
             t = ZERO_DEGREE
         else:
@@ -659,9 +663,9 @@ def verify_morphism(
     # injective and every target edge is some source edge's image, no pair
     # without an edge maps onto a target edge, and nothing is left to check.
     if kind is MorphismKind.ISOMORPHISM and not (injective and hits == len(target_edges)):
-        preimages: dict = {}  # keyed by the caller's values, equal to the target's labels
-        for u in g1.vertices:
-            preimages.setdefault(mapping[u], []).append(u)
+        preimages: dict = {}
+        for u, t in image.items():
+            preimages.setdefault(t, []).append(u)
         zmu, znu = ZERO_DEGREE
         for (x, y), (tmu, tnu) in target_edges.items():
             if abs(zmu - tmu) <= eps and abs(znu - tnu) <= eps:

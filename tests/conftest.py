@@ -14,6 +14,11 @@ def gc_left_on():
     assert gc.isenabled(), "the cyclic GC was left disabled"
 
 
+# float() rounds every int of smaller magnitude to a finite float and
+# converts none from here up (the halfway point to 2**1024 rounds to it)
+FLOAT_INT_LIMIT = 2**1024 - 2**970
+
+
 def build(vertices, edges=()):
     """Terse graph builder: degree tuples instead of PFDegree instances."""
     vs = {label: PFDegree(*pair) for label, pair in vertices.items()}

@@ -32,9 +32,8 @@ from pfgraph import (
     tolerance,
     validate,
 )
-from pfgraph.core import _FLOAT_INT_LIMIT
 
-from conftest import build
+from conftest import FLOAT_INT_LIMIT, build
 from reference_builders import pair_rows
 from reference_codec import boundary_specs, door, one_break_specs, reference_validate
 
@@ -229,28 +228,36 @@ class TestValidate:
         assert str(refused.value) == f"edge key {named} is not a pair of vertex labels"
 
     @pytest.mark.parametrize(
-        "vertex_nu, edge_nu, above",
+        "vertex_nu, edge_nu, above",  # above: whether the ints themselves are more than eps apart
         [
-            (10**200, 10**200, False),  # float(10**200) is below 10**200
+            (10**200, 10**200, False),
             (2**60 - 1, 2**60, True),  # float(2**60 - 1) is 2**60
             (2**60 + 1, 2**60, False),
-            (10**200, 10**200 + 1, True),
+            (10**200, 10**200 + 1, True),  # float() rounds both to one float
+            (2**60, 2**60 + 2**8, True),  # one ulp apart as floats
         ],
     )
     def test_bound_test_is_exact_for_ints(self, vertex_nu, edge_nu, above):
+        # the value rule holds each int as float() of it, so the bound test is
+        # the float test on what the graph holds: where float() rounds two ints
+        # to one float, the ints' own verdict is not the graph's
         d = PFDegree(0.5, 0.5)
         g = PFGraph({"a": PFDegree(0.5, vertex_nu), "b": d}, {("a", "b"): PFDegree(0.5, edge_nu)})
+        held_vertex, held_edge = g.vertices["a"].nu, g.edges[PairKey("a", "b")].nu
+        assert type(held_vertex) is float and held_vertex == float(vertex_nu)
+        assert type(held_edge) is float and held_edge == float(edge_nu)
         kinds = [v.kind for v in validate(g).violations]
-        assert ("edge_nonmembership_above_bound" in kinds) is above
+        assert ("edge_nonmembership_above_bound" in kinds) is (above and held_edge != held_vertex)
         assert "edge_membership_above_bound" not in kinds
         assert kinds.count("bad_edge_degree") == 2
-        # the same values as floats keep the float test
+        # the graph is the one built from the floats, and reports as it does
         as_floats = PFGraph(
             {"a": PFDegree(0.5, float(vertex_nu)), "b": d}, {("a", "b"): PFDegree(0.5, float(edge_nu))}
         )
-        assert validate(as_floats) == reference_validate(as_floats)
+        assert g == as_floats
+        assert validate(g) == validate(as_floats) == reference_validate(as_floats)
 
-    @pytest.mark.parametrize("big", [10**400, -(10**400), 2**1024, _FLOAT_INT_LIMIT], ids=repr)
+    @pytest.mark.parametrize("big", [10**400, -(10**400), 2**1024, FLOAT_INT_LIMIT], ids=repr)
     @pytest.mark.parametrize("on_vertex", [True, False], ids=["vertex", "edge"])
     def test_int_degree_beyond_float_range_is_refused_at_construction(self, big, on_vertex):
         # no pass but validate could compute with it, so no graph holds one
@@ -292,18 +299,19 @@ class TestValidate:
             set_tolerance(saved)
 
     def test_tolerance_past_the_squares_float_range_still_reports(self):
-        # 10**180 lies inside [0, 1 + eps] at eps = 2**600, and its square does
-        # not convert to a float: the squared sum is above 1 all the same
+        # 10**180 lies inside [0, 1 + eps] at eps = 2**600 and is held as the
+        # float 1e+180, whose square overflows to inf: the squared sum is above
+        # 1 all the same, for the int and for the float alike
         saved = tolerance()
         set_tolerance(2.0**600)
         try:
-            big = 10**180
-            assert [v.detail for v in validate(PFGraph({"a": PFDegree(big, 0.5)})).violations] == [
-                f"membership {big} and non-membership 0.5 have squared sum > 1"
-            ]
-            assert [v.detail for v in validate(PFGraph({"a": PFDegree(big, math.nan)})).violations] == [
-                "non-membership nan outside [0, 1]"
-            ]
+            for big in (10**180, 1e180):
+                assert [v.detail for v in validate(PFGraph({"a": PFDegree(big, 0.5)})).violations] == [
+                    "membership 1e+180 and non-membership 0.5 have squared sum > 1"
+                ]
+                assert [v.detail for v in validate(PFGraph({"a": PFDegree(big, math.nan)})).violations] == [
+                    "non-membership nan outside [0, 1]"
+                ]
             assert validate(PFGraph({"a": PFDegree(0.5, 0.5)})).ok
         finally:
             set_tolerance(saved)
@@ -343,6 +351,21 @@ class TestHesitation:
         assert str(raised.value) == (
             f"degree (<int of {huge.bit_length()} bits>, 0.5) has a component outside [0, 1]"
         )
+
+    def test_plain_tuple_reads_as_its_degree(self):
+        for pair in [(0.6, 0.8), (0.0, 0.0), (0.6, 0.7), (1, 0)]:
+            assert hesitation(pair) == hesitation(PFDegree(*pair))
+        with pytest.raises(ConstraintViolation, match="violates the Pythagorean constraint"):
+            hesitation((0.9, 0.9))
+        with pytest.raises(ConstraintViolation, match=r"^degree \(nan, 0.5\) has a component outside"):
+            hesitation((math.nan, 0.5))
+
+    @pytest.mark.parametrize(
+        "d", [[0.6, 0.7], (0.6,), (0.6, 0.7, 0.0), 0.5, None, {"mu": 0.6, "nu": 0.7}], ids=repr
+    )
+    def test_argument_that_is_not_a_pair_raises_type_error_naming_it(self, d):
+        with pytest.raises(TypeError, match=f"^d must be a PFDegree, not {type(d).__name__}$"):
+            hesitation(d)
 
     @given(valid_degrees())
     def test_squares_total_one(self, d):

@@ -6,10 +6,13 @@ UTF-8.  It refuses four kinds of degree with ConstraintViolation: one that
 is not a (mu, nu) pair, one with a bool component, one with a component
 that is neither an int nor a float, and one with an int that ``float()``
 cannot convert.  It refuses with DanglingEdge an edge it keeps whose
-endpoint is not a vertex.  Everything else stays as given, and every public pass on a graph it accepts
-answers or raises a PFGError, or a TypeError for an argument that is not a
-graph; one that renders it writes a document that reads back to the same
-graph.
+endpoint is not a vertex.  It holds each number it accepts as ``float()`` of
+it, as ``parse`` reads a JSON int, so a graph given ints or float
+subclasses is the graph given their floats and renders and writes DOT to the
+same bytes.  Every public pass on a graph it accepts answers or raises a
+PFGError, or a TypeError for an argument that is not a graph; one that
+renders it writes a document that reads back to the same graph and the same
+bytes.
 """
 
 import inspect
@@ -54,7 +57,8 @@ from pfgraph import (
     verify_morphism,
 )
 from pfgraph.classify import SELF_COMPLEMENT_VARIANTS
-from pfgraph.core import _FLOAT_INT_LIMIT
+
+from conftest import FLOAT_INT_LIMIT
 
 D = PFDegree(0.5, 0.5)
 
@@ -65,6 +69,18 @@ def converts(value) -> bool:
     except OverflowError:
         return False
     return True
+
+
+def same_float(held, value: float) -> bool:
+    """Whether held is an exact float of value's number (NaN beside NaN, -0.0 apart from 0.0)."""
+    return type(held) is float and held.hex() == value.hex()
+
+
+class Real(float):
+    """A float subclass with its own repr, as numpy's float64 has."""
+
+    def __repr__(self):
+        return f"Real({float.__repr__(self)})"
 
 
 def accepted(degree) -> bool:
@@ -97,7 +113,7 @@ class TestRefusal:
             ((Fraction(1, 2), 0.5), "'mu' must be a number"),
             ((0.5, Decimal("0.5")), "'nu' must be a number"),
             ((10**400, 0.5), "'mu' value " + repr(10**400) + " is beyond float range"),
-            ((0.5, -_FLOAT_INT_LIMIT), "'nu' value " + repr(-_FLOAT_INT_LIMIT) + " is beyond float range"),
+            ((0.5, -FLOAT_INT_LIMIT), "'nu' value " + repr(-FLOAT_INT_LIMIT) + " is beyond float range"),
         ],
         ids=["None", "float", "str", "1-tuple", "3-tuple", "list", "bool-mu", "bool-nu", "str-mu",
              "None-nu", "complex-mu", "fraction-mu", "decimal-nu", "10**400-mu", "minus-limit-nu"],
@@ -113,14 +129,20 @@ class TestRefusal:
         assert str(refused.value) == f"{where}: {problem}"
 
     def test_the_float_range_limit_is_float_s_own(self):
-        # the least int magnitude float() cannot convert, and the largest it can
-        for big in (_FLOAT_INT_LIMIT, -_FLOAT_INT_LIMIT):
+        # the least int magnitude float() cannot convert, and the largest it
+        # can, which the graph holds as float() of it
+        for big in (FLOAT_INT_LIMIT, -FLOAT_INT_LIMIT):
             assert not converts(big)
             with pytest.raises(ConstraintViolation, match="is beyond float range"):
                 PFGraph({"a": PFDegree(big, 0.5)})
-        for big in (_FLOAT_INT_LIMIT - 1, -(_FLOAT_INT_LIMIT - 1), 2**1023):
+        for big, held in [
+            (FLOAT_INT_LIMIT - 1, sys.float_info.max),
+            (-(FLOAT_INT_LIMIT - 1), -sys.float_info.max),
+            (2**1023, 2.0**1023),
+        ]:
             assert converts(big)
-            assert PFGraph({"a": PFDegree(big, 0.5)}).vertices["a"].mu is big
+            mu = PFGraph({"a": PFDegree(big, 0.5)}).vertices["a"].mu
+            assert type(mu) is float and mu == held == float(big)
 
     @pytest.mark.parametrize("key", [("a",), ("a", "b", "c"), 5, ()], ids=repr)
     def test_edge_key_that_is_not_a_pair_is_refused(self, key):
@@ -135,16 +157,25 @@ class TestRefusal:
 
 class TestAcceptance:
     def test_plain_tuples_become_degrees_with_their_numbers(self):
+        # each number as float() of it, as parse reads a JSON int
         g = PFGraph({"a": (0.5, 0.5), "b": (1, 0)}, [(("a", "b"), (0.5, 0))])
         for degree in (*g.vertices.values(), *g.edges.values()):
             assert type(degree) is PFDegree
-        assert type(g.vertices["b"].mu) is int and g.vertices["b"] == (1, 0)
-        assert type(g.edges[PairKey("a", "b")].nu) is int
+            assert type(degree.mu) is float and type(degree.nu) is float
+        assert g.vertices["b"] == (1.0, 0.0)
+        assert g.edges[PairKey("a", "b")] == (0.5, 0.0)
+        assert g == PFGraph({"a": D, "b": PFDegree(1.0, 0.0)}, {("a", "b"): PFDegree(0.5, 0.0)})
 
     def test_degree_objects_are_kept(self):
-        d, e = PFDegree(1, 0), PFDegree(0.5, 0.25)
+        # a PFDegree of exact floats is kept; one holding an int or a float
+        # subclass becomes an equal PFDegree of exact floats
+        d, e = PFDegree(1.0, 0.0), PFDegree(0.5, 0.25)
         g = PFGraph({"a": d, "b": D}, {("a", "b"): e})
         assert g.vertices["a"] is d and g.edges[PairKey("a", "b")] is e
+        for given_degree in (PFDegree(1, 0), PFDegree(Real(1.0), 0.0)):
+            held = PFGraph({"a": given_degree}).vertices["a"]
+            assert held is not given_degree and held == given_degree
+            assert type(held.mu) is float and type(held.nu) is float
 
     def test_plain_tuple_graphs_run_every_pass_that_needs_attributes(self):
         # join and pair_bound read .mu and .nu
@@ -153,6 +184,7 @@ class TestAcceptance:
         assert PFGraph({"a": (0.5, 0.7), "b": (0.6, 0.2)}).pair_bound("a", "b") == (0.5, 0.7)
 
     def test_out_of_range_values_stay_and_are_reported(self):
+        # each value is held as float() of it, a float as the same object
         wide = 10**200
         for mu, nu, details in [
             (math.nan, 0.5, ["membership nan outside [0, 1]"]),
@@ -163,22 +195,24 @@ class TestAcceptance:
             (1.5, 0.0, ["membership 1.5 outside [0, 1]",
                         "membership 1.5 and non-membership 0.0 have squared sum > 1"]),
             (-0.0, 1, []),
-            (wide, 0.5, [f"membership {wide} outside [0, 1]",
-                         f"membership {wide} and non-membership 0.5 have squared sum > 1"]),
-            (wide, math.nan, [f"membership {wide} outside [0, 1]", "non-membership nan outside [0, 1]"]),
+            (wide, 0.5, ["membership 1e+200 outside [0, 1]",
+                         "membership 1e+200 and non-membership 0.5 have squared sum > 1"]),
+            (wide, math.nan, ["membership 1e+200 outside [0, 1]", "non-membership nan outside [0, 1]"]),
         ]:
             g = PFGraph({"a": (mu, nu)})
             assert type(g.vertices["a"]) is PFDegree
-            assert g.vertices["a"][0] is mu and g.vertices["a"][1] is nu
+            for held, value in zip(g.vertices["a"], (mu, nu)):
+                assert held is value if type(value) is float else same_float(held, float(value))
             assert [v.detail for v in validate(g).violations] == details, (mu, nu)
 
 
 VALUES = st.one_of(
     st.floats(),
+    st.floats().map(Real),
     st.integers(),
     st.integers(2**1000, 2**1100).map(lambda x: x * (-1) ** (x & 1)),
     st.sampled_from(
-        [2**1023, -(2**1023), 10**200, _FLOAT_INT_LIMIT - 1, _FLOAT_INT_LIMIT, -_FLOAT_INT_LIMIT,
+        [2**1023, -(2**1023), 10**200, FLOAT_INT_LIMIT - 1, FLOAT_INT_LIMIT, -FLOAT_INT_LIMIT,
          10**400, True, False, "0.5", None, 0.5j, Fraction(1, 2), Decimal("0.5")]
     ),
 )
@@ -200,7 +234,9 @@ def test_constructor_refuses_exactly_the_four_kinds(vertex, edge):
             stored = g.vertices["a"] if not edges else g.edges.get(PairKey("a", "b"))
             if stored is not None:  # an exactly (0, 0) edge is no edge
                 assert type(stored) is PFDegree
-                assert stored[0] is degree[0] and stored[1] is degree[1]
+                assert same_float(stored[0], float(degree[0])) and same_float(stored[1], float(degree[1]))
+                if type(degree) is PFDegree and type(degree[0]) is float and type(degree[1]) is float:
+                    assert stored is degree
         else:
             with pytest.raises(ConstraintViolation):
                 PFGraph(vertices, edges)
@@ -268,7 +304,7 @@ ACCEPTED = st.one_of(
     st.floats(),
     st.integers(-(2**1023), 2**1023),
     st.sampled_from(
-        [2**1023, -(2**1023), 10**200, -(10**200), _FLOAT_INT_LIMIT - 1, 1, 0, -0.0,
+        [2**1023, -(2**1023), 10**200, -(10**200), FLOAT_INT_LIMIT - 1, 1, 0, -0.0,
          math.nan, math.inf, -math.inf, 1.5]
     ),
 )
@@ -411,6 +447,48 @@ def test_every_public_pass_raises_nothing_but_pfg_errors(g, h):
         quietly(hesitation, d)
 
 
+# numbers the constructor accepts, of each type it accepts: ints, floats and
+# float subclasses; most of them inside [0, 1], so that most graphs render
+MIXED = st.one_of(
+    IN_RANGE,
+    st.integers(0, 1),
+    st.floats(0.0, 1.0).map(Real),
+    st.sampled_from([Real(0.5), Real(-0.0), Real(math.nan), 2, -1, 10**200]),
+    ACCEPTED,
+)
+
+
+def as_floats(degrees: dict) -> dict:
+    return {item: (float(mu), float(nu)) for item, (mu, nu) in degrees.items()}
+
+
+def written(write, g):
+    """write(g), or the type and message of the PFGError it raises."""
+    try:
+        return write(g)
+    except PFGError as refused:
+        return type(refused), str(refused)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_a_graph_renders_as_the_graph_of_its_floats(data):
+    labels = data.draw(st.lists(st.sampled_from("abcde"), unique=True, max_size=5))
+    pairs = [(u, v) for u in labels for v in labels if u < v]
+    degree = st.tuples(MIXED, MIXED)
+    vertices = {label: data.draw(degree) for label in labels}
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = {pair: data.draw(degree) for pair in chosen}
+    g = PFGraph(vertices, edges)
+    h = PFGraph(as_floats(vertices), as_floats(edges))
+    assert repr(g) == repr(h)  # g == h too, unless two NaN objects meet
+    assert written(render, g) == written(render, h)
+    assert written(to_dot, g) == written(to_dot, h)
+    text = written(render, g)
+    if isinstance(text, str):
+        assert render(parse(text, check=False)) == text
+
+
 def graph_parameters(function) -> list[str]:
     """The names of the parameters of ``function`` that take a PFGraph."""
     return [name for name, p in inspect.signature(function).parameters.items() if p.annotation == "PFGraph"]
@@ -476,6 +554,24 @@ def test_labels_past_the_int_string_limit_are_named_by_their_bit_length(call, ra
 
 
 class TestDegreesClose:
+    def test_plain_tuples_read_as_their_degrees(self):
+        for a, b in [((0.5, 0.5), (0.5, 0.5)), ((0.5, 0.5), (0.5, 0.75)), ((1, 0), (1.0, 0.0)),
+                     ((math.nan, 0.5), (math.nan, 0.5))]:
+            expected = degrees_close(PFDegree(*a), PFDegree(*b))
+            for x, y in [(a, b), (PFDegree(*a), b), (a, PFDegree(*b))]:
+                assert degrees_close(x, y) is expected
+        assert degrees_close((0.5, 0.5), (0.5, 0.5)) and not degrees_close((0.5, 0.5), (0.5, 0.75))
+
+    @pytest.mark.parametrize(
+        "bad", [[0.5, 0.5], (0.5,), (0.5, 0.5, 0.5), 0.5, None, {"mu": 0.5, "nu": 0.5}], ids=repr
+    )
+    def test_argument_that_is_not_a_pair_raises_type_error_naming_it(self, bad):
+        named = type(bad).__name__
+        with pytest.raises(TypeError, match=f"^a must be a PFDegree, not {named}$"):
+            degrees_close(bad, D)
+        with pytest.raises(TypeError, match=f"^b must be a PFDegree, not {named}$"):
+            degrees_close(D, bad)
+
     def test_int_beyond_float_range_is_close_to_no_float(self):
         big = 10**400
         assert not degrees_close(PFDegree(big, 0), PFDegree(0.5, 0))

@@ -11,7 +11,19 @@ the original edge set: a pair without an edge receives the full attainable
 bound, an edge gets the bound minus its degree, and pairs that come out as
 (0, 0) are dropped.  That convention is what makes the complement an
 involution.  The strong/complete complement variants instead zero out each
-positive component and raise absent components to the bound.
+positive component and raise absent components to the bound; the one pass
+that builds their output also checks that the input is strong or complete.
+
+The complements, the products and ``join`` keep one rule for the degree
+objects they store (``generate`` keeps it too; ``union`` combines only the
+degrees the two sides share, by :func:`degree_max_min`): a degree whose two floats are, by identity, the two floats of an input
+PFDegree (a vertex's, or an edge's) is that input object, not a new equal
+one.  So a pair at its bound whose one endpoint has both the smaller mu and
+the larger nu shares that endpoint's degree.  The choice is made by ``is``,
+never by ``==``: with a tie between 0.0 and -0.0, or a NaN, equal-looking
+degrees differ, and the comparisons' order alone decides which float, and
+so which object, a degree keeps.  Fewer new objects mean less to allocate
+and fewer for the cyclic GC to track (see :func:`~pfgraph.core.gc_paused`).
 """
 
 from __future__ import annotations
@@ -25,7 +37,6 @@ from .core import (
     ZERO_DEGREE,
     _type_error,
     degree_max_min,
-    degree_min_max,
     gc_paused,
     tolerance,
 )
@@ -60,32 +71,46 @@ def _product(g1: PFGraph, g2: PFGraph, table: dict[str, dict[str, str]]) -> tupl
     """The vertex and edge maps of the Cartesian product, keys and degrees as bare tuples.
 
     Each degree follows :func:`degree_min_max` with the g1 side first: its
-    value wins ties.  Composed labels are distinct, so a key is ordered by
-    one comparison; an exactly-(0, 0) edge degree is left out.
+    value wins ties.  A degree that picks both floats of one input degree
+    (a vertex, or an edge of either factor) is that degree's own object.
+    Composed labels are distinct, so a key is ordered by one comparison; an
+    exactly-(0, 0) edge degree is left out.
     """
     new = tuple.__new__
     vertices, edges = {}, {}
-    g2_edges = g2.edges.items()
-    for u, (umu, unu) in g1.vertices.items():
+    g2_vertices, g2_edges = g2.vertices.items(), g2.edges.items()
+    for u, du in g1.vertices.items():
+        umu, unu = du
         row = table[u]
-        for v, (vmu, vnu) in g2.vertices.items():
-            vertices[row[v]] = new(PFDegree, (vmu if vmu < umu else umu, vnu if vnu > unu else unu))
+        for v, dv in g2_vertices:
+            vmu, vnu = dv
+            mu = vmu if vmu < umu else umu
+            nu = vnu if vnu > unu else unu
+            vertices[row[v]] = (du if mu is umu and nu is unu else dv if mu is vmu and nu is vnu
+                                else new(PFDegree, (mu, nu)))
         # edges inside the copy of g2 at u
-        for (lo, hi), (qmu, qnu) in g2_edges:
+        for (lo, hi), q in g2_edges:
+            qmu, qnu = q
             a, b = row[lo], row[hi]
             mu = qmu if qmu < umu else umu
             nu = qnu if qnu > unu else unu
             if mu != 0.0 or nu != 0.0:
-                edges[new(PairKey, (a, b) if a < b else (b, a))] = new(PFDegree, (mu, nu))
+                edges[new(PairKey, (a, b) if a < b else (b, a))] = (
+                    du if mu is umu and nu is unu else q if mu is qmu and nu is qnu
+                    else new(PFDegree, (mu, nu)))
     # edges between copies, one per vertex of g2
     g1_edges = [(table[lo], table[hi], q) for (lo, hi), q in g1.edges.items()]
-    for w, (wmu, wnu) in g2.vertices.items():
-        for lo_row, hi_row, (qmu, qnu) in g1_edges:
+    for w, dw in g2_vertices:
+        wmu, wnu = dw
+        for lo_row, hi_row, q in g1_edges:
+            qmu, qnu = q
             a, b = lo_row[w], hi_row[w]
             mu = wmu if wmu < qmu else qmu
             nu = wnu if wnu > qnu else qnu
             if mu != 0.0 or nu != 0.0:
-                edges[new(PairKey, (a, b) if a < b else (b, a))] = new(PFDegree, (mu, nu))
+                edges[new(PairKey, (a, b) if a < b else (b, a))] = (
+                    q if mu is qmu and nu is qnu else dw if mu is wmu and nu is wnu
+                    else new(PFDegree, (mu, nu)))
     return vertices, edges
 
 
@@ -116,22 +141,61 @@ def composition(g1: PFGraph, g2: PFGraph) -> PFGraph:
     table = _label_table(g1, g2)
     vertices, edges = _product(g1, g2, table)
     new = tuple.__new__
-    g2_vertices = g2.vertices.items()
-    for (lo, hi), (qmu, qnu) in g1.edges.items():
+    # every ordered pair (u2, v2) of distinct g2 vertices, in loop order, with
+    # the position of its bound in ``bounds``, which holds one degree per
+    # distinct pair of floats picked: u2's or v2's own degree where it picks
+    # both of that vertex's floats, or the u2-v2 edge's where that edge holds
+    # the two floats picked (an edge at its bound)
+    bounds: list = []
+    at_picks: dict = {}
+    g2_rows = []
+    g2_vertices, g2_edge = g2.vertices.items(), g2.edges.get
+    for u2, du in g2_vertices:
+        umu, unu = du
+        row = []
+        for v2, dv in g2_vertices:
+            if v2 == u2:
+                continue
+            vmu, vnu = dv
+            # degree_min_max's rule, u2's value winning ties
+            mu = vmu if vmu < umu else umu
+            nu = vnu if vnu > unu else unu
+            picks = (id(mu), id(nu))  # both floats live as long as g2
+            at = at_picks.get(picks)
+            if at is None:
+                at = at_picks[picks] = len(bounds)
+                if mu is umu and nu is unu:
+                    bound = du
+                elif mu is vmu and nu is vnu:
+                    bound = dv
+                else:
+                    bound = g2_edge((u2, v2) if u2 < v2 else (v2, u2))
+                    if bound is None or bound[0] is not mu or bound[1] is not nu:
+                        bound = new(PFDegree, (mu, nu))
+                bounds.append(bound)
+            row.append((v2, at))
+        g2_rows.append((u2, row))
+    for (lo, hi), q in g1.edges.items():
+        qmu, qnu = q
+        # each bound limited by the g1 edge, the bound's value winning ties;
+        # None for an exactly-(0, 0) degree, which is no edge
+        degrees = []
+        for bound in bounds:
+            bmu, bnu = bound
+            mu = qmu if qmu < bmu else bmu
+            nu = qnu if qnu > bnu else bnu
+            degrees.append(
+                None if mu == 0.0 and nu == 0.0
+                else bound if mu is bmu and nu is bnu else q if mu is qmu and nu is qnu
+                else new(PFDegree, (mu, nu)))
         lo_row, hi_row = table[lo], table[hi]
-        for u2, (umu, unu) in g2_vertices:
+        for u2, row in g2_rows:
             a = lo_row[u2]
-            for v2, (vmu, vnu) in g2_vertices:
-                if u2 == v2:
-                    continue
-                # min and max over (u2, v2, the g1 edge), the first value winning ties
-                mu = vmu if vmu < umu else umu
-                mu = qmu if qmu < mu else mu
-                nu = vnu if vnu > unu else unu
-                nu = qnu if qnu > nu else nu
-                if mu != 0.0 or nu != 0.0:
+            for v2, at in row:
+                degree = degrees[at]
+                if degree is not None:
                     b = hi_row[v2]
-                    edges[new(PairKey, (a, b) if a < b else (b, a))] = new(PFDegree, (mu, nu))
+                    edges[new(PairKey, (a, b) if a < b else (b, a))] = degree
     return PFGraph._adopt(vertices, edges)
 
 
@@ -193,11 +257,19 @@ def join(g1: PFGraph, g2: PFGraph) -> PFGraph:
         shared = ", ".join(map(repr, sorted(overlap)))
         raise JoinOverlap(f"join requires disjoint vertex sets; shared: [{shared}]")
     vertices, edges = _union_maps(g1, g2)
+    new = tuple.__new__
+    g2_vertices = g2.vertices.items()
     for u, du in g1.vertices.items():
-        for v, dv in g2.vertices.items():
-            degree = degree_min_max(du, dv)
-            if degree != ZERO_DEGREE:
-                edges[PairKey(u, v)] = degree
+        umu, unu = du
+        for v, dv in g2_vertices:
+            vmu, vnu = dv
+            # degree_min_max's rule, u's value winning ties
+            mu = vmu if vmu < umu else umu
+            nu = vnu if vnu > unu else unu
+            if mu != 0.0 or nu != 0.0:  # u and v are distinct labels
+                edges[new(PairKey, (u, v) if u < v else (v, u))] = (
+                    du if mu is umu and nu is unu else dv if mu is vmu and nu is vnu
+                    else new(PFDegree, (mu, nu)))
     return PFGraph._adopt(vertices, edges)
 
 
@@ -245,16 +317,16 @@ def complement(g: PFGraph) -> PFGraph:
     rows = _keys_by_row(g)
     no_edges: dict = {}
     edges = {}
-    for u, (umu, unu), tail in g._pair_scan():
+    for u, du, tail in g._pair_scan():
+        umu, unu = du
         key_of = rows.get(u, no_edges).get
-        for v, (vmu, vnu) in tail:
+        for v, dv in tail:
+            vmu, vnu = dv
             # the bound, degree_min_max's rule inline: no edge's complement
             mu = vmu if vmu < umu else umu
             nu = vnu if vnu > unu else unu
             key = key_of(v)  # an edge pair keeps g's own key object
-            if key is None:
-                key = new(PairKey, (u, v))
-            else:
+            if key is not None:
                 emu, enu = degree_of(key)
                 # _bound_minus inline, which is left to raise (or pass a NaN on)
                 if not emu <= eps:
@@ -274,23 +346,54 @@ def complement(g: PFGraph) -> PFGraph:
                     else:
                         nu = _bound_minus(nu, enu, eps)
             if mu != 0.0 or nu != 0.0:
-                edges[key] = new(PFDegree, (mu, nu))
+                if key is None:
+                    key = new(PairKey, (u, v))
+                edges[key] = (du if mu is umu and nu is unu else dv if mu is vmu and nu is vnu
+                              else new(PFDegree, (mu, nu)))
     return PFGraph._adopt(dict(g.vertices), edges)
 
 
-def _zero_or_bound_complement(g: PFGraph) -> PFGraph:
+def _zero_or_bound_complement(g: PFGraph, off_bound: Exception | None) -> PFGraph:
+    """The strong and complete complements' pass: each component of a pair's
+    edge above eps becomes 0.0, each other component the pair's bound.
+
+    The same pass checks the input: ``off_bound`` (a NotStrong or a
+    NotComplete) is raised at the first edge in scan order, or for a
+    NotComplete the first pair (an absent one reading as (0, 0)), not within
+    eps of its bound in both components; None checks nothing.
+    """
     eps = tolerance()
+    check_edges = off_bound is not None
+    check_pairs = isinstance(off_bound, NotComplete)
     new = tuple.__new__
-    get = g.edges.get
+    degree_of = g.edges.__getitem__
+    rows = _keys_by_row(g)
+    no_edges: dict = {}
     edges = {}
-    for u, (umu, unu), tail in g._pair_scan():
-        for v, (vmu, vnu) in tail:
-            mu, nu = get((u, v), ZERO_DEGREE)
-            # the bound, degree_min_max's rule inline, only where it is kept
-            mu = 0.0 if mu > eps else (vmu if vmu < umu else umu)
-            nu = 0.0 if nu > eps else (vnu if vnu > unu else unu)
+    for u, du, tail in g._pair_scan():
+        umu, unu = du
+        key_of = rows.get(u, no_edges).get
+        for v, dv in tail:
+            vmu, vnu = dv
+            # the bound, degree_min_max's rule inline
+            mu = vmu if vmu < umu else umu
+            nu = vnu if vnu > unu else unu
+            key = key_of(v)  # an edge pair keeps g's own key object
+            if key is not None:
+                emu, enu = degree_of(key)
+                if check_edges and not (abs(emu - mu) <= eps and abs(enu - nu) <= eps):
+                    raise off_bound
+                if emu > eps:
+                    mu = 0.0
+                if enu > eps:
+                    nu = 0.0
+            elif check_pairs and not (abs(mu) <= eps and abs(nu) <= eps):
+                raise off_bound
             if mu != 0.0 or nu != 0.0:
-                edges[new(PairKey, (u, v))] = new(PFDegree, (mu, nu))
+                if key is None:
+                    key = new(PairKey, (u, v))
+                edges[key] = (du if mu is umu and nu is unu else dv if mu is vmu and nu is vnu
+                              else new(PFDegree, (mu, nu)))
     return PFGraph._adopt(dict(g.vertices), edges)
 
 
@@ -303,31 +406,18 @@ def strong_complement(g: PFGraph, force: bool = False) -> PFGraph:
     """
     if not isinstance(g, PFGraph):
         raise _type_error("g", g, PFGraph)
-    if not force:
-        eps = tolerance()
-        vertices = g.vertices
-        for (lo, hi), (mu, nu) in g.edges.items():
-            (amu, anu), (bmu, bnu) = vertices[lo], vertices[hi]
-            bound_mu = bmu if bmu < amu else amu  # degree_min_max's tie rule: lo's value wins
-            bound_nu = bnu if bnu > anu else anu
-            if not (abs(mu - bound_mu) <= eps and abs(nu - bound_nu) <= eps):
-                raise NotStrong("input graph is not strong; pass force=True to override")
-    return _zero_or_bound_complement(g)
+    off_bound = None if force else NotStrong("input graph is not strong; pass force=True to override")
+    return _zero_or_bound_complement(g, off_bound)
 
 
 @gc_paused
 def complete_complement(g: PFGraph, force: bool = False) -> PFGraph:
-    """Complement for complete graphs; for a genuinely complete input it is edgeless."""
+    """Complement for complete graphs; for a genuinely complete input it is edgeless.
+
+    Requires the input to be complete unless ``force`` is set: a pair off
+    its bound raises NotComplete.
+    """
     if not isinstance(g, PFGraph):
         raise _type_error("g", g, PFGraph)
-    if not force:
-        eps = tolerance()
-        get = g.edges.get
-        for u, (umu, unu), tail in g._pair_scan():
-            for v, (vmu, vnu) in tail:
-                mu, nu = get((u, v), ZERO_DEGREE)
-                # the pair's bound, degree_min_max's rule inline
-                if not (abs(mu - (vmu if vmu < umu else umu)) <= eps
-                        and abs(nu - (vnu if vnu > unu else unu)) <= eps):
-                    raise NotComplete("input graph is not complete; pass force=True to override")
-    return _zero_or_bound_complement(g)
+    off_bound = None if force else NotComplete("input graph is not complete; pass force=True to override")
+    return _zero_or_bound_complement(g, off_bound)

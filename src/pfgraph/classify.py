@@ -14,8 +14,9 @@ complement, under the complement variant matching how the graph classifies.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from operator import itemgetter
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .algebra import complement, complete_complement, strong_complement
 from .core import (
@@ -23,6 +24,7 @@ from .core import (
     PFGraph,
     PairKey,
     ZERO_DEGREE,
+    _pairs_type_error,
     _type_error,
     gc_paused,
     tolerance,
@@ -239,7 +241,11 @@ def half_strong_construction(p: Mapping[str, PFDegree]) -> PFGraph:
     Each pair (u, v) receives membership min(mu_u, mu_v)/2 and
     non-membership max(nu_u, nu_v)/2.  The output is always valid and is
     isomorphic to its own general complement under the identity map.
+    ``p`` is read as the constructor reads its ``vertices``; a ``p`` that
+    is neither a mapping nor an iterable of pairs raises TypeError naming it.
     """
+    if not isinstance(p, Iterable):
+        raise _pairs_type_error("p", p)
     g = PFGraph(p)
     new = tuple.__new__
     edges = {}

@@ -49,7 +49,10 @@ Design choices baked into this module:
   read the stored degrees, ``complement``, the one pass that keeps
   edge pairs' keys, finds each stored key by one lookup of a label in a
   per-row map of the keys, and the writers sort the bare keys and read
-  each degree from the map.  The
+  each degree from the map.  The builders store an input's own degree
+  object wherever a degree picks both of its floats (a pair at its bound
+  shares its dominating endpoint's degree; see :mod:`pfgraph.algebra`),
+  so they make a new degree only for a mixed or computed one.  The
   builders that keep such objects in bulk (the complements, the products,
   ``union``, ``join``, ``parse``, ``generate`` and
   ``half_strong_construction``) are wrapped in :func:`gc_paused`: while one
@@ -105,10 +108,11 @@ import gc
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator, Mapping
 from functools import wraps
 from itertools import chain
 from operator import itemgetter
-from typing import Iterator, Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import ConstraintViolation, DanglingEdge
 
@@ -264,13 +268,30 @@ def degree_min_max(a: PFDegree, b: PFDegree) -> PFDegree:
 
     For valid inputs the result is always valid: the degree supplying the
     larger nu also bounds the smaller mu, so the squared sum cannot grow.
+    ``a`` and ``b`` are PFDegrees or plain (mu, nu) tuples, read by
+    position; any other argument raises TypeError naming it.  ``a``'s
+    value wins ties.
     """
-    return PFDegree(min(a.mu, b.mu), max(a.nu, b.nu))
+    (amu, anu), (bmu, bnu) = _degree_pair(a, b)
+    return PFDegree(min(amu, bmu), max(anu, bnu))
 
 
 def degree_max_min(a: PFDegree, b: PFDegree) -> PFDegree:
-    """Combine two degrees taking the larger membership and smaller non-membership."""
-    return PFDegree(max(a.mu, b.mu), min(a.nu, b.nu))
+    """Combine two degrees taking the larger membership and smaller non-membership.
+
+    Arguments as for :func:`degree_min_max`.
+    """
+    (amu, anu), (bmu, bnu) = _degree_pair(a, b)
+    return PFDegree(max(amu, bmu), min(anu, bnu))
+
+
+def _degree_pair(a, b) -> tuple:
+    """(a, b), if each is a 2-tuple; TypeError naming the first that is not."""
+    if not (isinstance(a, tuple) and len(a) == 2):
+        raise _type_error("a", a, PFDegree)
+    if not (isinstance(b, tuple) and len(b) == 2):
+        raise _type_error("b", b, PFDegree)
+    return a, b
 
 
 def encodes_as_utf8(label: str) -> bool:
@@ -339,7 +360,9 @@ class PFGraph:
     numbers (a PFDegree of exact floats is kept as it is); what breaks
     the label or the value rule (see the module docstring) and an edge key
     that is not a pair raise ConstraintViolation, a kept edge with an
-    undeclared endpoint DanglingEdge, a self-loop ValueError.
+    undeclared endpoint DanglingEdge, a self-loop ValueError, and a
+    ``vertices`` or ``edges`` that is neither a mapping nor an iterable (of
+    pairs) TypeError naming the parameter.
     The degree rules are not checked here; use :func:`validate`.  The
     library's own builders go through :meth:`_adopt` instead.
     """
@@ -348,6 +371,8 @@ class PFGraph:
     edges: Mapping[PairKey, PFDegree]
 
     def __init__(self, vertices, edges=()):
+        if not isinstance(vertices, Iterable):
+            raise _pairs_type_error("vertices", vertices)
         vertices = dict(vertices)
         for label, degree in vertices.items():
             _require_label(label, "vertex label")
@@ -355,6 +380,8 @@ class PFGraph:
                 vertices[label] = _as_degree(degree, "vertex", label)
         object.__setattr__(self, "vertices", vertices)
         normalized = {}
+        if not isinstance(edges, Iterable):
+            raise _pairs_type_error("edges", edges)
         edge_items = edges.items() if isinstance(edges, Mapping) else edges
         for key, degree in edge_items:
             try:
@@ -406,9 +433,6 @@ class PFGraph:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
-
-    def vertex_degree(self, v: str) -> PFDegree:
-        return self.vertices[v]
 
     def has_edge(self, u: str, v: str) -> bool:
         return PairKey(u, v) in self.edges
@@ -581,6 +605,13 @@ def _type_error(name: str, value, cls: type) -> TypeError:
     return TypeError(f"{name} must be {article} {cls.__name__}, not {type(value).__name__}")
 
 
+def _pairs_type_error(name: str, value) -> TypeError:
+    """The error for a graph's vertex or edge argument that is neither a
+    mapping nor an iterable of pairs: it names the parameter and the type
+    received."""
+    return TypeError(f"{name} must be a mapping or an iterable of pairs, not {type(value).__name__}")
+
+
 def degrees_close(a: PFDegree, b: PFDegree, eps: float | None = None) -> bool:
     """Whether both components of a and b differ by at most eps (default: the tolerance).
 
@@ -589,12 +620,8 @@ def degrees_close(a: PFDegree, b: PFDegree, eps: float | None = None) -> bool:
     float range is close to no float, for any finite eps.  An explicit eps
     follows :func:`set_tolerance`'s rule, or raises ValueError.
     """
-    if not (isinstance(a, tuple) and len(a) == 2):
-        raise _type_error("a", a, PFDegree)
-    if not (isinstance(b, tuple) and len(b) == 2):
-        raise _type_error("b", b, PFDegree)
+    (amu, anu), (bmu, bnu) = _degree_pair(a, b)
     eps = tolerance() if eps is None else _checked_tolerance(eps)
-    (amu, anu), (bmu, bnu) = a, b
     try:
         return abs(amu - bmu) <= eps and abs(anu - bnu) <= eps
     except OverflowError:  # an int beyond float range against a float

@@ -95,10 +95,12 @@ def generate(cfg: GenConfig) -> PFGraph:
     edges: dict[PairKey, PFDegree] = {}
     # index order, not sorted order: it fixes which random draw each pair gets
     items = list(vertices.items())
-    for i, (u, (umu, unu)) in enumerate(items, 1):
-        for v, (vmu, vnu) in items[i:]:
+    for i, (u, du) in enumerate(items, 1):
+        umu, unu = du
+        for v, dv in items[i:]:
             if not (every_pair or draw() < p):
                 continue
+            vmu, vnu = dv
             # the key puts the lower label first, and its value wins ties in the bound
             if v < u:
                 key = new(PairKey, (v, u))
@@ -111,5 +113,7 @@ def generate(cfg: GenConfig) -> PFGraph:
                 if quantize is not None:
                     mu, nu = round(mu, quantize), round(nu, quantize)
             if mu != 0.0 or nu != 0.0:  # an exactly-(0, 0) degree means no edge
-                edges[key] = new(PFDegree, (mu, nu))
+                # at its bound, an endpoint's own degree where it picks both of its floats
+                edges[key] = (du if mu is umu and nu is unu else dv if mu is vmu and nu is vnu
+                              else new(PFDegree, (mu, nu)))
     return PFGraph._adopt(vertices, edges)

@@ -3,8 +3,10 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfgraph import (
+    FAMILIES,
     ConstraintViolation,
     GenConfig,
     JoinOverlap,
@@ -17,6 +19,7 @@ from pfgraph import (
     classify,
     complement,
     complete_complement,
+    compose_label,
     composition,
     generate,
     graphs_close,
@@ -325,3 +328,49 @@ class TestStrongClosure:
         merged = union(g1, g2)
         assert validate(merged).ok
         assert not classify(merged).is_strong
+
+
+def support(g):
+    """g's edge support: the set of its edges as frozensets of labels."""
+    return {frozenset(key) for key in g.edges}
+
+
+def nx_support(nxg, composed=False):
+    """A networkx graph's edge support, with each node of a product (a pair)
+    named as the product names it when composed is set."""
+    if composed:
+        return {frozenset((compose_label(*u), compose_label(*v))) for u, v in nxg.edges()}
+    return {frozenset(edge) for edge in nxg.edges()}
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32),
+    n1=st.integers(1, 5),
+    n2=st.integers(1, 4),
+    p=st.sampled_from([0.0, 0.5, 1.0]),
+    family=st.sampled_from(FAMILIES),
+)
+def test_edge_supports_agree_with_networkx(seed, n1, n2, p, family):
+    # each operation's edge support is the classical operation on the
+    # supports; generated degrees are never (0, 0), so no edge drops out
+    nx = pytest.importorskip("networkx")
+
+    def gen(seed, n, prefix):
+        return relabel(generate(GenConfig(seed=seed, n_vertices=n, edge_probability=p, family=family)), prefix)
+
+    def to_nx(g):
+        nxg = nx.Graph()
+        nxg.add_nodes_from(g.vertices)
+        nxg.add_edges_from(g.edges)
+        return nxg
+
+    g1, g2 = gen(seed, n1, "a"), gen(seed + 1, n2, "b")
+    overlapping = gen(seed + 2, n2, "a")
+    G1, G2 = to_nx(g1), to_nx(g2)
+    assert support(cartesian_product(g1, g2)) == nx_support(nx.cartesian_product(G1, G2), composed=True)
+    assert support(composition(g1, g2)) == nx_support(nx.lexicographic_product(G1, G2), composed=True)
+    assert support(join(g1, g2)) == nx_support(nx.full_join(G1, G2))
+    assert support(union(g1, overlapping)) == nx_support(nx.compose(G1, to_nx(overlapping)))
+    if family in ("strong", "complete"):
+        assert support(strong_complement(g1)) == nx_support(nx.complement(G1))

@@ -12,6 +12,14 @@ same vertices and edges (compared by repr, so NaN, -0.0 and the key and
 degree types count), the same edge order, the same rendered bytes, the
 same sum report to the bit, the same verdict, or the same exception class
 and message.
+
+The builders also store an input's own degree object wherever a degree
+picks both of its floats, by identity, and a new one only otherwise (the
+reference builds every degree anew).  The tests here check that rule on
+generated graphs, with the counts of new degrees it leaves on graphs of the
+benchmark's sizes, and pin the rendered bytes of each builder's output as
+taken before the rule; the ±0.0 ties and NaN vertices of the examples are
+where picking by ``==`` instead of ``is`` would show.
 """
 
 import hashlib
@@ -44,6 +52,7 @@ from pfgraph import (
     sum_identity,
     union,
 )
+from conftest import relabel
 from reference_codec import boundary_specs, door
 
 
@@ -118,8 +127,45 @@ def test_generate_render_digest_is_pinned(family, quantize):
     assert digest == RENDER_DIGESTS[family, quantize]
 
 
+# 0.0 tied with -0.0 in mu (beside a nonzero nu) and in nu (beside a nonzero mu):
+# only the tie rule decides which zero a degree keeps, and render shows the sign;
+# every edge joins a label to one that composes in the opposite order
+SIGNED_ZEROS = PFGraph(
+    {"a": PFDegree(0.5, 0.0), "a!": PFDegree(0.4, -0.0), "b": PFDegree(0.0, 0.5), "b ": PFDegree(-0.0, 0.5)},
+    {
+        ("a", "a!"): PFDegree(0.3, 0.0),
+        ("b", "b "): PFDegree(-0.0, 0.5),
+        ("a!", "b"): PFDegree(0.0, 0.5),
+        ("a", "b "): PFDegree(-0.0, 0.5),
+    },
+)
+
+
+# a NaN component in each position of a vertex and of an edge, and two pairs
+# without an edge whose bound takes one float from each end beside a tie of
+# 0.0 with -0.0: d-e keeps d's 0.0 and e's nu, f-g g's mu and f's 0.0.  Every
+# comparison with NaN is false and a tie goes to the first operand, so only
+# the order of the comparisons decides which float a degree keeps.  The
+# degrees of d-e and f-g are == to e's and g's, but hold the other zero: a
+# degree shared by == instead of by identity shows the wrong sign
+TIES_AND_NAN = PFGraph(
+    {
+        "a": PFDegree(math.nan, 0.5),
+        "b": PFDegree(0.5, math.nan),
+        "c": PFDegree(0.5, 0.25),
+        "d": PFDegree(0.0, 0.25),
+        "e": PFDegree(-0.0, 0.5),
+        "f": PFDegree(0.5, 0.0),
+        "g": PFDegree(0.25, -0.0),
+    },
+    {("a", "c"): PFDegree(0.25, 0.5), ("b", "c"): PFDegree(0.5, math.nan), ("a", "b"): PFDegree(math.nan, 0.25)},
+)
+
+
 @settings(deadline=None, max_examples=300)
 @given(g=hand_built())
+@example(g=SIGNED_ZEROS)
+@example(g=TIES_AND_NAN)
 def test_complements_match_reference(g):
     assert_same(complement, ref.complement, g)
     for force in (False, True):
@@ -386,23 +432,10 @@ def test_sum_totals_equal_the_reference_totals():
 PRODUCT_LABELS = st.sampled_from(["a", "a ", "a!b", "b", "c"])
 
 
-# 0.0 tied with -0.0 in mu (beside a nonzero nu) and in nu (beside a nonzero mu):
-# only the tie rule decides which zero a degree keeps, and render shows the sign;
-# every edge joins a label to one that composes in the opposite order
-SIGNED_ZEROS = PFGraph(
-    {"a": PFDegree(0.5, 0.0), "a!": PFDegree(0.4, -0.0), "b": PFDegree(0.0, 0.5), "b ": PFDegree(-0.0, 0.5)},
-    {
-        ("a", "a!"): PFDegree(0.3, 0.0),
-        ("b", "b "): PFDegree(-0.0, 0.5),
-        ("a!", "b"): PFDegree(0.0, 0.5),
-        ("a", "b "): PFDegree(-0.0, 0.5),
-    },
-)
-
-
 @settings(deadline=None, max_examples=300)
 @given(g1=hand_built(PRODUCT_LABELS), g2=hand_built(PRODUCT_LABELS | st.just("x,y")))
 @example(g1=SIGNED_ZEROS, g2=SIGNED_ZEROS)
+@example(g1=TIES_AND_NAN, g2=SIGNED_ZEROS)
 def test_products_match_reference(g1, g2):
     for g, h in ((g1, g2), (g2, g1)):
         assert_same(cartesian_product, ref.cartesian_product, g, h)
@@ -424,6 +457,12 @@ ZERO_UNION = (
     PFGraph({"a": PFDegree(0.5, 0.5), "b": PFDegree(0.5, 0.5)}, {("b", "a"): PFDegree(0.0, 0.25)}),
 )
 ZERO_JOIN = (PFGraph({"a": PFDegree(0.0, 0.0)}), PFGraph({"g": PFDegree(0.5, 0.0)}))
+# the cross pairs a-g and b-h take one float from each side beside a tie of 0.0
+# with -0.0, as TIES_AND_NAN's d-e and f-g do
+SIGNED_JOIN = (
+    PFGraph({"a": PFDegree(0.0, 0.25), "b": PFDegree(0.5, 0.0)}),
+    PFGraph({"g": PFDegree(-0.0, 0.5), "h": PFDegree(0.25, -0.0)}),
+)
 
 
 @settings(deadline=None, max_examples=300)
@@ -431,8 +470,122 @@ ZERO_JOIN = (PFGraph({"a": PFDegree(0.0, 0.0)}), PFGraph({"g": PFDegree(0.5, 0.0
        disjoint=hand_built(st.sampled_from("ghijkl")))
 @example(g=ZERO_UNION[0], overlapping=ZERO_UNION[1], disjoint=ZERO_JOIN[1])
 @example(g=ZERO_JOIN[0], overlapping=ZERO_UNION[1], disjoint=ZERO_JOIN[1])
+@example(g=SIGNED_JOIN[0], overlapping=ZERO_UNION[1], disjoint=SIGNED_JOIN[1])
 def test_union_and_join_match_reference(g, overlapping, disjoint):
     for h in (overlapping, disjoint):
         for a, b in ((g, h), (h, g)):
             assert_same(union, ref.union, a, b)
             assert_same(join, ref.join, a, b)
+
+
+def test_a_dominated_pair_without_an_edge_shares_the_endpoint_degree():
+    # u has the lower mu and the higher nu, so its own degree is the bound of
+    # each of its pairs: the complements store u's object, not an equal copy
+    du = PFDegree(0.25, 0.75)
+    g = PFGraph({"u": du, "v": PFDegree(0.5, 0.5), "w": PFDegree(0.75, 0.25)}, {("v", "w"): PFDegree(0.25, 0.25)})
+    for h in (complement(g), complete_complement(g, force=True)):
+        assert h.edges[("u", "v")] is du and h.edges[("u", "w")] is du
+    # an edge's complement subtracts, so its degree is a new object
+    edge = complement(g).edges[("v", "w")]
+    assert edge == (0.25, 0.25) and all(edge is not d for d in (*g.vertices.values(), *g.edges.values()))
+
+
+def degrees_of(g):
+    return (*g.vertices.values(), *g.edges.values())
+
+
+def assert_shares(out, inputs):
+    """Each degree in out whose two floats are, by identity, the two floats of
+    a degree in inputs is one of those objects."""
+    picks: dict = {}
+    for d in inputs:
+        picks.setdefault((id(d[0]), id(d[1])), set()).add(id(d))
+    for d in out:
+        assert id(d) in picks.get((id(d[0]), id(d[1])), {id(d)})
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_builders_share_every_input_degree_they_pick_whole(seed):
+    family, quantize = FAMILIES[seed % 4], (None, 1)[seed % 2]
+    g = generate(GenConfig(seed=seed, n_vertices=9, family=family, quantize=quantize))
+    h = generate(GenConfig(seed=seed + 50, n_vertices=4, family=family, quantize=quantize))
+    renamed = relabel(h, "w")
+    for out in (complement(g), strong_complement(g, force=True), complete_complement(g, force=True)):
+        assert_shares(degrees_of(out), degrees_of(g))
+    for a, b in ((g, h), (h, g)):
+        for out in (cartesian_product(a, b), composition(a, b)):
+            assert_shares(degrees_of(out), degrees_of(a) + degrees_of(b))
+    assert_shares(degrees_of(join(g, renamed)), degrees_of(g) + degrees_of(renamed))
+    for at_bound in ("strong", "complete"):
+        s = generate(GenConfig(seed=seed, n_vertices=12, family=at_bound, quantize=quantize))
+        assert_shares(s.edges.values(), s.vertices.values())
+
+
+def new_degrees(out, *inputs):
+    """How many degree objects of out no input holds."""
+    held = {id(d) for g in inputs for degrees in (g.vertices, g.edges) for d in degrees.values()}
+    return len({id(d) for degrees in (out.vertices, out.edges) for d in degrees.values()} - held)
+
+
+def _fresh(cfg):
+    """generate(cfg) with every degree a new object, as a document's are."""
+    g = generate(cfg)
+    return PFGraph({v: PFDegree(*d) for v, d in g.vertices.items()}, {k: PFDegree(*d) for k, d in g.edges.items()})
+
+
+def test_builders_make_few_new_degrees_on_large_graphs():
+    # graphs of the benchmark's large-graph pool; without sharing, each output
+    # degree was new: 28,680 for the complement, 12,187 for the strong
+    # complement and 26,388 for the composition.  The bounds are the counts
+    # with sharing, so any lost share fails
+    g = _fresh(GenConfig(seed=240_006, n_vertices=240, edge_probability=0.5))
+    assert new_degrees(complement(g), g) <= 19_842
+    s = _fresh(GenConfig(seed=220_505, n_vertices=220, edge_probability=0.5, family="strong"))
+    assert new_degrees(strong_complement(s), s) <= 4_647
+    g1, g2 = (_fresh(GenConfig(seed=18_002 + i, n_vertices=18, edge_probability=0.5)) for i in (0, 1))
+    assert new_degrees(composition(g1, g2), g1, g2) <= 4_965
+
+
+def builder_outputs(quantize):
+    """name: a call of that builder on fixed generated graphs."""
+    def gen(seed, n, family="general"):
+        return generate(GenConfig(seed=seed, n_vertices=n, family=family, quantize=quantize))
+
+    g, h, strong = gen(2018, 12), gen(2019, 12), gen(2018, 12, "strong")
+    small, other = gen(2018, 5), gen(2019, 4)
+    renamed = relabel(h, "w")
+    return {
+        "complement": lambda: complement(g),
+        "strong_complement": lambda: strong_complement(strong),
+        "complete_complement": lambda: complete_complement(g, force=True),
+        "cartesian_product": lambda: cartesian_product(small, other),
+        "composition": lambda: composition(small, other),
+        "union": lambda: union(g, h),
+        "join": lambda: join(g, renamed),
+    }
+
+
+# sha256 of render(...) of each builder's output in ``builder_outputs``, taken
+# from the builders as they were before they shared input degree objects
+BUILDER_DIGESTS = {
+    ("complement", None): "378a212ccb28b186e2486330c0de297d719c6420bcf4a5246c084dd215085db5",
+    ("strong_complement", None): "118ae48368b53a2a7826404af743d6a60591c7564bd1e97a96e13b060864cc47",
+    ("complete_complement", None): "7f66f6ed219d2d93cfe51b7ffbd648e31a38a1184fb031e6e7cda89c1a95c2dd",
+    ("cartesian_product", None): "a06ad5ed1ed06dac8ac2174aa9dc3d1afeb0b26966349379e8e39abbfe6d27e1",
+    ("composition", None): "9c91df7d111168d4a2f02c536bf541303a7cedc3b7f06e756d4e9a1a6b13411a",
+    ("union", None): "7a1486caced29b36256b4e1a284987365e3e02a59e06f946c3dad9b637e90aaa",
+    ("join", None): "390f399196394f146d4097b2507a5002c8a7ae6ab7dd57bad3dc78ad754f372b",
+    ("complement", 2): "9309b7c7aab9181bed5d8e1a3fe850ce8dcc2cea961be5121c3e2a367f24c2a5",
+    ("strong_complement", 2): "5637377597d25c466c68db0236d63d80822c13fea05d6446194eeee24ab6d7a3",
+    ("complete_complement", 2): "7558b02ca04f665af6f94682ad5d835623b132fc099123738ee2e9b98dd83b64",
+    ("cartesian_product", 2): "1349c1808b32d67f98878510ac1fe2ab25ad9712986090d3f3710f8f6176fc87",
+    ("composition", 2): "65f94655795c6dd4009b3c89a4d9b09970d46895f12b69c216c956a83e44ba3e",
+    ("union", 2): "67f704266a7c05877764cbf75daebfdd7ccc1e62b115df49bbe0a98e464d9d3a",
+    ("join", 2): "90aaa42035cddae1985202b0efb59b3d4a42e0dd9d0325bac01d3c2d2e98ed57",
+}
+
+
+@pytest.mark.parametrize("name, quantize", BUILDER_DIGESTS)
+def test_builder_render_digest_is_pinned(name, quantize):
+    digest = hashlib.sha256(render(builder_outputs(quantize)[name]()).encode("utf-8")).hexdigest()
+    assert digest == BUILDER_DIGESTS[name, quantize]

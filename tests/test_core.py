@@ -25,6 +25,7 @@ from pfgraph import (
     degrees_close,
     generate,
     graphs_close,
+    half_strong_construction,
     hesitation,
     parse,
     render,
@@ -396,6 +397,33 @@ class TestDegreeCombine:
         assert degree_min_max(PFDegree(1, 0), PFDegree(0, 1)) == PFDegree(0, 1)
         assert degree_max_min(PFDegree(0, 1), PFDegree(0, 1)) == PFDegree(0, 1)
 
+    def test_plain_tuples_read_as_their_degrees(self):
+        assert degree_min_max((0.5, 0.5), (0.2, 0.3)) == PFDegree(0.2, 0.5)
+        assert degree_max_min((0.5, 0.5), (0.2, 0.3)) == PFDegree(0.5, 0.3)
+        for a, b in [((0.5, 0.5), (0.2, 0.3)), ((1, 0), (0.0, 1.0)), ((math.nan, 0.5), (0.25, 0.75))]:
+            for combine in (degree_min_max, degree_max_min):
+                expected = repr(combine(PFDegree(*a), PFDegree(*b)))
+                for x, y in [(a, b), (PFDegree(*a), b), (a, PFDegree(*b))]:
+                    assert repr(combine(x, y)) == expected
+
+    def test_first_argument_wins_ties(self):
+        # 0.0 and -0.0 are equal, so only the tie rule decides which one comes out
+        assert repr(degree_min_max((0.0, 0.5), (-0.0, 0.5))) == "PFDegree(mu=0.0, nu=0.5)"
+        assert repr(degree_min_max((-0.0, 0.5), (0.0, 0.5))) == "PFDegree(mu=-0.0, nu=0.5)"
+        assert repr(degree_max_min((0.5, 0.0), (0.5, -0.0))) == "PFDegree(mu=0.5, nu=0.0)"
+        assert repr(degree_max_min((0.5, -0.0), (0.5, 0.0))) == "PFDegree(mu=0.5, nu=-0.0)"
+
+    @pytest.mark.parametrize(
+        "bad", [[0.5, 0.5], (0.5,), (0.5, 0.5, 0.5), 0.5, None, {"mu": 0.5, "nu": 0.5}], ids=repr
+    )
+    def test_argument_that_is_not_a_pair_raises_type_error_naming_it(self, bad):
+        named, d = type(bad).__name__, PFDegree(0.5, 0.5)
+        for combine in (degree_min_max, degree_max_min):
+            with pytest.raises(TypeError, match=f"^a must be a PFDegree, not {named}$"):
+                combine(bad, d)
+            with pytest.raises(TypeError, match=f"^b must be a PFDegree, not {named}$"):
+                combine(d, bad)
+
     @given(valid_degrees(), valid_degrees())
     def test_combined_pair_stays_valid(self, a, b):
         # the vertex attaining the larger nu also bounds the smaller mu
@@ -507,6 +535,29 @@ class TestSetTolerance:
 
 
 class TestGraphConstruction:
+    @pytest.mark.parametrize("bad", [5, 0.5, None, True, PFDegree], ids=repr)
+    def test_an_argument_that_is_not_iterable_raises_type_error_naming_it(self, bad):
+        expected = "{} must be a mapping or an iterable of pairs, not " + type(bad).__name__
+        with pytest.raises(TypeError) as raised:
+            PFGraph(bad)
+        assert str(raised.value) == expected.format("vertices")
+        with pytest.raises(TypeError) as raised:
+            PFGraph({}, bad)
+        assert str(raised.value) == expected.format("edges")
+        with pytest.raises(TypeError) as raised:
+            half_strong_construction(bad)
+        assert str(raised.value) == expected.format("p")
+
+    def test_iterables_of_pairs_build_the_graph_their_maps_build(self):
+        d, e = PFDegree(0.5, 0.5), PFDegree(0.25, 0.5)
+        g = PFGraph({"a": d, "b": d}, {("a", "b"): e})
+        assert PFGraph([("a", d), ("b", d)], [(("a", "b"), e)]) == g
+        assert PFGraph(iter([("a", d), ("b", d)]), iter([(("b", "a"), e)])) == g
+        assert half_strong_construction([("a", d), ("b", d)]) == half_strong_construction(g.vertices)
+        # an iterable of items that are not pairs keeps dict()'s own error
+        with pytest.raises(TypeError, match="dictionary update sequence"):
+            PFGraph([1])
+
     def test_zero_degree_edge_normalized_away(self):
         g = build({"a": (0.5, 0.5), "b": (0.5, 0.5)}, {("a", "b"): (0.0, 0.0)})
         assert len(g.edges) == 0
